@@ -1,21 +1,15 @@
-"""Ablation — autodiff fast path: graph-free backward + compiled plans.
+"""Ablation — autodiff fast path: graph-free backward over cached plans.
 
 ``grad(..., create_graph=False)`` dispatches to :mod:`repro.autodiff.fastpath`:
 VJPs run on raw ndarrays (no cotangent graph is built), the traversal plan
 (toposort, on-path set, accumulation buffers) is cached by graph structure,
 and the logistic-regression hot path uses the fused
-``linear_softmax_xent`` composite.  Two legs:
+``linear_softmax_xent`` composite.  The workload is the one the paper's
+FedML algorithm runs — the per-node exact meta-gradient — timed with the
+fast path on vs. fully disabled.
 
-* **meta-gradient leg** — the workload the paper's FedML algorithm runs
-  (the per-node exact meta-gradient), fast path on vs. fully disabled.
-* **replay leg** — steady-state backward replay over a warm live graph,
-  compiled tier (arena kernels, ``out=`` buffers, zero allocations) vs.
-  the cached allocating tier, on paper-representative shapes.  Timing is
-  interleaved best-of so machine noise hits both tiers alike.
-
-Correctness is part of the record: every configuration must produce
-byte-identical gradients, and the compiled leg must report zero hot-path
-allocations after warm-up.
+Correctness is part of the record: both configurations must produce
+byte-identical gradients.
 
 Standalone mode writes the CI artifact ``BENCH_autodiff.json``::
 
@@ -29,10 +23,10 @@ import time
 
 import numpy as np
 
-from repro.autodiff import Tensor, fastpath, grad, toposort
+from repro.autodiff import fastpath
 from repro.core.maml import meta_gradient
 from repro.data import SyntheticConfig, generate_synthetic
-from repro.nn import MLP, LogisticRegression, cross_entropy
+from repro.nn import LogisticRegression
 from repro.nn.parameters import require_grad, to_vector
 
 
@@ -62,114 +56,6 @@ def sweep(model, splits, params, alpha, repeats):
     return elapsed, np.concatenate([to_vector(g) for g in grads])
 
 
-# ----------------------------------------------------------------------
-# Replay leg: compiled tier vs the cached (PR-5) tier
-# ----------------------------------------------------------------------
-#: Paper-representative backward shapes: the FEMNIST-style logistic head
-#: and small MLPs at the K-shot batch sizes the inner loop actually sees.
-REPLAY_SHAPES = (
-    ("logreg-60x10-b5", LogisticRegression(60, 10), 5),
-    ("mlp-60x32x10-b20", MLP(60, (32,), 10), 20),
-    ("mlp-60x32x10-b20-tanh", MLP(60, (32,), 10, activation="tanh"), 20),
-    ("mlp-12x8x4-b10", MLP(12, (8,), 4), 10),
-)
-
-
-def _replay_problem(model, batch, seed=0):
-    """A live loss graph plus everything a direct backward replay needs."""
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(batch, model.input_dim))
-    y = rng.integers(0, model.num_classes, size=batch)
-    params = {
-        name: Tensor(t.data, requires_grad=True)
-        for name, t in model.init(rng).items()
-    }
-    inputs = [params[name] for name in sorted(params)]
-    loss = cross_entropy(model.apply(params, x), y)
-    order = toposort(loss)
-    out = [np.empty(t.data.shape) for t in inputs]
-    return loss, inputs, order, out
-
-
-def _time_batch(loss, inputs, order, seed, out, inner):
-    start = time.perf_counter()
-    for _ in range(inner):
-        fastpath.backward(loss, inputs, order, seed, out=out)
-    return time.perf_counter() - start
-
-
-def replay_shape(name, model, batch, repeats, inner=20):
-    """Best-of interleaved timing of one shape's steady-state backward."""
-    loss, inputs, order, out = _replay_problem(model, batch)
-    seed = np.array(1.0)
-
-    with fastpath.disabled():
-        reference = [t.data.copy() for t in grad(loss, inputs)]
-
-    # Warm both tiers: plan build, then arm + compile on the live graph.
-    previous = fastpath.set_mode("cached")
-    fastpath.backward(loss, inputs, order, seed, out=out)
-    fastpath.set_mode(previous)
-    for _ in range(3):
-        fastpath.backward(loss, inputs, order, seed, out=out)
-
-    # Steady-state allocation audit on one warm compiled call.
-    before = fastpath.stats().as_dict()
-    fastpath.backward(loss, inputs, order, seed, out=out)
-    delta = fastpath.stats().delta_since(before)
-    allocations = int(delta["hot_allocations"])
-    bit_identical = all(
-        buf.tobytes() == ref.tobytes() for buf, ref in zip(out, reference)
-    )
-
-    compiled_best = float("inf")
-    cached_best = float("inf")
-    for _ in range(max(repeats, 3)):
-        compiled_best = min(
-            compiled_best, _time_batch(loss, inputs, order, seed, out, inner)
-        )
-        previous = fastpath.set_mode("cached")
-        cached_best = min(
-            cached_best, _time_batch(loss, inputs, order, seed, out, inner)
-        )
-        fastpath.set_mode(previous)
-
-    return {
-        "shape": name,
-        "batch": batch,
-        "compiled_calls_per_sec": inner / compiled_best,
-        "cached_calls_per_sec": inner / cached_best,
-        "speedup": cached_best / compiled_best,
-        "bit_identical": bit_identical,
-        "steady_state_allocations": allocations,
-    }
-
-
-def run_replay(repeats=5):
-    """The replay leg over every shape; geomean speedup is the headline."""
-    fastpath.enable()
-    fastpath.clear_cache()
-    shapes = [
-        replay_shape(name, model, batch, repeats)
-        for name, model, batch in REPLAY_SHAPES
-    ]
-    speedups = np.array([s["speedup"] for s in shapes])
-    allocations = int(sum(s["steady_state_allocations"] for s in shapes))
-    return {
-        "replay_shapes": shapes,
-        "replay_speedup": float(np.exp(np.mean(np.log(speedups)))),
-        "replay_compiled_calls_per_sec": float(
-            np.exp(np.mean(np.log([s["compiled_calls_per_sec"] for s in shapes])))
-        ),
-        "replay_cached_calls_per_sec": float(
-            np.exp(np.mean(np.log([s["cached_calls_per_sec"] for s in shapes])))
-        ),
-        "replay_bit_identical": bool(all(s["bit_identical"] for s in shapes)),
-        "steady_state_allocations": allocations,
-        "steady_state_zero_alloc": allocations == 0,
-    }
-
-
 def run_comparison(nodes=8, k=5, repeats=30, alpha=0.01):
     """Time the meta-gradient sweep with the fast path on and off."""
     model, splits, params = build_workload(nodes=nodes, k=k)
@@ -187,7 +73,7 @@ def run_comparison(nodes=8, k=5, repeats=30, alpha=0.01):
         ref_warm, _ = sweep(model, splits, params, alpha, 1)
         ref_s, ref_vec = sweep(model, splits, params, alpha, repeats)
 
-    result = {
+    return {
         "nodes": nodes,
         "k_shot": k,
         "repeats": repeats,
@@ -200,8 +86,6 @@ def run_comparison(nodes=8, k=5, repeats=30, alpha=0.01):
         "bit_identical": bool(fast_vec.tobytes() == ref_vec.tobytes()),
         "fastpath_stats": stats,
     }
-    result.update(run_replay(repeats=max(3, repeats // 6)))
-    return result
 
 
 def test_ablation_autodiff_fastpath(benchmark):
@@ -213,13 +97,6 @@ def test_ablation_autodiff_fastpath(benchmark):
     assert result["fastpath_stats"]["plan_hits"] > 0
     assert result["speedup"] > 1.0, (
         f"fast path slower than reference: {result['speedup']:.2f}x"
-    )
-    assert result["replay_bit_identical"], "compiled replay diverged"
-    assert result["steady_state_zero_alloc"], (
-        f"warm compiled replay allocated: {result['steady_state_allocations']}"
-    )
-    assert result["replay_speedup"] > 1.0, (
-        f"compiled tier slower than cached: {result['replay_speedup']:.2f}x"
     )
 
 
@@ -241,20 +118,7 @@ def main():
         f"({result['speedup']:.2f}x, "
         f"bit_identical={result['bit_identical']}) -> {args.out}"
     )
-    for shape in result["replay_shapes"]:
-        print(
-            f"  replay {shape['shape']}: {shape['speedup']:.2f}x "
-            f"({shape['compiled_calls_per_sec']:.0f}/s compiled, "
-            f"{shape['cached_calls_per_sec']:.0f}/s cached, "
-            f"allocs={shape['steady_state_allocations']})"
-        )
-    print(
-        f"  replay geomean {result['replay_speedup']:.2f}x, "
-        f"zero_alloc={result['steady_state_zero_alloc']}, "
-        f"bit_identical={result['replay_bit_identical']}"
-    )
-    ok = result["bit_identical"] and result["replay_bit_identical"]
-    return 0 if ok else 1
+    return 0 if result["bit_identical"] else 1
 
 
 if __name__ == "__main__":

@@ -47,7 +47,6 @@ __all__ = [
     "audited_op_names",
     "replay_graph",
     "audit_double_backward",
-    "audit_kernel_coverage",
     "detect_retained_graphs",
     "GraphReport",
     "run_graph_checks",
@@ -360,48 +359,6 @@ def _audit_one(spec: OpSpec) -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
-# 2b. Compiled-kernel coverage
-# ----------------------------------------------------------------------
-def audit_kernel_coverage(
-    kernelized: Optional[Sequence[str]] = None,
-    specs: Optional[Mapping[str, OpSpec]] = None,
-) -> List[Finding]:
-    """Every op the compiled fast path kernelizes must have an audit spec.
-
-    The compile layer (:mod:`repro.autodiff.backend`) replaces these ops'
-    raw VJPs with coalesced ``out=`` kernels on the hot path; if one of
-    them ever dropped out of ``OP_SPECS`` the AD210-212 double-backward
-    audit would no longer cover the arithmetic the kernels mirror.  Spec
-    names use the function spelling (``sum_``); kernel names use the tape
-    spelling (``sum``) — trailing underscores are normalized before
-    comparison.
-    """
-    if kernelized is None:
-        from ..autodiff.fastpath import get_backend
-
-        kernelized = sorted(get_backend().kernelized_ops())
-    table = specs if specs is not None else OP_SPECS
-    covered = {name.rstrip("_") for name in table}
-    findings: List[Finding] = []
-    for name in kernelized:
-        if name.rstrip("_") not in covered:
-            findings.append(
-                Finding(
-                    rule_id="AD210",
-                    severity=Severity.ERROR,
-                    path="<ops>",
-                    line=0,
-                    message=(
-                        f"op '{name}' is kernelized by the compiled "
-                        "backward but has no double-backward audit spec"
-                    ),
-                    hint="add an OpSpec to repro.analysis.sanitizer.OP_SPECS",
-                )
-            )
-    return findings
-
-
-# ----------------------------------------------------------------------
 # 3. Retained-graph leak detection
 # ----------------------------------------------------------------------
 def detect_retained_graphs(
@@ -496,7 +453,6 @@ def run_graph_checks() -> GraphReport:
         1 for f in audit if f.rule_id == "AD210"
     )
     report.findings.extend(audit)
-    report.findings.extend(audit_kernel_coverage())
 
     start = time.perf_counter()
     loss, params = _demo_graph()

@@ -1,4 +1,4 @@
-"""First-order backward fast path: cached plans compiled to arena kernels.
+"""First-order backward fast path: raw-ndarray VJPs over cached plans.
 
 ``grad(..., create_graph=False)`` — every inner-loop gradient, every
 ``meta_gradient`` outer derivative, every evaluation — does not need
@@ -9,42 +9,23 @@ replays the *same* graph structure thousands of times per run (one per local
 step), re-deriving the toposort, the on-path set, and every intermediate
 allocation from scratch each time.
 
-This module removes those costs in two tiers while staying **bit-identical**
-to the reference backward:
+This module removes those costs while staying **bit-identical** to the
+reference backward: graph recording is switched off while VJP closures run,
+raw ndarray VJPs skip Tensor construction, and a structure-keyed LRU plan
+cache reuses the backward schedule and its fan-in accumulation buffers
+across structurally identical steps.  Plans are keyed by graph structure,
+not by live graph, because every local step builds a fresh tape.  Per-op
+parameters (reduction axes, slice indices, captured constants) are *not*
+cached — the executor always calls the VJPs recorded on the live graph — so
+a cache hit can never apply the wrong arithmetic.
 
-* **Cached tier** (the PR-5 fast path, ``set_mode("cached")``) — graph
-  recording is switched off while VJP closures run, raw ndarray VJPs skip
-  Tensor construction, and a structure-keyed LRU plan cache reuses the
-  backward schedule across structurally identical steps.  Per-op parameters
-  (reduction axes, slice indices, captured constants) are *not* cached — the
-  executor always calls the VJPs recorded on the live graph — so a cache hit
-  can never apply the wrong arithmetic.
-* **Compiled tier** (``set_mode("compiled")``, the default) — when the *same
-  live graph* is replayed, the plan is lowered to a flat list of bound kernel
-  steps through a :class:`~repro.autodiff.backend.PlanBackend`:
-
-  - every intermediate cotangent gets a pre-sized **arena slot** owned by the
-    plan (one arena per signature group), so steady-state ``backward()``
-    performs zero ndarray allocations for kernelized tapes;
-  - a **peephole pass** elides pure move edges (identity passthrough,
-    reshape, transpose become slot aliases) and coalesces adjacent
-    single-use elementwise kernels into composite steps;
-  - edges the backend cannot kernelize fall back to the op's raw/closure
-    VJP — allocating, and counted in ``hot_allocations``.
-
-  Compilation triggers on the *second* sighting of a live graph (keyed by
-  object identity, validated through weakrefs), so fresh-graph training
-  loops keep cached-tier performance and never pay bind cost.
-
-Bit-exactness: both tiers replay exactly the float operations of the
+Bit-exactness: the executor replays exactly the float operations of the
 reference backward, in exactly the same accumulation order (reverse
-topological, parents in recorded order, ``existing + contribution``);
-kernels mirror each raw VJP's ufunc sequence with ``out=`` writes (see
-:mod:`repro.autodiff.backend`).  Raw-VJP memos are epoch-guarded
-(``ops._BACKWARD_EPOCH``) so reused arena buffers can never satisfy a
-stale cotangent-identity memo.  This is proven by
-``tests/autodiff/test_fastpath.py`` (including hypothesis properties over
-random graphs and warm-buffer replays) and by the seven golden
+topological, parents in recorded order, ``existing + contribution``).
+Raw-VJP memos are epoch-guarded (``ops._BACKWARD_EPOCH``) so reused
+accumulation buffers can never satisfy a stale cotangent-identity memo.
+This is proven by ``tests/autodiff/test_fastpath.py`` (including hypothesis
+properties over random graphs and warm-buffer reuse) and by the seven golden
 seed-equivalence traces running with the fast path on.
 
 The fast path is bypassed when ``create_graph=True`` (MAML inner steps that
@@ -53,60 +34,37 @@ need double backward) or after :func:`disable` / inside :func:`disabled`.
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import ops
-from .backend import PlanBackend, Step, numpy_backend
 from .tensor import GradientError, Tensor
 
 __all__ = [
     "FastpathStats",
-    "arena_stats",
     "backward",
     "clear_cache",
     "disable",
     "disabled",
     "enable",
     "enabled",
-    "exec_cache_size",
-    "get_backend",
-    "get_mode",
     "merge_stats",
     "plan_cache_size",
     "reset_stats",
-    "set_alloc_hook",
-    "set_backend",
-    "set_mode",
     "stats",
     "to_registry",
 ]
 
 _ENABLED = True
 
-#: "compiled" lowers replayed graphs to arena kernels; "cached" forces the
-#: PR-5 allocating executor (the A/B baseline for the compile layer).
-_MODE = "compiled"
-
 #: LRU capacity of the plan cache.  A federated run exercises a handful of
 #: distinct graph structures (inner step, outer step, eval — per batch
 #: shape), so a small cache captures the entire working set.
 _MAX_PLANS = 64
-#: LRU capacity of the compiled-executable cache (live-graph keyed).
-_MAX_EXECS = 128
-#: Capacity of the first-sighting table that arms compilation.
-_MAX_SEEN = 256
-
-_BACKEND: PlanBackend = numpy_backend
-
-#: Installed by :mod:`repro.autodiff.profile` to feed hot-path allocation
-#: counts into the active tape profiler.
-_ALLOC_HOOK: Optional[Callable[[int], None]] = None
 
 
 def enabled() -> bool:
@@ -136,43 +94,6 @@ def disabled() -> Iterator[None]:
         _ENABLED = previous
 
 
-def get_mode() -> str:
-    return _MODE
-
-
-def set_mode(mode: str) -> str:
-    """Select ``"compiled"`` (default) or ``"cached"``; returns the old mode."""
-    global _MODE
-    if mode not in ("compiled", "cached"):
-        raise ValueError(f"unknown fastpath mode: {mode!r}")
-    previous = _MODE
-    _MODE = mode
-    return previous
-
-
-def get_backend() -> PlanBackend:
-    return _BACKEND
-
-
-def set_backend(backend: PlanBackend) -> PlanBackend:
-    """Swap the kernel backend; drops compiled executables, returns the old one."""
-    global _BACKEND
-    previous = _BACKEND
-    _BACKEND = backend
-    _drop_executables()
-    return previous
-
-
-def set_alloc_hook(
-    hook: Optional[Callable[[int], None]]
-) -> Optional[Callable[[int], None]]:
-    """Install a hot-path allocation observer; returns the previous hook."""
-    global _ALLOC_HOOK
-    previous = _ALLOC_HOOK
-    _ALLOC_HOOK = hook
-    return previous
-
-
 # ----------------------------------------------------------------------
 # Counters
 # ----------------------------------------------------------------------
@@ -187,11 +108,6 @@ class FastpathStats:
     raw_vjp_calls: int = 0
     closure_vjp_calls: int = 0
     fused_dispatches: int = 0
-    compiled_runs: int = 0
-    compiled_graphs: int = 0
-    kernel_vjp_calls: int = 0
-    coalesced_steps: int = 0
-    arena_reuse_hits: int = 0
     hot_allocations: int = 0
     result_copies: int = 0
 
@@ -237,49 +153,10 @@ def merge_stats(delta: Dict[str, int]) -> None:
 
 
 def to_registry(registry: Any, prefix: str = "autodiff_fastpath_") -> None:
-    """Export counters and arena gauges into a :class:`repro.obs.MetricRegistry`."""
+    """Export counters and the plan-cache gauge into a :class:`repro.obs.MetricRegistry`."""
     for key, value in _STATS.as_dict().items():
-        if key == "arena_reuse_hits":
-            # Canonical arena-family name used by dashboards and docs.
-            registry.counter("autodiff_arena_reuse_total").inc(value)
-        else:
-            registry.counter(f"{prefix}{key}_total").inc(value)
+        registry.counter(f"{prefix}{key}_total").inc(value)
     registry.gauge(f"{prefix}cached_plans").set(float(len(_PLANS)))
-    registry.gauge(f"{prefix}compiled_execs").set(float(len(_EXECS)))
-    registry.gauge("autodiff_arena_slots").set(float(_ARENA_SLOTS))
-    registry.gauge("autodiff_arena_bytes").set(float(_ARENA_BYTES))
-    registry.gauge("autodiff_arena_peak_bytes").set(float(_ARENA_PEAK_BYTES))
-
-
-# ----------------------------------------------------------------------
-# Arena accounting
-# ----------------------------------------------------------------------
-_ARENA_BYTES = 0
-_ARENA_SLOTS = 0
-_ARENA_PEAK_BYTES = 0
-
-
-def arena_stats() -> Dict[str, int]:
-    """Live arena footprint: ``{"slots", "bytes", "peak_bytes"}``."""
-    return {
-        "slots": _ARENA_SLOTS,
-        "bytes": _ARENA_BYTES,
-        "peak_bytes": _ARENA_PEAK_BYTES,
-    }
-
-
-def _arena_register(nbytes: int) -> None:
-    global _ARENA_BYTES, _ARENA_SLOTS, _ARENA_PEAK_BYTES
-    _ARENA_BYTES += nbytes
-    _ARENA_SLOTS += 1
-    if _ARENA_BYTES > _ARENA_PEAK_BYTES:
-        _ARENA_PEAK_BYTES = _ARENA_BYTES
-
-
-def _arena_unregister(nbytes: int, slots: int) -> None:
-    global _ARENA_BYTES, _ARENA_SLOTS
-    _ARENA_BYTES -= nbytes
-    _ARENA_SLOTS -= slots
 
 
 # ----------------------------------------------------------------------
@@ -288,8 +165,6 @@ def _arena_unregister(nbytes: int, slots: int) -> None:
 #: One hashable entry per graph node: ``(None, shape)`` for leaves, else
 #: ``(op_name, shape, parent_positions, pruned_vjp_mask)``.
 Signature = Tuple[Tuple[Tuple[Any, ...], ...], Tuple[int, ...]]
-
-_ExecKey = Tuple[int, ...]
 
 
 @dataclass
@@ -300,68 +175,23 @@ class _Plan:
     together with its surviving ``(vjp_index, parent_position)`` edges —
     exactly the pairs the reference backward would execute.  ``buffers``
     holds a persistent accumulation array for every position receiving two
-    or more contributions (used by the cached tier).  The compiled tier owns
-    ``arena`` (one pre-sized cotangent slot per on-path position) and
-    ``scratches`` (per-edge kernel temporaries); both are released on
-    plan-cache eviction so arena bytes can never leak across the LRU.
+    or more contributions.
     """
 
     node_edges: List[Tuple[int, List[Tuple[int, int]]]]
     input_positions: Tuple[int, ...]
-    contributions: Tuple[int, ...]
-    sig: Optional[Signature] = None
     buffers: Dict[int, np.ndarray] = field(default_factory=dict)
-    arena: Dict[int, np.ndarray] = field(default_factory=dict)
-    scratches: Dict[Tuple[int, int, int], np.ndarray] = field(
-        default_factory=dict
-    )
-    arena_bytes: int = 0
-    exec_keys: Set[_ExecKey] = field(default_factory=set)
-    released: bool = False
 
 
 _PLANS: "OrderedDict[Signature, _Plan]" = OrderedDict()
-_EXECS: "OrderedDict[_ExecKey, _Executable]" = OrderedDict()
-_SEEN: "OrderedDict[_ExecKey, weakref.ref[Tensor]]" = OrderedDict()
 
 
 def plan_cache_size() -> int:
     return len(_PLANS)
 
 
-def exec_cache_size() -> int:
-    return len(_EXECS)
-
-
-def _release_plan(plan: _Plan) -> None:
-    """Free a plan's arena and drop its compiled executables."""
-    slots = len(plan.arena) + len(plan.scratches)
-    _arena_unregister(plan.arena_bytes, slots)
-    plan.arena.clear()
-    plan.scratches.clear()
-    plan.arena_bytes = 0
-    plan.released = True
-    for key in plan.exec_keys:
-        _EXECS.pop(key, None)
-    plan.exec_keys.clear()
-
-
-def _drop_executables() -> None:
-    for plan in _PLANS.values():
-        _release_plan(plan)
-        plan.released = False  # plan structure itself stays reusable
-    _EXECS.clear()
-    _SEEN.clear()
-
-
 def clear_cache() -> None:
-    global _ARENA_PEAK_BYTES
-    for plan in _PLANS.values():
-        _release_plan(plan)
     _PLANS.clear()
-    _EXECS.clear()
-    _SEEN.clear()
-    _ARENA_PEAK_BYTES = _ARENA_BYTES
 
 
 def _signature(
@@ -430,7 +260,6 @@ def _build_plan(sig: Signature) -> _Plan:
     return _Plan(
         node_edges=node_edges,
         input_positions=input_positions,
-        contributions=tuple(contributions),
         buffers=buffers,
     )
 
@@ -442,406 +271,12 @@ def _get_plan(sig: Signature) -> _Plan:
         _STATS.plan_hits += 1
         return plan
     plan = _build_plan(sig)
-    plan.sig = sig
     _PLANS[sig] = plan
     _STATS.plan_misses += 1
     if len(_PLANS) > _MAX_PLANS:
-        _, evicted = _PLANS.popitem(last=False)
-        _release_plan(evicted)
+        _PLANS.popitem(last=False)
         _STATS.plan_evictions += 1
     return plan
-
-
-def _plan_slot(plan: _Plan, pos: int, shape: Tuple[int, ...]) -> np.ndarray:
-    """The plan-owned cotangent slot for ``pos``, allocating on first use."""
-    slot = plan.arena.get(pos)
-    if slot is None or slot.shape != shape:
-        if slot is not None:
-            _arena_unregister(slot.nbytes, 1)
-        slot = np.empty(shape, dtype=np.float64)
-        plan.arena[pos] = slot
-        plan.arena_bytes += slot.nbytes
-        _arena_register(slot.nbytes)
-    return slot
-
-
-def _scratch_fn(
-    plan: _Plan, node_pos: int, vjp_index: int
-) -> Callable[[Tuple[int, ...]], np.ndarray]:
-    """Per-edge scratch allocator; scratches persist on the plan and are
-    shared across executables compiled from it (same structure, same
-    shapes, same request order)."""
-    counter = [0]
-
-    def scratch(shape: Tuple[int, ...]) -> np.ndarray:
-        key = (node_pos, vjp_index, counter[0])
-        counter[0] += 1
-        buf = plan.scratches.get(key)
-        if buf is None or buf.shape != tuple(shape):
-            if buf is not None:
-                _arena_unregister(buf.nbytes, 1)
-                plan.arena_bytes -= buf.nbytes
-            buf = np.empty(shape, dtype=np.float64)
-            plan.scratches[key] = buf
-            plan.arena_bytes += buf.nbytes
-            _arena_register(buf.nbytes)
-        return buf
-
-    return scratch
-
-
-# ----------------------------------------------------------------------
-# Compiled executables
-# ----------------------------------------------------------------------
-class _Executable:
-    """A backward pass lowered to bound kernel steps over one plan arena.
-
-    Bound to one *live* graph: operands (parent data arrays, masks,
-    indices) are captured from the graph at compile time, and validity is
-    checked through weakrefs so a recycled ``id()`` can never resurrect a
-    stale executable.
-    """
-
-    __slots__ = (
-        "plan",
-        "key",
-        "steps",
-        "root_slot",
-        "result_slots",
-        "out_ref",
-        "input_refs",
-        "n_kernel",
-        "n_fallback_raw",
-        "n_fallback_closure",
-        "n_slots",
-        "needs_nograd",
-    )
-
-    def __init__(
-        self,
-        plan: _Plan,
-        key: _ExecKey,
-        steps: Tuple[Step, ...],
-        root_slot: np.ndarray,
-        result_slots: Tuple[Optional[np.ndarray], ...],
-        output: Tensor,
-        inputs: Sequence[Tensor],
-        n_kernel: int,
-        n_fallback_raw: int,
-        n_fallback_closure: int,
-        n_slots: int,
-    ) -> None:
-        self.plan = plan
-        self.key = key
-        self.steps = steps
-        self.root_slot = root_slot
-        self.result_slots = result_slots
-        self.out_ref = weakref.ref(output)
-        self.input_refs = tuple(weakref.ref(t) for t in inputs)
-        self.n_kernel = n_kernel
-        self.n_fallback_raw = n_fallback_raw
-        self.n_fallback_closure = n_fallback_closure
-        self.n_slots = n_slots
-        self.needs_nograd = n_fallback_closure > 0
-
-    def matches(self, output: Tensor, inputs: Sequence[Tensor]) -> bool:
-        if self.plan.released or self.out_ref() is not output:
-            return False
-        refs = self.input_refs
-        if len(refs) != len(inputs):
-            return False
-        for ref, tensor in zip(refs, inputs):
-            if ref() is not tensor:
-                return False
-        return True
-
-    def run(
-        self,
-        seed: np.ndarray,
-        out: Optional[Sequence[Optional[np.ndarray]]],
-    ) -> List[Optional[np.ndarray]]:
-        np.copyto(self.root_slot, seed)
-        if self.needs_nograd:
-            previous = ops._set_grad_enabled(False)
-            try:
-                for step in self.steps:
-                    step()
-            finally:
-                ops._set_grad_enabled(previous)
-        else:
-            for step in self.steps:
-                step()
-        st = _STATS
-        st.compiled_runs += 1
-        st.kernel_vjp_calls += self.n_kernel
-        st.raw_vjp_calls += self.n_fallback_raw
-        st.closure_vjp_calls += self.n_fallback_closure
-        st.arena_reuse_hits += self.n_slots
-        fallbacks = self.n_fallback_raw + self.n_fallback_closure
-        if fallbacks:
-            st.hot_allocations += fallbacks
-            if _ALLOC_HOOK is not None:
-                _ALLOC_HOOK(fallbacks)
-        results: List[Optional[np.ndarray]] = []
-        if out is None:
-            copies = 0
-            for slot in self.result_slots:
-                if slot is None:
-                    results.append(None)
-                else:
-                    results.append(np.array(slot, copy=True))
-                    copies += 1
-            st.result_copies += copies
-            st.hot_allocations += copies
-            if copies and _ALLOC_HOOK is not None:
-                _ALLOC_HOOK(copies)
-        else:
-            for slot, buf in zip(self.result_slots, out):
-                if slot is None or buf is None:
-                    results.append(None)
-                else:
-                    np.copyto(buf, slot)
-                    results.append(buf)
-        return results
-
-
-def _fallback_step(
-    ctx: Any,
-    vjp_index: int,
-    g: np.ndarray,
-    dst: np.ndarray,
-    mode: str,
-) -> Tuple[Step, bool]:
-    """Allocating step for edges the backend can't kernelize.
-
-    Calls the live graph's raw (or closure) VJP exactly as the cached tier
-    does, then copies/accumulates the fresh contribution into the arena
-    slot.  Returns ``(step, is_raw)``.
-    """
-    expected = dst.shape
-    op_name = ctx.op_name
-    raw = None if ctx.raw_vjps is None else ctx.raw_vjps[vjp_index]
-    acc = mode != "init"
-    if raw is not None:
-        raw_fn = raw
-
-        def run_raw() -> None:
-            contribution = raw_fn(g)
-            if contribution.shape != expected:
-                raise GradientError(
-                    f"vjp of op '{op_name}' produced shape "
-                    f"{contribution.shape}, expected {expected}"
-                )
-            if acc:
-                np.add(dst, contribution, out=dst)
-            else:
-                np.copyto(dst, contribution)
-
-        return run_raw, True
-    vjp = ctx.vjps[vjp_index]
-    assert vjp is not None  # structural: pruned mask is part of the signature
-
-    def run_closure() -> None:
-        contribution = vjp(Tensor(g)).data
-        if contribution.shape != expected:
-            raise GradientError(
-                f"vjp of op '{op_name}' produced shape "
-                f"{contribution.shape}, expected {expected}"
-            )
-        if acc:
-            np.add(dst, contribution, out=dst)
-        else:
-            np.copyto(dst, contribution)
-
-    return run_closure, False
-
-
-#: (run, src_pos, dst_pos, mode, fusable) — one bound backward step.
-_Record = Tuple[Step, int, int, str, bool]
-
-
-def _fuse_records(
-    records: List[_Record],
-    contributions: Tuple[int, ...],
-    edge_count: Dict[int, int],
-    input_set: Dict[int, None],
-) -> Tuple[List[Step], int]:
-    """Peephole pass: coalesce adjacent single-use elementwise steps.
-
-    Two adjacent records merge into one composite step when the first fully
-    initializes an intermediate slot (its position's only contribution) and
-    the second is that slot's only consumer edge — i.e. a linear
-    ``src → tmp → dst`` chain such as ``mul → add → relu-mask``.  Merging
-    only chains the bound closures (every arena write still happens), so it
-    can never change float behavior.
-    """
-    steps: List[Step] = []
-    merged = 0
-    i = 0
-    n = len(records)
-    while i < n:
-        run, _src, dst, mode, fusable = records[i]
-        runs = [run]
-        while i + 1 < n:
-            nrun, nsrc, ndst, nmode, nfusable = records[i + 1]
-            if (
-                fusable
-                and nfusable
-                and nsrc == dst
-                and mode == "init"
-                and contributions[dst] == 1
-                and edge_count.get(dst, 0) == 1
-                and dst not in input_set
-            ):
-                runs.append(nrun)
-                merged += 1
-                dst, mode, fusable = ndst, nmode, nfusable
-                i += 1
-            else:
-                break
-        if len(runs) == 1:
-            steps.append(runs[0])
-        else:
-            bound = tuple(runs)
-
-            def composite(chain: Tuple[Step, ...] = bound) -> None:
-                for piece in chain:
-                    piece()
-
-            steps.append(composite)
-        i += 1
-    return steps, merged
-
-
-def _compile(
-    key: _ExecKey,
-    output: Tensor,
-    inputs: Sequence[Tensor],
-    order: Sequence[Tensor],
-    plan: _Plan,
-) -> _Executable:
-    """Lower ``plan`` for this live graph into bound arena-kernel steps."""
-    backend = _BACKEND
-    kernelized = backend.kernelized_ops()
-    n = len(order)
-    root = n - 1
-    contributions = plan.contributions
-    edge_count = {pos: len(edges) for pos, edges in plan.node_edges}
-    # Dict-as-set: membership only, insertion-ordered so the dataflow lint
-    # can prove nothing downstream depends on set iteration order.
-    input_set = {p: None for p in plan.input_positions if p >= 0}
-
-    # slot_of maps position -> the array holding its cotangent: either an
-    # arena slot or (for elided move edges) a view aliasing the child's.
-    slot_of: Dict[int, np.ndarray] = {}
-    slots_used = 0
-
-    def slot(pos: int) -> np.ndarray:
-        nonlocal slots_used
-        arr = slot_of.get(pos)
-        if arr is None:
-            arr = _plan_slot(plan, pos, order[pos].data.shape)
-            slot_of[pos] = arr
-            slots_used += 1
-        return arr
-
-    root_slot = slot(root)
-    records: List[_Record] = []
-    written: Set[int] = {root}
-    n_kernel = 0
-    n_fallback_raw = 0
-    n_fallback_closure = 0
-    elided = 0
-
-    for node_pos, edges in plan.node_edges:
-        node = order[node_pos]
-        ctx = node._ctx
-        assert ctx is not None  # structural: plan only lists ctx nodes
-        g = slot_of[node_pos]  # written earlier in the root-first walk
-        for vjp_index, parent_pos in edges:
-            mode = "acc" if parent_pos in written else "init"
-            written.add(parent_pos)
-            if (
-                mode == "init"
-                and contributions[parent_pos] == 1
-                and ctx.op_name in kernelized
-            ):
-                view = backend.move_view(ctx, node, vjp_index, g)
-                if view is not None:
-                    # Pure move: alias the parent's slot to the child's.
-                    # Safe because all writes to `g` happened in earlier
-                    # steps and this is the parent's only contribution.
-                    slot_of[parent_pos] = view
-                    elided += 1
-                    continue
-            dst = slot(parent_pos)
-            built = None
-            if ctx.op_name in kernelized:
-                built = backend.build_edge(
-                    ctx,
-                    node,
-                    vjp_index,
-                    g,
-                    dst,
-                    mode,
-                    _scratch_fn(plan, node_pos, vjp_index),
-                )
-            if built is not None:
-                run, fusable = built
-                records.append((run, node_pos, parent_pos, mode, fusable))
-                n_kernel += 1
-            else:
-                run, is_raw = _fallback_step(ctx, vjp_index, g, dst, mode)
-                records.append((run, node_pos, parent_pos, mode, False))
-                if is_raw:
-                    n_fallback_raw += 1
-                else:
-                    n_fallback_closure += 1
-
-    steps, merged = _fuse_records(records, contributions, edge_count, input_set)
-    _STATS.compiled_graphs += 1
-    _STATS.coalesced_steps += elided + merged
-
-    result_slots = tuple(
-        slot_of.get(pos) if pos >= 0 else None
-        for pos in plan.input_positions
-    )
-    return _Executable(
-        plan=plan,
-        key=key,
-        steps=tuple(steps),
-        root_slot=root_slot,
-        result_slots=result_slots,
-        output=output,
-        inputs=inputs,
-        n_kernel=n_kernel,
-        n_fallback_raw=n_fallback_raw,
-        n_fallback_closure=n_fallback_closure,
-        n_slots=slots_used,
-    )
-
-
-def _maybe_compile(
-    key: _ExecKey,
-    output: Tensor,
-    inputs: Sequence[Tensor],
-    order: Sequence[Tensor],
-    plan: _Plan,
-) -> None:
-    """Arm on first sighting of a live graph, compile on the second."""
-    seen = _SEEN.get(key)
-    if seen is not None and seen() is output:
-        del _SEEN[key]
-        executable = _compile(key, output, inputs, order, plan)
-        _EXECS[key] = executable
-        plan.exec_keys.add(key)
-        if len(_EXECS) > _MAX_EXECS:
-            old_key, old_exec = _EXECS.popitem(last=False)
-            old_exec.plan.exec_keys.discard(old_key)
-    else:
-        _SEEN[key] = weakref.ref(output)
-        while len(_SEEN) > _MAX_SEEN:
-            _SEEN.popitem(last=False)
 
 
 # ----------------------------------------------------------------------
@@ -852,51 +287,20 @@ def backward(
     inputs: Sequence[Tensor],
     order: Sequence[Tensor],
     seed: np.ndarray,
-    out: Optional[Sequence[Optional[np.ndarray]]] = None,
 ) -> List[Optional[np.ndarray]]:
     """Execute a first-order backward pass over ``order`` on raw ndarrays.
 
     ``order`` must be the topological order of ``output``'s graph (inputs
     first, ``output`` last) as produced by :func:`repro.autodiff.toposort`.
-    Returns one gradient array per input (``None`` for unreachable inputs).
-    Without ``out``, results are fresh arrays that never alias graph or
-    plan state.  With ``out`` (a sequence of pre-sized float64 arrays, one
-    per input), gradients are written in place — the zero-copy contract
-    steady-state replay relies on; entries for unreachable inputs are left
-    untouched and reported as ``None``.
+    Returns one gradient array per input (``None`` for unreachable inputs);
+    results are fresh arrays that never alias graph or plan state.
     """
     _STATS.backwards += 1
     ops._BACKWARD_EPOCH += 1  # invalidates per-node raw-VJP memos
 
-    key: Optional[_ExecKey] = None
-    if _MODE == "compiled":
-        key = (id(output),) + tuple(map(id, inputs))
-        executable = _EXECS.get(key)
-        if executable is not None:
-            if executable.matches(output, inputs):
-                _EXECS.move_to_end(key)
-                sig = executable.plan.sig
-                if sig is not None and sig in _PLANS:
-                    _PLANS.move_to_end(sig)
-                _STATS.plan_hits += 1
-                return executable.run(seed, out)
-            del _EXECS[key]
-
     pos_map = {id(node): i for i, node in enumerate(order)}
     plan = _get_plan(_signature(order, inputs, pos_map))
-    results = _execute_cached(plan, order, seed, out)
-    if key is not None:
-        _maybe_compile(key, output, inputs, order, plan)
-    return results
 
-
-def _execute_cached(
-    plan: _Plan,
-    order: Sequence[Tensor],
-    seed: np.ndarray,
-    out: Optional[Sequence[Optional[np.ndarray]]],
-) -> List[Optional[np.ndarray]]:
-    """The PR-5 allocating executor (also the compiled tier's warm-up path)."""
     cots: List[Optional[np.ndarray]] = [None] * len(order)
     if order:
         cots[len(order) - 1] = seed
@@ -946,26 +350,14 @@ def _execute_cached(
                     np.add(existing, contribution, out=existing)
     finally:
         ops._set_grad_enabled(previous)
-    _STATS.raw_vjp_calls += raw_calls
-    _STATS.closure_vjp_calls += closure_calls
 
     results: List[Optional[np.ndarray]] = []
-    copies = 0
-    for i, pos in enumerate(plan.input_positions):
+    for pos in plan.input_positions:
         value = None if pos < 0 else cots[pos]
-        if value is None:
-            results.append(None)
-        elif out is not None and out[i] is not None:
-            buf = out[i]
-            assert buf is not None
-            np.copyto(buf, value)
-            results.append(buf)
-        else:
-            results.append(np.array(value, copy=True))
-            copies += 1
+        results.append(None if value is None else np.array(value, copy=True))
+    copies = sum(r is not None for r in results)
+    _STATS.raw_vjp_calls += raw_calls
+    _STATS.closure_vjp_calls += closure_calls
     _STATS.result_copies += copies
-    allocations = raw_calls + closure_calls + copies
-    _STATS.hot_allocations += allocations
-    if allocations and _ALLOC_HOOK is not None:
-        _ALLOC_HOOK(allocations)
+    _STATS.hot_allocations += raw_calls + closure_calls + copies
     return results

@@ -98,7 +98,6 @@ def _make(
     vjps: Sequence[Optional[Vjp]],
     op_name: str,
     raw_vjps: Optional[Sequence[Optional[RawVjp]]] = None,
-    op_params: object = None,
 ) -> Tensor:
     """Build an op output, pruning the graph when no parent requires grad."""
     requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
@@ -116,10 +115,7 @@ def _make(
     return Tensor(
         data,
         requires_grad=True,
-        _ctx=_Context(
-            parents, pruned, op_name, raw_vjps=pruned_raw,
-            op_params=op_params,
-        ),
+        _ctx=_Context(parents, pruned, op_name, raw_vjps=pruned_raw),
     )
 
 
@@ -280,7 +276,6 @@ def power(a: Tensor, exponent: float) -> Tensor:
         (lambda g: mul(g, mul(as_tensor(exponent), power(a, exponent - 1.0))),),
         "power",
         raw_vjps=raws,
-        op_params=exponent,
     )
 
 
@@ -357,7 +352,7 @@ def relu(a: Tensor) -> Tensor:
     raws = (_raw,)
     return _make(
         a.data * mask.data, (a,), (lambda g: mul(g, mask),), "relu",
-        raw_vjps=raws, op_params=mask_data,
+        raw_vjps=raws,
     )
 
 
@@ -377,7 +372,7 @@ def clip(a: Tensor, low: float, high: float) -> Tensor:
     raws = (_raw,)
     return _make(
         np.clip(a.data, low, high), (a,), (lambda g: mul(g, mask),), "clip",
-        raw_vjps=raws, op_params=mask_data,
+        raw_vjps=raws,
     )
 
 
@@ -460,9 +455,7 @@ def sum_(a: Tensor, axis: Axis = None, keepdims: bool = False) -> Tensor:
         return np.broadcast_to(g, a.shape).copy()
 
     raws = (_raw,)
-    return _make(
-        out_data, (a,), (vjp,), "sum", raw_vjps=raws, op_params=kept_shape
-    )
+    return _make(out_data, (a,), (vjp,), "sum", raw_vjps=raws)
 
 
 def mean(a: Tensor, axis: Axis = None, keepdims: bool = False) -> Tensor:
@@ -503,7 +496,6 @@ def transpose(a: Tensor, axes: Optional[Tuple[int, ...]] = None) -> Tensor:
         (lambda g: transpose(g, inverse),),
         "transpose",
         raw_vjps=raws,
-        op_params=inverse,
     )
 
 
@@ -536,7 +528,7 @@ def getitem(a: Tensor, index: object) -> Tensor:
     raws = (_raw,)
     return _make(
         a.data[index], (a,), (lambda g: _scatter(g, index, a.shape),),
-        "getitem", raw_vjps=raws, op_params=index,
+        "getitem", raw_vjps=raws,
     )
 
 

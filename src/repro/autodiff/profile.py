@@ -32,7 +32,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from . import fastpath
 from . import ops
 from . import tensor as tensor_mod
 
@@ -70,11 +69,6 @@ class TapeProfiler:
     graph_walks: int = 0
     #: Total nodes visited across those traversals.
     walked_nodes: int = 0
-    #: Hot-path ndarray allocations reported by the backward fast path:
-    #: per-edge VJP allocations plus result copies.  Compiled arena replay
-    #: with ``out=`` buffers reports zero here after warm-up — the
-    #: zero-allocation contract the benchmarks gate on.
-    allocations: int = 0
 
     # -- recording (called from the ops hook / timing wrappers) ---------
     def record_creation(self, op_name: str, elements: int, requires: bool) -> None:
@@ -89,9 +83,6 @@ class TapeProfiler:
     def record_walk(self, num_nodes: int) -> None:
         self.graph_walks += 1
         self.walked_nodes += num_nodes
-
-    def record_allocations(self, count: int) -> None:
-        self.allocations += count
 
     def record_time(self, op_name: str, seconds: float) -> None:
         stats = self.op_stats.get(op_name)
@@ -148,7 +139,6 @@ class TapeProfiler:
         op_stats: Dict[str, List[float]],
         graph_walks: int = 0,
         walked_nodes: int = 0,
-        allocations: int = 0,
     ) -> None:
         """Fold a worker profiler's :meth:`as_portable` export into this one.
 
@@ -167,7 +157,6 @@ class TapeProfiler:
             stats.seconds += seconds
         self.graph_walks += graph_walks
         self.walked_nodes += walked_nodes
-        self.allocations += allocations
 
     def to_registry(self, registry: Any, prefix: str = "autodiff_") -> None:
         """Export into a :class:`repro.obs.MetricRegistry` as counters."""
@@ -180,7 +169,6 @@ class TapeProfiler:
             registry.counter(f"{prefix}op_seconds_total", op=name).inc(s.seconds)
         registry.counter(f"{prefix}tape_nodes_total").inc(self.tape_length)
         registry.counter(f"{prefix}graph_walks_total").inc(self.graph_walks)
-        registry.counter(f"{prefix}allocations_total").inc(self.allocations)
 
 
 def _timed(
@@ -210,7 +198,6 @@ def profile_ops(
     ]
     ops._PROFILE_HOOK = prof.record_creation
     tensor_mod._WALK_HOOK = prof.record_walk
-    previous_alloc = fastpath.set_alloc_hook(prof.record_allocations)
     for name, fn in originals:
         # ops use trailing-underscore function names for builtins shadowing
         # (sum_, max_, ...) but plain names on the tape; key stats by the
@@ -221,7 +208,6 @@ def profile_ops(
     finally:
         ops._PROFILE_HOOK = None
         tensor_mod._WALK_HOOK = None
-        fastpath.set_alloc_hook(previous_alloc)
         for name, fn in originals:
             setattr(ops, name, fn)
 
@@ -246,7 +232,6 @@ def worker_profile() -> Iterator[TapeProfiler]:
     ]
     ops._PROFILE_HOOK = prof.record_creation
     tensor_mod._WALK_HOOK = prof.record_walk
-    previous_alloc = fastpath.set_alloc_hook(prof.record_allocations)
     for name, fn in originals:
         setattr(ops, name, _timed(name.rstrip("_"), fn, prof))
     try:
@@ -254,6 +239,5 @@ def worker_profile() -> Iterator[TapeProfiler]:
     finally:
         ops._PROFILE_HOOK = previous_hook
         tensor_mod._WALK_HOOK = previous_walk
-        fastpath.set_alloc_hook(previous_alloc)
         for name, fn in originals:
             setattr(ops, name, fn)

@@ -54,15 +54,9 @@ class _Context:
         first-order fast path in :mod:`repro.autodiff.fastpath`.  Fused ops
         provide these so ``create_graph=False`` backward never has to build
         cotangent graph nodes for them.
-    op_params:
-        Optional per-op constants (a reduction's kept shape, a relu mask, a
-        slice index, ...) that the compiled backward's kernel builders need
-        but that closures would otherwise keep private.  Always read from
-        the *live* graph — plan caches never store these — so structurally
-        identical graphs with different parameters cannot be confused.
     """
 
-    __slots__ = ("parents", "vjps", "op_name", "raw_vjps", "op_params")
+    __slots__ = ("parents", "vjps", "op_name", "raw_vjps")
 
     def __init__(
         self,
@@ -72,22 +66,17 @@ class _Context:
         raw_vjps: Optional[
             Sequence[Optional[Callable[[np.ndarray], np.ndarray]]]
         ] = None,
-        op_params: object = None,
     ) -> None:
         self.parents = tuple(parents)
         self.vjps = tuple(vjps)
         self.op_name = op_name
         self.raw_vjps = None if raw_vjps is None else tuple(raw_vjps)
-        self.op_params = op_params
 
 
 class Tensor:
     """A NumPy-backed tensor participating in a differentiable graph."""
 
-    # __weakref__ lets the compiled fast path key per-graph executables on
-    # weak references (a dead referent can never be confused with a new
-    # tensor that reuses its id).
-    __slots__ = ("data", "requires_grad", "grad", "_ctx", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_ctx")
 
     def __init__(
         self,

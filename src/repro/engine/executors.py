@@ -260,7 +260,6 @@ def _run_node_block(
             worker.op_stats = prof.as_portable()
             worker.graph_walks = prof.graph_walks
             worker.walked_nodes = prof.walked_nodes
-            worker.allocations = prof.allocations
         else:
             with collector.span(
                 "local_train", node=node.node_id, block=block_index,
@@ -399,10 +398,7 @@ class ParallelExecutor:
             cache_delta[key] = cache_delta.get(key, 0) + value
         if profiler is not None and (worker.op_stats or worker.graph_walks):
             profiler.merge_portable(
-                worker.op_stats,
-                worker.graph_walks,
-                worker.walked_nodes,
-                worker.allocations,
+                worker.op_stats, worker.graph_walks, worker.walked_nodes
             )
 
     def close(self) -> None:

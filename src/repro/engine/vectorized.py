@@ -168,12 +168,10 @@ class VectorizedExecutor:
                     steps=steps, duration_s=duration / len(group),
                     vectorized=True, **result_fields,
                 )
-        arena = fastpath.arena_stats()
         events.emit(
             "vectorized_block", block=block_index,
             vectorized_nodes=vectorized_count, fallback_nodes=len(fallback),
             groups=len(groups),
-            arena_slots=arena["slots"], arena_bytes=arena["bytes"],
         )
         tel.counter("fl_vectorized_nodes_total").inc(vectorized_count)
         tel.counter("fl_vectorized_fallback_total").inc(len(fallback))

@@ -10,7 +10,7 @@ JSONL file doubles as its ``events.jsonl``.
 
 Schema (version :data:`EVENT_SCHEMA_VERSION`)::
 
-    {"type": "event", "v": 2, "seq": 17, "kind": "round_end",
+    {"type": "event", "v": 3, "seq": 17, "kind": "round_end",
      "block": 3, "t": 20, "participants": 9}
 
 ``seq`` is a per-run monotone sequence number assigned at emission time, so
@@ -25,7 +25,8 @@ a newer version than they understand.
 
 Version history: v1 — the original engine/fault lifecycle kinds;
 v2 — the ``fleet_*`` kinds emitted by the event-driven
-:class:`~repro.federated.fleet.FleetSimulator`.
+:class:`~repro.federated.fleet.FleetSimulator`; v3 — ``vectorized_block``
+drops the two buffer-footprint fields of the retired compiled backward.
 
 The engine and the fault subsystem treat :class:`EventLog` as their single
 event bus: the :class:`~repro.engine.round_engine.RoundEngine` emits the
@@ -54,7 +55,7 @@ __all__ = [
 ]
 
 #: Bump on any non-additive change to event record fields or kinds.
-EVENT_SCHEMA_VERSION = 2
+EVENT_SCHEMA_VERSION = 3
 
 #: Closed set of event kinds (typos fail loudly at the emission site).
 EVENT_KINDS = frozenset(

@@ -16,15 +16,6 @@ caching handles.  The registry exports two ways:
 * :meth:`MetricRegistry.to_prometheus` — the text exposition format, which
   :func:`parse_prometheus` can read back (used by the round-trip tests and
   by anyone pointing a real scraper at a dumped file).
-
-Arena metric family (exported by ``repro.autodiff.fastpath.to_registry``
-and documented in OBSERVABILITY.md): ``autodiff_arena_slots`` /
-``autodiff_arena_bytes`` / ``autodiff_arena_peak_bytes`` gauges track the
-compiled backward's live buffer-arena footprint, and the
-``autodiff_arena_reuse_total`` counter counts slot reuses by compiled
-executions; ``autodiff_allocations_total`` (from
-``TapeProfiler.to_registry``) counts hot-path backward allocations, which
-a warmed compiled replay drives to zero.
 """
 
 from __future__ import annotations

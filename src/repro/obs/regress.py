@@ -26,6 +26,7 @@ metric fails below ``value * (1 - tolerance)``, a ``lower`` metric above
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -64,8 +65,7 @@ class Regression:
 def gated_metrics(result: dict) -> Dict[str, dict]:
     """Derive the gate spec for one benchmark result (used when seeding).
 
-    Flags gate exactly, ``speedup`` (and any ``*_speedup`` ratio, e.g. the
-    compiled-backward ``replay_speedup``) gates as a ratio, ``*_per_sec``
+    Flags gate exactly, ``speedup`` gates as a ratio, ``*_per_sec``
     throughput gates with the wide band.  Everything else (configuration
     echoes like ``nodes``/``cpus``, nested stats) is informational and
     stays ungated.
@@ -74,9 +74,7 @@ def gated_metrics(result: dict) -> Dict[str, dict]:
     for key, value in result.items():
         if isinstance(value, bool):
             spec[key] = {"value": value, "direction": "exact"}
-        elif (
-            key == "speedup" or key.endswith("_speedup")
-        ) and isinstance(value, (int, float)):
+        elif key == "speedup" and isinstance(value, (int, float)):
             spec[key] = {
                 "value": value,
                 "direction": "higher",
@@ -117,6 +115,12 @@ def check_result(
             continue
         tolerance = float(spec.get("tolerance", RATIO_TOLERANCE))
         current_f, base_f = float(current), float(base)
+        if direction in ("higher", "lower") and not math.isfinite(current_f):
+            # NaN compares False against any bound, so it would pass both.
+            failures.append(
+                Regression(bench, metric, f"non-finite value {current_f!r}")
+            )
+            continue
         if direction == "higher":
             floor = base_f * (1.0 - tolerance)
             if current_f < floor:
@@ -200,9 +204,9 @@ def run_gate(
         with open(path, "r", encoding="utf-8") as handle:
             result = json.load(handle)
         if bench not in entries or update:
+            verb = "updated" if bench in entries else "seeded"
             entries[bench] = {"metrics": gated_metrics(result)}
             dirty = True
-            verb = "updated" if bench in entries and update else "seeded"
             lines.append(
                 f"{bench}: {verb} baseline "
                 f"({len(entries[bench]['metrics'])} gated metrics)"

@@ -283,7 +283,6 @@ class WorkerTrace:
     op_stats: Dict[str, List[float]] = field(default_factory=dict)
     graph_walks: int = 0
     walked_nodes: int = 0
-    allocations: int = 0
 
 
 def reparent(record: SpanRecord, context: TraceContext) -> SpanRecord:

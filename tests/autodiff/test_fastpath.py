@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autodiff import Tensor, fastpath, grad, ops, toposort
+from repro.autodiff import Tensor, fastpath, grad, ops
 from repro.autodiff.profile import profile_ops
 from repro.nn import LogisticRegression, cross_entropy, fused_model_loss, one_hot
 from repro.obs import MetricRegistry
@@ -254,9 +254,15 @@ class TestPlanCache:
         assert fastpath.stats().plan_hits == 0
         grad(loss(), [x])
         grad(loss(), [x])
-        assert fastpath.stats().plan_misses == 1
-        assert fastpath.stats().plan_hits == 2
+        stats = fastpath.stats()
+        assert stats.plan_misses == 1
+        assert stats.plan_hits == 2
         assert fastpath.plan_cache_size() == 1
+        # Every per-edge VJP result and every returned copy is one
+        # hot-path allocation; nothing else allocates.
+        assert stats.hot_allocations == (
+            stats.raw_vjp_calls + stats.closure_vjp_calls + stats.result_copies
+        )
 
     def test_different_structures_get_different_plans(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -317,203 +323,6 @@ class TestSingleWalkBackward:
         assert prof.graph_walks == 1
 
 
-class TestCompiledTier:
-    """The compile layer: arena kernels, coalescing, and the exec cache.
-
-    A live graph is armed on its first backward, compiled on the second,
-    and every subsequent backward replays bound arena-kernel steps — all
-    three executions must be byte-identical to the reference walk.
-    """
-
-    @staticmethod
-    def _mlp_loss(seed=0):
-        rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(size=(6, 5)))
-        w1 = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-        b1 = Tensor(rng.normal(size=(4,)), requires_grad=True)
-        w2 = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        h = ops.tanh(ops.add(ops.matmul(x, w1), b1))
-        # `h` feeds two consumers so its cotangent exercises fan-in >= 2
-        # accumulation through the arena.
-        out = ops.sum_(ops.matmul(h, w2)) + ops.sum_(ops.mul(h, h))
-        return out, [w1, b1, w2]
-
-    def test_compiles_on_second_sighting_and_replays(self):
-        loss, inputs = self._mlp_loss()
-        with fastpath.disabled():
-            ref = grad(loss, inputs)
-        runs = [grad(loss, inputs) for _ in range(4)]
-        stats = fastpath.stats()
-        assert stats.compiled_graphs == 1
-        assert stats.compiled_runs == 2  # calls 3 and 4 replay the exec
-        assert stats.kernel_vjp_calls > 0
-        assert fastpath.exec_cache_size() == 1
-        for fast in runs:
-            assert_bit_equal(fast, ref)
-
-    def test_compiled_replay_counts_arena_reuse(self):
-        loss, inputs = self._mlp_loss(seed=2)
-        for _ in range(4):
-            grad(loss, inputs)
-        assert fastpath.stats().arena_reuse_hits > 0
-        assert fastpath.arena_stats()["slots"] > 0
-
-    def test_compiled_results_do_not_alias_arena(self):
-        loss, inputs = self._mlp_loss(seed=3)
-        for _ in range(3):
-            grads = grad(loss, inputs)
-        baseline = [g.data.tobytes() for g in grads]
-        for g in grads:
-            g.data[:] = -123.0  # deliberate mutation of returned arrays
-        again = grad(loss, inputs)
-        assert [g.data.tobytes() for g in again] == baseline
-
-    def test_backward_out_buffers_are_zero_allocation(self):
-        """Satellite: warmed compiled replay with ``out=`` allocates nothing."""
-        loss, inputs = self._mlp_loss(seed=4)
-        order = toposort(loss)
-        seed = np.array(1.0)
-        for _ in range(3):  # miss -> arm -> compile
-            fastpath.backward(loss, inputs, order, seed)
-        out = [np.empty(t.data.shape) for t in inputs]
-        before = fastpath.stats().as_dict()
-        results = fastpath.backward(loss, inputs, order, seed, out=out)
-        delta = fastpath.stats().delta_since(before)
-        assert delta["compiled_runs"] == 1
-        assert delta["hot_allocations"] == 0
-        assert delta["result_copies"] == 0
-        for res, buf in zip(results, out):
-            assert res is buf  # written in place, not reallocated
-        ref = fastpath.backward(loss, inputs, order, seed)
-        for res, r in zip(out, ref):
-            assert res.tobytes() == r.tobytes()
-
-    def test_alloc_hook_sees_cached_path_not_warm_replay(self):
-        loss, inputs = self._mlp_loss(seed=5)
-        order = toposort(loss)
-        seed = np.array(1.0)
-        counts = []
-        previous = fastpath.set_alloc_hook(counts.append)
-        try:
-            fastpath.backward(loss, inputs, order, seed)  # cached: allocates
-            assert sum(counts) > 0
-            for _ in range(2):
-                fastpath.backward(loss, inputs, order, seed)
-            counts.clear()
-            out = [np.empty(t.data.shape) for t in inputs]
-            fastpath.backward(loss, inputs, order, seed, out=out)
-            assert sum(counts) == 0
-        finally:
-            fastpath.set_alloc_hook(previous)
-
-    def test_cached_mode_never_compiles(self):
-        previous = fastpath.set_mode("cached")
-        try:
-            loss, inputs = self._mlp_loss(seed=6)
-            with fastpath.disabled():
-                ref = grad(loss, inputs)
-            for _ in range(4):
-                fast = grad(loss, inputs)
-                assert_bit_equal(fast, ref)
-            assert fastpath.stats().compiled_graphs == 0
-            assert fastpath.exec_cache_size() == 0
-        finally:
-            fastpath.set_mode(previous)
-
-    def test_set_mode_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            fastpath.set_mode("jit")
-
-    def test_plan_eviction_releases_arena(self):
-        """Satellite: arena buffers must not leak across cache eviction."""
-        x = Tensor(np.ones((4, 4)), requires_grad=True)
-        loss = ops.sum_(ops.mul(ops.exp(x), ops.tanh(x)))
-        for _ in range(3):
-            grad(loss, [x])
-        assert fastpath.arena_stats()["bytes"] > 0
-        registry = MetricRegistry()
-        fastpath.to_registry(registry)
-        occupied = registry.get("autodiff_arena_bytes").value
-        assert occupied > 0
-
-        # Churn enough distinct signatures to evict every earlier plan.
-        # These throwaway graphs are backwarded once each, so they build
-        # plans (evicting the compiled one) without compiling themselves.
-        depth_x = Tensor(np.ones(2), requires_grad=True)
-        node = depth_x
-        for _ in range(70):
-            node = ops.sigmoid(node)
-            grad(ops.sum_(node), [depth_x])
-        assert fastpath.plan_cache_size() <= 64
-        # The compiled plan was evicted: its arena was released and its
-        # executable dropped, so the bytes gauge decreases (here: to zero,
-        # since nothing else compiled).
-        assert fastpath.exec_cache_size() == 0
-        registry2 = MetricRegistry()
-        fastpath.to_registry(registry2)
-        live = registry2.get("autodiff_arena_bytes").value
-        assert live < occupied
-        assert live == 0
-        assert registry2.get("autodiff_arena_peak_bytes").value >= occupied
-
-    def test_signature_churn_bounds_peak_arena_bytes(self):
-        """>64 distinct signatures churned twice: the arena footprint stays
-        bounded by the LRU capacity instead of growing with every plan."""
-        x = Tensor(np.ones(3), requires_grad=True)
-        high_water = []
-        round_bytes = []
-        for _round in range(2):
-            node = x
-            peak = 0
-            for _ in range(80):
-                node = ops.tanh(node)
-                loss = ops.sum_(node)
-                for _ in range(3):  # miss -> arm+compile -> replay
-                    grad(loss, [x])
-                peak = max(peak, fastpath.arena_stats()["bytes"])
-            high_water.append(peak)
-            round_bytes.append(fastpath.arena_stats()["bytes"])
-            node = None
-        assert fastpath.plan_cache_size() <= 64
-        assert round_bytes[0] > 0
-        # Round two rebuilds the same 80 signatures: plans (and their
-        # arenas) are reused, so neither the live footprint nor the
-        # high-water mark moves — an eviction leak would double both.
-        assert round_bytes[1] == round_bytes[0]
-        assert high_water[1] == high_water[0]
-        fastpath.clear_cache()
-        drained = fastpath.arena_stats()
-        assert drained["bytes"] == 0
-        assert drained["slots"] == 0
-
-    def test_clear_cache_resets_arena_gauges(self):
-        loss, inputs = self._mlp_loss(seed=7)
-        for _ in range(3):
-            grad(loss, inputs)
-        registry = MetricRegistry()
-        fastpath.to_registry(registry)
-        before = registry.get("autodiff_arena_bytes").value
-        assert before > 0
-        fastpath.clear_cache()
-        registry2 = MetricRegistry()
-        fastpath.to_registry(registry2)
-        assert registry2.get("autodiff_arena_bytes").value == 0
-        assert registry2.get("autodiff_arena_slots").value == 0
-
-    def test_set_backend_drops_executables(self):
-        loss, inputs = self._mlp_loss(seed=8)
-        with fastpath.disabled():
-            ref = grad(loss, inputs)
-        for _ in range(3):
-            grad(loss, inputs)
-        assert fastpath.exec_cache_size() == 1
-        backend = fastpath.get_backend()
-        fastpath.set_backend(backend)  # any swap invalidates compiled state
-        assert fastpath.exec_cache_size() == 0
-        for _ in range(3):  # recompiles cleanly through the same plan
-            assert_bit_equal(grad(loss, inputs), ref)
-
-
 # ----------------------------------------------------------------------
 # Property: fastpath == reference, bit for bit, over random graph shapes
 # ----------------------------------------------------------------------
@@ -535,14 +344,21 @@ _BINARY = [ops.add, ops.sub, ops.mul]
         max_size=8,
     ),
     data_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    fan_in=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_property_fastpath_bit_identical(shape, op_picks, data_seed):
+def test_property_fastpath_bit_identical(shape, op_picks, data_seed, fan_in):
+    """With ``fan_in`` the loss forces a cotangent accumulated from >= 2
+    edges, and further backwards reuse the plan's warm fan-in buffers."""
     rng = np.random.default_rng(data_seed)
-    a = Tensor(rng.normal(size=shape), requires_grad=True)
-    b = Tensor(rng.normal(size=shape), requires_grad=True)
 
-    def build():
+    def leaves():
+        return (
+            Tensor(rng.normal(size=shape), requires_grad=True),
+            Tensor(rng.normal(size=shape), requires_grad=True),
+        )
+
+    def build(a, b):
         frontier = [a, b]
         for op_index, operand in op_picks:
             if op_index < len(_UNARY):
@@ -554,64 +370,30 @@ def test_property_fastpath_bit_identical(shape, op_picks, data_seed):
                     frontier[(operand + 1) % len(frontier)],
                 )
             frontier.append(node)
+        if fan_in:
+            # Summing a product of the last two frontier nodes forces a
+            # shared consumer.
+            return ops.sum_(
+                ops.add(frontier[-1], ops.mul(frontier[-1], frontier[-2]))
+            )
         return ops.sum_(frontier[-1])
 
+    a, b = leaves()
     fastpath.enable()
-    fast = grad(build(), [a, b], allow_unused=True)
+    fast = grad(build(a, b), [a, b], allow_unused=True)
     with fastpath.disabled():
-        ref = grad(build(), [a, b], allow_unused=True)
+        ref = grad(build(a, b), [a, b], allow_unused=True)
     assert_bit_equal(fast, ref)
-
-
-@given(
-    shape=st.tuples(
-        st.integers(min_value=1, max_value=4),
-        st.integers(min_value=1, max_value=4),
-    ),
-    op_picks=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=len(_UNARY) + len(_BINARY) - 1),
-            st.integers(min_value=0, max_value=7),
-        ),
-        min_size=2,
-        max_size=8,
-    ),
-    data_seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-@settings(max_examples=40, deadline=None)
-def test_property_compiled_replay_bit_identical(shape, op_picks, data_seed):
-    """Satellite: the arena-backed compiled backward is byte-identical to
-    the allocating cached path and the reference walk — including fan-in>=2
-    accumulation and repeated executions over warm arena buffers."""
-    rng = np.random.default_rng(data_seed)
-    a = Tensor(rng.normal(size=shape), requires_grad=True)
-    b = Tensor(rng.normal(size=shape), requires_grad=True)
-
-    frontier = [a, b]
-    for op_index, operand in op_picks:
-        if op_index < len(_UNARY):
-            node = _UNARY[op_index](frontier[operand % len(frontier)])
-        else:
-            binary = _BINARY[op_index - len(_UNARY)]
-            node = binary(
-                frontier[operand % len(frontier)],
-                frontier[(operand + 1) % len(frontier)],
-            )
-        frontier.append(node)
-    # Summing a product of the last two frontier nodes forces at least one
-    # shared consumer, so some cotangent accumulates from >= 2 edges.
-    loss = ops.sum_(ops.add(frontier[-1], ops.mul(frontier[-1], frontier[-2])))
-
-    fastpath.enable()
-    fastpath.clear_cache()
-    with fastpath.disabled():
-        ref = grad(loss, [a, b], allow_unused=True)
-    previous = fastpath.set_mode("cached")
-    try:
-        cached = grad(loss, [a, b], allow_unused=True)
-    finally:
-        fastpath.set_mode(previous)
-    assert_bit_equal(cached, ref)
-    # Compiled tier: arm, compile, then replay twice over warm buffers.
+    if not fan_in:
+        return
+    # Four repeated backwards over one live graph, then a fresh graph of
+    # the same structure with new values: a plan hit reusing the buffers.
+    loss = build(a, b)
     for _ in range(4):
         assert_bit_equal(grad(loss, [a, b], allow_unused=True), ref)
+    a2, b2 = leaves()
+    with fastpath.disabled():
+        ref2 = grad(build(a2, b2), [a2, b2], allow_unused=True)
+    hits = fastpath.stats().plan_hits
+    assert_bit_equal(grad(build(a2, b2), [a2, b2], allow_unused=True), ref2)
+    assert fastpath.stats().plan_hits == hits + 1

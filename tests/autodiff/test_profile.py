@@ -174,65 +174,3 @@ class TestExport:
             assert tensor_mod._WALK_HOOK is not None
         assert tensor_mod._WALK_HOOK is None
 
-
-class TestAllocationCounter:
-    """The profiler observes the fastpath's hot-path allocation counter."""
-
-    def test_allocations_recorded_and_exported(self):
-        from repro.autodiff import fastpath
-        from repro.obs import MetricRegistry
-
-        fastpath.enable()
-        fastpath.clear_cache()
-        with profile_ops() as prof:
-            forward_backward()
-        # The cached tier allocates one array per VJP plus result copies.
-        assert prof.allocations > 0
-        registry = MetricRegistry()
-        prof.to_registry(registry)
-        assert (
-            registry.get("autodiff_allocations_total").value
-            == prof.allocations
-        )
-
-    def test_warm_compiled_replay_records_zero_allocations(self):
-        """The zero-allocation contract, observed end to end: a warmed
-        compiled replay with caller-owned out-buffers records nothing."""
-        from repro.autodiff import fastpath, toposort
-
-        fastpath.enable()
-        fastpath.clear_cache()
-        x = Tensor(np.ones((4, 3)), requires_grad=True)
-        w = Tensor(np.ones((3, 2)), requires_grad=True)
-        loss = ops.sum_(ops.relu(ops.matmul(x, w)))
-        order = toposort(loss)
-        seed = np.array(1.0)
-        for _ in range(3):  # miss -> arm+compile -> replay
-            fastpath.backward(loss, [x, w], order, seed)
-        out = [np.empty(x.data.shape), np.empty(w.data.shape)]
-        with profile_ops() as prof:
-            fastpath.backward(loss, [x, w], order, seed, out=out)
-        assert prof.allocations == 0
-        fastpath.clear_cache()
-
-    def test_alloc_hook_uninstalled_after_context(self):
-        from repro.autodiff import fastpath
-
-        sink = []
-        previous = fastpath.set_alloc_hook(sink.append)
-        try:
-            with profile_ops() as prof:
-                forward_backward()
-            assert prof.allocations > 0
-            assert sink == []  # profiler replaced the hook inside the block
-            forward_backward()
-            assert sum(sink) > 0  # and restored it on exit
-        finally:
-            fastpath.set_alloc_hook(previous)
-
-    def test_merge_portable_carries_allocations(self):
-        prof = TapeProfiler()
-        prof.record_allocations(3)
-        child = TapeProfiler()
-        prof.merge_portable(child.as_portable(), allocations=4)
-        assert prof.allocations == 7

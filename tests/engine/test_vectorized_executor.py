@@ -144,6 +144,11 @@ class TestTelemetry:
             assert record["vectorized_nodes"] == 6
             assert record["fallback_nodes"] == 0
             assert record["groups"] >= 1
+            # Schema v3 dropped the compiled backward's buffer fields.
+            assert set(record) == {
+                "type", "v", "seq", "kind", "block",
+                "vectorized_nodes", "fallback_nodes", "groups",
+            }
         assert tel.registry.get("fl_vectorized_nodes_total").value == 12
         assert tel.registry.get("fl_vectorized_fallback_total").value == 0
 

@@ -60,7 +60,8 @@ class TestFleetSchema:
         assert FLEET_KINDS <= EVENT_KINDS
 
     def test_adding_kinds_bumped_the_schema_version(self):
-        assert EVENT_SCHEMA_VERSION == 2
+        # v2 added the fleet kinds; v3 removed vectorized_block fields.
+        assert EVENT_SCHEMA_VERSION == 3
 
     def test_fleet_run_emits_only_known_v2_events(self):
         events = read_events(fleet_records())
@@ -88,7 +89,7 @@ class TestFleetSchema:
     def test_readers_forward_skip_future_versions(self):
         records = [
             {"type": "event", "v": 1, "seq": 0, "kind": "run_start"},
-            {"type": "event", "v": 2, "seq": 1, "kind": "fleet_flush",
+            {"type": "event", "v": 3, "seq": 1, "kind": "fleet_flush",
              "block": 0},
             {"type": "event", "v": EVENT_SCHEMA_VERSION + 1, "seq": 2,
              "kind": "from_the_future"},

@@ -41,21 +41,6 @@ class TestGatedMetrics:
         assert "nodes" not in spec
         assert "serial_seconds" not in spec
 
-    def test_suffixed_speedup_ratios_gate_like_speedup(self):
-        spec = gated_metrics(
-            {
-                "replay_speedup": 3.0,
-                "steady_state_zero_alloc": True,
-                "steady_state_allocations": 0,  # int: informational
-            }
-        )
-        from repro.obs.regress import RATIO_TOLERANCE
-
-        assert spec["replay_speedup"]["direction"] == "higher"
-        assert spec["replay_speedup"]["tolerance"] == RATIO_TOLERANCE
-        assert spec["steady_state_zero_alloc"]["direction"] == "exact"
-        assert "steady_state_allocations" not in spec
-
 
 class TestCheckResult:
     def _entry(self):
@@ -96,6 +81,26 @@ class TestCheckResult:
         assert check_result("b", {"p99_latency": 11.0}, entry) == []
         failures = check_result("b", {"p99_latency": 13.0}, entry)
         assert "above ceiling" in failures[0].message
+
+    def test_non_finite_values_are_regressions(self):
+        """Regression: ``nan < floor`` and ``nan > ceiling`` are both
+        False, so a NaN used to pass ``higher`` and ``lower`` gates alike."""
+        entry = {
+            "metrics": {
+                "speedup": {
+                    "value": 2.0, "direction": "higher", "tolerance": 0.5
+                },
+                "p99_latency": {
+                    "value": 10.0, "direction": "lower", "tolerance": 0.2
+                },
+            }
+        }
+        nan = float("nan")
+        failures = check_result(
+            "b", {"speedup": nan, "p99_latency": nan}, entry
+        )
+        assert sorted(f.metric for f in failures) == ["p99_latency", "speedup"]
+        assert all("non-finite" in f.message for f in failures)
 
 
 class TestRunGate:
@@ -143,6 +148,16 @@ class TestRunGate:
         data = load_baselines(baseline)
         metrics = data["benchmarks"]["BENCH_engine.json"]["metrics"]
         assert metrics["speedup"]["value"] == 0.5
+
+    def test_update_on_new_bench_reports_seeded(self, tmp_path):
+        """Regression: the verb was chosen after the baseline write, so
+        ``--update`` on a bench not yet in the baseline said "updated"."""
+        bench = _write(tmp_path / "BENCH_engine.json", ENGINE_RESULT)
+        baseline = str(tmp_path / "baselines.json")
+        _, lines = run_gate([bench], baseline, update=True)
+        assert lines[0].startswith("BENCH_engine.json: seeded baseline")
+        _, lines = run_gate([bench], baseline, update=True)
+        assert lines[0].startswith("BENCH_engine.json: updated baseline")
 
     def test_missing_bench_file_fails(self, tmp_path):
         baseline = str(tmp_path / "baselines.json")
