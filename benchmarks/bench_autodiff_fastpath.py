@@ -6,10 +6,13 @@ VJPs run on raw ndarrays (no cotangent graph is built), the traversal plan
 and the logistic-regression hot path uses the fused
 ``linear_softmax_xent`` composite.  The workload is the one the paper's
 FedML algorithm runs — the per-node exact meta-gradient — timed with the
-fast path on vs. fully disabled.
+fast path on vs. fully disabled.  With the fast path on, that call takes
+the closed-form kernel ``repro.nn.fused.fused_meta_gradient``.
 
-Correctness is part of the record: both configurations must produce
-byte-identical gradients.
+Correctness is part of the record: every per-node gradient tensor must be
+within the kernel's tolerance of the reference,
+``|g - g_ref|_inf <= 1e-12 * |g_ref|_inf`` (``within_tolerance``), and the
+largest such ratio is recorded as ``max_rel_err``.
 
 Standalone mode writes the CI artifact ``BENCH_autodiff.json``::
 
@@ -27,7 +30,10 @@ from repro.autodiff import fastpath
 from repro.core.maml import meta_gradient
 from repro.data import SyntheticConfig, generate_synthetic
 from repro.nn import LogisticRegression
-from repro.nn.parameters import require_grad, to_vector
+from repro.nn.parameters import require_grad
+
+#: relative tolerance of the exact meta-gradient kernel (docs/AUTODIFF.md)
+REL_TOL = 1e-12
 
 
 def build_workload(nodes=8, k=5, mean_samples=120):
@@ -45,7 +51,10 @@ def build_workload(nodes=8, k=5, mean_samples=120):
 
 
 def sweep(model, splits, params, alpha, repeats):
-    """Run ``repeats`` epochs of per-node meta-gradients; return seconds."""
+    """Run ``repeats`` epochs of per-node meta-gradients.
+
+    Returns the seconds taken and the last epoch's gradient trees.
+    """
     grads = []
     start = time.perf_counter()
     for _ in range(repeats):
@@ -53,7 +62,19 @@ def sweep(model, splits, params, alpha, repeats):
             meta_gradient(model, params, split, alpha)[0] for split in splits
         ]
     elapsed = time.perf_counter() - start
-    return elapsed, np.concatenate([to_vector(g) for g in grads])
+    return elapsed, grads
+
+
+def max_relative_error(fast, ref):
+    """Largest ``|g - g_ref|_inf / |g_ref|_inf`` over nodes and tensors."""
+    return max(
+        float(
+            np.max(np.abs(f[name].data - r[name].data))
+            / np.max(np.abs(r[name].data))
+        )
+        for f, r in zip(fast, ref)
+        for name in r
+    )
 
 
 def run_comparison(nodes=8, k=5, repeats=30, alpha=0.01):
@@ -66,12 +87,13 @@ def run_comparison(nodes=8, k=5, repeats=30, alpha=0.01):
     fastpath.clear_cache()
     fastpath.reset_stats()
     fast_warm, _ = sweep(model, splits, params, alpha, 1)
-    fast_s, fast_vec = sweep(model, splits, params, alpha, repeats)
+    fast_s, fast_grads = sweep(model, splits, params, alpha, repeats)
     stats = fastpath.stats().as_dict()
 
     with fastpath.disabled():
         ref_warm, _ = sweep(model, splits, params, alpha, 1)
-        ref_s, ref_vec = sweep(model, splits, params, alpha, repeats)
+        ref_s, ref_grads = sweep(model, splits, params, alpha, repeats)
+    max_rel_err = max_relative_error(fast_grads, ref_grads)
 
     return {
         "nodes": nodes,
@@ -83,18 +105,21 @@ def run_comparison(nodes=8, k=5, repeats=30, alpha=0.01):
         "reference_calls_per_sec": calls / ref_s,
         "fastpath_calls_per_sec": calls / fast_s,
         "speedup": ref_s / fast_s,
-        "bit_identical": bool(fast_vec.tobytes() == ref_vec.tobytes()),
+        "within_tolerance": bool(max_rel_err <= REL_TOL),
+        "max_rel_err": max_rel_err,
         "fastpath_stats": stats,
     }
 
 
 def test_ablation_autodiff_fastpath(benchmark):
-    """Pytest entry: fastpath gradients are byte-identical and faster."""
+    """Pytest entry: fastpath gradients are within tolerance and faster."""
     result = benchmark.pedantic(
         run_comparison, kwargs={"repeats": 10}, rounds=1, iterations=1
     )
-    assert result["bit_identical"], "fastpath diverged from reference"
-    assert result["fastpath_stats"]["plan_hits"] > 0
+    assert result["within_tolerance"], (
+        f"fastpath diverged from reference: {result['max_rel_err']:.3g}"
+    )
+    assert result["fastpath_stats"]["fused_dispatches"] > 0
     assert result["speedup"] > 1.0, (
         f"fast path slower than reference: {result['speedup']:.2f}x"
     )
@@ -116,9 +141,10 @@ def main():
         f"reference {result['reference_calls_per_sec']:.1f}/s, "
         f"fastpath {result['fastpath_calls_per_sec']:.1f}/s "
         f"({result['speedup']:.2f}x, "
-        f"bit_identical={result['bit_identical']}) -> {args.out}"
+        f"max_rel_err={result['max_rel_err']:.3g}, "
+        f"within_tolerance={result['within_tolerance']}) -> {args.out}"
     )
-    return 0 if result["bit_identical"] else 1
+    return 0 if result["within_tolerance"] else 1
 
 
 if __name__ == "__main__":

@@ -9,7 +9,10 @@ centralized MAML baseline:
 * :func:`meta_loss` — ``L(phi(theta), D_test)``, the per-node objective
   ``G_i(theta)`` of Section IV;
 * :func:`meta_gradient` — exact (second-order) or first-order meta-gradient
-  of the per-node objective;
+  of the per-node objective.  Exact one-step MAML on logistic regression
+  with cross-entropy (the paper's Synthetic/MNIST runs) dispatches to the
+  closed-form kernel :func:`repro.nn.fused.fused_meta_gradient` while the
+  fast path is on; everything else differentiates the generic tape;
 * :class:`MAML` — a centralized trainer used as a reference baseline.
 """
 
@@ -22,7 +25,7 @@ import numpy as np
 
 from ..autodiff import Tensor, grad
 from ..data.dataset import Dataset, NodeSplit
-from ..nn.fused import fused_model_loss
+from ..nn.fused import fused_meta_gradient, fused_model_loss
 from ..nn.losses import cross_entropy
 from ..nn.modules import Model
 from ..nn.parameters import Params, require_grad
@@ -123,6 +126,14 @@ def meta_gradient(
     adapted parameters — Robust FedML uses this to include the adversarial
     dataset ``D_i^adv`` (eq. 14).
     """
+    extras = [extra for extra in extra_test_sets or () if len(extra) > 0]
+    if inner_steps == 1 and not first_order:
+        fused = fused_meta_gradient(
+            model, params, (split.train.x, split.train.y),
+            [(d.x, d.y) for d in (split.test, *extras)], alpha, loss_fn,
+        )
+        if fused is not None:
+            return fused
     theta = require_grad(params)
     phi = inner_adapt(
         model, theta, split.train, alpha, steps=inner_steps,
@@ -132,11 +143,8 @@ def meta_gradient(
     # so the fused composite applies even when the inner step kept an exact
     # second-order graph.
     outer = fused_model_loss(model, phi, split.test.x, split.test.y, loss_fn)
-    if extra_test_sets:
-        for extra in extra_test_sets:
-            if len(extra) == 0:
-                continue
-            outer = outer + fused_model_loss(model, phi, extra.x, extra.y, loss_fn)
+    for extra in extras:
+        outer = outer + fused_model_loss(model, phi, extra.x, extra.y, loss_fn)
     names, tensors = _ordered(theta)
     grads = grad(outer, tensors, allow_unused=True)
     gradient_tree: Params = {}

@@ -56,7 +56,9 @@ from ..utils.serialization import params_fingerprint
 __all__ = ["Executor", "ExecutorError", "SerialExecutor", "ParallelExecutor"]
 
 #: fast-path counter keys surfaced on the per-block ``cache_hit`` event
-_CACHE_EVENT_KEYS = ("backwards", "plan_hits", "plan_misses", "raw_vjp_calls")
+_CACHE_EVENT_KEYS = (
+    "backwards", "plan_hits", "plan_misses", "raw_vjp_calls", "fused_dispatches",
+)
 
 
 class ExecutorError(RuntimeError):
@@ -114,8 +116,12 @@ def _active_profiler() -> Optional[TapeProfiler]:
 
 
 def _emit_cache_event(tel: Any, block_index: int, delta: Dict[str, int]) -> None:
-    """One ``cache_hit`` event per block summarising fast-path activity."""
-    if delta.get("backwards", 0):
+    """One ``cache_hit`` event per block summarising fast-path activity.
+
+    A block whose every step took a fused kernel runs no backward at all,
+    so fused dispatches alone also count as activity.
+    """
+    if delta.get("backwards", 0) or delta.get("fused_dispatches", 0):
         tel.events.emit(
             "cache_hit",
             block=block_index,

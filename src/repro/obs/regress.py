@@ -17,7 +17,7 @@ as long as tests stayed green.  ``repro bench-check`` closes that gap:
   intentional-change escape hatch; the diff shows up in review).
 
 What gets gated is deliberately machine-portable: **ratios** (``speedup``)
-and **flags** (``deterministic``, ``bit_identical``), plus absolute
+and **flags** (``deterministic``, ``within_tolerance``), plus absolute
 throughput with a wide band.  Tolerances are fractional: a ``higher``
 metric fails below ``value * (1 - tolerance)``, a ``lower`` metric above
 ``value * (1 + tolerance)``, an ``exact`` metric on any change.

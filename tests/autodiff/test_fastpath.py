@@ -4,6 +4,10 @@ The contract is absolute: with the fast path on, every
 ``grad(..., create_graph=False)`` result must be **bit-identical** to the
 reference backward — across fused ops, plan-cache reuse, buffer reuse, and
 arbitrary graph shapes (hypothesis property at the bottom).
+
+The exact meta-gradient kernel, which replaces the whole exact-MAML tape
+for logistic regression, has its own recorded contract: loss value
+bit-identical, gradient within ``1e-12`` relative of the reference.
 """
 
 import numpy as np
@@ -13,7 +17,16 @@ from hypothesis import strategies as st
 
 from repro.autodiff import Tensor, fastpath, grad, ops
 from repro.autodiff.profile import profile_ops
-from repro.nn import LogisticRegression, cross_entropy, fused_model_loss, one_hot
+from repro.core import maml
+from repro.core.maml import meta_gradient
+from repro.data.dataset import Dataset, NodeSplit
+from repro.nn import (
+    MLP,
+    LogisticRegression,
+    cross_entropy,
+    fused_model_loss,
+    one_hot,
+)
 from repro.obs import MetricRegistry
 
 
@@ -37,6 +50,28 @@ def lr_problem(seed=0, n=6, d=5, c=3):
         for name, t in model.init(rng).items()
     }
     return model, params, x, y
+
+
+def meta_problem(seed, d, c, n_train, n_test, extra_sizes):
+    """A LogReg meta-learning task plus extra outer-loss sets of given sizes."""
+    rng = np.random.default_rng(seed)
+    model = LogisticRegression(d, c)
+    params = model.init(rng)
+
+    def dataset(n):
+        return Dataset(rng.normal(size=(n, d)), rng.integers(0, c, size=n))
+
+    split = NodeSplit(train=dataset(n_train), test=dataset(n_test))
+    return model, params, split, [dataset(n) for n in extra_sizes]
+
+
+def assert_within_tolerance(fast, ref):
+    """The kernel's contract: ``|g - g_ref|_inf <= 1e-12 * |g_ref|_inf``."""
+    assert list(fast) == list(ref)
+    for name in ref:
+        g, r = fast[name].data, ref[name].data
+        assert g.shape == r.shape
+        assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r)), name
 
 
 def both_backwards(make_loss, inputs):
@@ -129,30 +164,18 @@ class TestBitExactness:
         assert_bit_equal(fast, ref)
         assert fastpath.stats().fused_dispatches == 1
 
-    def test_meta_gradient_exact_maml_bit_exact(self):
-        from repro.core.maml import meta_gradient
-        from repro.data.dataset import Dataset, NodeSplit
-
-        rng = np.random.default_rng(11)
-        model = LogisticRegression(6, 3)
-        params = model.init(rng)
-        split = NodeSplit(
-            train=Dataset(rng.normal(size=(8, 6)), rng.integers(0, 3, size=8)),
-            test=Dataset(rng.normal(size=(5, 6)), rng.integers(0, 3, size=5)),
+    def test_meta_gradient_first_order_bit_exact(self):
+        model, params, split, _ = meta_problem(11, 6, 3, 8, 5, ())
+        g_fast, v_fast = meta_gradient(
+            model, params, split, alpha=0.1, first_order=True
         )
-        for first_order in (False, True):
-            g_fast, v_fast = meta_gradient(
-                model, params, split, alpha=0.1, first_order=first_order
+        with fastpath.disabled():
+            g_ref, v_ref = meta_gradient(
+                model, params, split, alpha=0.1, first_order=True
             )
-            with fastpath.disabled():
-                g_ref, v_ref = meta_gradient(
-                    model, params, split, alpha=0.1, first_order=first_order
-                )
-            assert v_fast == v_ref
-            for name in g_ref:
-                assert (
-                    g_fast[name].data.tobytes() == g_ref[name].data.tobytes()
-                ), (first_order, name)
+        assert v_fast == v_ref
+        for name in g_ref:
+            assert g_fast[name].data.tobytes() == g_ref[name].data.tobytes()
 
     def test_nonscalar_output_with_seed(self):
         a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
@@ -321,6 +344,120 @@ class TestSingleWalkBackward:
             with profile_ops() as prof:
                 grad(ops.sum_(ops.exp(x)), [x])
         assert prof.graph_walks == 1
+
+
+class TestExactMetaGradientKernel:
+    """``fused_meta_gradient``: loss value bit-identical, gradient within
+    ``1e-12`` relative of the reference tape, generic path otherwise."""
+
+    def test_meta_gradient_exact_maml_within_tolerance(self):
+        model, params, split, _ = meta_problem(11, 6, 3, 8, 5, ())
+        g_fast, v_fast = meta_gradient(model, params, split, alpha=0.1)
+        assert fastpath.stats().fused_dispatches == 1
+        assert fastpath.stats().backwards == 0
+        with fastpath.disabled():
+            g_ref, v_ref = meta_gradient(model, params, split, alpha=0.1)
+        assert v_fast == v_ref
+        assert_within_tolerance(g_fast, g_ref)
+
+    def test_adapted_parameters_are_the_reference_bits(self):
+        """The meta loss at phi is bit-equal, so phi itself must be."""
+        model, params, split, _ = meta_problem(4, 5, 4, 7, 6, ())
+        _, value = meta_gradient(model, params, split, alpha=0.3)
+        with fastpath.disabled():
+            phi = maml.inner_adapt(model, params, split.train, alpha=0.3)
+            ref = cross_entropy(model.apply(phi, split.test.x), split.test.y)
+        assert value == ref.item()
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record each kernel call's result and its fused-dispatch delta."""
+        calls = []
+        real = maml.fused_meta_gradient
+
+        def spy(*args, **kwargs):
+            before = fastpath.stats().fused_dispatches
+            result = real(*args, **kwargs)
+            calls.append((result, fastpath.stats().fused_dispatches - before))
+            return result
+
+        monkeypatch.setattr(maml, "fused_meta_gradient", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "case",
+        ["inner_steps", "first_order", "custom_loss", "mlp", "disabled"],
+    )
+    def test_fallbacks_take_the_generic_path(self, case, monkeypatch):
+        model, params, split, _ = meta_problem(2, 5, 3, 6, 4, ())
+        kwargs = {"alpha": 0.1}
+        if case == "inner_steps":
+            kwargs["inner_steps"] = 2
+        elif case == "first_order":
+            kwargs["first_order"] = True
+        elif case == "custom_loss":
+            kwargs["loss_fn"] = lambda logits, y: cross_entropy(logits, y)
+        elif case == "mlp":
+            model = MLP(5, (4,), 3)
+            params = model.init(np.random.default_rng(0))
+        calls = self._spy(monkeypatch)
+        if case == "disabled":
+            with fastpath.disabled():
+                g_fast, v_fast = meta_gradient(model, params, split, **kwargs)
+        else:
+            g_fast, v_fast = meta_gradient(model, params, split, **kwargs)
+        assert all(result is None and delta == 0 for result, delta in calls)
+        with fastpath.disabled():
+            g_ref, v_ref = meta_gradient(model, params, split, **kwargs)
+        assert v_fast == v_ref
+        for name in g_ref:
+            assert g_fast[name].data.tobytes() == g_ref[name].data.tobytes()
+
+    def test_wrong_feature_dim_raises_model_error(self, monkeypatch):
+        model, params, _, _ = meta_problem(3, 5, 3, 6, 4, ())
+        rng = np.random.default_rng(3)
+        split = NodeSplit(
+            train=Dataset(rng.normal(size=(6, 4)), rng.integers(0, 3, size=6)),
+            test=Dataset(rng.normal(size=(4, 4)), rng.integers(0, 3, size=4)),
+        )
+        calls = self._spy(monkeypatch)
+        with pytest.raises(ValueError, match="expected input of shape"):
+            meta_gradient(model, params, split, alpha=0.1)
+        assert calls == [(None, 0)]
+
+
+@given(
+    d=st.integers(min_value=1, max_value=8),
+    c=st.integers(min_value=2, max_value=5),
+    n_train=st.integers(min_value=1, max_value=10),
+    n_test=st.integers(min_value=1, max_value=10),
+    alpha=st.floats(min_value=1e-3, max_value=0.5),
+    extra_sizes=st.lists(
+        st.integers(min_value=0, max_value=6), min_size=0, max_size=2
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_property_exact_meta_gradient_kernel_within_tolerance(
+    d, c, n_train, n_test, alpha, extra_sizes, seed
+):
+    """Sizes, step sizes and 0-2 extra outer sets (possibly empty, which
+    the reference skips): value bit-equal, gradient within 1e-12."""
+    model, params, split, extras = meta_problem(
+        seed, d, c, n_train, n_test, extra_sizes
+    )
+    fastpath.enable()
+    before = fastpath.stats().fused_dispatches
+    g_fast, v_fast = meta_gradient(
+        model, params, split, alpha, extra_test_sets=extras
+    )
+    assert fastpath.stats().fused_dispatches == before + 1
+    with fastpath.disabled():
+        g_ref, v_ref = meta_gradient(
+            model, params, split, alpha, extra_test_sets=extras
+        )
+    assert v_fast == v_ref
+    assert_within_tolerance(g_fast, g_ref)
 
 
 # ----------------------------------------------------------------------
