@@ -158,6 +158,14 @@ def _build_executor(args: argparse.Namespace) -> Optional[Executor]:
     return None
 
 
+def _build_fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
+    """Parse ``--faults``/``--faults-seed``; ``ValueError`` on a bad spec."""
+    spec = getattr(args, "faults", None)
+    if spec is None:
+        return None
+    return FaultPlan.from_spec(spec, seed=getattr(args, "faults_seed", 0))
+
+
 def _build_engine_options(
     args: argparse.Namespace,
 ) -> Optional[EngineOptions]:
@@ -167,12 +175,9 @@ def _build_engine_options(
     resume = getattr(args, "resume", False)
     if faults_spec is None and checkpoint is None and not resume:
         return None
-    plan = None
+    plan = _build_fault_plan(args)
     resilience = None
-    if faults_spec is not None:
-        plan = FaultPlan.from_spec(
-            faults_spec, seed=getattr(args, "faults_seed", 0)
-        )
+    if plan is not None:
         resilience = ResiliencePolicy(
             round_timeout_s=getattr(args, "round_timeout", None),
             min_participants=getattr(args, "min_participants", 1),
@@ -188,6 +193,7 @@ def _build_engine_options(
 def _build_trainer(
     args: argparse.Namespace,
     model: Model,
+    engine_options: Optional[EngineOptions],
     telemetry: Optional[Telemetry] = None,
     executor: Optional[Executor] = None,
 ):
@@ -196,7 +202,7 @@ def _build_trainer(
     common = dict(
         telemetry=telemetry,
         executor=executor,
-        engine_options=_build_engine_options(args),
+        engine_options=engine_options,
     )
     if args.algorithm == "fedml":
         return FedML(
@@ -297,6 +303,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    try:
+        engine_options = _build_engine_options(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     federated = _build_dataset(args)
     model = _build_model(args, federated)
     sources, targets = federated.split_sources_targets(
@@ -304,7 +315,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     telemetry = _build_telemetry(args)
     executor = _build_executor(args)
-    trainer = _build_trainer(args, model, telemetry, executor)
+    trainer = _build_trainer(args, model, engine_options, telemetry, executor)
 
     from .autodiff import fastpath
 
@@ -403,6 +414,11 @@ def _cmd_fleet_sim(args: argparse.Namespace) -> int:
     )
     from .nn import LogisticRegression
 
+    try:
+        plan = _build_fault_plan(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     shards = SyntheticShardFactory(seed=args.seed)
     model = LogisticRegression(shards.input_dim, shards.num_classes)
     if args.algorithm == "fedavg":
@@ -423,9 +439,6 @@ def _cmd_fleet_sim(args: argparse.Namespace) -> int:
                 k=shards.k, eval_every=args.eval_every, seed=args.seed,
             ),
         )
-    plan = None
-    if args.faults is not None:
-        plan = FaultPlan.from_spec(args.faults, seed=args.faults_seed)
     config = FleetConfig(
         fleet_size=args.fleet_size,
         sampled_per_round=args.sampled,
@@ -664,7 +677,9 @@ def _determinism_run(
         executor = ParallelExecutor(max_workers=getattr(args, "workers", None))
     elif executor_kind == "vectorized":
         executor = VectorizedExecutor()
-    trainer = _build_trainer(run_args, model, telemetry, executor)
+    trainer = _build_trainer(
+        run_args, model, _build_engine_options(run_args), telemetry, executor
+    )
     if plant is not None:
         if not hasattr(trainer, "strategy"):
             raise ValueError(

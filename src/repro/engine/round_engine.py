@@ -21,7 +21,8 @@ Faults and resilience
 ---------------------
 With :class:`EngineOptions` the engine additionally survives injected and
 real failures.  A seeded :class:`~repro.faults.plan.FaultPlan` decides —
-as a pure function of ``(plan seed, block, node)`` — which nodes crash,
+per ``(block, node)`` cell, as a pure function of
+``(plan seed, schedule, kind, block, node)`` — which nodes crash,
 which updates are dropped/corrupted/delayed, and which executor workers
 fail flakily; a :class:`~repro.faults.policy.ResiliencePolicy` decides how
 the engine degrades (bounded retry with simulated backoff, round timeout
@@ -180,7 +181,7 @@ class RoundEngine:
         total = cfg.total_iterations
         num_blocks = (total + cfg.t0 - 1) // cfg.t0
         if injector is not None:
-            injector.begin([n.node_id for n in nodes], num_blocks)
+            injector.begin([n.node_id for n in nodes])
 
         history = RunLogger(
             name=name,
@@ -315,7 +316,7 @@ class RoundEngine:
                     checkpoint_path, strategy, nodes, rng, history,
                     injector, t, aggregations,
                 )
-            if injector is not None and injector.kill_scheduled(block):
+            if injector is not None and injector.plan.killed_after(block):
                 raise RunInterrupted(t, block, checkpoint_path)
         # The loop only evaluates on the eval_every cadence, so when the run
         # ends between evaluation points (rounds % eval_every != 0) the last

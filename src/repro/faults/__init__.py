@@ -3,7 +3,8 @@
 The paper's operating regime is *edge* deployment — unreliable devices and
 links are the norm, not the exception.  This package makes that regime
 testable: a seeded :class:`FaultPlan` composes schedules of node crashes,
-lost/corrupted/delayed updates and flaky executor workers; a
+lost/corrupted/delayed updates and flaky executor workers, and decides
+each ``(block, node)`` cell for the engine and the fleet alike; a
 :class:`ResiliencePolicy` tells the round engine how to absorb them
 (bounded retry, straggler timeout, NaN quarantine, participant floor); and
 the :class:`FaultInjector` wires the two into
@@ -17,7 +18,6 @@ across executors and across checkpoint/resume boundaries.  See
 from .injector import FaultInjector, RunInterrupted
 from .plan import (
     FAULT_KINDS,
-    CompiledPlan,
     CorruptSchedule,
     CrashSchedule,
     DelaySchedule,
@@ -33,7 +33,6 @@ from .policy import FaultToleranceError, ResiliencePolicy
 
 __all__ = [
     "FAULT_KINDS",
-    "CompiledPlan",
     "CorruptSchedule",
     "CrashSchedule",
     "DelaySchedule",

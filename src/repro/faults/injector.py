@@ -1,9 +1,9 @@
 """The engine's single integration point with the fault subsystem.
 
-A :class:`FaultInjector` binds a compiled :class:`~repro.faults.plan.FaultPlan`
-to a :class:`~repro.faults.policy.ResiliencePolicy` and a telemetry
-collector.  The :class:`~repro.engine.round_engine.RoundEngine` consults it
-at two points per block:
+A :class:`FaultInjector` binds a :class:`~repro.faults.plan.FaultPlan` to a
+:class:`~repro.faults.policy.ResiliencePolicy` and a telemetry collector.
+The :class:`~repro.engine.round_engine.RoundEngine` consults it at two
+points per block:
 
 1. **before local steps** — which nodes are crashed (skip their block) and
    which workers fail flakily (charge bounded retries, or fail the block
@@ -14,10 +14,11 @@ at two points per block:
    which are quarantined for non-finite values; and how the
    minimum-participant floor backfills the survivor set.
 
-Every decision is a pure function of ``(plan seed, block, node)`` — the
-injector never looks at wall-clock time or execution order, which is what
-keeps faulty runs bit-identical across serial and parallel executors and
-across checkpoint/resume boundaries.
+The plan makes every fault decision, each a pure function of
+``(plan seed, schedule, kind, block, node)``; the injector only applies the
+engine's policy to them.  It never looks at wall-clock time or execution
+order, which is what keeps faulty runs bit-identical across serial and
+parallel executors and across checkpoint/resume boundaries.
 """
 
 from __future__ import annotations
@@ -26,16 +27,28 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..autodiff import Tensor
 from ..federated.node import EdgeNode
-from ..nn.parameters import Params
-from ..obs.telemetry import Telemetry, resolve
-from ..utils.rng import RngFactory
+from ..obs.telemetry import NullTelemetry, Telemetry, resolve
 from ..utils.serialization import payload_bytes
-from .plan import CompiledPlan, FaultEvent, FaultPlan
+from .plan import FaultPlan
 from .policy import FaultToleranceError, ResiliencePolicy
 
-__all__ = ["FaultInjector", "RunInterrupted"]
+__all__ = ["FaultInjector", "RunInterrupted", "record_fault"]
+
+
+def record_fault(
+    telemetry: "Telemetry | NullTelemetry", kind: str, block: int, node: int
+) -> None:
+    """Count one injected fault and log it on the event stream.
+
+    The engine and the fleet both report through here, so one plan leaves
+    the same ``fl_faults_total{kind}`` and ``fault_injected`` trail on
+    either path.
+    """
+    telemetry.counter("fl_faults_total", kind=kind).inc()
+    telemetry.events.emit(
+        "fault_injected", fault=kind, block=block, node=node, count=1
+    )
 
 
 class RunInterrupted(RuntimeError):
@@ -70,40 +83,34 @@ class FaultInjector:
         self.plan = plan if plan is not None else FaultPlan.none()
         self.policy = policy if policy is not None else ResiliencePolicy()
         self._tel = resolve(telemetry)
-        # empty until begin(); compiling the real plan here would reject
-        # explicit events that target nodes we have not been told about yet
-        self._compiled: CompiledPlan = FaultPlan.none().compile([], 0)
-        self._rngs = RngFactory(self.plan.seed)
+        self._node_ids: Tuple[int, ...] = ()
         #: simulated run clock (seconds) accumulated over blocks
         self.sim_clock_s = 0.0
 
     # -- lifecycle ------------------------------------------------------
-    def begin(self, node_ids: Sequence[int], num_blocks: int) -> None:
-        """Compile the plan for this run and pre-register the counters."""
-        self._compiled = self.plan.compile(node_ids, num_blocks)
+    def begin(self, node_ids: Sequence[int]) -> None:
+        """Bind the run's node ids and pre-register the counters.
+
+        Raises ``ValueError`` if an explicit event targets a node outside
+        ``node_ids`` — such an event could never fire.
+        """
+        self._node_ids = tuple(sorted(node_ids))
+        unknown = {
+            event.node_id
+            for event in self.plan.explicit_events()
+            if event.kind != "kill"
+        }.difference(node_ids)
+        if unknown:
+            raise ValueError(
+                f"fault event targets unknown node {min(unknown)}"
+            )
         for kind in ("crash", "drop", "corrupt", "delay", "flaky"):
             self._tel.counter("fl_faults_total", kind=kind)
         self._tel.counter("fl_retries_total")
         self._tel.counter("fl_quarantined_total")
         self._tel.counter("fl_stragglers_dropped_total")
 
-    # -- counters (shared with the engine's real-failure path) ----------
-    def record_fault(
-        self,
-        kind: str,
-        amount: int = 1,
-        *,
-        block: Optional[int] = None,
-        node: Optional[int] = None,
-    ) -> None:
-        """Count one fault; with block context, log it on the event stream."""
-        self._tel.counter("fl_faults_total", kind=kind).inc(amount)
-        if block is not None:
-            self._tel.events.emit(
-                "fault_injected", fault=kind, block=block, node=node,
-                count=amount,
-            )
-
+    # -- retries (shared with the engine's real-failure path) -----------
     def record_retry(
         self,
         amount: int = 1,
@@ -120,9 +127,11 @@ class FaultInjector:
     # -- before local steps ---------------------------------------------
     def crashed(self, block: int) -> Set[int]:
         """Node ids down for this block (counted once per node-block)."""
-        downed = self._compiled.crashed_nodes(block)
-        for node_id in sorted(downed):
-            self.record_fault("crash", block=block, node=node_id)
+        downed: Set[int] = set()
+        for node_id in self._node_ids:
+            if self.plan.crashed(block, node_id):
+                record_fault(self._tel, "crash", block, node_id)
+                downed.add(node_id)
         return downed
 
     def simulate_flaky(
@@ -137,10 +146,10 @@ class FaultInjector:
         failed: Set[int] = set()
         backoff: Dict[int, float] = {}
         for node_id in sorted(node_ids):
-            fail_times = self._compiled.flaky.get((block, node_id), 0)
+            fail_times = self.plan.flaky_failures(block, node_id)
             if fail_times == 0:
                 continue
-            self.record_fault("flaky", block=block, node=node_id)
+            record_fault(self._tel, "flaky", block, node_id)
             retries = min(fail_times, self.policy.max_retries)
             if retries:
                 self.record_retry(retries, block=block, node=node_id)
@@ -150,9 +159,6 @@ class FaultInjector:
             if fail_times > self.policy.max_retries:
                 failed.add(node_id)
         return failed, backoff
-
-    def kill_scheduled(self, block: int) -> bool:
-        return block in self._compiled.kills
 
     # -- between local steps and aggregation ----------------------------
     def filter_updates(
@@ -173,24 +179,25 @@ class FaultInjector:
         available: List[EdgeNode] = []
         dropped: List[EdgeNode] = []
         stale = [n for n in selected if n.node_id in stale_ids]
+        plan = self.plan
         for node in selected:
-            if node.node_id in stale_ids:
+            node_id = node.node_id
+            if node_id in stale_ids:
                 continue
-            key = (block, node.node_id)
-            if key in self._compiled.drops:
-                self.record_fault("drop", block=block, node=node.node_id)
+            if plan.dropped(block, node_id):
+                record_fault(self._tel, "drop", block, node_id)
                 dropped.append(node)
                 continue
-            corrupt = self._compiled.corrupts.get(key)
+            corrupt = plan.corruption(block, node_id)
             if corrupt is not None and node.params is not None:
-                node.params = self._corrupt_params(
-                    node.params, corrupt, block, node.node_id
+                node.params = plan.corrupt_params(
+                    node.params, corrupt, block, node_id
                 )
-                self.record_fault("corrupt", block=block, node=node.node_id)
-            plan_delay = self._compiled.delays.get(key, 0.0)
+                record_fault(self._tel, "corrupt", block, node_id)
+            plan_delay = plan.delay_s(block, node_id)
             if plan_delay:
-                self.record_fault("delay", block=block, node=node.node_id)
-                delays[node.node_id] = delays.get(node.node_id, 0.0) + plan_delay
+                record_fault(self._tel, "delay", block, node_id)
+                delays[node_id] = delays.get(node_id, 0.0) + plan_delay
             available.append(node)
 
         kept, stragglers = self._apply_timeout(available, delays, steps)
@@ -209,24 +216,6 @@ class FaultInjector:
         return kept
 
     # ------------------------------------------------------------------
-    def _corrupt_params(
-        self, params: Params, event: FaultEvent, block: int, node_id: int
-    ) -> Params:
-        """Return a corrupted copy of ``params`` (never mutated in place)."""
-        rng = self._rngs.stream("corrupt", block, node_id)
-        out: Params = {}
-        for name in sorted(params):
-            data = np.array(params[name].data, dtype=np.float64, copy=True)
-            if event.mode == "scale":
-                data *= event.scale
-            elif event.fraction >= 1.0:
-                data[...] = np.nan
-            else:
-                mask = rng.random(data.shape) < event.fraction
-                data[mask] = np.nan
-            out[name] = Tensor(data)
-        return out
-
     def _block_time_s(
         self, node: EdgeNode, delays: Dict[int, float], steps: int
     ) -> float:

@@ -1,16 +1,26 @@
 """Deterministic fault plans: *what* goes wrong, *when*, to *whom*.
 
-A :class:`FaultPlan` composes schedules — each one a small generator of
-:class:`FaultEvent` records keyed by ``(block, node)`` — and compiles them
-against a concrete run (node ids + block count) into fast lookup tables the
-:class:`~repro.faults.injector.FaultInjector` consults every block.
+A :class:`FaultPlan` composes validated schedules and is the one fault
+interpreter: it answers every decision for a ``(block, node)`` cell
+directly — :meth:`~FaultPlan.crashed`, :meth:`~FaultPlan.dropped`,
+:meth:`~FaultPlan.delay_s`, :meth:`~FaultPlan.corruption`,
+:meth:`~FaultPlan.flaky_failures` — plus the run-wide
+:meth:`~FaultPlan.killed_after`.  The engine's
+:class:`~repro.faults.injector.FaultInjector` and the
+:class:`~repro.federated.fleet.FleetSimulator` ask the same methods (a fleet
+*round* is an engine *block*), so one plan yields the same faults on both
+paths; each path keeps its own policy for absorbing them.
 
-Everything is derived from the plan's seed through named
-:mod:`repro.utils.rng` streams, so the same ``(seed, schedules)`` pair
-always produces the same faults regardless of executor, worker count, or
-whether the run was resumed from a checkpoint mid-way.  That determinism is
-the subsystem's headline guarantee: a faulty run is as bit-reproducible as
-a clean one.
+Every stochastic decision is one draw from its own named
+:mod:`repro.utils.rng` stream
+``(plan seed, "fleet-fault", schedule index, kind, block, node)``, so it is a
+pure function of the plan seed and the cell — never of execution order,
+the node set, the run length, or the other schedules.  Same
+``(seed, schedules)`` ⇒ same faults, regardless of executor, worker count,
+or whether the run was resumed from a checkpoint mid-way; adding a node or
+appending a schedule leaves every other cell's faults unchanged.  That
+determinism is the subsystem's headline guarantee: a faulty run is as
+bit-reproducible as a clean one.
 
 Fault kinds
 -----------
@@ -38,16 +48,23 @@ Fault kinds
     that boundary is written — by raising
     :class:`~repro.faults.injector.RunInterrupted`.  Used to prove
     kill-and-resume bit-exactness.
+
+Explicit events compose with the stochastic schedules: delays on one cell
+add up, flaky failure counts take the maximum, and when several sources
+corrupt one cell the first corrupt schedule in plan order wins, then the
+first explicit event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..utils.rng import RngFactory
+from ..autodiff import Tensor
+from ..nn.parameters import Params
+from ..utils.rng import spawn
 
 __all__ = [
     "FaultEvent",
@@ -59,12 +76,38 @@ __all__ = [
     "FlakyWorkerSchedule",
     "KillSchedule",
     "ExplicitSchedule",
-    "CompiledPlan",
     "FaultPlan",
     "FAULT_KINDS",
 ]
 
 FAULT_KINDS = ("crash", "drop", "corrupt", "delay", "flaky", "kill")
+
+
+def _validate(
+    *,
+    rate: float = 0.0,
+    block: int = 0,
+    duration: int = 1,
+    mode: str = "nan",
+    fraction: float = 1.0,
+    delay_s: float = 0.0,
+    fail_times: int = 1,
+) -> None:
+    """Reject out-of-range fault parameters when a schedule or event is built."""
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError("rate must be in [0, 1]")
+    if block < 0:
+        raise ValueError("block must be non-negative")
+    if duration < 1:
+        raise ValueError("duration must be >= 1")
+    if mode not in ("nan", "scale"):
+        raise ValueError(f"unknown corruption mode '{mode}'")
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError("fraction must be in (0, 1]")
+    if delay_s < 0:
+        raise ValueError("delay_s must be non-negative")
+    if fail_times < 1:
+        raise ValueError("fail_times must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -84,57 +127,20 @@ class FaultEvent:
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind '{self.kind}'")
-        if self.block < 0:
-            raise ValueError("block must be non-negative")
-        if self.duration < 1:
-            raise ValueError("duration must be >= 1")
-        if self.mode not in ("nan", "scale"):
-            raise ValueError(f"unknown corruption mode '{self.mode}'")
-        if not 0.0 < self.fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-        if self.delay_s < 0:
-            raise ValueError("delay_s must be non-negative")
-        if self.fail_times < 1:
-            raise ValueError("fail_times must be >= 1")
+        _validate(
+            block=self.block,
+            duration=self.duration,
+            mode=self.mode,
+            fraction=self.fraction,
+            delay_s=self.delay_s,
+            fail_times=self.fail_times,
+        )
 
 
 class FaultSchedule:
-    """Base class: a deterministic generator of fault events."""
+    """Base class of the validated schedules a :class:`FaultPlan` composes."""
 
     kind: str = "?"
-
-    def events(
-        self,
-        node_ids: Sequence[int],
-        num_blocks: int,
-        rng: np.random.Generator,
-    ) -> List[FaultEvent]:
-        raise NotImplementedError
-
-
-def _bernoulli_cells(
-    node_ids: Sequence[int],
-    num_blocks: int,
-    rate: float,
-    rng: np.random.Generator,
-) -> List[Tuple[int, int]]:
-    """i.i.d. ``(block, node_id)`` cells hit with probability ``rate``.
-
-    Draws are made in a fixed (block-major, node-order) sequence so the hit
-    set depends only on the stream, not on container ordering.
-    """
-    hits: List[Tuple[int, int]] = []
-    for block in range(num_blocks):
-        for node_id in node_ids:
-            if rng.random() < rate:
-                hits.append((block, node_id))
-    return hits
-
-
-def _check_rate(rate: float) -> float:
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("rate must be in [0, 1]")
-    return rate
 
 
 @dataclass(frozen=True)
@@ -145,19 +151,8 @@ class CrashSchedule(FaultSchedule):
     duration: int = 1
     kind: str = field(default="crash", init=False)
 
-    def events(
-        self,
-        node_ids: Sequence[int],
-        num_blocks: int,
-        rng: np.random.Generator,
-    ) -> List[FaultEvent]:
-        _check_rate(self.rate)
-        return [
-            FaultEvent("crash", block, node_id, duration=self.duration)
-            for block, node_id in _bernoulli_cells(
-                node_ids, num_blocks, self.rate, rng
-            )
-        ]
+    def __post_init__(self) -> None:
+        _validate(rate=self.rate, duration=self.duration)
 
 
 @dataclass(frozen=True)
@@ -167,19 +162,8 @@ class DropSchedule(FaultSchedule):
     rate: float
     kind: str = field(default="drop", init=False)
 
-    def events(
-        self,
-        node_ids: Sequence[int],
-        num_blocks: int,
-        rng: np.random.Generator,
-    ) -> List[FaultEvent]:
-        _check_rate(self.rate)
-        return [
-            FaultEvent("drop", block, node_id)
-            for block, node_id in _bernoulli_cells(
-                node_ids, num_blocks, self.rate, rng
-            )
-        ]
+    def __post_init__(self) -> None:
+        _validate(rate=self.rate)
 
 
 @dataclass(frozen=True)
@@ -192,26 +176,8 @@ class CorruptSchedule(FaultSchedule):
     scale: float = 10.0
     kind: str = field(default="corrupt", init=False)
 
-    def events(
-        self,
-        node_ids: Sequence[int],
-        num_blocks: int,
-        rng: np.random.Generator,
-    ) -> List[FaultEvent]:
-        _check_rate(self.rate)
-        return [
-            FaultEvent(
-                "corrupt",
-                block,
-                node_id,
-                mode=self.mode,
-                fraction=self.fraction,
-                scale=self.scale,
-            )
-            for block, node_id in _bernoulli_cells(
-                node_ids, num_blocks, self.rate, rng
-            )
-        ]
+    def __post_init__(self) -> None:
+        _validate(rate=self.rate, mode=self.mode, fraction=self.fraction)
 
 
 @dataclass(frozen=True)
@@ -222,19 +188,8 @@ class DelaySchedule(FaultSchedule):
     delay_s: float = 1.0
     kind: str = field(default="delay", init=False)
 
-    def events(
-        self,
-        node_ids: Sequence[int],
-        num_blocks: int,
-        rng: np.random.Generator,
-    ) -> List[FaultEvent]:
-        _check_rate(self.rate)
-        return [
-            FaultEvent("delay", block, node_id, delay_s=self.delay_s)
-            for block, node_id in _bernoulli_cells(
-                node_ids, num_blocks, self.rate, rng
-            )
-        ]
+    def __post_init__(self) -> None:
+        _validate(rate=self.rate, delay_s=self.delay_s)
 
 
 @dataclass(frozen=True)
@@ -245,19 +200,8 @@ class FlakyWorkerSchedule(FaultSchedule):
     fail_times: int = 1
     kind: str = field(default="flaky", init=False)
 
-    def events(
-        self,
-        node_ids: Sequence[int],
-        num_blocks: int,
-        rng: np.random.Generator,
-    ) -> List[FaultEvent]:
-        _check_rate(self.rate)
-        return [
-            FaultEvent("flaky", block, node_id, fail_times=self.fail_times)
-            for block, node_id in _bernoulli_cells(
-                node_ids, num_blocks, self.rate, rng
-            )
-        ]
+    def __post_init__(self) -> None:
+        _validate(rate=self.rate, fail_times=self.fail_times)
 
 
 @dataclass(frozen=True)
@@ -267,15 +211,8 @@ class KillSchedule(FaultSchedule):
     block: int
     kind: str = field(default="kill", init=False)
 
-    def events(
-        self,
-        node_ids: Sequence[int],
-        num_blocks: int,
-        rng: np.random.Generator,
-    ) -> List[FaultEvent]:
-        if self.block < 0:
-            raise ValueError("block must be non-negative")
-        return [FaultEvent("kill", self.block)]
+    def __post_init__(self) -> None:
+        _validate(block=self.block)
 
 
 @dataclass(frozen=True)
@@ -285,115 +222,173 @@ class ExplicitSchedule(FaultSchedule):
     fault_events: Tuple[FaultEvent, ...]
     kind: str = field(default="explicit", init=False)
 
-    def events(
-        self,
-        node_ids: Sequence[int],
-        num_blocks: int,
-        rng: np.random.Generator,
-    ) -> List[FaultEvent]:
-        return list(self.fault_events)
 
-
-@dataclass(frozen=True)
-class CompiledPlan:
-    """A plan resolved against one run's node ids and block count."""
-
-    crashes: Dict[int, Set[int]]  # node_id -> blocks the node is down
-    drops: Set[Tuple[int, int]]  # (block, node_id)
-    corrupts: Dict[Tuple[int, int], FaultEvent]
-    delays: Dict[Tuple[int, int], float]
-    flaky: Dict[Tuple[int, int], int]  # (block, node_id) -> fail count
-    kills: Set[int]  # blocks after which the run dies
-
-    @property
-    def empty(self) -> bool:
-        return not (
-            self.crashes
-            or self.drops
-            or self.corrupts
-            or self.delays
-            or self.flaky
-            or self.kills
-        )
-
-    def crashed_nodes(self, block: int) -> Set[int]:
-        return {
-            node_id
-            for node_id, blocks in self.crashes.items()
-            if block in blocks
-        }
-
-
-_EMPTY_COMPILED = CompiledPlan(
-    crashes={}, drops=set(), corrupts={}, delays={}, flaky={}, kills=set()
+_SCHEDULE_TYPES = (
+    CrashSchedule,
+    DropSchedule,
+    CorruptSchedule,
+    DelaySchedule,
+    FlakyWorkerSchedule,
+    KillSchedule,
+    ExplicitSchedule,
 )
 
 
 class FaultPlan:
-    """A seeded, composable collection of fault schedules."""
+    """A seeded, composable collection of fault schedules.
+
+    The plan is also their only interpreter: the decision methods below
+    answer one ``(block, node)`` cell at a time in O(schedules), so no
+    path ever tabulates faults over its whole node set or run length.
+    """
 
     def __init__(
         self, schedules: Sequence[FaultSchedule] = (), seed: int = 0
     ) -> None:
         self.schedules: Tuple[FaultSchedule, ...] = tuple(schedules)
         self.seed = int(seed)
+        for schedule in self.schedules:
+            if not isinstance(schedule, _SCHEDULE_TYPES):
+                raise TypeError(
+                    f"{type(schedule).__name__} is not a fault schedule"
+                )
+        #: (plan index, schedule) pairs; the index keys each stream
+        self._indexed = tuple(enumerate(self.schedules))
+        self._kills: Set[int] = {
+            s.block for s in self.schedules if isinstance(s, KillSchedule)
+        }
+        #: explicit events by (kind, block, node), in plan order; a crash
+        #: is filed under every block of its window
+        self._explicit: Dict[Tuple[str, int, int], List[FaultEvent]] = {}
+        for event in self.explicit_events():
+            if event.kind == "kill":
+                self._kills.add(event.block)
+                continue
+            span = event.duration if event.kind == "crash" else 1
+            for block in range(event.block, event.block + span):
+                key = (event.kind, block, event.node_id)
+                self._explicit.setdefault(key, []).append(event)
 
     @classmethod
     def none(cls, seed: int = 0) -> "FaultPlan":
         """The empty plan: the subsystem active, no faults injected."""
         return cls((), seed=seed)
 
-    def compile(
-        self, node_ids: Sequence[int], num_blocks: int
-    ) -> CompiledPlan:
-        """Resolve schedules into lookup tables for one concrete run.
+    # -- per-cell decisions ---------------------------------------------
+    def _hit(
+        self, index: int, kind: str, block: int, node: int, rate: float
+    ) -> bool:
+        # The "fleet-" prefix is historical: the fleet derived its faults
+        # from these keys first, and keeping them keeps its runs
+        # bit-identical.
+        rng = spawn(self.seed, "fleet-fault", index, kind, block, node)
+        return bool(rng.random() < rate)
 
-        Each schedule draws from its own named stream
-        ``(seed, "faults", index, kind)``, so adding a schedule never
-        perturbs the events of the ones before it.
+    def crashed(self, block: int, node: int) -> bool:
+        """Down this block: a crash started within its ``duration`` window."""
+        for index, schedule in self._indexed:
+            if isinstance(schedule, CrashSchedule) and any(
+                self._hit(index, "crash", start, node, schedule.rate)
+                for start in range(
+                    max(0, block - schedule.duration + 1), block + 1
+                )
+            ):
+                return True
+        return ("crash", block, node) in self._explicit
+
+    def dropped(self, block: int, node: int) -> bool:
+        """The node's update for this block is lost in transit."""
+        for index, schedule in self._indexed:
+            if isinstance(schedule, DropSchedule) and self._hit(
+                index, "drop", block, node, schedule.rate
+            ):
+                return True
+        return ("drop", block, node) in self._explicit
+
+    def delay_s(self, block: int, node: int) -> float:
+        """Extra simulated delivery seconds: every hit adds its delay."""
+        total = 0.0
+        for index, schedule in self._indexed:
+            if isinstance(schedule, DelaySchedule) and self._hit(
+                index, "delay", block, node, schedule.rate
+            ):
+                total += schedule.delay_s
+        for event in self._explicit.get(("delay", block, node), ()):
+            total += event.delay_s
+        return total
+
+    def corruption(self, block: int, node: int) -> Optional[FaultEvent]:
+        """How the node's update is damaged this block, or ``None``.
+
+        The first corrupt schedule in plan order that hits wins; explicit
+        events (first listed first) apply only when no schedule hits.
         """
-        if not self.schedules:
-            return _EMPTY_COMPILED
-        factory = RngFactory(self.seed)
-        crashes: Dict[int, Set[int]] = {}
-        drops: Set[Tuple[int, int]] = set()
-        corrupts: Dict[Tuple[int, int], FaultEvent] = {}
-        delays: Dict[Tuple[int, int], float] = {}
-        flaky: Dict[Tuple[int, int], int] = {}
-        kills: Set[int] = set()
-        node_order = sorted(node_ids)
-        for index, schedule in enumerate(self.schedules):
-            rng = factory.stream("faults", index, schedule.kind)
-            for event in schedule.events(node_order, num_blocks, rng):
-                if event.kind == "kill":
-                    kills.add(event.block)
-                    continue
-                if event.node_id not in node_order:
-                    raise ValueError(
-                        f"fault event targets unknown node {event.node_id}"
-                    )
-                key = (event.block, event.node_id)
-                if event.kind == "crash":
-                    window = crashes.setdefault(event.node_id, set())
-                    window.update(
-                        range(event.block, event.block + event.duration)
-                    )
-                elif event.kind == "drop":
-                    drops.add(key)
-                elif event.kind == "corrupt":
-                    corrupts[key] = event
-                elif event.kind == "delay":
-                    delays[key] = delays.get(key, 0.0) + event.delay_s
-                elif event.kind == "flaky":
-                    flaky[key] = max(flaky.get(key, 0), event.fail_times)
-        return CompiledPlan(
-            crashes=crashes,
-            drops=drops,
-            corrupts=corrupts,
-            delays=delays,
-            flaky=flaky,
-            kills=kills,
+        for index, schedule in self._indexed:
+            if isinstance(schedule, CorruptSchedule) and self._hit(
+                index, "corrupt", block, node, schedule.rate
+            ):
+                return FaultEvent(
+                    "corrupt",
+                    block,
+                    node,
+                    mode=schedule.mode,
+                    fraction=schedule.fraction,
+                    scale=schedule.scale,
+                )
+        explicit = self._explicit.get(("corrupt", block, node))
+        return explicit[0] if explicit else None
+
+    def flaky_failures(self, block: int, node: int) -> int:
+        """Worker failures before the node's block succeeds (0: not flaky).
+
+        Overlapping flaky sources take the largest failure count.
+        """
+        failures = [
+            schedule.fail_times
+            for index, schedule in self._indexed
+            if isinstance(schedule, FlakyWorkerSchedule)
+            and self._hit(index, "flaky", block, node, schedule.rate)
+        ]
+        failures.extend(
+            event.fail_times
+            for event in self._explicit.get(("flaky", block, node), ())
         )
+        return max(failures, default=0)
+
+    def killed_after(self, block: int) -> bool:
+        """The run dies at the end of this block."""
+        return block in self._kills
+
+    def explicit_events(self) -> Tuple[FaultEvent, ...]:
+        """Every event of the plan's explicit schedules, in plan order."""
+        return tuple(
+            event
+            for schedule in self.schedules
+            if isinstance(schedule, ExplicitSchedule)
+            for event in schedule.fault_events
+        )
+
+    def corrupt_params(
+        self, params: Params, event: FaultEvent, block: int, node: int
+    ) -> Params:
+        """A copy of ``params`` damaged as ``event`` says (never in place).
+
+        A partial NaN mask draws from ``(plan seed, "fleet-corrupt", block,
+        node)``, so the damage is as reproducible as the decision.
+        """
+        rng = spawn(self.seed, "fleet-corrupt", block, node)
+        out: Params = {}
+        for name in sorted(params):
+            data = np.array(params[name].data, dtype=np.float64, copy=True)
+            if event.mode == "scale":
+                data *= event.scale
+            elif event.fraction >= 1.0:
+                data[...] = np.nan
+            else:
+                mask = rng.random(data.shape) < event.fraction
+                data[mask] = np.nan
+            out[name] = Tensor(data)
+        return out
 
     # ------------------------------------------------------------------
     #: spec keys accepted per kind, mapped onto schedule constructor args

@@ -11,7 +11,6 @@ from .fleet import (
     BufferedAggregator,
     BufferEntry,
     FleetConfig,
-    FleetFaults,
     FleetRegistry,
     FleetResult,
     FleetSimulator,
@@ -52,7 +51,6 @@ __all__ = [
     "BufferedAggregator",
     "BufferEntry",
     "FleetConfig",
-    "FleetFaults",
     "FleetRegistry",
     "FleetResult",
     "FleetSimulator",

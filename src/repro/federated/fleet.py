@@ -45,11 +45,13 @@ hundred participate per round.  This module serves that regime:
     mode, which is exactly that — reduces **bit-for-bit** to FedAvg's
     weighted mean over the same sample sequence.
 
-Faults ride along through :class:`FleetFaults`, a pure-function
-interpretation of the existing :class:`~repro.faults.plan.FaultPlan`
-(``plan.compile`` would materialize O(fleet × rounds) tables; the fleet
-path re-derives each decision from ``(plan seed, schedule, round, node)``
-at O(1) per sampled node).  Checkpoints round-trip the global model, the
+Faults ride along through the same :class:`~repro.faults.plan.FaultPlan`
+methods the engine asks, so one plan yields the same faults on both paths:
+each decision is a pure function of ``(plan seed, schedule, kind, round,
+node)`` at O(1) per sampled node, never a table over the fleet.  The fleet
+applies its own policy to them: crashed nodes are never dispatched,
+delays count against the round timeout, NaN updates are quarantined
+before the buffer.  Checkpoints round-trip the global model, the
 pending event queue, and the aggregation buffer — including the base
 models stale entries are anchored to — so kill-and-resume is bit-equal to
 an uninterrupted run.  All of it is proven by the property/chaos layer in
@@ -61,23 +63,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..autodiff import Tensor
 from ..data.dataset import Dataset, NodeSplit
-from ..faults.injector import RunInterrupted
-from ..faults.plan import (
-    CrashSchedule,
-    DelaySchedule,
-    DropSchedule,
-    CorruptSchedule,
-    ExplicitSchedule,
-    FaultEvent,
-    FaultPlan,
-    KillSchedule,
-)
+from ..faults.injector import RunInterrupted, record_fault
+from ..faults.plan import FaultPlan
 from ..nn.parameters import Params, detach, weighted_average
 from ..obs.telemetry import Telemetry, resolve
 from ..utils.checkpoint import load_checkpoint, save_checkpoint
@@ -96,7 +89,6 @@ __all__ = [
     "SyntheticShardFactory",
     "BufferEntry",
     "BufferedAggregator",
-    "FleetFaults",
     "FleetSimulator",
 ]
 
@@ -400,166 +392,6 @@ class _VersionStore:
 
 
 # ----------------------------------------------------------------------
-# Pure-function fault interpretation over the id space
-# ----------------------------------------------------------------------
-class FleetFaults:
-    """Interpret a :class:`FaultPlan` lazily, per ``(round, node)``.
-
-    ``plan.compile`` draws one Bernoulli cell per ``(block, node)`` pair up
-    front — O(fleet × rounds) work and memory, unusable at 10⁶ nodes.
-    Here every decision is re-derived on demand from
-    ``(plan seed, schedule index, kind, round, node)`` named streams: the
-    same determinism guarantee (a pure function of the plan seed, never of
-    execution order), at O(1) cost per sampled node.  The concrete fault
-    realizations differ from the eager engine path for the same plan —
-    the *schedule semantics* (rates, durations, kill blocks) carry over.
-
-    Supported kinds: ``crash``, ``drop``, ``delay``, ``corrupt``, ``kill``
-    plus :class:`ExplicitSchedule` fixtures.  ``flaky`` targets executor
-    workers, which the fleet path does not have — it is rejected loudly.
-    """
-
-    def __init__(
-        self,
-        plan: Optional[FaultPlan],
-        telemetry: Optional[Telemetry] = None,
-    ) -> None:
-        self.plan = plan if plan is not None else FaultPlan.none()
-        self._tel = resolve(telemetry)
-        self._rates: List[Tuple[int, Any]] = []
-        self._kills: set[int] = set()
-        self._explicit: Dict[Tuple[str, int, int], FaultEvent] = {}
-        for index, schedule in enumerate(self.plan.schedules):
-            if isinstance(schedule, KillSchedule):
-                self._kills.add(schedule.block)
-            elif isinstance(schedule, ExplicitSchedule):
-                for event in schedule.fault_events:
-                    if event.kind == "kill":
-                        self._kills.add(event.block)
-                    else:
-                        key = (event.kind, event.block, event.node_id)
-                        self._explicit[key] = event
-            elif isinstance(
-                schedule,
-                (CrashSchedule, DropSchedule, DelaySchedule, CorruptSchedule),
-            ):
-                self._rates.append((index, schedule))
-            else:
-                raise ValueError(
-                    f"{type(schedule).__name__} is not supported on the "
-                    "fleet path (no executor workers to be flaky)"
-                )
-
-    def _hit(
-        self, index: int, kind: str, round_index: int, node_id: int,
-        rate: float,
-    ) -> bool:
-        rng = spawn(
-            self.plan.seed, "fleet-fault", index, kind, round_index, node_id
-        )
-        return bool(rng.random() < rate)
-
-    def _record(self, kind: str, round_index: int, node_id: int) -> None:
-        self._tel.counter("fl_faults_total", kind=kind).inc()
-        self._tel.events.emit(
-            "fault_injected", fault=kind, block=round_index, node=node_id,
-            count=1,
-        )
-
-    def crashed(self, round_index: int, node_id: int) -> bool:
-        """Down this round: hit by a crash whose duration window covers it."""
-        for index, schedule in self._rates:
-            if not isinstance(schedule, CrashSchedule):
-                continue
-            for start in range(
-                max(0, round_index - schedule.duration + 1), round_index + 1
-            ):
-                if self._hit(index, "crash", start, node_id, schedule.rate):
-                    self._record("crash", round_index, node_id)
-                    return True
-        event = self._explicit.get(("crash", round_index, node_id))
-        if event is None:
-            for (kind, block, nid), ev in self._explicit.items():
-                if (
-                    kind == "crash"
-                    and nid == node_id
-                    and block <= round_index < block + ev.duration
-                ):
-                    event = ev
-                    break
-        if event is not None:
-            self._record("crash", round_index, node_id)
-            return True
-        return False
-
-    def dropped(self, round_index: int, node_id: int) -> bool:
-        for index, schedule in self._rates:
-            if isinstance(schedule, DropSchedule) and self._hit(
-                index, "drop", round_index, node_id, schedule.rate
-            ):
-                self._record("drop", round_index, node_id)
-                return True
-        if ("drop", round_index, node_id) in self._explicit:
-            self._record("drop", round_index, node_id)
-            return True
-        return False
-
-    def delay_s(self, round_index: int, node_id: int) -> float:
-        total = 0.0
-        for index, schedule in self._rates:
-            if isinstance(schedule, DelaySchedule) and self._hit(
-                index, "delay", round_index, node_id, schedule.rate
-            ):
-                total += schedule.delay_s
-        explicit = self._explicit.get(("delay", round_index, node_id))
-        if explicit is not None:
-            total += explicit.delay_s
-        if total > 0.0:
-            self._record("delay", round_index, node_id)
-        return total
-
-    def corruption(
-        self, round_index: int, node_id: int
-    ) -> Optional[FaultEvent]:
-        for index, schedule in self._rates:
-            if isinstance(schedule, CorruptSchedule) and self._hit(
-                index, "corrupt", round_index, node_id, schedule.rate
-            ):
-                return FaultEvent(
-                    "corrupt",
-                    round_index,
-                    node_id,
-                    mode=schedule.mode,
-                    fraction=schedule.fraction,
-                    scale=schedule.scale,
-                )
-        return self._explicit.get(("corrupt", round_index, node_id))
-
-    def corrupt_params(
-        self, params: Params, event: FaultEvent, round_index: int,
-        node_id: int,
-    ) -> Params:
-        """Seeded corruption copy (mirrors the injector's semantics)."""
-        self._record("corrupt", round_index, node_id)
-        rng = spawn(self.plan.seed, "fleet-corrupt", round_index, node_id)
-        out: Params = {}
-        for name in sorted(params):
-            data = np.array(params[name].data, dtype=np.float64, copy=True)
-            if event.mode == "scale":
-                data *= event.scale
-            elif event.fraction >= 1.0:
-                data[...] = np.nan
-            else:
-                mask = rng.random(data.shape) < event.fraction
-                data[mask] = np.nan
-            out[name] = Tensor(data)
-        return out
-
-    def kill_after(self, round_index: int) -> bool:
-        return round_index in self._kills
-
-
-# ----------------------------------------------------------------------
 # The simulator
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -656,7 +488,24 @@ class FleetSimulator:
         )
         self.sampler = IdSpaceSampler(config.sampled_per_round, config.seed)
         self.comm_log = CommunicationLog(link=config.link)
-        self.faults = FleetFaults(faults, telemetry=telemetry)
+        self.faults = faults if faults is not None else FaultPlan.none()
+        explicit = self.faults.explicit_events()
+        kinds = {s.kind for s in self.faults.schedules}
+        if "flaky" in kinds.union(e.kind for e in explicit):
+            raise ValueError(
+                "flaky faults are not supported on the fleet path "
+                "(no executor workers to be flaky)"
+            )
+        outside = [
+            e.node_id
+            for e in explicit
+            if e.kind != "kill" and not 0 <= e.node_id < config.fleet_size
+        ]
+        if outside:
+            raise ValueError(
+                f"fault event targets node {min(outside)} outside fleet "
+                f"[0, {config.fleet_size})"
+            )
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = int(checkpoint_every)
         self.buffer = BufferedAggregator(
@@ -721,7 +570,7 @@ class FleetSimulator:
             blocks=int(cfg.rounds),
             executor="FleetSimulator",
             resumed=bool(resume),
-            policy=self.faults.plan.describe(),
+            policy=self.faults.describe(),
         )
         sampled_total = tel.counter("fl_fleet_sampled_total")
         staleness_hist = tel.histogram(
@@ -747,7 +596,7 @@ class FleetSimulator:
                 and (round_index + 1) % self.checkpoint_every == 0
             ):
                 self._save(round_index, history)
-            if self.faults.kill_after(round_index):
+            if self.faults.killed_after(round_index):
                 raise RunInterrupted(
                     round_index + 1, round_index, self.checkpoint_path
                 )
@@ -795,19 +644,27 @@ class FleetSimulator:
         )
         payload = payload_bytes(self.params)
         heap = self._pending
+        faults = self.faults
         for node_id in ids:
-            if self.faults.crashed(round_index, node_id):
+            if faults.crashed(round_index, node_id):
+                record_fault(tel, "crash", round_index, node_id)
                 continue  # unreachable: no sync, no dispatch, no bytes
             self.comm_log.charge_download(round_index + 1, node_id, payload)
+            delay = faults.delay_s(round_index, node_id)
+            if delay > 0.0:
+                record_fault(tel, "delay", round_index, node_id)
             duration = (
                 cfg.local_steps * self._seconds_per_step(node_id)
                 + cfg.link.upload_time(payload)
-                + self.faults.delay_s(round_index, node_id)
+                + delay
             )
+            dropped = faults.dropped(round_index, node_id)
+            if dropped:
+                record_fault(tel, "drop", round_index, node_id)
             info = {
                 "round": round_index,
                 "version": self.server_version,
-                "dropped": self.faults.dropped(round_index, node_id),
+                "dropped": dropped,
             }
             events.emit(
                 "fleet_dispatch",
@@ -861,11 +718,12 @@ class FleetSimulator:
                 self._versions.release(base_version)
                 continue
             update = self._train_node(info["round"], node_id, base_version)
-            corrupt = self.faults.corruption(info["round"], node_id)
+            corrupt = faults.corruption(info["round"], node_id)
             if corrupt is not None:
-                update = self.faults.corrupt_params(
+                update = faults.corrupt_params(
                     update, corrupt, info["round"], node_id
                 )
+                record_fault(tel, "corrupt", info["round"], node_id)
             self.comm_log.charge_upload(
                 info["round"] + 1, node_id, payload_bytes(update)
             )

@@ -31,8 +31,9 @@ drops the two buffer-footprint fields of the retired compiled backward.
 The engine and the fault subsystem treat :class:`EventLog` as their single
 event bus: the :class:`~repro.engine.round_engine.RoundEngine` emits the
 run/round lifecycle, executors emit per-node results and errors, and the
-:class:`~repro.faults.injector.FaultInjector` emits every fault decision —
-all through ``telemetry.events``, which is a shared no-op when telemetry
+:class:`~repro.faults.injector.FaultInjector` (and the fleet simulator,
+through the same :func:`~repro.faults.injector.record_fault`) emits every
+fault decision — all through ``telemetry.events``, which is a shared no-op when telemetry
 is off.
 """
 

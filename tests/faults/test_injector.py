@@ -38,7 +38,7 @@ def make_node(node_id, value=1.0):
 def make_injector(events, policy=None, telemetry=None, num_nodes=4):
     plan = FaultPlan([ExplicitSchedule(tuple(events))])
     injector = FaultInjector(plan, policy=policy, telemetry=telemetry)
-    injector.begin(list(range(num_nodes)), num_blocks=8)
+    injector.begin(list(range(num_nodes)))
     return injector
 
 
@@ -79,12 +79,11 @@ class TestCrashAndKill:
         assert counter.value == 2
 
     def test_kill_scheduled(self):
-        injector = make_injector([], num_nodes=2)
-        injector._compiled = FaultPlan([KillSchedule(block=3)]).compile(
-            [0, 1], 8
-        )
-        assert not injector.kill_scheduled(2)
-        assert injector.kill_scheduled(3)
+        injector = FaultInjector(FaultPlan([KillSchedule(block=3)]))
+        injector.begin([0, 1])
+        assert not injector.plan.killed_after(2)
+        assert injector.plan.killed_after(3)
+        assert injector.crashed(3) == set()
 
 
 class TestFlaky:
@@ -140,6 +139,21 @@ class TestFilterUpdates:
         assert np.isnan(nodes[1].params["w"].data).all()
         assert tel.registry.get("fl_quarantined_total").value == 1
         assert tel.registry.get("fl_faults_total", kind="corrupt").value == 1
+
+    def test_corrupt_schedule_takes_precedence_over_explicit(self):
+        plan = FaultPlan(
+            [
+                CorruptSchedule(rate=1.0, mode="scale", scale=2.0),
+                ExplicitSchedule((FaultEvent("corrupt", 0, 1, mode="nan"),)),
+            ]
+        )
+        injector = FaultInjector(plan)
+        injector.begin([0, 1])
+        nodes = [make_node(i) for i in range(2)]
+        kept = injector.filter_updates(0, nodes, set(), steps=1)
+        # the schedule's scaling wins over the later explicit NaN event
+        assert [n.node_id for n in kept] == [0, 1]
+        np.testing.assert_allclose(nodes[1].params["w"].data, 2.0)
 
     def test_partial_nan_fraction_poisons_some_entries(self):
         injector = make_injector(

@@ -13,12 +13,16 @@ import pytest
 from repro.analysis.determinism import install_ledger, uninstall_ledger
 from repro.core.fedavg import FedAvgConfig
 from repro.engine.strategies import SgdStrategy
-from repro.faults.plan import FaultPlan, FlakyWorkerSchedule
+from repro.faults.plan import (
+    ExplicitSchedule,
+    FaultEvent,
+    FaultPlan,
+    FlakyWorkerSchedule,
+)
 from repro.federated.fleet import (
     BufferedAggregator,
     BufferEntry,
     FleetConfig,
-    FleetFaults,
     FleetRegistry,
     FleetSimulator,
     SyntheticShardFactory,
@@ -50,7 +54,7 @@ def make_strategy(seed=0, lr=0.05, local_steps=2, rounds=5):
 
 
 def run_fleet(seed=0, fleet=1000, sampled=16, rounds=3, local_steps=2,
-              **kwargs):
+              faults=None, **kwargs):
     strategy = make_strategy(seed=seed, local_steps=local_steps,
                              rounds=rounds)
     config = FleetConfig(
@@ -62,7 +66,8 @@ def run_fleet(seed=0, fleet=1000, sampled=16, rounds=3, local_steps=2,
         **kwargs,
     )
     sim = FleetSimulator(
-        strategy, config, shards=SyntheticShardFactory(seed=seed)
+        strategy, config, shards=SyntheticShardFactory(seed=seed),
+        faults=faults,
     )
     return sim.run(), sim
 
@@ -209,27 +214,53 @@ class TestBufferedAggregator:
         assert stats[0]["discount"] == pytest.approx(1.0 / 3.0)
 
 
+def explicit(*events):
+    return FaultPlan([ExplicitSchedule(tuple(events))])
+
+
 class TestFleetFaults:
+    """The fleet asks the same FaultPlan decisions as the engine and
+    rejects, when built, what it cannot honour."""
+
     def test_flaky_schedules_rejected_on_fleet_path(self):
-        plan = FaultPlan([FlakyWorkerSchedule(rate=0.5)], seed=0)
-        with pytest.raises(ValueError, match="flaky|Flaky"):
-            FleetFaults(plan)
+        for plan in (
+            FaultPlan([FlakyWorkerSchedule(rate=0.5)], seed=0),
+            explicit(FaultEvent("flaky", 0, 1, fail_times=2)),
+        ):
+            with pytest.raises(ValueError, match="flaky"):
+                run_fleet(fleet=4, sampled=4, rounds=1, faults=plan)
+
+    def test_explicit_event_outside_fleet_rejected(self):
+        for node in (4, -1):
+            with pytest.raises(ValueError, match="outside fleet"):
+                run_fleet(
+                    fleet=4, sampled=4, rounds=1,
+                    faults=explicit(FaultEvent("drop", 0, node)),
+                )
+
+    def test_explicit_delays_on_one_cell_sum(self):
+        def clock(*delays):
+            plan = explicit(
+                *(FaultEvent("delay", 0, 1, delay_s=d) for d in delays)
+            )
+            result, _ = run_fleet(fleet=4, sampled=4, rounds=1, faults=plan)
+            return result.sim_clock_s
+
+        assert clock(20.0, 20.0) == clock(40.0) > clock(20.0)
 
     def test_decisions_are_pure_functions_of_plan(self):
-        plan = FaultPlan.from_spec("crash:rate=0.5;drop:rate=0.5", seed=9)
-        first = FleetFaults(plan)
-        second = FleetFaults(plan)
+        first = FaultPlan.from_spec("crash:rate=0.5;drop:rate=0.5", seed=9)
+        second = FaultPlan.from_spec("crash:rate=0.5;drop:rate=0.5", seed=9)
         for node in range(50):
             assert first.crashed(2, node) == second.crashed(2, node)
             assert first.dropped(2, node) == second.dropped(2, node)
 
     def test_crash_duration_covers_window(self):
         plan = FaultPlan.from_spec("crash:rate=1.0,duration=3", seed=0)
-        faults = FleetFaults(plan)
         # rate=1 ⇒ every (round, node) starts a crash, so any round in a
         # window is down; the point here is that the window check runs.
-        assert faults.crashed(0, 1)
-        assert faults.crashed(2, 1)
+        assert plan.crashed(0, 1)
+        assert plan.crashed(2, 1)
 
 
 class TestFleetSimulator:

@@ -110,3 +110,28 @@ class TestFleetSimCommand:
         assert main(argv + ["--resume"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["rounds"] == 4
+
+
+class TestFaultSpecValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--nodes", "5", "--iterations", "5"],
+            [
+                "fleet-sim", "--fleet-size", "1000", "--sampled", "8",
+                "--rounds", "2",
+            ],
+        ],
+    )
+    def test_out_of_range_rate_exits_before_training(
+        self, argv, monkeypatch, capsys
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("repro.engine.RoundEngine.fit", no_training)
+        monkeypatch.setattr(
+            "repro.federated.fleet.FleetSimulator.run", no_training
+        )
+        assert main(argv + ["--faults", "drop:rate=1.5"]) == 2
+        assert "rate must be in [0, 1]" in capsys.readouterr().err
