@@ -14,6 +14,14 @@ within the kernel's tolerance of the reference,
 ``|g - g_ref|_inf <= 1e-12 * |g_ref|_inf`` (``within_tolerance``), and the
 largest such ratio is recorded as ``max_rel_err``.
 
+The stacked leg times one exact step of the vectorized executor on the
+``fedml_sent140_vec`` shapes (24 nodes, the Sent140 embedding MLP, 5-shot
+train and 27-sample test batches) with the closed-form kernel
+``repro.nn.batched.batched_meta_gradient`` and with the stacked tape, over
+a short training trajectory.  Per node, every tensor must be within
+``1e-12`` of that node's largest tape gradient entry
+(``stacked_within_tolerance``; worst ratio in ``stacked_max_rel_err``).
+
 Standalone mode writes the CI artifact ``BENCH_autodiff.json``::
 
     PYTHONPATH=src python benchmarks/bench_autodiff_fastpath.py \
@@ -26,10 +34,18 @@ import time
 
 import numpy as np
 
-from repro.autodiff import fastpath
+from repro.autodiff import Tensor, fastpath
+from repro.core import FedMLConfig
 from repro.core.maml import meta_gradient
-from repro.data import SyntheticConfig, generate_synthetic
-from repro.nn import LogisticRegression
+from repro.data import (
+    Sent140LikeConfig,
+    SyntheticConfig,
+    generate_sent140_like,
+    generate_synthetic,
+)
+from repro.engine import MetaStrategy
+from repro.nn import EmbeddingClassifier, LogisticRegression
+from repro.nn.batched import batched_meta_gradient, stack_params
 from repro.nn.parameters import require_grad
 
 #: relative tolerance of the exact meta-gradient kernel (docs/AUTODIFF.md)
@@ -77,6 +93,78 @@ def max_relative_error(fast, ref):
     )
 
 
+def build_stacked_workload(nodes=24, k=5, samples=32):
+    """The ``fedml_sent140_vec`` block: stacked θ and train/test batches."""
+    fed = generate_sent140_like(
+        Sent140LikeConfig(num_nodes=nodes, min_samples=samples, seed=1)
+    )
+    model = EmbeddingClassifier(
+        vocab_size=fed.metadata["vocab_size"], embed_dim=16,
+        seq_len=fed.metadata["seq_len"], hidden_dims=(32, 16),
+        num_classes=2, batch_norm=True, embedding_seed=0,
+    )
+    splits = [node.subset(range(samples)).split(k) for node in fed.nodes]
+    train = (
+        np.stack([tr.x for tr, _ in splits]),
+        np.stack([tr.y for tr, _ in splits]),
+    )
+    test = (
+        np.stack([te.x for _, te in splits]),
+        np.stack([te.y for _, te in splits]),
+    )
+    rng = np.random.default_rng(0)
+    stacked = stack_params([model.init(rng) for _ in range(nodes)])
+    return model, stacked, train, test
+
+
+def node_relative_error(fast, ref):
+    """Largest ``|g - g_ref|_inf`` over tensors, per node scaled by that
+    node's largest reference entry (biases feeding BN are exactly zero)."""
+    nodes = next(iter(ref.values())).shape[0]
+    worst = 0.0
+    for i in range(nodes):
+        scale = max(np.max(np.abs(r.data[i])) for r in ref.values())
+        for name, r in ref.items():
+            err = np.max(np.abs(fast[name].data[i] - r.data[i]))
+            worst = max(worst, float(err / scale))
+    return worst
+
+
+def run_stacked_comparison(steps=20, alpha=0.05, beta=0.05):
+    """Kernel vs stacked tape along a ``steps``-step training trajectory."""
+    model, stacked, train, test = build_stacked_workload()
+    strategy = MetaStrategy(model, FedMLConfig(alpha=alpha, beta=beta))
+    names = sorted(stacked)
+    kernel = batched_meta_gradient(model, train, test, alpha)
+    assert kernel is not None
+    # Warm-up outside the timed region (the tape's first backward builds
+    # its plan).
+    kernel(stacked)
+    strategy._stacked_tape_gradient(stacked, names, train, test)
+    kernel_s = tape_s = 0.0
+    worst = 0.0
+    for _ in range(steps):
+        start = time.perf_counter()
+        fast = kernel(stacked)
+        kernel_s += time.perf_counter() - start
+        start = time.perf_counter()
+        ref = strategy._stacked_tape_gradient(stacked, names, train, test)
+        tape_s += time.perf_counter() - start
+        worst = max(worst, node_relative_error(fast, ref))
+        stacked = {
+            name: Tensor(stacked[name].data - beta * fast[name].data)
+            for name in names
+        }
+    return {
+        "stacked_steps": steps,
+        "stacked_kernel_ms": 1e3 * kernel_s / steps,
+        "stacked_tape_ms": 1e3 * tape_s / steps,
+        "stacked_speedup": tape_s / kernel_s,
+        "stacked_within_tolerance": bool(worst <= REL_TOL),
+        "stacked_max_rel_err": worst,
+    }
+
+
 def run_comparison(nodes=8, k=5, repeats=30, alpha=0.01):
     """Time the meta-gradient sweep with the fast path on and off."""
     model, splits, params = build_workload(nodes=nodes, k=k)
@@ -95,6 +183,7 @@ def run_comparison(nodes=8, k=5, repeats=30, alpha=0.01):
         ref_s, ref_grads = sweep(model, splits, params, alpha, repeats)
     max_rel_err = max_relative_error(fast_grads, ref_grads)
 
+    stacked = run_stacked_comparison()
     return {
         "nodes": nodes,
         "k_shot": k,
@@ -108,6 +197,7 @@ def run_comparison(nodes=8, k=5, repeats=30, alpha=0.01):
         "within_tolerance": bool(max_rel_err <= REL_TOL),
         "max_rel_err": max_rel_err,
         "fastpath_stats": stats,
+        **stacked,
     }
 
 
@@ -118,6 +208,10 @@ def test_ablation_autodiff_fastpath(benchmark):
     )
     assert result["within_tolerance"], (
         f"fastpath diverged from reference: {result['max_rel_err']:.3g}"
+    )
+    assert result["stacked_within_tolerance"], (
+        f"stacked kernel diverged from the tape: "
+        f"{result['stacked_max_rel_err']:.3g}"
     )
     assert result["fastpath_stats"]["fused_dispatches"] > 0
     assert result["speedup"] > 1.0, (
@@ -142,9 +236,15 @@ def main():
         f"fastpath {result['fastpath_calls_per_sec']:.1f}/s "
         f"({result['speedup']:.2f}x, "
         f"max_rel_err={result['max_rel_err']:.3g}, "
-        f"within_tolerance={result['within_tolerance']}) -> {args.out}"
+        f"within_tolerance={result['within_tolerance']}); "
+        f"stacked step: tape {result['stacked_tape_ms']:.2f} ms, "
+        f"kernel {result['stacked_kernel_ms']:.2f} ms "
+        f"({result['stacked_speedup']:.2f}x, "
+        f"max_rel_err={result['stacked_max_rel_err']:.3g}, "
+        f"within_tolerance={result['stacked_within_tolerance']}) -> {args.out}"
     )
-    return 0 if result["within_tolerance"] else 1
+    ok = result["within_tolerance"] and result["stacked_within_tolerance"]
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -42,6 +42,7 @@ from ..attacks.wasserstein import wasserstein_ascent
 from ..data.dataset import Dataset, FederatedDataset, NodeSplit
 from ..federated.node import EdgeNode, build_nodes
 from ..nn.batched import (
+    batched_meta_gradient,
     batched_model_loss,
     stack_params,
     supports_batched_loss,
@@ -510,53 +511,74 @@ class MetaStrategy(LocalStrategy):
         test_y = np.stack([np.asarray(n.split.test.y) for n in nodes])
         stacked = stack_params([node.params for node in nodes])
         names = sorted(stacked)
-        create_graph = not cfg.first_order
+        # Exact one-step MAML takes the closed-form kernel (its inputs are
+        # hoisted out of the T0 loop); everything it declines — custom
+        # losses, inner_steps > 1, first_order, --no-fastpath — runs the
+        # stacked tape below.
+        kernel = batched_meta_gradient(
+            self.model, (train_x, train_y), (test_x, test_y), cfg.alpha,
+            self.loss_fn, inner_steps=cfg.inner_steps,
+            first_order=cfg.first_order,
+        )
         for _ in range(steps):
-            theta = require_grad(stacked)
-            tensors = [theta[n] for n in names]
-            # Inner adaptation (eq. 3): the node-axis fused loss carries
-            # differentiable closure VJPs (AD210-212 audited), so the
-            # exact second-order graph survives the stacked tape.
-            current: Params = theta
-            for _ in range(cfg.inner_steps):
-                inner_vec = batched_model_loss(
-                    self.model, current, train_x, train_y
+            if kernel is not None:
+                gradient = kernel(stacked)
+            else:
+                gradient = self._stacked_tape_gradient(
+                    stacked, names, (train_x, train_y), (test_x, test_y)
                 )
-                inner_grads = grad(
-                    ops.sum_(inner_vec),
-                    [current[n] for n in names],
-                    create_graph=create_graph,
-                    allow_unused=True,
-                )
-                current = {
-                    name: (
-                        current[name]
-                        if g is None
-                        else current[name] - cfg.alpha * g
-                    )
-                    for name, g in zip(names, inner_grads)
-                }
-            outer_vec = batched_model_loss(self.model, current, test_x, test_y)
-            outer_grads = grad(
-                ops.sum_(outer_vec), tensors, allow_unused=True
-            )
             stacked = {
                 name: Tensor(
-                    theta[name].data
-                    + (-cfg.beta)
-                    * (
-                        np.zeros_like(theta[name].data)
-                        if g is None
-                        else g.data
-                    )
+                    stacked[name].data + (-cfg.beta) * gradient[name].data
                 )
-                for name, g in zip(names, outer_grads)
+                for name in names
             }
         for node, tree in zip(nodes, unstack_params(stacked, len(nodes))):
             # Intentional per-node loop: state fan-out and step accounting.
             node.params = tree
             for _ in range(steps):
                 node.record_local_step()
+
+    def _stacked_tape_gradient(
+        self,
+        stacked: Params,
+        names: Sequence[str],
+        train: Tuple[np.ndarray, np.ndarray],
+        test: Tuple[np.ndarray, np.ndarray],
+    ) -> Params:
+        """One stacked meta-gradient through the autodiff tape.
+
+        The inner loss's node-axis ops carry differentiable closure VJPs,
+        so ``create_graph=True`` keeps the exact second-order graph for
+        the outer backward.
+        """
+        cfg = self.config
+        theta = require_grad(stacked)
+        current: Params = theta
+        for _ in range(cfg.inner_steps):
+            inner_vec = batched_model_loss(self.model, current, *train)
+            inner_grads = grad(
+                ops.sum_(inner_vec),
+                [current[n] for n in names],
+                create_graph=not cfg.first_order,
+                allow_unused=True,
+            )
+            current = {
+                name: (
+                    current[name] if g is None else current[name] - cfg.alpha * g
+                )
+                for name, g in zip(names, inner_grads)
+            }
+        outer_vec = batched_model_loss(self.model, current, *test)
+        outer_grads = grad(
+            ops.sum_(outer_vec), [theta[n] for n in names], allow_unused=True
+        )
+        return {
+            name: (
+                Tensor(np.zeros_like(theta[name].data)) if g is None else g
+            )
+            for name, g in zip(names, outer_grads)
+        }
 
     def global_meta_loss(
         self, params: Params, nodes: Sequence[EdgeNode]

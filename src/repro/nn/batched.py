@@ -19,17 +19,34 @@ parameter trees and one stacked tree; ``batched_model_loss`` is the
 node-axis twin of :func:`repro.nn.fused.fused_model_loss` returning a
 ``(N,)`` per-node loss vector; ``supports_batched_loss`` is the
 capability probe strategies use before opting in.
+
+``batched_meta_gradient`` removes the stacked exact-MAML tape (an inner
+``create_graph=True`` graph walked again by the outer backward) for every
+model ``supports_batched_loss`` accepts.  It returns a per-block kernel
+that maps stacked θ to the stacked exact one-step meta-gradient
+``v − α·H v``, with ``H v`` taken forward-over-reverse (Pearlmutter's
+R-op) through the dense layers, batch norm, the activation and
+softmax-xent on raw arrays.  The result is tolerance-equal to the tape,
+per node relative to that node's largest reference gradient entry; the
+bound and its measurements are in the "Stacked meta-gradient kernel"
+section of docs/AUTODIFF.md.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..autodiff import Tensor, fastpath, ops
 from .losses import cross_entropy
-from .modules import EmbeddingClassifier, LogisticRegression, MLP, Model
+from .modules import (
+    EmbeddingClassifier,
+    LogisticRegression,
+    MLP,
+    Model,
+    _as_input_tensor,
+)
 from .parameters import Params
 
 __all__ = [
@@ -37,10 +54,14 @@ __all__ = [
     "unstack_params",
     "batched_one_hot",
     "batched_model_loss",
+    "batched_meta_gradient",
     "supports_batched_loss",
 ]
 
 LossFn = Callable[[Tensor, np.ndarray], Tensor]
+#: one block's kernel: stacked θ tree -> stacked exact meta-gradient tree
+MetaGradientKernel = Callable[[Params], Params]
+Arrays = Dict[str, np.ndarray]
 
 
 def stack_params(params_list: Sequence[Params]) -> Params:
@@ -90,8 +111,12 @@ def batched_one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
+#: batch-norm epsilon, the default of ``modules._batch_norm`` as well
+_BN_EPSILON = 1e-5
+
+
 def _batch_norm_nodes(
-    h: Tensor, gamma: Tensor, beta: Tensor, epsilon: float = 1e-5
+    h: Tensor, gamma: Tensor, beta: Tensor, epsilon: float = _BN_EPSILON
 ) -> Tensor:
     """Node-axis twin of ``modules._batch_norm``: stats over the batch axis."""
     n, _, f = h.shape
@@ -130,11 +155,16 @@ def _embed_nodes(model: EmbeddingClassifier, ids: np.ndarray) -> Tensor:
             f"expected ids of shape (nodes, batch, {model.seq_len}), "
             f"got {ids.shape}"
         )
-    if ids.dtype.kind not in "iu":
-        raise TypeError("token ids must be integers")
     embedded = ops.getitem(model.embedding, ids)  # (N, B, seq, emb)
     n, b = ids.shape[0], ids.shape[1]
     return ops.reshape(embedded, (n, b, model.seq_len * model.embed_dim))
+
+
+def _is_token_ids(x: object) -> bool:
+    """Integer arrays are token ids; float arrays and tensors are features
+    that go straight to the head, the rule ``EmbeddingClassifier.apply``
+    follows (e.g. adversarial inputs that are already embedded)."""
+    return not isinstance(x, Tensor) and np.asarray(x).dtype.kind in "iu"
 
 
 def supports_batched_loss(model: Model, loss_fn: LossFn) -> bool:
@@ -158,17 +188,15 @@ def batched_model_loss(
     y = np.asarray(y)
     targets = Tensor(batched_one_hot(y, model.output_dim))
     if isinstance(model, LogisticRegression):
-        xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
         fastpath.note_fused_dispatch()
         return ops.linear_softmax_xent(
-            xt, stacked["W"], stacked["b"], targets
+            _as_input_tensor(x), stacked["W"], stacked["b"], targets
         )
     if isinstance(model, EmbeddingClassifier):
-        h = _embed_nodes(model, x)
+        h = _embed_nodes(model, x) if _is_token_ids(x) else _as_input_tensor(x)
         logits = _mlp_logits_nodes(model.head, stacked, h)
     elif isinstance(model, MLP):
-        xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-        logits = _mlp_logits_nodes(model, stacked, xt)
+        logits = _mlp_logits_nodes(model, stacked, _as_input_tensor(x))
     else:
         raise TypeError(
             f"batched_model_loss does not support {type(model).__name__}; "
@@ -176,3 +204,354 @@ def batched_model_loss(
         )
     fastpath.note_fused_dispatch()
     return ops.softmax_xent(logits, targets)
+
+
+# ----------------------------------------------------------------------
+# Closed-form exact meta-gradient over the node axis
+# ----------------------------------------------------------------------
+#
+# Notation (per node; every array carries the leading node axis): layer
+# ``l`` maps its input ``a_l`` (``a_0 = X``) to ``z_l = a_l W_l + b_l``;
+# a hidden layer then batch-normalizes (``x̂ = (z − μ)·s``, ``s =
+# (var + ε)^-½``, ``u = x̂ γ + β``; without BN ``u = z``) and activates,
+# ``a_{l+1} = act(u)``; the last ``z`` is the logits.  ``δ`` marks a
+# cotangent of the mean cross-entropy, a dot marks a tangent along the
+# direction ``v`` (Pearlmutter's R-op), so ``H v`` is the tangent of the
+# inner gradient.
+
+
+class _Layer(NamedTuple):
+    """Parameter names of one dense layer."""
+
+    w: str
+    b: str
+    norm: Optional[Tuple[str, str]]  # (gamma, beta) on BN hidden layers
+
+
+def _dense_layers(model: Model) -> Tuple[List[_Layer], str, int]:
+    """The model's dense layers, activation and input width.
+
+    Logistic regression is the case with no hidden layer, so its
+    activation is never applied; an :class:`EmbeddingClassifier` is its
+    head after the frozen lookup."""
+    if isinstance(model, LogisticRegression):
+        return [_Layer("W", "b", None)], "relu", model.input_dim
+    mlp = model.head if isinstance(model, EmbeddingClassifier) else model
+    assert isinstance(mlp, MLP)
+    hidden = len(mlp.hidden_dims)
+    layers = [
+        _Layer(
+            f"W{i}",
+            f"b{i}",
+            (f"gamma{i}", f"beta{i}") if mlp.batch_norm and i < hidden else None,
+        )
+        for i in range(hidden + 1)
+    ]
+    return layers, mlp.activation, mlp.input_dim
+
+
+class _Hidden(NamedTuple):
+    """A hidden layer's forward values at one parameter point."""
+
+    norm: Optional[Tuple[np.ndarray, np.ndarray]]  # (x̂, s) with BN
+    act1: np.ndarray  # act'(u)
+    act2: Optional[np.ndarray]  # act''(u); None where it is zero (ReLU)
+    out: np.ndarray  # a_{l+1} = act(u)
+
+
+class _HiddenBack(NamedTuple):
+    """A hidden layer's cotangents, kept for the tangent of the backward."""
+
+    d_out: np.ndarray  # δa_{l+1}
+    d_u: np.ndarray  # δu
+    norm: Optional[Tuple[np.ndarray, np.ndarray]]  # (δx̂, mean_B(δx̂ ⊙ x̂))
+
+
+def _tmatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-node ``aᵀ b``."""
+    return np.matmul(np.swapaxes(a, 1, 2), b)
+
+
+def _sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the batch axis, kept for broadcasting: ``(N, 1, H)``.
+
+    A ones-row matmul: several times faster than numpy's strided
+    reduction over the middle axis on these shapes."""
+    return np.matmul(np.ones((a.shape[0], 1, a.shape[1])), a)
+
+
+def _mean(a: np.ndarray) -> np.ndarray:
+    """Mean over the batch axis, kept for broadcasting."""
+    return _sum(a) / a.shape[1]
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    e = np.exp(logits - np.max(logits, axis=2, keepdims=True))
+    return e / np.sum(e, axis=2, keepdims=True)
+
+
+def _activate(
+    kind: str, u: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """``act(u)``, ``act'(u)`` and ``act''(u)`` (``None`` for ReLU).
+
+    The ReLU mask is the reference op's ``u > 0``, so kinks agree."""
+    if kind == "relu":
+        mask = (u > 0).astype(np.float64)
+        return u * mask, mask, None
+    t = np.tanh(u)
+    act1 = 1.0 - t * t
+    return t, act1, -2.0 * t * act1
+
+
+def _forward(
+    p: Arrays, layers: Sequence[_Layer], activation: str, z: np.ndarray
+) -> Tuple[List[_Hidden], np.ndarray]:
+    """Hidden values and logits, given the first layer's ``z``."""
+    hidden: List[_Hidden] = []
+    for layer, following in zip(layers, layers[1:]):
+        norm = None
+        u = z
+        if layer.norm is not None:
+            gamma, beta = layer.norm
+            centered = z - _mean(z)
+            inv_std = np.power(_mean(centered * centered) + _BN_EPSILON, -0.5)
+            xhat = centered * inv_std
+            norm = (xhat, inv_std)
+            u = xhat * p[gamma][:, None] + p[beta][:, None]
+        out, act1, act2 = _activate(activation, u)
+        hidden.append(_Hidden(norm, act1, act2, out))
+        z = np.matmul(out, p[following.w]) + p[following.b][:, None]
+    return hidden, z
+
+
+def _backward(
+    p: Arrays,
+    layers: Sequence[_Layer],
+    hidden: Sequence[_Hidden],
+    dz: np.ndarray,
+) -> Tuple[Arrays, List[np.ndarray], List[_HiddenBack]]:
+    """Gradients of every parameter but ``W0``, from the logits cotangent.
+
+    Also returns each layer's ``δz`` (``W0``'s gradient is ``X_inᵀ δz_0``)
+    and the hidden layers' cotangents."""
+    grads: Arrays = {}
+    dzs: List[np.ndarray] = [dz] * len(layers)
+    backs: List[_HiddenBack] = []
+    for i in reversed(range(len(layers))):
+        layer = layers[i]
+        if i < len(hidden):
+            h = hidden[i]
+            d_out = dz
+            dz = d_u = d_out * h.act1
+            norm = None
+            if layer.norm is not None and h.norm is not None:
+                (gamma, beta), (xhat, inv_std) = layer.norm, h.norm
+                grads[gamma] = _sum(d_u * xhat)[:, 0]
+                grads[beta] = _sum(d_u)[:, 0]
+                d_xhat = d_u * p[gamma][:, None]
+                m2 = _mean(d_xhat * xhat)
+                dz = inv_std * (d_xhat - _mean(d_xhat) - xhat * m2)
+                norm = (d_xhat, m2)
+            backs.insert(0, _HiddenBack(d_out, d_u, norm))
+        dzs[i] = dz
+        grads[layer.b] = _sum(dz)[:, 0]
+        if i > 0:
+            grads[layer.w] = _tmatmul(hidden[i - 1].out, dz)
+            dz = np.matmul(dz, np.swapaxes(p[layer.w], 1, 2))
+    return grads, dzs, backs
+
+
+def _hessian_vector(
+    p: Arrays,
+    v: Arrays,
+    layers: Sequence[_Layer],
+    hidden: Sequence[_Hidden],
+    probs: np.ndarray,
+    dzs: Sequence[np.ndarray],
+    backs: Sequence[_HiddenBack],
+    z0_dot: np.ndarray,
+) -> Tuple[Arrays, np.ndarray]:
+    """``H v`` for every parameter but ``W0``, plus ``δż_0``.
+
+    The tangent of the inner forward along ``v`` (``z0_dot`` is the first
+    layer's ``ż``), then the tangent of its backward: the R-op through the
+    dense layers, batch norm with batch statistics, the activation and
+    softmax-xent."""
+    z_dot = z0_dot
+    out_dots: List[np.ndarray] = []
+    tangents: List[Tuple[np.ndarray, Optional[Tuple[np.ndarray, np.ndarray]]]] = []
+    for i, layer in enumerate(layers):
+        if i > 0:
+            z_dot = (
+                np.matmul(out_dots[-1], p[layer.w])
+                + np.matmul(hidden[i - 1].out, v[layer.w])
+                + v[layer.b][:, None]
+            )
+        if i == len(hidden):
+            break
+        h = hidden[i]
+        u_dot, norm_dot = z_dot, None
+        if layer.norm is not None and h.norm is not None:
+            (gamma, beta), (xhat, inv_std) = layer.norm, h.norm
+            centered_dot = z_dot - _mean(z_dot)
+            # ṡ = −s·κ, with κ = s·mean_B(x̂ ⊙ ċ)
+            kappa = inv_std * _mean(xhat * centered_dot)
+            xhat_dot = inv_std * centered_dot - xhat * kappa
+            u_dot = (
+                xhat_dot * p[gamma][:, None]
+                + xhat * v[gamma][:, None]
+                + v[beta][:, None]
+            )
+            norm_dot = (xhat_dot, kappa)
+        out_dots.append(h.act1 * u_dot)
+        tangents.append((u_dot, norm_dot))
+
+    pd = probs * z_dot
+    dz_dot = (pd - probs * np.sum(pd, axis=2, keepdims=True)) / probs.shape[1]
+    hv: Arrays = {}
+    for i in reversed(range(len(layers))):
+        layer = layers[i]
+        if i < len(hidden):
+            h, back = hidden[i], backs[i]
+            u_dot, norm_dot = tangents[i]
+            dz_dot = dz_dot * h.act1
+            if h.act2 is not None:
+                dz_dot = dz_dot + back.d_out * h.act2 * u_dot
+            if (
+                layer.norm is not None
+                and h.norm is not None
+                and back.norm is not None
+                and norm_dot is not None
+            ):
+                (gamma, beta), (xhat, inv_std) = layer.norm, h.norm
+                (d_xhat, m2), (xhat_dot, kappa) = back.norm, norm_dot
+                hv[gamma] = _sum(dz_dot * xhat + back.d_u * xhat_dot)[:, 0]
+                hv[beta] = _sum(dz_dot)[:, 0]
+                dxhat_dot = (
+                    dz_dot * p[gamma][:, None] + back.d_u * v[gamma][:, None]
+                )
+                m2_dot = _mean(dxhat_dot * xhat + d_xhat * xhat_dot)
+                dz_dot = inv_std * (
+                    dxhat_dot - _mean(dxhat_dot) - xhat_dot * m2 - xhat * m2_dot
+                ) - kappa * dzs[i]
+        hv[layer.b] = _sum(dz_dot)[:, 0]
+        if i > 0:
+            hv[layer.w] = _tmatmul(hidden[i - 1].out, dz_dot) + _tmatmul(
+                out_dots[i - 1], dzs[i]
+            )
+            dz_dot = np.matmul(dz_dot, np.swapaxes(p[layer.w], 1, 2)) + (
+                np.matmul(dzs[i], np.swapaxes(v[layer.w], 1, 2))
+            )
+    return hv, dz_dot
+
+
+def _features(model: Model, x: np.ndarray, dim: int) -> Optional[np.ndarray]:
+    """``(N, B, dim)`` first-layer inputs, or ``None`` if the shapes are off.
+
+    Token ids are looked up once per block; float features go straight to
+    the head, as in :func:`batched_model_loss`."""
+    if isinstance(model, EmbeddingClassifier) and _is_token_ids(x):
+        ids = np.asarray(x)
+        if ids.ndim != 3 or ids.shape[2] != model.seq_len:
+            return None
+        return model.embedding.data[ids].reshape(ids.shape[0], ids.shape[1], dim)
+    features = _as_input_tensor(x).data
+    if features.ndim != 3 or features.shape[2] != dim:
+        return None
+    return features
+
+
+def batched_meta_gradient(
+    model: Model,
+    train: Tuple[np.ndarray, np.ndarray],
+    test: Tuple[np.ndarray, np.ndarray],
+    alpha: float,
+    loss_fn: LossFn = cross_entropy,
+    inner_steps: int = 1,
+    first_order: bool = False,
+) -> Optional[MetaGradientKernel]:
+    """The block's exact one-step MAML meta-gradient kernel, or ``None``.
+
+    ``train`` and ``test`` are the block's stacked ``(x, y)`` batches,
+    fixed for its ``T0`` steps.  The kernel maps a stacked θ tree to the
+    stacked gradient of ``Σ_i L(φ_i; test_i)``, ``φ = θ − α·∇L(θ;
+    train)``: ``v − α·H v`` with ``v`` the outer gradient at ``φ`` and
+    ``H v`` the R-op of the inner gradient along ``v``, all on raw arrays.
+
+    Hoisted out of the step, once per block: the embedded features, the
+    one-hot labels and the first-layer Gram block ``X_out X_inᵀ``.  The
+    first layer is linear in fixed inputs, so no ``W0``-sized temporary is
+    formed: the outer first-layer pre-activation is ``X_out θ_W0 −
+    α (X_out X_inᵀ) δz_0``, the first-layer tangent ``(X_in X_outᵀ)
+    δz_0^out + v_b0``, and ``W0``'s meta-gradient the single matmul
+    ``[X_out; X_in]ᵀ [δz_0^out; −α δż_0]``.
+
+    Returns ``None`` — the caller runs the stacked tape — for a loss other
+    than ``cross_entropy``, ``inner_steps != 1``, ``first_order``, a
+    disabled fast path, a model :func:`supports_batched_loss` rejects, or
+    inputs whose shapes the tape should report.  Each kernel call counts
+    one ``fused_dispatches``.
+    """
+    if (
+        inner_steps != 1
+        or first_order
+        or not fastpath.enabled()
+        or not supports_batched_loss(model, loss_fn)
+    ):
+        return None
+    layers, activation, dim = _dense_layers(model)
+    x_in = _features(model, train[0], dim)
+    x_out = _features(model, test[0], dim)
+    y_in, y_out = np.asarray(train[1]), np.asarray(test[1])
+    if (
+        x_in is None
+        or x_out is None
+        or y_in.shape != x_in.shape[:2]
+        or y_out.shape != (x_in.shape[0], x_out.shape[1])
+    ):
+        return None
+    targets_in = batched_one_hot(y_in, model.output_dim)
+    targets_out = batched_one_hot(y_out, model.output_dim)
+    w0, b0 = layers[0].w, layers[0].b
+    n_out = x_out.shape[1]
+    inputs = np.concatenate([x_out, x_in], axis=1)  # [X_out; X_in]
+    gram = np.matmul(x_out, np.swapaxes(x_in, 1, 2))  # X_out X_inᵀ
+
+    def kernel(stacked: Params) -> Params:
+        fastpath.note_fused_dispatch()
+        theta = {name: t.data for name, t in stacked.items()}
+        z0 = np.matmul(inputs, theta[w0])  # [X_out θ_W0; X_in θ_W0]
+        # Inner step at θ (eq. 3): φ for every parameter but W0.
+        hidden, logits = _forward(
+            theta, layers, activation, z0[:, n_out:] + theta[b0][:, None]
+        )
+        probs = _softmax(logits)
+        grads, dzs, backs = _backward(
+            theta, layers, hidden, (probs - targets_in) / probs.shape[1]
+        )
+        phi = {name: theta[name] - alpha * g for name, g in grads.items()}
+        # Outer gradient v at φ on the test batch.
+        z0_out = z0[:, :n_out] - alpha * np.matmul(gram, dzs[0])
+        hidden_out, logits_out = _forward(
+            phi, layers, activation, z0_out + phi[b0][:, None]
+        )
+        v, dzs_out, _ = _backward(
+            phi, layers, hidden_out,
+            (_softmax(logits_out) - targets_out) / n_out,
+        )
+        hv, dz0_dot = _hessian_vector(
+            theta, v, layers, hidden, probs, dzs, backs,
+            _tmatmul(gram, dzs_out[0]) + v[b0][:, None],
+        )
+        gradient: Params = {
+            name: Tensor(v[name] - alpha * hv[name]) for name in v
+        }
+        gradient[w0] = Tensor(
+            _tmatmul(
+                inputs, np.concatenate([dzs_out[0], -alpha * dz0_dot], axis=1)
+            )
+        )
+        return gradient
+
+    return kernel

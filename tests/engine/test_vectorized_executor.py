@@ -12,6 +12,7 @@ plain serial run.
 import numpy as np
 import pytest
 
+from repro.autodiff import fastpath
 from repro.core import (
     FedAvg,
     FedAvgConfig,
@@ -20,9 +21,17 @@ from repro.core import (
     FedProx,
     FedProxConfig,
 )
-from repro.data import SyntheticConfig, generate_synthetic
+from repro.data import (
+    Dataset,
+    FederatedDataset,
+    Sent140LikeConfig,
+    SyntheticConfig,
+    generate_sent140_like,
+    generate_synthetic,
+)
 from repro.engine import RoundEngine, SerialExecutor, VectorizedExecutor
-from repro.nn import LogisticRegression
+from repro.engine import strategies
+from repro.nn import EmbeddingClassifier, LogisticRegression
 from repro.nn.parameters import to_vector
 
 from .test_executors import NoisyConfig, NoisyStrategy
@@ -175,3 +184,128 @@ class TestTelemetry:
         assert all(r["fallback_nodes"] == 6 for r in blocks)
         assert tel.registry.get("fl_vectorized_nodes_total").value == 0
         assert tel.registry.get("fl_vectorized_fallback_total").value > 0
+
+
+def _sent140_model(vocab_size, seq_len, embed_dim=16, hidden=(32, 16)):
+    return EmbeddingClassifier(
+        vocab_size=vocab_size, embed_dim=embed_dim, seq_len=seq_len,
+        hidden_dims=hidden, num_classes=2, batch_norm=True, embedding_seed=0,
+    )
+
+
+class TestEmbeddedFeatures:
+    """Float features skip the lookup and feed the head, on both executors.
+
+    ``EmbeddingClassifier.apply`` sends float (already-embedded) inputs
+    straight to its MLP head; the stacked loss and the stacked kernel must
+    follow the same rule instead of demanding token ids."""
+
+    @pytest.fixture(scope="class")
+    def embedded(self):
+        rng = np.random.default_rng(5)
+        nodes = [
+            Dataset(rng.normal(size=(12, 6)), rng.integers(0, 2, size=12))
+            for _ in range(4)
+        ]
+        fed = FederatedDataset(name="embedded", nodes=nodes, num_classes=2)
+        model = _sent140_model(vocab_size=20, seq_len=3, embed_dim=2, hidden=(5,))
+        return fed, list(range(4)), model
+
+    @pytest.mark.parametrize(
+        "runner_cls,config",
+        [
+            (FedML, FedMLConfig(t0=2, total_iterations=4, k=3, seed=0)),
+            (FedAvg, FedAvgConfig(t0=2, total_iterations=4, seed=0)),
+        ],
+    )
+    def test_serial_and_vectorized_agree(self, embedded, runner_cls, config):
+        serial = _fit(embedded, runner_cls, config, SerialExecutor())
+        vectorized = _fit(embedded, runner_cls, config, VectorizedExecutor())
+        np.testing.assert_allclose(
+            to_vector(serial.params),
+            to_vector(vectorized.params),
+            rtol=EQUIV_RTOL,
+            atol=EQUIV_ATOL,
+        )
+
+
+class TestSent140Model:
+    """FedML on the benchmark's Sent140 model, where the stacked step takes
+    the closed-form kernel unless the fast path is off."""
+
+    CONFIG = FedMLConfig(
+        alpha=0.05, beta=0.05, t0=3, total_iterations=6, k=5, seed=0
+    )
+
+    @pytest.fixture(scope="class")
+    def sent140(self):
+        fed = generate_sent140_like(
+            Sent140LikeConfig(num_nodes=6, min_samples=16, seed=2)
+        )
+        # Equal node sizes, so every node stacks into one group.
+        fed = FederatedDataset(
+            name=fed.name,
+            nodes=[node.subset(range(16)) for node in fed.nodes],
+            num_classes=fed.num_classes,
+            metadata=fed.metadata,
+        )
+        model = _sent140_model(fed.metadata["vocab_size"], fed.metadata["seq_len"])
+        return fed, list(range(6)), model
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Count blocks the kernel accepted and declined, and its calls."""
+        seen = {"accepted": 0, "declined": 0, "calls": 0}
+        real = strategies.batched_meta_gradient
+
+        def spy(*args, **kwargs):
+            kernel = real(*args, **kwargs)
+            if kernel is None:
+                seen["declined"] += 1
+                return None
+            seen["accepted"] += 1
+
+            def counted(stacked):
+                seen["calls"] += 1
+                return kernel(stacked)
+
+            return counted
+
+        monkeypatch.setattr(strategies, "batched_meta_gradient", spy)
+        return seen
+
+    def test_serial_and_vectorized_agree(self, sent140, monkeypatch):
+        seen = self._spy(monkeypatch)
+        serial = _fit(sent140, FedML, self.CONFIG, SerialExecutor())
+        vectorized = _fit(sent140, FedML, self.CONFIG, VectorizedExecutor())
+        assert seen == {"accepted": 2, "declined": 0, "calls": 6}
+        np.testing.assert_allclose(
+            to_vector(serial.params),
+            to_vector(vectorized.params),
+            rtol=EQUIV_RTOL,
+            atol=EQUIV_ATOL,
+        )
+
+    def test_double_run_bit_identical(self, sent140):
+        first = _fit(sent140, FedML, self.CONFIG, VectorizedExecutor())
+        second = _fit(sent140, FedML, self.CONFIG, VectorizedExecutor())
+        assert (
+            to_vector(first.params).tobytes()
+            == to_vector(second.params).tobytes()
+        )
+        assert first.history.records == second.history.records
+
+    def test_disabled_fastpath_stays_on_the_stacked_tape(
+        self, sent140, monkeypatch
+    ):
+        seen = self._spy(monkeypatch)
+        with fastpath.disabled():
+            taped = _fit(sent140, FedML, self.CONFIG, VectorizedExecutor())
+        assert seen == {"accepted": 0, "declined": 2, "calls": 0}
+        kernel = _fit(sent140, FedML, self.CONFIG, VectorizedExecutor())
+        np.testing.assert_allclose(
+            to_vector(taped.params),
+            to_vector(kernel.params),
+            rtol=EQUIV_RTOL,
+            atol=EQUIV_ATOL,
+        )
