@@ -6,8 +6,8 @@ VJPs run on raw ndarrays (no cotangent graph is built), the traversal plan
 and the logistic-regression hot path uses the fused
 ``linear_softmax_xent`` composite.  The workload is the one the paper's
 FedML algorithm runs — the per-node exact meta-gradient — timed with the
-fast path on vs. fully disabled.  With the fast path on, that call takes
-the closed-form kernel ``repro.nn.fused.fused_meta_gradient``.
+fast path on vs. fully disabled.  With the fast path on, each call builds and
+runs ``repro.nn.batched.batched_meta_gradient`` on a one-node stack.
 
 Correctness is part of the record: every per-node gradient tensor must be
 within the kernel's tolerance of the reference,
@@ -135,7 +135,7 @@ def run_stacked_comparison(steps=20, alpha=0.05, beta=0.05):
     model, stacked, train, test = build_stacked_workload()
     strategy = MetaStrategy(model, FedMLConfig(alpha=alpha, beta=beta))
     names = sorted(stacked)
-    kernel = batched_meta_gradient(model, train, test, alpha)
+    kernel = batched_meta_gradient(model, train, [test], alpha)
     assert kernel is not None
     # Warm-up outside the timed region (the tape's first backward builds
     # its plan).
@@ -145,7 +145,7 @@ def run_stacked_comparison(steps=20, alpha=0.05, beta=0.05):
     worst = 0.0
     for _ in range(steps):
         start = time.perf_counter()
-        fast = kernel(stacked)
+        fast, _ = kernel(stacked)
         kernel_s += time.perf_counter() - start
         start = time.perf_counter()
         ref = strategy._stacked_tape_gradient(stacked, names, train, test)

@@ -22,7 +22,7 @@ the facade splits it back for :class:`MetaSGDResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from ..engine import (
     MetaSgdStrategy,
     RoundEngine,
     RunnerStepAdapter,
-    merge_meta_sgd_trees,
     split_meta_sgd_trees,
 )
 from ..engine.executors import Executor
@@ -86,14 +85,6 @@ class MetaSGDResult:
         return {
             name: Tensor(np.exp(t.data)) for name, t in self.log_alpha.items()
         }
-
-
-def _merge(params: Params, log_alpha: Params) -> Params:
-    return merge_meta_sgd_trees(params, log_alpha)
-
-
-def _split(merged: Params) -> Tuple[Params, Params]:
-    return split_meta_sgd_trees(merged)
 
 
 class FederatedMetaSGD:

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from ..data.dataset import FederatedDataset
 from ..engine import AdversarialStrategy, EngineOptions, RoundEngine, RunnerStepAdapter
 from ..engine.executors import Executor
@@ -138,12 +136,6 @@ class RobustFedML:
         self.strategy = AdversarialStrategy(model, config, loss_fn)
 
     # ------------------------------------------------------------------
-    def _generate_adversarial(
-        self, node: EdgeNode, rng: np.random.Generator
-    ) -> None:
-        """Algorithm 2, lines 15–21: grow ``D_i^adv`` by |D_i^test| samples."""
-        self.strategy.generate_adversarial(node, rng)
-
     def local_step(self, node: EdgeNode) -> float:
         """Local robust meta-update (eq. 13 + eq. 14)."""
         return self.strategy.local_step(node)

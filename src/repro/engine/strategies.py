@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..attacks.fgsm import fgsm
-from ..autodiff import Tensor, grad, ops
+from ..autodiff import Tensor, fastpath, grad, ops
 from ..attacks.wasserstein import wasserstein_ascent
 from ..data.dataset import Dataset, FederatedDataset, NodeSplit
 from ..federated.node import EdgeNode, build_nodes
@@ -52,7 +52,8 @@ from ..nn.fused import fused_model_loss
 from ..nn.losses import cross_entropy
 from ..nn.modules import Model
 from ..nn.parameters import Params, add_scaled, detach, require_grad
-from ..core.maml import LossFn, inner_adapt, meta_gradient, meta_loss
+from ..core.maml import LossFn, MetaGradientFn, inner_adapt, meta_loss
+from ..core.maml import meta_gradient, meta_gradient_fn
 from .evaluation import loss_gradient, node_training_data, weighted_node_average
 
 __all__ = [
@@ -465,23 +466,44 @@ class MetaStrategy(LocalStrategy):
 
     name = "fedml"
     log_uplink = True
+    _transient = ("_held",)
+
+    def _extra_test_sets(self, node: EdgeNode) -> List[Dataset]:
+        """Outer-loss sets beyond the node's test set (default: none)."""
+        return []
+
+    def _meta_gradient_fn(
+        self, node: EdgeNode, extras: Sequence[Dataset]
+    ) -> MetaGradientFn:
+        """The node's meta-gradient function, held across its block.
+
+        One slot, since executors run a node's steps back to back; keyed
+        on the identity of the node and its datasets (held alive by the
+        key) plus the fast-path switch, so it never serves a function
+        built for other data or another fast-path state."""
+        key = (fastpath.enabled(), node, node.split, *extras)
+        held = self.__dict__.get("_held")
+        if held is None or [*map(id, held[0])] != [*map(id, key)]:
+            cfg = self.config
+            fn = meta_gradient_fn(
+                self.model, node.split, cfg.alpha, inner_steps=cfg.inner_steps,
+                loss_fn=self.loss_fn, first_order=cfg.first_order,
+                extra_test_sets=extras,
+            )
+            held = self._held = (key, fn)
+        return held[1]
 
     def local_step(self, node: EdgeNode) -> float:
         """One local meta-update (eq. 3 + eq. 4) on ``node``."""
         assert node.params is not None
-        cfg = self.config
-        gradient, value = meta_gradient(
-            self.model,
-            node.params,
-            node.split,
-            cfg.alpha,
-            inner_steps=cfg.inner_steps,
-            loss_fn=self.loss_fn,
-            first_order=cfg.first_order,
-        )
-        node.params = add_scaled(node.params, gradient, -cfg.beta)
-        node.record_local_step()
+        extras = self._extra_test_sets(node)
+        gradient, value = self._meta_gradient_fn(node, extras)(node.params)
+        node.params = add_scaled(node.params, gradient, -self.config.beta)
+        node.record_local_step(gradient_evals=2 + len(extras))
         return value
+
+    def release_node(self, node: EdgeNode) -> None:
+        self.__dict__.pop("_held", None)
 
     supports_vectorized = True
 
@@ -511,18 +533,16 @@ class MetaStrategy(LocalStrategy):
         test_y = np.stack([np.asarray(n.split.test.y) for n in nodes])
         stacked = stack_params([node.params for node in nodes])
         names = sorted(stacked)
-        # Exact one-step MAML takes the closed-form kernel (its inputs are
-        # hoisted out of the T0 loop); everything it declines — custom
-        # losses, inner_steps > 1, first_order, --no-fastpath — runs the
-        # stacked tape below.
+        # The closed-form kernel, its inputs hoisted out of the T0 loop;
+        # whatever it declines runs the stacked tape below.
         kernel = batched_meta_gradient(
-            self.model, (train_x, train_y), (test_x, test_y), cfg.alpha,
+            self.model, (train_x, train_y), [(test_x, test_y)], cfg.alpha,
             self.loss_fn, inner_steps=cfg.inner_steps,
             first_order=cfg.first_order,
         )
         for _ in range(steps):
             if kernel is not None:
-                gradient = kernel(stacked)
+                gradient, _ = kernel(stacked)
             else:
                 gradient = self._stacked_tape_gradient(
                     stacked, names, (train_x, train_y), (test_x, test_y)
@@ -809,42 +829,24 @@ class AdmlStrategy(MetaStrategy):
     def vectorized_signature(self, node: EdgeNode) -> Optional[Tuple]:
         return None
 
-    def _perturbed_split(self, node: EdgeNode) -> NodeSplit:
-        """FGSM-corrupt the node's inner training set against its model."""
+    def _fgsm(self, node: EdgeNode, data: Dataset) -> Dataset:
+        """``data`` FGSM-perturbed against the node's current model."""
         assert node.params is not None
-        cfg = self.config
-        adv_x = fgsm(
-            self.model,
-            node.params,
-            node.split.train.x,
-            node.split.train.y,
-            xi=cfg.epsilon,
-            loss_fn=self.loss_fn,
+        x = fgsm(
+            self.model, node.params, data.x, data.y,
+            xi=self.config.epsilon, loss_fn=self.loss_fn,
         )
-        adv_train = Dataset(x=adv_x, y=node.split.train.y.copy())
-        return NodeSplit(train=adv_train, test=node.split.test)
+        return Dataset(x=x, y=data.y.copy())
 
     def local_step(self, node: EdgeNode) -> float:
         assert node.params is not None
         cfg = self.config
-        adversarial_split = self._perturbed_split(node)
-        adv_test_x = fgsm(
-            self.model,
-            node.params,
-            node.split.test.x,
-            node.split.test.y,
-            xi=cfg.epsilon,
-            loss_fn=self.loss_fn,
-        )
-        extra = [Dataset(x=adv_test_x, y=node.split.test.y.copy())]
+        train, test = node.split.train, node.split.test
         gradient, value = meta_gradient(
-            self.model,
-            node.params,
-            adversarial_split,
-            cfg.alpha,
-            loss_fn=self.loss_fn,
-            first_order=cfg.first_order,
-            extra_test_sets=extra,
+            self.model, node.params,
+            NodeSplit(train=self._fgsm(node, train), test=test), cfg.alpha,
+            loss_fn=self.loss_fn, first_order=cfg.first_order,
+            extra_test_sets=[self._fgsm(node, test)],
         )
         node.params = add_scaled(node.params, gradient, -cfg.beta)
         node.record_local_step(gradient_evals=4)  # 2 attacks + inner + outer
@@ -890,26 +892,11 @@ class AdversarialStrategy(MetaStrategy):
     def begin_fit(self, params: Params, nodes: Sequence[EdgeNode]) -> None:
         self._generation_rounds = {node.node_id: 0 for node in nodes}
 
-    def local_step(self, node: EdgeNode) -> float:
-        """Local robust meta-update (eq. 13 + eq. 14)."""
-        assert node.params is not None
-        cfg = self.config
-        extra = []
+    def _extra_test_sets(self, node: EdgeNode) -> List[Dataset]:
+        """The robust outer loss (eq. 13 + eq. 14) adds ``D_i^adv``."""
         if node.adversarial is not None and len(node.adversarial) > 0:
-            extra.append(node.adversarial)
-        gradient, value = meta_gradient(
-            self.model,
-            node.params,
-            node.split,
-            cfg.alpha,
-            inner_steps=cfg.inner_steps,
-            loss_fn=self.loss_fn,
-            first_order=cfg.first_order,
-            extra_test_sets=extra,
-        )
-        node.params = add_scaled(node.params, gradient, -cfg.beta)
-        node.record_local_step(gradient_evals=2 + len(extra))
-        return value
+            return [node.adversarial]
+        return []
 
     def generate_adversarial(
         self, node: EdgeNode, rng: np.random.Generator
@@ -956,6 +943,7 @@ class AdversarialStrategy(MetaStrategy):
         rng: np.random.Generator,
         telemetry: Any,
     ) -> None:
+        self.__dict__.pop("_held", None)  # the block ends; D^adv may grow
         cfg = self.config
         if t % (cfg.n0 * cfg.t0) != 0:
             return

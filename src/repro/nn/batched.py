@@ -20,20 +20,21 @@ node-axis twin of :func:`repro.nn.fused.fused_model_loss` returning a
 ``(N,)`` per-node loss vector; ``supports_batched_loss`` is the
 capability probe strategies use before opting in.
 
-``batched_meta_gradient`` removes the stacked exact-MAML tape (an inner
+``batched_meta_gradient`` removes the exact-MAML tape (an inner
 ``create_graph=True`` graph walked again by the outer backward) for every
-model ``supports_batched_loss`` accepts.  It returns a per-block kernel
-that maps stacked θ to the stacked exact one-step meta-gradient
-``v − α·H v``, with ``H v`` taken forward-over-reverse (Pearlmutter's
-R-op) through the dense layers, batch norm, the activation and
-softmax-xent on raw arrays.  The result is tolerance-equal to the tape,
-per node relative to that node's largest reference gradient entry; the
-bound and its measurements are in the "Stacked meta-gradient kernel"
-section of docs/AUTODIFF.md.
+model ``supports_batched_loss`` accepts, stacked and, as a one-node stack,
+serial.  Its per-block kernel maps stacked θ to the exact one-step
+meta-gradient ``v − α·H v`` and the outer losses, with ``H v`` taken
+forward-over-reverse (Pearlmutter's R-op) through the dense layers, batch
+norm, the activation and softmax-xent on raw arrays.  The result is
+tolerance-equal to the tape, per node relative to that node's largest
+reference gradient entry; the bound and its measurements are in the
+"Exact meta-gradient kernel" section of docs/AUTODIFF.md.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,8 +60,8 @@ __all__ = [
 ]
 
 LossFn = Callable[[Tensor, np.ndarray], Tensor]
-#: one block's kernel: stacked θ tree -> stacked exact meta-gradient tree
-MetaGradientKernel = Callable[[Params], Params]
+#: one block's kernel: stacked θ -> (stacked meta-gradient, (N,) losses)
+MetaGradientKernel = Callable[[Params], Tuple[Params, np.ndarray]]
 Arrays = Dict[str, np.ndarray]
 
 
@@ -221,33 +222,49 @@ def batched_model_loss(
 
 
 class _Layer(NamedTuple):
-    """Parameter names of one dense layer."""
+    """Parameter names and width of one dense layer."""
 
     w: str
     b: str
     norm: Optional[Tuple[str, str]]  # (gamma, beta) on BN hidden layers
+    fan_in: int
+    fan_out: int
 
 
-def _dense_layers(model: Model) -> Tuple[List[_Layer], str, int]:
-    """The model's dense layers, activation and input width.
+def _dense_layers(model: Model) -> Tuple[List[_Layer], str]:
+    """The model's dense layers and activation.
 
     Logistic regression is the case with no hidden layer, so its
     activation is never applied; an :class:`EmbeddingClassifier` is its
     head after the frozen lookup."""
     if isinstance(model, LogisticRegression):
-        return [_Layer("W", "b", None)], "relu", model.input_dim
+        layer = _Layer("W", "b", None, model.input_dim, model.num_classes)
+        return [layer], "relu"
     mlp = model.head if isinstance(model, EmbeddingClassifier) else model
     assert isinstance(mlp, MLP)
     hidden = len(mlp.hidden_dims)
+    sizes = (mlp.input_dim, *mlp.hidden_dims, mlp.num_classes)
     layers = [
         _Layer(
             f"W{i}",
             f"b{i}",
             (f"gamma{i}", f"beta{i}") if mlp.batch_norm and i < hidden else None,
+            sizes[i],
+            sizes[i + 1],
         )
         for i in range(hidden + 1)
     ]
-    return layers, mlp.activation, mlp.input_dim
+    return layers, mlp.activation
+
+
+def _param_shapes(model: Model) -> Dict[str, Tuple[int, ...]]:
+    """Each parameter's per-node shape, as ``model.init`` builds it."""
+    shapes: Dict[str, Tuple[int, ...]] = {}
+    for layer in _dense_layers(model)[0]:
+        shapes[layer.w] = (layer.fan_in, layer.fan_out)
+        for name in (layer.b, *(layer.norm or ())):
+            shapes[name] = (layer.fan_out,)
+    return shapes
 
 
 class _Hidden(NamedTuple):
@@ -269,7 +286,7 @@ class _HiddenBack(NamedTuple):
 
 def _tmatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-node ``aᵀ b``."""
-    return np.matmul(np.swapaxes(a, 1, 2), b)
+    return np.matmul(a.swapaxes(1, 2), b)
 
 
 def _sum(a: np.ndarray) -> np.ndarray:
@@ -286,8 +303,22 @@ def _mean(a: np.ndarray) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - np.max(logits, axis=2, keepdims=True))
-    return e / np.sum(e, axis=2, keepdims=True)
+    """Reductions call ``ufunc.reduce``: ``np.max``/``np.sum`` arithmetic
+    without their wrapper, which costs as much again on one node."""
+    e = np.exp(logits - np.maximum.reduce(logits, axis=2, keepdims=True))
+    return e / np.add.reduce(e, axis=2, keepdims=True)
+
+
+def _softmax_xent(
+    logits: np.ndarray, targets: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Softmax and the ``(N,)`` mean cross-entropies (the arithmetic of
+    ``ops._xent_forward_nodes``)."""
+    shift = np.maximum.reduce(logits, axis=2, keepdims=True)
+    e = np.exp(logits - shift)
+    s = np.add.reduce(e, axis=2, keepdims=True)
+    logp = logits - (np.log(s) + shift)
+    return e / s, -np.add.reduce(logp * targets, axis=(1, 2)) / logits.shape[1]
 
 
 def _activate(
@@ -408,7 +439,7 @@ def _hessian_vector(
         tangents.append((u_dot, norm_dot))
 
     pd = probs * z_dot
-    dz_dot = (pd - probs * np.sum(pd, axis=2, keepdims=True)) / probs.shape[1]
+    dz_dot = (pd - probs * np.add.reduce(pd, 2, keepdims=True)) / pd.shape[1]
     hv: Arrays = {}
     for i in reversed(range(len(layers))):
         layer = layers[i]
@@ -446,26 +477,32 @@ def _hessian_vector(
     return hv, dz_dot
 
 
-def _features(model: Model, x: np.ndarray, dim: int) -> Optional[np.ndarray]:
-    """``(N, B, dim)`` first-layer inputs, or ``None`` if the shapes are off.
-
-    Token ids are looked up once per block; float features go straight to
-    the head, as in :func:`batched_model_loss`."""
+def _batch(
+    model: Model, batch: Tuple[np.ndarray, np.ndarray], dim: int
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``(N, B, dim)`` first-layer inputs (token ids looked up; float
+    features go to the head, as in :func:`batched_model_loss`) and one-hot
+    labels, or ``None`` for a batch the tape should report."""
+    x, y = batch[0], np.asarray(batch[1])
     if isinstance(model, EmbeddingClassifier) and _is_token_ids(x):
         ids = np.asarray(x)
         if ids.ndim != 3 or ids.shape[2] != model.seq_len:
             return None
-        return model.embedding.data[ids].reshape(ids.shape[0], ids.shape[1], dim)
-    features = _as_input_tensor(x).data
-    if features.ndim != 3 or features.shape[2] != dim:
+        x = model.embedding.data[ids].reshape(ids.shape[0], ids.shape[1], dim)
+    else:
+        x = _as_input_tensor(x).data
+    if x.shape[2:] != (dim,) or y.shape != x.shape[:2] or not y.size:
         return None
-    return features
+    try:
+        return x, batched_one_hot(y, model.output_dim)
+    except (TypeError, ValueError):  # not integers, or outside the classes
+        return None
 
 
 def batched_meta_gradient(
     model: Model,
     train: Tuple[np.ndarray, np.ndarray],
-    test: Tuple[np.ndarray, np.ndarray],
+    tests: Sequence[Tuple[np.ndarray, np.ndarray]],
     alpha: float,
     loss_fn: LossFn = cross_entropy,
     inner_steps: int = 1,
@@ -473,52 +510,58 @@ def batched_meta_gradient(
 ) -> Optional[MetaGradientKernel]:
     """The block's exact one-step MAML meta-gradient kernel, or ``None``.
 
-    ``train`` and ``test`` are the block's stacked ``(x, y)`` batches,
-    fixed for its ``T0`` steps.  The kernel maps a stacked θ tree to the
-    stacked gradient of ``Σ_i L(φ_i; test_i)``, ``φ = θ − α·∇L(θ;
-    train)``: ``v − α·H v`` with ``v`` the outer gradient at ``φ`` and
-    ``H v`` the R-op of the inner gradient along ``v``, all on raw arrays.
+    ``train`` and each of ``tests`` are stacked ``(x, y)`` batches, fixed
+    for the block's ``T0`` steps.  The kernel maps a stacked θ tree to the
+    stacked gradient of ``Σ_k L(φ; test_k)``, ``φ = θ − α·∇L(θ; train)``,
+    with names sorted as :func:`stack_params` gives them, and to the
+    ``(N,)`` losses ``Σ_k L(φ_i; test_ik)``.  The gradient is ``v − α·H
+    v``, ``v`` the outer gradient at ``φ`` and ``H v`` the R-op of the
+    inner gradient along ``v``, all on raw arrays.  Each outer set runs
+    its own forward: batch norm uses each batch's own statistics.
 
     Hoisted out of the step, once per block: the embedded features, the
-    one-hot labels and the first-layer Gram block ``X_out X_inᵀ``.  The
-    first layer is linear in fixed inputs, so no ``W0``-sized temporary is
-    formed: the outer first-layer pre-activation is ``X_out θ_W0 −
-    α (X_out X_inᵀ) δz_0``, the first-layer tangent ``(X_in X_outᵀ)
-    δz_0^out + v_b0``, and ``W0``'s meta-gradient the single matmul
-    ``[X_out; X_in]ᵀ [δz_0^out; −α δż_0]``.
+    one-hot labels and the first-layer Gram block ``X_out X_inᵀ``, where
+    ``X_out`` stacks every outer set's rows.  The first layer is linear in
+    fixed inputs, so no ``W0``-sized temporary is formed: the outer
+    first-layer pre-activation is ``X_out θ_W0 − α (X_out X_inᵀ) δz_0``,
+    the first-layer tangent ``(X_in X_outᵀ) δz_0^out + v_b0``, and
+    ``W0``'s meta-gradient the single matmul ``[X_out; X_in]ᵀ [δz_0^out;
+    −α δż_0]``.
 
-    Returns ``None`` — the caller runs the stacked tape — for a loss other
-    than ``cross_entropy``, ``inner_steps != 1``, ``first_order``, a
-    disabled fast path, a model :func:`supports_batched_loss` rejects, or
-    inputs whose shapes the tape should report.  Each kernel call counts
-    one ``fused_dispatches``.
+    Returns ``None`` — the caller runs the tape — for a loss other than
+    ``cross_entropy``, ``inner_steps != 1``, ``first_order``, a disabled
+    fast path, a model :func:`supports_batched_loss` rejects, no outer
+    set, or inputs the tape should report: mismatched shapes, an empty
+    batch, labels that are not integers or lie outside the classes.  Each
+    kernel call counts one ``fused_dispatches``.
     """
     if (
         inner_steps != 1
         or first_order
         or not fastpath.enabled()
         or not supports_batched_loss(model, loss_fn)
+        or not tests
     ):
         return None
-    layers, activation, dim = _dense_layers(model)
-    x_in = _features(model, train[0], dim)
-    x_out = _features(model, test[0], dim)
-    y_in, y_out = np.asarray(train[1]), np.asarray(test[1])
-    if (
-        x_in is None
-        or x_out is None
-        or y_in.shape != x_in.shape[:2]
-        or y_out.shape != (x_in.shape[0], x_out.shape[1])
-    ):
+    layers, activation = _dense_layers(model)
+    batches = [_batch(model, b, layers[0].fan_in) for b in (train, *tests)]
+    prepared = [b for b in batches if b is not None]
+    if len(prepared) < len(batches) or len({len(x) for x, _ in prepared}) > 1:
         return None
-    targets_in = batched_one_hot(y_in, model.output_dim)
-    targets_out = batched_one_hot(y_out, model.output_dim)
+    (x_in, targets_in), *outer = prepared
+    x_out = outer[0][0] if len(outer) == 1 else np.concatenate(
+        [x for x, _ in outer], axis=1
+    )
+    n_in, n_out = x_in.shape[1], x_out.shape[1]
+    # Each outer set's row range within X_out, with its one-hot labels.
+    ends = list(accumulate(x.shape[1] for x, _ in outer))
+    sets = [(a, b, t) for a, b, (_, t) in zip([0, *ends], ends, outer)]
+    names = sorted(_param_shapes(model))
     w0, b0 = layers[0].w, layers[0].b
-    n_out = x_out.shape[1]
     inputs = np.concatenate([x_out, x_in], axis=1)  # [X_out; X_in]
     gram = np.matmul(x_out, np.swapaxes(x_in, 1, 2))  # X_out X_inᵀ
 
-    def kernel(stacked: Params) -> Params:
+    def kernel(stacked: Params) -> Tuple[Params, np.ndarray]:
         fastpath.note_fused_dispatch()
         theta = {name: t.data for name, t in stacked.items()}
         z0 = np.matmul(inputs, theta[w0])  # [X_out θ_W0; X_in θ_W0]
@@ -528,30 +571,34 @@ def batched_meta_gradient(
         )
         probs = _softmax(logits)
         grads, dzs, backs = _backward(
-            theta, layers, hidden, (probs - targets_in) / probs.shape[1]
+            theta, layers, hidden, (probs - targets_in) / n_in
         )
         phi = {name: theta[name] - alpha * g for name, g in grads.items()}
-        # Outer gradient v at φ on the test batch.
-        z0_out = z0[:, :n_out] - alpha * np.matmul(gram, dzs[0])
-        hidden_out, logits_out = _forward(
-            phi, layers, activation, z0_out + phi[b0][:, None]
+        # Outer gradient v at φ, summed over the outer sets.
+        z0_out = (
+            z0[:, :n_out] - alpha * np.matmul(gram, dzs[0]) + phi[b0][:, None]
         )
-        v, dzs_out, _ = _backward(
-            phi, layers, hidden_out,
-            (_softmax(logits_out) - targets_out) / n_out,
-        )
+        v: Arrays = {}
+        losses = np.zeros(len(z0))
+        dz0_out = []
+        for start, end, targets in sets:
+            hidden_out, logits_out = _forward(
+                phi, layers, activation, z0_out[:, start:end]
+            )
+            probs_out, loss = _softmax_xent(logits_out, targets)
+            g, dzs_out, _ = _backward(
+                phi, layers, hidden_out, (probs_out - targets) / (end - start)
+            )
+            v = {name: v[name] + g[name] for name in g} if v else g
+            losses = losses + loss
+            dz0_out.append(dzs_out[0])
+        dz0 = dz0_out[0] if len(dz0_out) == 1 else np.concatenate(dz0_out, 1)
         hv, dz0_dot = _hessian_vector(
             theta, v, layers, hidden, probs, dzs, backs,
-            _tmatmul(gram, dzs_out[0]) + v[b0][:, None],
+            _tmatmul(gram, dz0) + v[b0][:, None],
         )
-        gradient: Params = {
-            name: Tensor(v[name] - alpha * hv[name]) for name in v
-        }
-        gradient[w0] = Tensor(
-            _tmatmul(
-                inputs, np.concatenate([dzs_out[0], -alpha * dz0_dot], axis=1)
-            )
-        )
-        return gradient
+        meta = {name: v[name] - alpha * hv[name] for name in hv}
+        meta[w0] = _tmatmul(inputs, np.concatenate([dz0, -alpha * dz0_dot], 1))
+        return {name: Tensor(meta[name]) for name in names}, losses
 
     return kernel

@@ -6,8 +6,10 @@ reference backward — across fused ops, plan-cache reuse, buffer reuse, and
 arbitrary graph shapes (hypothesis property at the bottom).
 
 The exact meta-gradient kernel, which replaces the whole exact-MAML tape
-for logistic regression, has its own recorded contract: loss value
-bit-identical, gradient within ``1e-12`` relative of the reference.
+(``meta_gradient`` runs it on a one-node stack), has its own recorded
+contract: loss value within ``1e-12`` relative, every gradient tensor
+within ``1e-12`` of the largest reference entry (``1e-11`` over tiny
+batch-norm problems).
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ from repro.core.maml import meta_gradient
 from repro.data.dataset import Dataset, NodeSplit
 from repro.nn import (
     MLP,
+    EmbeddingClassifier,
     LogisticRegression,
     cross_entropy,
     fused_model_loss,
@@ -65,13 +68,21 @@ def meta_problem(seed, d, c, n_train, n_test, extra_sizes):
     return model, params, split, [dataset(n) for n in extra_sizes]
 
 
-def assert_within_tolerance(fast, ref):
-    """The kernel's contract: ``|g - g_ref|_inf <= 1e-12 * |g_ref|_inf``."""
+def assert_within_tolerance(fast, ref, rel_tol=1e-12):
+    """The kernel's contract: every tensor within ``rel_tol`` of the
+    largest reference entry (a bias feeding batch norm has an exact-zero
+    true gradient, so a per-tensor scale would be meaningless)."""
     assert list(fast) == list(ref)
+    scale = max(np.max(np.abs(r.data)) for r in ref.values())
     for name in ref:
         g, r = fast[name].data, ref[name].data
         assert g.shape == r.shape
-        assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r)), name
+        assert np.max(np.abs(g - r)) <= rel_tol * scale, name
+
+
+def assert_value_within_tolerance(fast, ref):
+    """The meta-loss value's contract: within ``1e-12`` relative."""
+    assert abs(fast - ref) <= 1e-12 * abs(ref), (fast, ref)
 
 
 def both_backwards(make_loss, inputs):
@@ -347,8 +358,9 @@ class TestSingleWalkBackward:
 
 
 class TestExactMetaGradientKernel:
-    """``fused_meta_gradient``: loss value bit-identical, gradient within
-    ``1e-12`` relative of the reference tape, generic path otherwise."""
+    """``meta_gradient`` runs ``batched_meta_gradient`` on a one-node
+    stack: loss value within ``1e-12`` relative and gradient within
+    ``1e-12`` of the reference tape, generic tape otherwise."""
 
     def test_meta_gradient_exact_maml_within_tolerance(self):
         model, params, split, _ = meta_problem(11, 6, 3, 8, 5, ())
@@ -357,23 +369,23 @@ class TestExactMetaGradientKernel:
         assert fastpath.stats().backwards == 0
         with fastpath.disabled():
             g_ref, v_ref = meta_gradient(model, params, split, alpha=0.1)
-        assert v_fast == v_ref
+        assert_value_within_tolerance(v_fast, v_ref)
         assert_within_tolerance(g_fast, g_ref)
 
-    def test_adapted_parameters_are_the_reference_bits(self):
-        """The meta loss at phi is bit-equal, so phi itself must be."""
+    def test_meta_loss_value_within_tolerance(self):
+        """The value is the outer loss at the adapted parameters."""
         model, params, split, _ = meta_problem(4, 5, 4, 7, 6, ())
         _, value = meta_gradient(model, params, split, alpha=0.3)
         with fastpath.disabled():
             phi = maml.inner_adapt(model, params, split.train, alpha=0.3)
             ref = cross_entropy(model.apply(phi, split.test.x), split.test.y)
-        assert value == ref.item()
+        assert_value_within_tolerance(value, ref.item())
 
     @staticmethod
     def _spy(monkeypatch):
-        """Record each kernel call's result and its fused-dispatch delta."""
+        """Record each kernel build's result and its fused-dispatch delta."""
         calls = []
-        real = maml.fused_meta_gradient
+        real = maml.batched_meta_gradient
 
         def spy(*args, **kwargs):
             before = fastpath.stats().fused_dispatches
@@ -381,12 +393,20 @@ class TestExactMetaGradientKernel:
             calls.append((result, fastpath.stats().fused_dispatches - before))
             return result
 
-        monkeypatch.setattr(maml, "fused_meta_gradient", spy)
+        monkeypatch.setattr(maml, "batched_meta_gradient", spy)
         return calls
 
+    @staticmethod
+    def _assert_tape_bytes(model, params, split, g_fast, v_fast, **kwargs):
+        with fastpath.disabled():
+            g_ref, v_ref = meta_gradient(model, params, split, **kwargs)
+        assert v_fast == v_ref
+        assert list(g_fast) == list(g_ref)
+        for name in g_ref:
+            assert g_fast[name].data.tobytes() == g_ref[name].data.tobytes()
+
     @pytest.mark.parametrize(
-        "case",
-        ["inner_steps", "first_order", "custom_loss", "mlp", "disabled"],
+        "case", ["inner_steps", "first_order", "custom_loss", "disabled"]
     )
     def test_fallbacks_take_the_generic_path(self, case, monkeypatch):
         model, params, split, _ = meta_problem(2, 5, 3, 6, 4, ())
@@ -397,21 +417,30 @@ class TestExactMetaGradientKernel:
             kwargs["first_order"] = True
         elif case == "custom_loss":
             kwargs["loss_fn"] = lambda logits, y: cross_entropy(logits, y)
-        elif case == "mlp":
-            model = MLP(5, (4,), 3)
-            params = model.init(np.random.default_rng(0))
         calls = self._spy(monkeypatch)
         if case == "disabled":
             with fastpath.disabled():
                 g_fast, v_fast = meta_gradient(model, params, split, **kwargs)
         else:
             g_fast, v_fast = meta_gradient(model, params, split, **kwargs)
-        assert all(result is None and delta == 0 for result, delta in calls)
-        with fastpath.disabled():
-            g_ref, v_ref = meta_gradient(model, params, split, **kwargs)
-        assert v_fast == v_ref
-        for name in g_ref:
-            assert g_fast[name].data.tobytes() == g_ref[name].data.tobytes()
+        assert calls and all(
+            result is None and delta == 0 for result, delta in calls
+        )
+        self._assert_tape_bytes(model, params, split, g_fast, v_fast, **kwargs)
+
+    def test_foreign_parameter_tree_takes_the_tape(self, monkeypatch):
+        """A tree with a name beyond the model's: the kernel is built, the
+        tape runs instead, and its zero gradient for that name stays."""
+        model, params, split, _ = meta_problem(5, 5, 3, 6, 4, ())
+        params = {**params, "unused": Tensor(np.ones(2))}
+        calls = self._spy(monkeypatch)
+        g_fast, v_fast = meta_gradient(model, params, split, alpha=0.1)
+        assert [result is not None for result, _ in calls] == [True]
+        assert fastpath.stats().backwards > 0
+        assert not g_fast["unused"].data.any()
+        self._assert_tape_bytes(
+            model, params, split, g_fast, v_fast, alpha=0.1
+        )
 
     def test_wrong_feature_dim_raises_model_error(self, monkeypatch):
         model, params, _, _ = meta_problem(3, 5, 3, 6, 4, ())
@@ -425,26 +454,80 @@ class TestExactMetaGradientKernel:
             meta_gradient(model, params, split, alpha=0.1)
         assert calls == [(None, 0)]
 
+    @pytest.mark.parametrize(
+        "batch_norm, error", [(False, ValueError), (True, ZeroDivisionError)]
+    )
+    @pytest.mark.parametrize("empty", ["train", "test"])
+    def test_empty_batch_raises_the_tape_error(self, batch_norm, error, empty):
+        """The kernel declines a batch with no rows, so the tape raises its
+        usual error instead of a NaN or near-zero result."""
+        model = MLP(5, (4,), 3, batch_norm=batch_norm)
+        params = model.init(np.random.default_rng(0))
+        _, _, split, _ = meta_problem(6, 5, 3, 6, 4, ())
+        no_rows = Dataset(np.zeros((0, 5)), np.zeros(0, dtype=int))
+        if empty == "train":
+            split = NodeSplit(train=no_rows, test=split.test)
+        else:
+            split = NodeSplit(train=split.train, test=no_rows)
+        with pytest.raises(error):
+            meta_gradient(model, params, split, alpha=0.1)
+        with fastpath.disabled(), pytest.raises(error):
+            meta_gradient(model, params, split, alpha=0.1)
+
+
+def kernel_problem(kind, hidden, batch_norm, n_train, n_test, extra_sizes,
+                   token_ids, seed):
+    """A one-node problem on LogReg, an MLP or the embedding model, with
+    extra outer-loss sets of the given sizes (size 0: empty)."""
+    rng = np.random.default_rng(seed)
+    if kind == "logreg":
+        model = LogisticRegression(6, 3)
+    elif kind == "mlp":
+        model = MLP(6, hidden, 3, batch_norm=batch_norm)
+    else:
+        model = EmbeddingClassifier(20, 2, 3, hidden, 2, batch_norm=batch_norm)
+    params = {
+        name: Tensor(t.data + 0.3 * rng.normal(size=t.shape))
+        for name, t in model.init(rng).items()
+    }
+
+    def dataset(n):
+        if token_ids and kind == "embedding":
+            x = rng.integers(0, 20, size=(n, 3))
+        else:
+            x = rng.normal(size=(n, 6))
+        return Dataset(x, rng.integers(0, model.output_dim, size=n))
+
+    split = NodeSplit(train=dataset(n_train), test=dataset(n_test))
+    return model, params, split, [dataset(n) for n in extra_sizes]
+
 
 @given(
-    d=st.integers(min_value=1, max_value=8),
-    c=st.integers(min_value=2, max_value=5),
-    n_train=st.integers(min_value=1, max_value=10),
-    n_test=st.integers(min_value=1, max_value=10),
+    kind=st.sampled_from(["logreg", "mlp", "embedding"]),
+    hidden=st.lists(st.integers(min_value=1, max_value=5), max_size=2),
+    batch_norm=st.booleans(),
+    n_train=st.integers(min_value=1, max_value=8),
+    n_test=st.integers(min_value=1, max_value=8),
     alpha=st.floats(min_value=1e-3, max_value=0.5),
     extra_sizes=st.lists(
         st.integers(min_value=0, max_value=6), min_size=0, max_size=2
     ),
+    token_ids=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=80, deadline=None)
 def test_property_exact_meta_gradient_kernel_within_tolerance(
-    d, c, n_train, n_test, alpha, extra_sizes, seed
+    kind, hidden, batch_norm, n_train, n_test, alpha, extra_sizes, token_ids,
+    seed,
 ):
-    """Sizes, step sizes and 0-2 extra outer sets (possibly empty, which
-    the reference skips): value bit-equal, gradient within 1e-12."""
-    model, params, split, extras = meta_problem(
-        seed, d, c, n_train, n_test, extra_sizes
+    """LogReg, MLPs with BN on and off and the embedding model (token ids
+    or embedded floats), 0-2 extra outer sets (possibly empty, which both
+    paths skip): one kernel dispatch, value within 1e-12 relative,
+    gradient within 1e-12 of the largest reference entry — 1e-11 with
+    batch norm, where two-sample statistics lose digits on both paths."""
+    model, params, split, extras = kernel_problem(
+        kind, tuple(hidden), batch_norm, n_train, n_test, extra_sizes,
+        token_ids, seed,
     )
     fastpath.enable()
     before = fastpath.stats().fused_dispatches
@@ -456,8 +539,9 @@ def test_property_exact_meta_gradient_kernel_within_tolerance(
         g_ref, v_ref = meta_gradient(
             model, params, split, alpha, extra_test_sets=extras
         )
-    assert v_fast == v_ref
-    assert_within_tolerance(g_fast, g_ref)
+    assert_value_within_tolerance(v_fast, v_ref)
+    uses_bn = batch_norm and kind != "logreg" and len(hidden) > 0
+    assert_within_tolerance(g_fast, g_ref, 1e-11 if uses_bn else 1e-12)
 
 
 # ----------------------------------------------------------------------

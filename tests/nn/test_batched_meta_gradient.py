@@ -1,12 +1,14 @@
 """The stacked exact meta-gradient kernel against the stacked tape.
 
-``batched_meta_gradient`` replaces the vectorized executor's exact
-one-step MAML tape for every model ``supports_batched_loss`` accepts.  Its
-recorded contract (docs/AUTODIFF.md): per node, every gradient tensor is
-within ``1e-12`` of that node's largest reference gradient entry on the
-paper's model, and within ``1e-11`` over random tiny problems, where batch
-norm over two or three samples loses digits in the tape and the kernel
-alike.  Every case it declines returns ``None`` so the tape runs unchanged.
+``batched_meta_gradient`` replaces the exact one-step MAML tape for every
+model ``supports_batched_loss`` accepts, on the vectorized executor and
+(as a one-node stack) on the serial path.  Its recorded contract
+(docs/AUTODIFF.md): per node, every gradient tensor is within ``1e-12`` of
+that node's largest reference gradient entry on the paper's model, and
+within ``1e-11`` over random tiny problems, where batch norm over two or
+three samples loses digits in the tape and the kernel alike; each node's
+outer loss is within ``1e-12`` relative.  Every case it declines returns
+``None`` so the tape runs unchanged.
 """
 
 import numpy as np
@@ -15,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autodiff import Tensor, fastpath
-from repro.core import FedMLConfig
+from repro.core import FedMLConfig, meta_loss
+from repro.data.dataset import Dataset, NodeSplit
 from repro.engine import MetaStrategy
 from repro.nn import MLP, EmbeddingClassifier, LogisticRegression, cross_entropy
 from repro.nn.batched import batched_meta_gradient, stack_params
@@ -48,8 +51,9 @@ def build_model(kind, hidden, batch_norm, activation, seq_len=3, embed_dim=4):
     )
 
 
-def problem(model, nodes, n_train, n_test, seed, token_ids):
-    """Perturbed stacked parameters plus stacked train/test batches."""
+def problem(model, nodes, n_train, n_tests, seed, token_ids):
+    """Perturbed stacked parameters, a stacked train batch and one stacked
+    test batch per entry of ``n_tests``."""
     rng = np.random.default_rng(seed)
     trees = []
     for _ in range(nodes):
@@ -69,7 +73,7 @@ def problem(model, nodes, n_train, n_test, seed, token_ids):
             x = rng.normal(size=(nodes, size, 12))
         return x, rng.integers(0, model.output_dim, size=(nodes, size))
 
-    return stack_params(trees), batch(n_train), batch(n_test)
+    return stack_params(trees), batch(n_train), [batch(n) for n in n_tests]
 
 
 def tape_gradient(model, stacked, train, test, alpha, **config):
@@ -79,8 +83,32 @@ def tape_gradient(model, stacked, train, test, alpha, **config):
     )
 
 
+def tape_losses(model, stacked, train, tests, alpha):
+    """Each node's outer loss, summed over ``tests``, from the serial tape."""
+    def node_loss(i, test):
+        return meta_loss(
+            model,
+            {name: Tensor(t.data[i]) for name, t in stacked.items()},
+            NodeSplit(
+                Dataset(train[0][i], train[1][i]),
+                Dataset(test[0][i], test[1][i]),
+            ),
+            alpha,
+        )
+
+    return np.array([
+        sum(node_loss(i, test) for test in tests)
+        for i in range(len(train[1]))
+    ])
+
+
+def assert_losses_within_tolerance(got, ref):
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= REL_TOL * np.abs(ref)), (got, ref)
+
+
 def assert_within_tolerance(got, ref, rel_tol=REL_TOL):
-    assert sorted(got) == sorted(ref)
+    assert list(got) == sorted(ref)
     nodes = next(iter(ref.values())).shape[0]
     for i in range(nodes):
         scale = max(np.max(np.abs(t.data[i])) for t in ref.values())
@@ -91,6 +119,15 @@ def assert_within_tolerance(got, ref, rel_tol=REL_TOL):
             assert err <= rel_tol * scale, (name, i, err, scale)
 
 
+def tape_reference(model, stacked, train, tests, alpha):
+    """The stacked tape's gradient of the summed outer losses: one tape per
+    outer set, since each set is its own batch-norm batch."""
+    grads = [tape_gradient(model, stacked, train, test, alpha) for test in tests]
+    return {
+        name: Tensor(sum(g[name].data for g in grads)) for name in grads[0]
+    }
+
+
 @given(
     kind=st.sampled_from(["logreg", "mlp", "embedding"]),
     hidden=st.lists(st.integers(min_value=1, max_value=5), max_size=2),
@@ -98,30 +135,38 @@ def assert_within_tolerance(got, ref, rel_tol=REL_TOL):
     activation=st.sampled_from(["relu", "tanh"]),
     nodes=st.integers(min_value=1, max_value=4),
     n_train=st.integers(min_value=1, max_value=6),
-    n_test=st.integers(min_value=1, max_value=6),
+    n_tests=st.lists(
+        st.integers(min_value=1, max_value=6), min_size=1, max_size=3
+    ),
     alpha=st.floats(min_value=1e-3, max_value=0.5),
     token_ids=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=120, deadline=None)
 def test_property_kernel_matches_stacked_tape(
-    kind, hidden, batch_norm, activation, nodes, n_train, n_test, alpha,
+    kind, hidden, batch_norm, activation, nodes, n_train, n_tests, alpha,
     token_ids, seed,
 ):
     """LogReg (no hidden layer), MLPs and the embedding model (token ids
     or already-embedded floats), BN on/off, ReLU/tanh, 1-4 nodes, batches
-    of 1-6.  Biases feeding BN have an exact-zero true meta-gradient, so
-    only the node-scaled bound applies to them."""
+    of 1-6, one to three outer sets.  Biases feeding BN have an
+    exact-zero true meta-gradient, so only the node-scaled bound applies
+    to them."""
     model = build_model(kind, tuple(hidden), batch_norm, activation)
     token_ids = token_ids and kind == "embedding"
-    stacked, train, test = problem(model, nodes, n_train, n_test, seed, token_ids)
-    kernel = batched_meta_gradient(model, train, test, alpha)
+    stacked, train, tests = problem(
+        model, nodes, n_train, n_tests, seed, token_ids
+    )
+    kernel = batched_meta_gradient(model, train, tests, alpha)
     assert kernel is not None
     before = fastpath.stats().fused_dispatches
-    got = kernel(stacked)
+    got, losses = kernel(stacked)
     assert fastpath.stats().fused_dispatches == before + 1
     assert_within_tolerance(
-        got, tape_gradient(model, stacked, train, test, alpha), PROPERTY_TOL
+        got, tape_reference(model, stacked, train, tests, alpha), PROPERTY_TOL
+    )
+    assert_losses_within_tolerance(
+        losses, tape_losses(model, stacked, train, tests, alpha)
     )
 
 
@@ -129,16 +174,26 @@ def test_sent140_model_within_tolerance():
     """The Sent140 model (25 tokens, embed 16, hidden (32, 16), BN) on the
     e2e workload's 5-shot train / 27-sample test batches."""
     model = EmbeddingClassifier(64, 16, 25, (32, 16), 2, batch_norm=True)
-    stacked, train, test = problem(model, 8, 5, 27, 0, token_ids=True)
-    got = batched_meta_gradient(model, train, test, 0.05)(stacked)
-    assert_within_tolerance(got, tape_gradient(model, stacked, train, test, 0.05))
+    stacked, train, tests = problem(model, 8, 5, [27], 0, token_ids=True)
+    got, losses = batched_meta_gradient(model, train, tests, 0.05)(stacked)
+    assert_within_tolerance(
+        got, tape_reference(model, stacked, train, tests, 0.05)
+    )
+    assert_losses_within_tolerance(
+        losses, tape_losses(model, stacked, train, tests, 0.05)
+    )
 
 
 def test_kernel_is_deterministic():
     model = build_model("embedding", (5, 4), True, "relu")
-    stacked, train, test = problem(model, 3, 4, 5, 1, token_ids=True)
-    first = batched_meta_gradient(model, train, test, 0.1)(stacked)
-    second = batched_meta_gradient(model, train, test, 0.1)(stacked)
+    stacked, train, tests = problem(model, 3, 4, [5, 2], 1, token_ids=True)
+    first, first_losses = batched_meta_gradient(model, train, tests, 0.1)(
+        stacked
+    )
+    second, second_losses = batched_meta_gradient(model, train, tests, 0.1)(
+        stacked
+    )
+    assert first_losses.tobytes() == second_losses.tobytes()
     for name in first:
         assert first[name].data.tobytes() == second[name].data.tobytes()
 
@@ -148,7 +203,7 @@ def test_kernel_is_deterministic():
 )
 def test_declined_cases_return_none(case):
     model = build_model("embedding", (5,), True, "relu")
-    _, train, test = problem(model, 2, 3, 4, 0, token_ids=True)
+    _, train, tests = problem(model, 2, 3, [4], 0, token_ids=True)
     kwargs = {}
     if case == "custom_loss":
         kwargs["loss_fn"] = lambda logits, y: cross_entropy(logits, y)
@@ -158,16 +213,39 @@ def test_declined_cases_return_none(case):
         kwargs["first_order"] = True
     if case == "disabled":
         with fastpath.disabled():
-            assert batched_meta_gradient(model, train, test, 0.1) is None
+            assert batched_meta_gradient(model, train, tests, 0.1) is None
     else:
-        assert batched_meta_gradient(model, train, test, 0.1, **kwargs) is None
+        assert batched_meta_gradient(model, train, tests, 0.1, **kwargs) is None
     assert fastpath.stats().fused_dispatches == 0
 
 
 def test_mismatched_shapes_leave_the_error_to_the_tape():
     model = build_model("embedding", (5,), True, "relu")
-    _, train, test = problem(model, 2, 3, 4, 0, token_ids=True)
+    _, train, (test,) = problem(model, 2, 3, [4], 0, token_ids=True)
     wrong_seq = (train[0][:, :, :2], train[1])
-    assert batched_meta_gradient(model, wrong_seq, test, 0.1) is None
+    assert batched_meta_gradient(model, wrong_seq, [test], 0.1) is None
     wrong_labels = (test[0], test[1][:, :2])
-    assert batched_meta_gradient(model, train, wrong_labels, 0.1) is None
+    assert batched_meta_gradient(model, train, [wrong_labels], 0.1) is None
+    fewer_nodes = (test[0][:1], test[1][:1])
+    assert batched_meta_gradient(model, train, [test, fewer_nodes], 0.1) is None
+    assert batched_meta_gradient(model, train, [], 0.1) is None
+
+
+@pytest.mark.parametrize("nodes", [1, 3])
+@pytest.mark.parametrize("empty", ["train", "test", "extra"])
+def test_empty_batches_leave_the_error_to_the_tape(nodes, empty):
+    """A batch with no rows would give a finite, meaningless gradient;
+    the tape raises on it, so the kernel declines."""
+    model = build_model("mlp", (4,), True, "relu")
+    stacked, train, (test,) = problem(model, nodes, 3, [4], 0, token_ids=False)
+    no_rows = (test[0][:, :0], test[1][:, :0])
+    if empty == "train":
+        train = no_rows
+        tests = [test]
+    else:
+        tests = [no_rows] if empty == "test" else [test, no_rows]
+    assert batched_meta_gradient(model, train, tests, 0.1) is None
+    if empty != "extra":
+        with pytest.raises(ZeroDivisionError):
+            tape_gradient(model, stacked, train, tests[0], 0.1)
+
