@@ -42,8 +42,8 @@ class _FaultyNodeFedML(FedML):
 
 AGGREGATORS = {
     "weighted mean (paper)": None,  # platform default
-    "coordinate median": lambda trees, weights: coordinate_median(trees),
-    "trimmed mean (20%)": lambda trees, weights: trimmed_mean(trees, 0.2),
+    "coordinate median": lambda stacked, weights: coordinate_median(stacked),
+    "trimmed mean (20%)": lambda stacked, weights: trimmed_mean(stacked, 0.2),
 }
 
 

@@ -13,6 +13,7 @@ from repro.data import SyntheticConfig, generate_synthetic
 from repro.federated import GaussianMechanism, Platform, SecureAggregator
 from repro.metrics import format_table
 from repro.nn import LogisticRegression
+from repro.nn.batched import stack_params, unstack_params
 from repro.nn.parameters import to_vector
 
 from conftest import print_figure, run_once
@@ -36,9 +37,10 @@ class _DPFedML(FedML):
         if self.mechanism is not None:
             original = self.platform.aggregator
 
-            def privatized(trees, weights):
-                noisy = [self.mechanism.privatize(tree) for tree in trees]
-                return original(noisy, weights)
+            def privatized(stacked, weights):
+                rows = unstack_params(stacked, len(weights))
+                noisy = [self.mechanism.privatize(row) for row in rows]
+                return original(stack_params(noisy), weights)
 
             self.platform.aggregator = privatized
         return super().fit(federated, source_ids, init_params, verbose)

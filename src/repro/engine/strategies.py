@@ -42,6 +42,7 @@ from ..attacks.wasserstein import wasserstein_ascent
 from ..data.dataset import Dataset, FederatedDataset, NodeSplit
 from ..federated.node import EdgeNode, build_nodes
 from ..nn.batched import (
+    _param_shapes,
     batched_meta_gradient,
     batched_model_loss,
     stack_params,
@@ -510,15 +511,7 @@ class MetaStrategy(LocalStrategy):
     def vectorized_signature(self, node: EdgeNode) -> Optional[Tuple]:
         if not supports_batched_loss(self.model, self.loss_fn):
             return None
-        train, test = node.split.train, node.split.test
-        x = np.asarray(train.x)
-        return (
-            x.shape,
-            x.dtype.kind,
-            np.asarray(train.y).shape,
-            np.asarray(test.x).shape,
-            np.asarray(test.y).shape,
-        )
+        return _split_shapes(node.split)
 
     def local_block_vectorized(
         self,
@@ -527,25 +520,21 @@ class MetaStrategy(LocalStrategy):
         rngs: Sequence[np.random.Generator],
     ) -> None:
         cfg = self.config
-        train_x = np.stack([np.asarray(n.split.train.x) for n in nodes])
-        train_y = np.stack([np.asarray(n.split.train.y) for n in nodes])
-        test_x = np.stack([np.asarray(n.split.test.x) for n in nodes])
-        test_y = np.stack([np.asarray(n.split.test.y) for n in nodes])
+        train, test = _stacked_split(nodes)
         stacked = stack_params([node.params for node in nodes])
         names = sorted(stacked)
         # The closed-form kernel, its inputs hoisted out of the T0 loop;
         # whatever it declines runs the stacked tape below.
         kernel = batched_meta_gradient(
-            self.model, (train_x, train_y), [(test_x, test_y)], cfg.alpha,
-            self.loss_fn, inner_steps=cfg.inner_steps,
-            first_order=cfg.first_order,
+            self.model, train, [test], cfg.alpha, self.loss_fn,
+            inner_steps=cfg.inner_steps, first_order=cfg.first_order,
         )
         for _ in range(steps):
             if kernel is not None:
                 gradient, _ = kernel(stacked)
             else:
                 gradient = self._stacked_tape_gradient(
-                    stacked, names, (train_x, train_y), (test_x, test_y)
+                    stacked, names, train, test
                 )
             stacked = {
                 name: Tensor(
@@ -603,24 +592,90 @@ class MetaStrategy(LocalStrategy):
     def global_meta_loss(
         self, params: Params, nodes: Sequence[EdgeNode]
     ) -> float:
-        """``G(theta) = Σ ω_i G_i(theta)`` over the given nodes."""
+        """``G(theta) = Σ ω_i G_i(theta)`` over the given nodes.
+
+        Nodes whose batches share shapes form a group, and one call of the
+        exact kernel on θ broadcast over the group yields every ``G_i`` in
+        it; nodes the kernel declines run the tape's :func:`meta_loss`.  The
+        weighted reduce runs in node order either way, on every executor.
+        """
         cfg = self.config
-        return weighted_node_average(
-            nodes,
-            lambda node: meta_loss(
-                self.model,
-                params,
-                node.split,
-                cfg.alpha,
-                inner_steps=getattr(cfg, "inner_steps", 1),
-                loss_fn=self.loss_fn,
-            ),
+        inner_steps = getattr(cfg, "inner_steps", 1)
+        groups: Dict[Tuple, List[EdgeNode]] = {}
+        for node in nodes:
+            groups.setdefault(_split_shapes(node.split), []).append(node)
+        values: Dict[int, float] = {}
+        for group in groups.values():
+            values.update(self._kernel_meta_losses(params, group, inner_steps))
+
+        def value(node: EdgeNode) -> float:
+            if node.node_id in values:
+                return values[node.node_id]
+            return meta_loss(
+                self.model, params, node.split, cfg.alpha,
+                inner_steps=inner_steps, loss_fn=self.loss_fn,
+            )
+
+        return weighted_node_average(nodes, value)
+
+    def _kernel_meta_losses(
+        self, params: Params, group: Sequence[EdgeNode], inner_steps: int
+    ) -> Dict[int, float]:
+        """Each node's ``G_i(θ)`` by ``node_id``, or ``{}`` if the kernel
+        declines the group.
+
+        Built per evaluation, never held: the data are the group's, not a
+        training block's.  Exact (``first_order=False``) whatever the
+        config, since a loss value does not depend on that switch.
+        """
+        train, test = _stacked_split(group)
+        kernel = batched_meta_gradient(
+            self.model, train, [test], self.config.alpha, self.loss_fn,
+            inner_steps=inner_steps,
         )
+        shapes = {name: t.shape for name, t in params.items()}
+        if kernel is None or shapes != _param_shapes(self.model):
+            return {}
+        theta = {
+            name: Tensor(np.broadcast_to(t.data, (len(group), *t.shape)))
+            for name, t in params.items()
+        }
+        _, losses = kernel(theta)
+        return {node.node_id: float(loss) for node, loss in zip(group, losses)}
 
     def evaluate(
         self, params: Params, nodes: Sequence[EdgeNode]
     ) -> Dict[str, float]:
         return {"global_meta_loss": self.global_meta_loss(params, nodes)}
+
+
+def _split_shapes(split: NodeSplit) -> Tuple:
+    """What lets nodes' batches stack: their shapes and the input kind."""
+    train, test = split.train, split.test
+    x = np.asarray(train.x)
+    return (
+        x.shape,
+        x.dtype.kind,
+        np.asarray(train.y).shape,
+        np.asarray(test.x).shape,
+        np.asarray(test.y).shape,
+    )
+
+
+def _stacked_split(
+    nodes: Sequence[EdgeNode],
+) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+    """The nodes' train and test batches as stacked ``(x, y)`` pairs."""
+    def stack(sets: Sequence[Dataset]) -> Tuple[np.ndarray, np.ndarray]:
+        return (
+            np.stack([np.asarray(d.x) for d in sets]),
+            np.stack([np.asarray(d.y) for d in sets]),
+        )
+
+    return (
+        stack([node.split.train for node in nodes]),
+        stack([node.split.test for node in nodes]),
+    )
 
 
 def merge_meta_sgd_trees(params: Params, log_alpha: Params) -> Params:

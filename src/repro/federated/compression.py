@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import io
 import struct
-from typing import Dict
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from ..autodiff import Tensor
-from ..nn.parameters import Params
+from ..nn.parameters import Params, num_bytes
+from ..obs.telemetry import NullTelemetry, Telemetry
+from .node import EdgeNode
 from .platform import Platform
 
 __all__ = ["UniformQuantizer", "TopKSparsifier", "CompressedPlatform"]
@@ -142,31 +144,25 @@ class CompressedPlatform(Platform):
 
     Downloads (global model broadcast) stay full-precision — the standard
     asymmetric design, since the downlink is cheap and a lossy global model
-    would compound error across rounds.
+    would compound error across rounds.  Each upload is charged its
+    compressed size, and the round aggregates the decompressed trees.
     """
 
     def __init__(self, compressor, **kwargs) -> None:
         super().__init__(**kwargs)
         self.compressor = compressor
 
-    def aggregate(self, nodes):  # type: ignore[override]
-        if not nodes:
-            raise ValueError("cannot aggregate with zero participating nodes")
-        from ..nn.parameters import num_bytes
-        from ..obs.telemetry import resolve
-
-        tel = resolve(self.telemetry)
-        self.rounds_completed += 1
-        round_index = self.rounds_completed
-
-        trees = []
+    def _receive(
+        self,
+        nodes: Sequence[EdgeNode],
+        round_index: int,
+        tel: "Telemetry | NullTelemetry",
+    ) -> List[Params]:
+        trees: List[Params] = []
         compressed_bytes = 0
         raw_bytes = 0
         for node in nodes:
-            if node.params is None:
-                raise RuntimeError(
-                    f"node {node.node_id} has no parameters to upload"
-                )
+            assert node.params is not None  # check_uploads ran
             blob = self.compressor.compress(node.params)
             self.comm_log.charge_upload(round_index, node.node_id, len(blob))
             compressed_bytes += len(blob)
@@ -174,16 +170,9 @@ class CompressedPlatform(Platform):
                 raw_bytes += num_bytes(node.params)
             trees.append(self.compressor.decompress(blob))
         tel.counter("fl_bytes_up_total").inc(compressed_bytes)
-        tel.counter("fl_uploads_total").inc(len(trees))
-        tel.gauge("fl_participants").set(len(nodes))
         if tel.enabled and compressed_bytes:
             tel.counter("fl_bytes_up_raw_total").inc(raw_bytes)
             tel.series("fl_compression_ratio").observe(
                 round_index, raw_bytes / compressed_bytes
             )
-
-        weights = np.array([node.weight for node in nodes], dtype=np.float64)
-        weights = weights / weights.sum()
-        self.global_params = self.aggregator(trees, weights.tolist())
-        self._broadcast(nodes, round_index)
-        return self.global_params
+        return trees

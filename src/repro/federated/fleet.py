@@ -71,12 +71,14 @@ from ..autodiff import Tensor
 from ..data.dataset import Dataset, NodeSplit
 from ..faults.injector import RunInterrupted, record_fault
 from ..faults.plan import FaultPlan
-from ..nn.parameters import Params, detach, weighted_average
+from ..nn.batched import stack_params
+from ..nn.parameters import Params, detach
 from ..obs.telemetry import Telemetry, resolve
 from ..utils.checkpoint import load_checkpoint, save_checkpoint
 from ..utils.logging import RunLogger
 from ..utils.rng import instrument_node_rng, spawn
 from ..utils.serialization import payload_bytes
+from .aggregation import normalized_weights, weighted_mean
 from .network import CommunicationLog, LinkModel
 from .node import EdgeNode
 from .sampling import IdSpaceSampler, sample_id_space
@@ -300,8 +302,7 @@ class BufferedAggregator:
         if not self.entries:
             raise ValueError("cannot flush an empty buffer")
         ordered = sorted(self.entries, key=lambda e: e.node_id)
-        raw = np.array([e.weight for e in ordered], dtype=np.float64)
-        weights = raw / raw.sum()
+        weights = normalized_weights([e.weight for e in ordered])
         corrected: List[Params] = []
         stats: List[Dict[str, Any]] = []
         for entry in ordered:
@@ -330,7 +331,7 @@ class BufferedAggregator:
                     "base_version": entry.base_version,
                 }
             )
-        merged = weighted_average(corrected, weights.tolist())
+        merged = weighted_mean(stack_params(corrected), weights)
         self.entries = []
         return merged, stats
 

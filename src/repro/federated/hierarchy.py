@@ -18,11 +18,17 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..nn.parameters import Params
-from ..utils.serialization import deserialize_params, serialize_params
-from .aggregation import weighted_mean
+from ..nn.batched import stack_params
+from ..nn.parameters import Params, detach
+from ..utils.serialization import (
+    deserialize_params,
+    payload_bytes,
+    serialize_params,
+)
+from .aggregation import normalized_weights, weighted_mean
 from .network import CommunicationLog, LinkModel
 from .node import EdgeNode
+from .platform import check_uploads
 
 __all__ = ["GatewayAssignment", "HierarchicalPlatform"]
 
@@ -87,56 +93,54 @@ class HierarchicalPlatform:
 
     def initialize(self, params: Params, nodes: Sequence[EdgeNode]) -> None:
         self.global_params = params
-        blob = serialize_params(params)
+        size = payload_bytes(params)
         for gateway in range(self.assignment.num_gateways):
-            self.wan_log.charge_download(0, gateway, len(blob))
+            self.wan_log.charge_download(0, gateway, size)
         for node in nodes:
-            self.lan_log.charge_download(0, node.node_id, len(blob))
-            node.params = deserialize_params(blob)
+            self.lan_log.charge_download(0, node.node_id, size)
+            node.params = detach(params)
 
     def aggregate(self, nodes: Sequence[EdgeNode]) -> Params:
-        if not nodes:
-            raise ValueError("cannot aggregate with zero participating nodes")
-        self.rounds_completed += 1
-        round_index = self.rounds_completed
-
+        check_uploads(nodes)
         by_gateway: Dict[int, List[EdgeNode]] = {}
         for node in nodes:
             if node.node_id not in self.assignment.node_to_gateway:
                 raise KeyError(f"node {node.node_id} has no gateway assignment")
             gateway = self.assignment.node_to_gateway[node.node_id]
             by_gateway.setdefault(gateway, []).append(node)
+        # A gateway whose members weigh nothing has no mean to forward.
+        member_weights = {
+            gateway: normalized_weights([n.weight for n in members])
+            for gateway, members in by_gateway.items()
+        }
+        self.rounds_completed += 1
+        round_index = self.rounds_completed
 
         gateway_models: List[Params] = []
         gateway_weights: List[float] = []
         for gateway, members in sorted(by_gateway.items()):
             trees: List[Params] = []
             for node in members:
-                if node.params is None:
-                    raise RuntimeError(
-                        f"node {node.node_id} has no parameters to upload"
-                    )
-                blob = serialize_params(node.params)
-                self.lan_log.charge_upload(round_index, node.node_id, len(blob))
-                trees.append(deserialize_params(blob))
-            weights = np.array([n.weight for n in members], dtype=np.float64)
-            local = weighted_mean(trees, (weights / weights.sum()).tolist())
-            blob = serialize_params(local)
-            self.wan_log.charge_upload(round_index, gateway, len(blob))
-            gateway_models.append(deserialize_params(blob))
-            gateway_weights.append(float(weights.sum()))
+                assert node.params is not None  # check_uploads ran
+                self.lan_log.charge_upload(
+                    round_index, node.node_id, payload_bytes(node.params)
+                )
+                trees.append(node.params)
+            local = weighted_mean(stack_params(trees), member_weights[gateway])
+            self.wan_log.charge_upload(round_index, gateway, payload_bytes(local))
+            gateway_models.append(local)
+            gateway_weights.append(float(np.sum([n.weight for n in members])))
 
-        total = sum(gateway_weights)
         self.global_params = weighted_mean(
-            gateway_models, [w / total for w in gateway_weights]
+            stack_params(gateway_models), normalized_weights(gateway_weights)
         )
 
-        blob = serialize_params(self.global_params)
+        size = payload_bytes(self.global_params)
         for gateway in sorted(by_gateway):
-            self.wan_log.charge_download(round_index, gateway, len(blob))
+            self.wan_log.charge_download(round_index, gateway, size)
         for node in nodes:
-            self.lan_log.charge_download(round_index, node.node_id, len(blob))
-            node.params = deserialize_params(blob)
+            self.lan_log.charge_download(round_index, node.node_id, size)
+            node.params = detach(self.global_params)
         return self.global_params
 
     def transfer_to_target(self) -> Params:

@@ -3,8 +3,14 @@
 The platform never sees raw data — it only receives model parameters from
 source edge nodes, aggregates them (eq. 5), redistributes the global model,
 and eventually transfers the learned initialization to a target edge node.
-All transfers pass through the serialization layer so the communication log
-reflects true wire sizes.
+A round stacks the uploads on a node axis and applies one aggregation rule
+(:mod:`.aggregation`) to the stack.  Every upload and broadcast is charged
+its wire size under :mod:`repro.utils.serialization`'s format, computed
+from names and shapes (:func:`~repro.utils.serialization.payload_bytes`),
+and each node receives the broadcast as fresh leaves sharing the global
+model's arrays — safe because no code writes a tensor's ``.data`` in place
+(lint rule AD101).  The transfer to a target still round-trips the wire
+format.
 """
 
 from __future__ import annotations
@@ -14,16 +20,37 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from ..nn.parameters import Params
-from ..obs.telemetry import Telemetry, resolve
-from ..utils.serialization import deserialize_params, serialize_params
-from .aggregation import instrument_aggregator, weighted_mean
+from ..nn.batched import stack_params
+from ..nn.parameters import Params, detach
+from ..obs.telemetry import NullTelemetry, Telemetry, resolve
+from ..utils.serialization import (
+    deserialize_params,
+    payload_bytes,
+    serialize_params,
+)
+from .aggregation import instrument_aggregator, normalized_weights, weighted_mean
 from .network import CommunicationLog, LinkModel
 from .node import EdgeNode
 
 __all__ = ["Platform"]
 
-Aggregator = Callable[[Sequence[Params], Sequence[float]], Params]
+#: ``(participants' trees stacked on a node axis, normalized weights) -> θ``
+Aggregator = Callable[[Params, np.ndarray], Params]
+
+
+def check_uploads(nodes: Sequence[EdgeNode]) -> np.ndarray:
+    """The round's normalized weights, once every participant can upload.
+
+    Every platform runs this before it changes any state, so a rejected
+    round leaves no counter, log record or global model behind.
+    """
+    if not nodes:
+        raise ValueError("cannot aggregate with zero participating nodes")
+    weights = normalized_weights([node.weight for node in nodes])
+    for node in nodes:
+        if node.params is None:
+            raise RuntimeError(f"node {node.node_id} has no parameters to upload")
+    return weights
 
 
 @dataclass
@@ -77,38 +104,15 @@ class Platform:
         Node weights are renormalized over the participating subset so the
         update remains a convex combination even under partial participation.
         """
-        if not nodes:
-            raise ValueError("cannot aggregate with zero participating nodes")
+        weights = check_uploads(nodes)
         tel = resolve(self.telemetry)
         self.rounds_completed += 1
         round_index = self.rounds_completed
-
-        blobs: List[bytes] = []
-        for node in nodes:
-            if node.params is None:
-                raise RuntimeError(f"node {node.node_id} has no parameters to upload")
-            blob = serialize_params(node.params)
-            self.comm_log.charge_upload(round_index, node.node_id, len(blob))
-            blobs.append(blob)
-        tel.counter("fl_bytes_up_total").inc(sum(len(b) for b in blobs))
-        tel.counter("fl_uploads_total").inc(len(blobs))
+        trees = self._receive(nodes, round_index, tel)
+        tel.counter("fl_uploads_total").inc(len(nodes))
         tel.gauge("fl_participants").set(len(nodes))
-
-        trees = [deserialize_params(blob) for blob in blobs]
-        weights = np.array([node.weight for node in nodes], dtype=np.float64)
-        total = weights.sum()
-        if not np.isfinite(total) or total <= 0.0:
-            # Renormalizing by a zero (or non-finite) sum would turn every
-            # weight into NaN and silently poison global_params past the
-            # quarantine policy — fail loudly instead.
-            raise ValueError(
-                "cannot aggregate: participating node weights sum to "
-                f"{total!r}; every aggregation weight must be non-negative "
-                "with a positive finite total"
-            )
-        weights = weights / total
         aggregator = instrument_aggregator(self.aggregator, tel)
-        self.global_params = aggregator(trees, weights.tolist())
+        self.global_params = aggregator(stack_params(trees), weights)
         self._broadcast(nodes, round_index)
         return self.global_params
 
@@ -119,13 +123,31 @@ class Platform:
         return deserialize_params(serialize_params(self.global_params))
 
     # ------------------------------------------------------------------
+    def _receive(
+        self,
+        nodes: Sequence[EdgeNode],
+        round_index: int,
+        tel: "Telemetry | NullTelemetry",
+    ) -> List[Params]:
+        """Charge every upload; returns the trees as the platform gets them."""
+        trees: List[Params] = []
+        sent = 0
+        for node in nodes:
+            assert node.params is not None  # check_uploads ran
+            size = payload_bytes(node.params)
+            self.comm_log.charge_upload(round_index, node.node_id, size)
+            sent += size
+            trees.append(node.params)
+        tel.counter("fl_bytes_up_total").inc(sent)
+        return trees
+
     def _broadcast(self, nodes: Sequence[EdgeNode], round_index: int) -> None:
         if self.global_params is None:
             raise RuntimeError("no global parameters to broadcast")
-        blob = serialize_params(self.global_params)
+        size = payload_bytes(self.global_params)
         for node in nodes:
-            self.comm_log.charge_download(round_index, node.node_id, len(blob))
-            node.params = deserialize_params(blob)
+            self.comm_log.charge_download(round_index, node.node_id, size)
+            node.params = detach(self.global_params)
         resolve(self.telemetry).counter("fl_bytes_down_total").inc(
-            len(blob) * len(nodes)
+            size * len(nodes)
         )

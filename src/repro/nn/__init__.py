@@ -20,7 +20,6 @@ from .parameters import (
     to_vector,
     tree_binary_map,
     tree_map,
-    weighted_average,
     zeros_like_params,
 )
 
@@ -55,6 +54,5 @@ __all__ = [
     "to_vector",
     "tree_binary_map",
     "tree_map",
-    "weighted_average",
     "zeros_like_params",
 ]

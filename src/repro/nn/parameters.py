@@ -8,7 +8,7 @@ while retaining the graph connection back to ``theta``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "num_bytes",
     "l2_distance",
     "l2_norm",
-    "weighted_average",
     "add_scaled",
     "zeros_like_params",
 ]
@@ -105,7 +104,11 @@ def num_parameters(params: Params) -> int:
 
 
 def num_bytes(params: Params) -> int:
-    """Serialized size of the tree — what a node uploads per aggregation."""
+    """Raw size of the tree's arrays (``nbytes``), without any wire header.
+
+    :func:`repro.utils.serialization.payload_bytes` is the wire size — what
+    a node uploads per aggregation.
+    """
     return int(sum(t.data.nbytes for t in params.values()))
 
 
@@ -115,26 +118,6 @@ def l2_distance(left: Params, right: Params) -> float:
 
 def l2_norm(params: Params) -> float:
     return float(np.linalg.norm(to_vector(params)))
-
-
-def weighted_average(trees: Sequence[Params], weights: Iterable[float]) -> Params:
-    """Weighted average of parameter trees (eq. 5 of the paper)."""
-    weights = list(weights)
-    if len(trees) != len(weights):
-        raise ValueError("one weight per parameter tree is required")
-    if not trees:
-        raise ValueError("cannot average zero trees")
-    total = float(sum(weights))
-    if not np.isclose(total, 1.0):
-        raise ValueError(f"aggregation weights must sum to 1, got {total}")
-    names = _sorted_names(trees[0])
-    out: Params = {}
-    for name in names:
-        acc = np.zeros_like(trees[0][name].data)
-        for tree, w in zip(trees, weights):
-            acc = acc + w * tree[name].data
-        out[name] = Tensor(acc)
-    return out
 
 
 def add_scaled(params: Params, update: Params, scale: float) -> Params:

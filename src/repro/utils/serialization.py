@@ -3,7 +3,9 @@
 The federated substrate charges communication cost per aggregation round;
 these helpers define the wire format (a flat header + raw float64 payload)
 and measure its size, so the cost model reflects what a real edge deployment
-would upload.
+would upload.  The size depends only on names and shapes, so
+:func:`payload_bytes` computes it without encoding the tree; checkpoints,
+fingerprints and the transfer to a target use the bytes themselves.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ __all__ = [
 
 _MAGIC = b"RPRM"
 _VERSION = 1
+#: bytes before the first entry: magic, version and entry count
+_HEADER_BYTES = len(_MAGIC) + struct.calcsize("<HI")
+#: fixed bytes per entry: name length and rank
+_ENTRY_BYTES = struct.calcsize("<H") + struct.calcsize("<B")
 
 
 def serialize_params(params: Params) -> bytes:
@@ -91,8 +97,19 @@ def deserialize_params(blob: bytes) -> Params:
 
 
 def payload_bytes(params: Params) -> int:
-    """Exact wire size of a parameter tree under this format."""
-    return len(serialize_params(params))
+    """Exact wire size of a parameter tree under this format.
+
+    Equals ``len(serialize_params(params))``: per entry the fixed fields,
+    the UTF-8 name, one int64 per dimension and one float64 per element.
+    Plain ints from ``ndim`` and ``size``, since this runs for every upload
+    and broadcast.
+    """
+    total = _HEADER_BYTES
+    for name, tensor in params.items():
+        data = tensor.data
+        total += _ENTRY_BYTES + len(name.encode("utf-8"))
+        total += 8 * (data.ndim + data.size)
+    return total
 
 
 def params_fingerprint(params: Params) -> str:

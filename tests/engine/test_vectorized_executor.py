@@ -278,7 +278,9 @@ class TestSent140Model:
         seen = self._spy(monkeypatch)
         serial = _fit(sent140, FedML, self.CONFIG, SerialExecutor())
         vectorized = _fit(sent140, FedML, self.CONFIG, VectorizedExecutor())
-        assert seen == {"accepted": 2, "declined": 0, "calls": 6}
+        # Training: the vectorized fit's 2 blocks, 3 steps each.  Evaluation,
+        # on both executors: 3 per fit (θ⁰ and 2 rounds), one group each.
+        assert seen == {"accepted": 2 + 6, "declined": 0, "calls": 6 + 6}
         np.testing.assert_allclose(
             to_vector(serial.params),
             to_vector(vectorized.params),
@@ -301,7 +303,8 @@ class TestSent140Model:
         seen = self._spy(monkeypatch)
         with fastpath.disabled():
             taped = _fit(sent140, FedML, self.CONFIG, VectorizedExecutor())
-        assert seen == {"accepted": 0, "declined": 2, "calls": 0}
+        # 2 training blocks and 3 evaluations, all declined.
+        assert seen == {"accepted": 0, "declined": 2 + 3, "calls": 0}
         kernel = _fit(sent140, FedML, self.CONFIG, VectorizedExecutor())
         np.testing.assert_allclose(
             to_vector(taped.params),

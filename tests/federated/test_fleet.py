@@ -33,9 +33,10 @@ from repro.federated.sampling import (
     sample_id_space,
 )
 from repro.nn import LogisticRegression
-from repro.nn.parameters import weighted_average
 from repro.utils.rng import instrument_node_rng
 from repro.utils.serialization import payload_bytes
+
+from .test_aggregation import reference_weighted_mean
 
 
 def make_strategy(seed=0, lr=0.05, local_steps=2, rounds=5):
@@ -192,7 +193,7 @@ class TestBufferedAggregator:
 
         current = {"w": Tensor(np.zeros(3))}
         merged, stats = agg.flush(current, 0, {})
-        expected = weighted_average(
+        expected = reference_weighted_mean(
             [entries[0].params, entries[1].params], [0.75, 0.25]
         )
         assert np.array_equal(merged["w"].data, expected["w"].data)
@@ -290,7 +291,7 @@ class TestFleetSimulator:
             trees.append(node.params)
             weights.append(registry.weight(node_id))
         normalized = (np.array(weights) / np.sum(weights)).tolist()
-        expected = weighted_average(trees, normalized)
+        expected = reference_weighted_mean(trees, normalized)
         assert trees_equal(result.params, expected)
 
     def test_double_run_bit_identical(self):

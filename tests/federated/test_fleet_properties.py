@@ -140,7 +140,7 @@ def test_staleness_zero_buffered_reduces_to_synchronous(seed, sampled):
     With the buffer as large as the wave, every flush happens with
     ``base_version == current_version`` for all entries: the discount
     path is never taken (regardless of α) and the flush is the same
-    ``weighted_average`` call the synchronous mode makes.
+    ``weighted_mean`` call the synchronous mode makes.
     """
     sync, _ = fleet_run(seed, sampled=sampled, buffer_size=None)
     fresh, _ = fleet_run(

@@ -1,22 +1,30 @@
 """Tests for edge nodes, aggregation, and the platform."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.autodiff import Tensor
 from repro.data import Dataset
 from repro.federated import (
+    CompressedPlatform,
     DropoutInjector,
     EdgeNode,
     FullParticipation,
+    GatewayAssignment,
+    HierarchicalPlatform,
     Platform,
+    UniformQuantizer,
     UniformSampler,
     build_nodes,
     coordinate_median,
     trimmed_mean,
     weighted_mean,
 )
+from repro.nn.batched import stack_params
 from repro.nn.parameters import l2_distance
+from repro.utils.serialization import serialize_params
 
 RNG = np.random.default_rng(0)
 
@@ -76,31 +84,33 @@ class TestBuildNodes:
 
 class TestAggregationRules:
     def test_weighted_mean_exact(self):
-        out = weighted_mean([make_tree(0.0), make_tree(10.0)], [0.3, 0.7])
+        out = weighted_mean(
+            stack_params([make_tree(0.0), make_tree(10.0)]), [0.3, 0.7]
+        )
         np.testing.assert_allclose(out["w"].data, np.full(3, 7.0))
 
     def test_median_ignores_outlier(self):
         trees = [make_tree(1.0), make_tree(2.0), make_tree(1000.0)]
-        out = coordinate_median(trees)
+        out = coordinate_median(stack_params(trees))
         np.testing.assert_allclose(out["w"].data, np.full(3, 2.0))
 
     def test_trimmed_mean_removes_tails(self):
         trees = [make_tree(v) for v in (1.0, 2.0, 3.0, 4.0, 1000.0)]
-        out = trimmed_mean(trees, trim_fraction=0.2)
+        out = trimmed_mean(stack_params(trees), trim_fraction=0.2)
         np.testing.assert_allclose(out["w"].data, np.full(3, 3.0))
 
     def test_trimmed_mean_zero_trim_is_mean(self):
         trees = [make_tree(v) for v in (1.0, 3.0)]
-        out = trimmed_mean(trees, trim_fraction=0.0)
+        out = trimmed_mean(stack_params(trees), trim_fraction=0.0)
         np.testing.assert_allclose(out["w"].data, np.full(3, 2.0))
 
     def test_trimmed_mean_invalid_fraction(self):
         with pytest.raises(ValueError):
-            trimmed_mean([make_tree(1.0)], trim_fraction=0.5)
+            trimmed_mean(stack_params([make_tree(1.0)]), trim_fraction=0.5)
 
     def test_median_empty_raises(self):
         with pytest.raises(ValueError):
-            coordinate_median([])
+            coordinate_median({"w": Tensor(np.zeros((0, 3)))})
 
 
 class TestPlatform:
@@ -197,6 +207,115 @@ class TestPlatform:
         nodes[2].params = make_tree(50.0)
         out = platform.aggregate(nodes)
         np.testing.assert_allclose(out["w"].data, np.full(3, 2.0))
+
+
+
+def every_platform(nodes):
+    """One of each platform kind, over ``nodes``, two gateways for the tree."""
+    return [
+        Platform(),
+        CompressedPlatform(UniformQuantizer(8)),
+        HierarchicalPlatform(
+            assignment=GatewayAssignment.round_robin(
+                [node.node_id for node in nodes], 2
+            )
+        ),
+    ]
+
+
+def comm_logs(platform):
+    if isinstance(platform, HierarchicalPlatform):
+        return [platform.lan_log, platform.wan_log]
+    return [platform.comm_log]
+
+
+class TestWeightGuard:
+    """Every platform runs one weight check before it changes any state."""
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(0.0, 0.0, 0.0), (-1.0, 2.0, 1.0), (float("nan"), 1.0, 1.0)],
+        ids=["all-zero", "one-negative", "one-nan"],
+    )
+    def test_bad_weights_raise_one_error_and_change_nothing(self, weights):
+        messages = set()
+        for index in range(3):
+            nodes = build_nodes(make_datasets((10, 20, 30)), k=3)
+            platform = every_platform(nodes)[index]
+            platform.initialize(make_tree(1.0), nodes)
+            for value, (node, weight) in enumerate(zip(nodes, weights)):
+                node.params = make_tree(float(value))
+                node.weight = weight
+            uploads = [node.params for node in nodes]
+            theta = platform.global_params
+            records = [list(log.records) for log in comm_logs(platform)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as info:
+                    platform.aggregate(nodes)
+            messages.add(str(info.value))
+            assert platform.rounds_completed == 0
+            assert [log.records for log in comm_logs(platform)] == records
+            assert platform.global_params is theta
+            assert all(n.params is p for n, p in zip(nodes, uploads))
+        (message,) = messages
+        assert "positive finite total" in message
+        assert "np.float64" not in message
+
+    def test_negative_weight_is_rejected_not_extrapolated(self):
+        """Weights (−1, 2) on values 0 and 1 once returned 2, outside the
+        uploads' convex hull."""
+        platform = Platform()
+        nodes = build_nodes(make_datasets((10, 10)), k=3)
+        platform.initialize(make_tree(0.0), nodes)
+        nodes[1].params = make_tree(1.0)
+        nodes[0].weight, nodes[1].weight = -1.0, 2.0
+        with pytest.raises(ValueError, match="non-negative"):
+            platform.aggregate(nodes)
+
+
+class TestPlatformBytes:
+    """The byte logs hold wire sizes, computed without encoding a tree."""
+
+    @staticmethod
+    def _tree(value):
+        # A non-ASCII name and a 0-d tensor exercise every field's size.
+        return {
+            "wé": Tensor(np.full((2, 3), float(value))),
+            "s": Tensor(np.float64(value)),
+        }
+
+    def test_every_log_holds_serialized_sizes(self):
+        for index in range(3):
+            nodes = build_nodes(make_datasets((10, 20, 30)), k=3)
+            platform = every_platform(nodes)[index]
+            platform.initialize(self._tree(0.0), nodes)
+            for value, node in enumerate(nodes):
+                node.params = self._tree(value + 1.0)
+            uploads = [node.params for node in nodes]
+            platform.aggregate(nodes)
+            wire = len(serialize_params(platform.global_params))
+            if isinstance(platform, CompressedPlatform):
+                compressed = [len(platform.compressor.compress(p)) for p in uploads]
+                up = [r.num_bytes for r in platform.comm_log.records
+                      if r.direction == "up"]
+                assert up == compressed
+            for log in comm_logs(platform):
+                for record in log.records:
+                    if record.direction == "down" or not isinstance(
+                        platform, CompressedPlatform
+                    ):
+                        assert record.num_bytes == wire, (index, record)
+
+    def test_broadcast_shares_the_global_arrays_read_only(self):
+        platform = Platform()
+        nodes = build_nodes(make_datasets((10, 20)), k=3)
+        platform.initialize(make_tree(0.0), nodes)
+        out = platform.aggregate(nodes)
+        for node in nodes:
+            assert node.params["w"] is not out["w"]
+            assert np.shares_memory(node.params["w"].data, out["w"].data)
+            assert not node.params["w"].data.flags.writeable
 
 
 class TestSampling:

@@ -15,6 +15,7 @@ from repro.federated import (
     weighted_mean,
 )
 from repro.federated.privacy import SecureAggregator
+from repro.nn.batched import stack_params
 from repro.nn.parameters import to_vector
 
 
@@ -31,7 +32,7 @@ def trees_from_seeds(seeds):
 def test_weighted_mean_in_convex_hull(seeds):
     trees = trees_from_seeds(seeds)
     weights = [1.0 / len(trees)] * len(trees)
-    out = to_vector(weighted_mean(trees, weights))
+    out = to_vector(weighted_mean(stack_params(trees), weights))
     stacked = np.stack([to_vector(t) for t in trees])
     assert np.all(out <= stacked.max(axis=0) + 1e-12)
     assert np.all(out >= stacked.min(axis=0) - 1e-12)
@@ -43,8 +44,8 @@ def test_median_and_trimmed_mean_in_value_range(seeds):
     trees = trees_from_seeds(seeds)
     stacked = np.stack([to_vector(t) for t in trees])
     for rule in (
-        lambda: coordinate_median(trees),
-        lambda: trimmed_mean(trees, 0.2),
+        lambda: coordinate_median(stack_params(trees)),
+        lambda: trimmed_mean(stack_params(trees), 0.2),
     ):
         out = to_vector(rule())
         assert np.all(out <= stacked.max(axis=0) + 1e-12)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autodiff import Tensor
+from repro.federated.aggregation import weighted_mean
 from repro.nn import parameters as P
+from repro.nn.batched import stack_params
 
 
 def make_params(seed=0):
@@ -78,9 +80,11 @@ class TestVectorRoundTrip:
 
 
 class TestAveraging:
+    """Eq. 5 over parameter trees, now ``weighted_mean`` on their stack."""
+
     def test_weighted_average_exact(self):
         p, q = make_params(0), make_params(1)
-        avg = P.weighted_average([p, q], [0.25, 0.75])
+        avg = weighted_mean(stack_params([p, q]), [0.25, 0.75])
         np.testing.assert_allclose(
             avg["W"].data, 0.25 * p["W"].data + 0.75 * q["W"].data
         )
@@ -88,19 +92,19 @@ class TestAveraging:
     def test_weights_must_sum_to_one(self):
         p, q = make_params(0), make_params(1)
         with pytest.raises(ValueError):
-            P.weighted_average([p, q], [0.5, 0.6])
+            weighted_mean(stack_params([p, q]), [0.5, 0.6])
 
     def test_weight_count_mismatch_raises(self):
         with pytest.raises(ValueError):
-            P.weighted_average([make_params()], [0.5, 0.5])
+            weighted_mean(stack_params([make_params()]), [0.5, 0.5])
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            P.weighted_average([], [])
+            weighted_mean({"W": Tensor(np.zeros((0, 3, 2)))}, [])
 
     def test_average_of_identical_trees_is_identity(self):
         p = make_params()
-        avg = P.weighted_average([p, p, p], [1 / 3] * 3)
+        avg = weighted_mean(stack_params([p, p, p]), [1 / 3] * 3)
         np.testing.assert_allclose(avg["W"].data, p["W"].data)
 
     @given(st.lists(st.integers(0, 100), min_size=2, max_size=5))
@@ -108,7 +112,7 @@ class TestAveraging:
     def test_average_stays_in_convex_hull(self, seeds):
         trees = [make_params(s) for s in seeds]
         weights = [1.0 / len(trees)] * len(trees)
-        avg = P.weighted_average(trees, weights)
+        avg = weighted_mean(stack_params(trees), weights)
         stacked = np.stack([t["W"].data for t in trees])
         assert np.all(avg["W"].data <= stacked.max(axis=0) + 1e-12)
         assert np.all(avg["W"].data >= stacked.min(axis=0) - 1e-12)

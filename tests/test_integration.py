@@ -122,6 +122,7 @@ class TestPrivacyPipeline:
         platform's weighted average (with node-side pre-scaling)."""
         from repro.federated import SecureAggregator
         from repro.federated.aggregation import weighted_mean
+        from repro.nn.batched import stack_params
 
         fed, sources, _ = workload
         runner = FedML(MODEL, FedMLConfig(**BASE))
@@ -134,7 +135,7 @@ class TestPrivacyPipeline:
         weights = np.array([n.weight for n in nodes])
         weights = weights / weights.sum()
         expected = weighted_mean(
-            [n.params for n in nodes], weights.tolist()
+            stack_params([n.params for n in nodes]), weights
         )
 
         agg = SecureAggregator([n.node_id for n in nodes], seed=5)

@@ -34,7 +34,10 @@ NAMES = st.text(
 
 
 @st.composite
-def params_trees(draw):
+def params_trees(draw, keep_dtype=False):
+    """Trees of 0-3-d tensors, zero-size dimensions included; with
+    ``keep_dtype`` each tensor holds its integer or float32 source array
+    as is (a ``Tensor`` casts to float64; the wire format must too)."""
     names = draw(st.lists(NAMES, min_size=0, max_size=5, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     params = {}
@@ -49,6 +52,8 @@ def params_trees(draw):
         else:
             data = rng.standard_normal(size=shape).astype(dtype)
         params[name] = Tensor(data)
+        if keep_dtype:
+            params[name].data = data
     return params
 
 
@@ -85,6 +90,12 @@ class TestSerializationProperties:
         blob = serialize_params(params)
         assert payload_bytes(params) == len(blob)
         assert_trees_equal(deserialize_params(blob), params)
+
+    @settings(max_examples=200, deadline=None)
+    @given(params=params_trees(keep_dtype=True))
+    def test_payload_bytes_is_the_wire_size(self, params):
+        """Computed from names and shapes alone, without encoding."""
+        assert payload_bytes(params) == len(serialize_params(params))
 
     @SETTINGS
     @given(params=params_trees(), data=st.data())
