@@ -22,6 +22,15 @@ a short training trajectory.  Per node, every tensor must be within
 ``1e-12`` of that node's largest tape gradient entry
 (``stacked_within_tolerance``; worst ratio in ``stacked_max_rel_err``).
 
+The first-order leg times ``repro.nn.batched.batched_loss_gradient``
+against the tape (``fastpath.disabled()``) on two workloads: the
+``fleet_1m`` local step, LogReg(16,4) parameter gradients on fleet shards,
+and the ``robust_mnist`` Wasserstein ascent, LogReg(64,10) with Ta = 10.
+Per node, every gradient tensor must be within ``1e-12`` of its largest
+tape entry, and the ascent's ``x*`` within ``1e-12`` of the tape's largest
+perturbation ``|x* − x0|`` (``first_order_within_tolerance``; worst ratio
+in ``first_order_max_rel_err``).
+
 Standalone mode writes the CI artifact ``BENCH_autodiff.json``::
 
     PYTHONPATH=src python benchmarks/bench_autodiff_fastpath.py \
@@ -31,19 +40,26 @@ Standalone mode writes the CI artifact ``BENCH_autodiff.json``::
 import argparse
 import json
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
+from repro.attacks import wasserstein_ascent
 from repro.autodiff import Tensor, fastpath
 from repro.core import FedMLConfig
 from repro.core.maml import meta_gradient
 from repro.data import (
+    MnistLikeConfig,
     Sent140LikeConfig,
     SyntheticConfig,
+    generate_mnist_like,
     generate_sent140_like,
     generate_synthetic,
 )
 from repro.engine import MetaStrategy
+from repro.engine.evaluation import loss_gradient
+from repro.federated.fleet import SyntheticShardFactory
+from repro.nn import cross_entropy
 from repro.nn import EmbeddingClassifier, LogisticRegression
 from repro.nn.batched import batched_meta_gradient, stack_params
 from repro.nn.parameters import require_grad
@@ -165,6 +181,65 @@ def run_stacked_comparison(steps=20, alpha=0.05, beta=0.05):
     }
 
 
+def timed_both(call, repeats):
+    """Milliseconds per ``call()`` with the kernel, then with the tape (one
+    warm-up each), and each side's last result."""
+    timings = []
+    for switch in (nullcontext(), fastpath.disabled()):
+        with switch:
+            call()
+            start = time.perf_counter()
+            for _ in range(repeats):
+                result = call()
+            elapsed = time.perf_counter() - start
+            timings.append((1e3 * elapsed / repeats, result))
+    (kernel_ms, fast), (tape_ms, ref) = timings
+    return kernel_ms, tape_ms, fast, ref
+
+
+def run_first_order_comparison(repeats=5):
+    """The first-order kernel against the tape on its two workloads."""
+    shards = SyntheticShardFactory(seed=1)
+    fleet_model = LogisticRegression(shards.input_dim, shards.num_classes)
+    fleet_params = fleet_model.init(np.random.default_rng(0))
+    fleet_data = [shards.make(i) for i in range(64)]
+
+    def fleet_step():
+        return [
+            loss_gradient(fleet_model, fleet_params, d, cross_entropy)
+            for d in fleet_data
+        ]
+
+    mnist = generate_mnist_like(MnistLikeConfig(num_nodes=24, seed=1))
+    mnist_model = LogisticRegression(64, 10)
+    phi = mnist_model.init(np.random.default_rng(0))
+    batches = [mnist.node_split(i, 5).test for i in range(24)]
+
+    def ascent():
+        return [
+            wasserstein_ascent(mnist_model, phi, d.x, d.y, lam=1.0, nu=1.0,
+                               steps=10)
+            for d in batches
+        ]
+
+    fleet_kernel_ms, fleet_tape_ms, fast, ref = timed_both(fleet_step, repeats)
+    fleet_err = max_relative_error(fast, ref)
+    ascent_kernel_ms, ascent_tape_ms, fast, ref = timed_both(ascent, repeats)
+    ascent_err = max(
+        float(np.max(np.abs(f - r)) / np.max(np.abs(r - d.x)))
+        for f, r, d in zip(fast, ref, batches)
+    )
+    worst = max(fleet_err, ascent_err)
+    return {
+        "first_order_fleet_kernel_ms": fleet_kernel_ms / len(fleet_data),
+        "first_order_fleet_tape_ms": fleet_tape_ms / len(fleet_data),
+        "first_order_ascent_kernel_ms": ascent_kernel_ms / len(batches),
+        "first_order_ascent_tape_ms": ascent_tape_ms / len(batches),
+        "first_order_within_tolerance": bool(worst <= REL_TOL),
+        "first_order_max_rel_err": worst,
+    }
+
+
 def run_comparison(nodes=8, k=5, repeats=30, alpha=0.01):
     """Time the meta-gradient sweep with the fast path on and off."""
     model, splits, params = build_workload(nodes=nodes, k=k)
@@ -184,6 +259,7 @@ def run_comparison(nodes=8, k=5, repeats=30, alpha=0.01):
     max_rel_err = max_relative_error(fast_grads, ref_grads)
 
     stacked = run_stacked_comparison()
+    first_order = run_first_order_comparison()
     return {
         "nodes": nodes,
         "k_shot": k,
@@ -198,6 +274,7 @@ def run_comparison(nodes=8, k=5, repeats=30, alpha=0.01):
         "max_rel_err": max_rel_err,
         "fastpath_stats": stats,
         **stacked,
+        **first_order,
     }
 
 
@@ -212,6 +289,10 @@ def test_ablation_autodiff_fastpath(benchmark):
     assert result["stacked_within_tolerance"], (
         f"stacked kernel diverged from the tape: "
         f"{result['stacked_max_rel_err']:.3g}"
+    )
+    assert result["first_order_within_tolerance"], (
+        f"first-order kernel diverged from the tape: "
+        f"{result['first_order_max_rel_err']:.3g}"
     )
     assert result["fastpath_stats"]["fused_dispatches"] > 0
     assert result["speedup"] > 1.0, (
@@ -241,9 +322,21 @@ def main():
         f"kernel {result['stacked_kernel_ms']:.2f} ms "
         f"({result['stacked_speedup']:.2f}x, "
         f"max_rel_err={result['stacked_max_rel_err']:.3g}, "
-        f"within_tolerance={result['stacked_within_tolerance']}) -> {args.out}"
+        f"within_tolerance={result['stacked_within_tolerance']}); "
+        f"first order: fleet step tape "
+        f"{result['first_order_fleet_tape_ms']:.3f} ms, kernel "
+        f"{result['first_order_fleet_kernel_ms']:.3f} ms; ascent tape "
+        f"{result['first_order_ascent_tape_ms']:.2f} ms, kernel "
+        f"{result['first_order_ascent_kernel_ms']:.2f} ms "
+        f"(max_rel_err={result['first_order_max_rel_err']:.3g}, "
+        f"within_tolerance={result['first_order_within_tolerance']}) "
+        f"-> {args.out}"
     )
-    ok = result["within_tolerance"] and result["stacked_within_tolerance"]
+    ok = (
+        result["within_tolerance"]
+        and result["stacked_within_tolerance"]
+        and result["first_order_within_tolerance"]
+    )
     return 0 if ok else 1
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff import Tensor, grad
+from ..nn.batched import node_loss_gradient
 from ..nn.losses import cross_entropy
 from ..nn.modules import EmbeddingClassifier, Model
 from ..nn.parameters import Params
@@ -31,8 +32,14 @@ def input_gradient(
     y: np.ndarray,
     loss_fn=cross_entropy,
 ) -> np.ndarray:
-    """``∇_x loss(model(params, x), y)`` as a NumPy array."""
+    """``∇_x loss(model(params, x), y)`` as a NumPy array, in the space
+    :func:`embed_inputs` maps ``x`` to; from the first-order kernel
+    wherever it applies, else from the tape."""
     features = embed_inputs(model, x)
+    built = node_loss_gradient(model, params, features, y, loss_fn)
+    if built is not None:
+        kernel, stacked = built
+        return kernel(stacked)[2][0]
     x_tensor = Tensor(features, requires_grad=True)
     loss = loss_fn(model.apply(params, x_tensor), y)
     (g,) = grad(loss, [x_tensor], allow_unused=True)

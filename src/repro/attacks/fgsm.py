@@ -13,7 +13,7 @@ import numpy as np
 from ..nn.losses import cross_entropy
 from ..nn.modules import Model
 from ..nn.parameters import Params
-from .common import input_gradient
+from .common import embed_inputs, input_gradient
 
 __all__ = ["fgsm"]
 
@@ -29,13 +29,17 @@ def fgsm(
 ) -> np.ndarray:
     """Return FGSM-perturbed inputs at strength ``xi``.
 
+    The perturbation lives where the gradient does, in the continuous
+    space :func:`embed_inputs` maps ``x`` to: token ids come back as
+    perturbed embedded features, as with :func:`repro.attacks.pgd`.
     ``clip_range`` optionally clamps the result to a valid feature range
     (e.g. ``(0, 1)`` for images).
     """
     if xi < 0:
         raise ValueError("xi must be non-negative")
-    g = input_gradient(model, params, x, y, loss_fn=loss_fn)
-    adv = np.asarray(x, dtype=np.float64) + xi * np.sign(g)
+    features = embed_inputs(model, x)
+    g = input_gradient(model, params, features, y, loss_fn=loss_fn)
+    adv = features + xi * np.sign(g)
     if clip_range is not None:
         adv = np.clip(adv, clip_range[0], clip_range[1])
     return adv

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff import Tensor, grad, ops
+from ..nn.batched import node_loss_gradient
 from ..nn.losses import cross_entropy
 from ..nn.modules import Model
 from ..nn.parameters import Params
@@ -56,6 +57,9 @@ def wasserstein_ascent(
 
     The anchor ``x0`` is the clean input; ascent starts from it and climbs
     the penalized loss surface.  Labels are returned unchanged by design.
+    Each step's loss gradient comes from the first-order kernel
+    (:func:`repro.nn.batched.batched_loss_gradient`) wherever it applies,
+    else from the tape.
     """
     if lam < 0:
         raise ValueError("lam must be non-negative")
@@ -65,6 +69,16 @@ def wasserstein_ascent(
         raise ValueError("steps must be >= 1")
     anchor = embed_inputs(model, x)
     current = anchor.copy()
+    built = node_loss_gradient(model, params, anchor, y, loss_fn)
+    if built is not None:
+        # θ and the one-hot labels are the kernel's, fixed over the steps;
+        # the transport term's gradient is 2λ(x − x0) / batch.
+        kernel, stacked = built
+        scale = 2.0 * lam / len(anchor)
+        for _ in range(steps):
+            g = kernel(stacked, current[None])[2][0]
+            current = current + nu * (g - scale * (current - anchor))
+        return current
     for _ in range(steps):
         x_tensor = Tensor(current, requires_grad=True)
         objective = surrogate_objective(

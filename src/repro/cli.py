@@ -50,6 +50,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 from typing import List, Optional
 
 import numpy as np
@@ -319,44 +320,49 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     from .autodiff import fastpath
 
-    fastpath_was_enabled = fastpath.enabled()
-    if args.no_fastpath:
-        fastpath.disable()
+    # --no-fastpath holds through fit() and the adaptation table alike.
+    switch = fastpath.disabled() if args.no_fastpath else nullcontext()
     fastpath.reset_stats()
+    with switch:
+        try:
+            if args.profile_tape:
+                from .autodiff.profile import profile_ops
 
-    try:
-        if args.profile_tape:
-            from .autodiff.profile import profile_ops
-
-            with profile_ops() as tape_profile:
+                with profile_ops() as tape_profile:
+                    result = trainer.fit(
+                        federated, sources, resume=args.resume
+                    )
+                if telemetry is not None:
+                    tape_profile.to_registry(telemetry.registry)
+                if not args.json:
+                    print(tape_profile.summary(top=10))
+            else:
                 result = trainer.fit(federated, sources, resume=args.resume)
+        except RunInterrupted as interrupted:
+            # A plan-scheduled kill: report where the run died and how to
+            # pick it back up, with a distinct exit code so harnesses can
+            # detect it.
             if telemetry is not None:
-                tape_profile.to_registry(telemetry.registry)
-            if not args.json:
-                print(tape_profile.summary(top=10))
-        else:
-            result = trainer.fit(federated, sources, resume=args.resume)
-    except RunInterrupted as interrupted:
-        # A plan-scheduled kill: report where the run died and how to pick
-        # it back up, with a distinct exit code so harnesses can detect it.
+                telemetry.close()
+            print(f"run interrupted: {interrupted}", file=sys.stderr)
+            if interrupted.checkpoint_path:
+                print(
+                    "resume with: --resume --checkpoint "
+                    f"{interrupted.checkpoint_path}",
+                    file=sys.stderr,
+                )
+            return 3
+        finally:
+            if executor is not None:
+                executor.close()
         if telemetry is not None:
-            telemetry.close()
-        print(f"run interrupted: {interrupted}", file=sys.stderr)
-        if interrupted.checkpoint_path:
-            print(
-                "resume with: --resume --checkpoint "
-                f"{interrupted.checkpoint_path}",
-                file=sys.stderr,
-            )
-        return 3
-    finally:
-        if fastpath_was_enabled:
-            fastpath.enable()
-        if executor is not None:
-            executor.close()
+            fastpath.to_registry(telemetry.registry)
 
-    if telemetry is not None:
-        fastpath.to_registry(telemetry.registry)
+        splits = target_splits(federated, targets, k=args.k)
+        curve = evaluate_adaptation(
+            model, result.params, splits, alpha=args.alpha,
+            max_steps=args.adapt_steps,
+        )
 
     history = result.history
     loss_key = (
@@ -365,12 +371,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         else "global_loss"
     )
     losses = history.series(loss_key)
-
-    splits = target_splits(federated, targets, k=args.k)
-    curve = evaluate_adaptation(
-        model, result.params, splits, alpha=args.alpha,
-        max_steps=args.adapt_steps,
-    )
 
     payload = {
         "algorithm": args.algorithm,
@@ -974,8 +974,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     train.add_argument(
         "--no-fastpath", action="store_true",
-        help="disable the first-order autodiff fast path (raw-VJP backward "
-        "with plan caching); results are bit-identical either way",
+        help="run every gradient on the autodiff tape, through training "
+        "and the adaptation table: no raw-VJP backward, no closed-form "
+        "kernels; the kernels agree with the tape within 1e-12 relative, so "
+        "printed values agree and final parameters differ in the last bits",
     )
     train.set_defaults(func=_cmd_train)
 

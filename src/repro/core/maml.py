@@ -5,7 +5,9 @@ centralized MAML baseline:
 
 * :func:`inner_adapt` — the one-step (or multi-step) gradient update
   ``phi = theta - alpha * dL(theta, D_train)`` of eq. (3), keeping the graph
-  connected to ``theta`` so meta-gradients flow through it;
+  connected to ``theta`` so meta-gradients flow through it; its first-order
+  form takes :func:`repro.nn.batched.batched_loss_gradient` while the fast
+  path is on;
 * :func:`meta_loss` — ``L(phi(theta), D_test)``, the per-node objective
   ``G_i(theta)`` of Section IV;
 * :func:`meta_gradient` — exact (second-order) or first-order meta-gradient
@@ -24,7 +26,7 @@ import numpy as np
 
 from ..autodiff import Tensor, grad
 from ..data.dataset import Dataset, NodeSplit
-from ..nn.batched import _param_shapes, batched_meta_gradient
+from ..nn.batched import _param_shapes, batched_meta_gradient, node_loss_gradient
 from ..nn.fused import fused_model_loss
 from ..nn.losses import cross_entropy
 from ..nn.modules import Model
@@ -57,10 +59,28 @@ def inner_adapt(
 
     With ``create_graph=True`` the returned parameters remain differentiable
     functions of ``params`` (exact MAML); with ``False`` the inner gradients
-    are treated as constants (first-order approximation).
+    are treated as constants (first-order approximation).  A tree of plain
+    leaves (eq. 6, :func:`meta_loss`, Robust FedML's φ) then takes its
+    gradients from the first-order kernel wherever it applies; a leaf that
+    requires grad (the FOMAML meta-gradient) keeps ``phi = theta - alpha *
+    g`` on the tape.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    built = None
+    if not create_graph and not any(t.requires_grad for t in params.values()):
+        built = node_loss_gradient(model, params, data.x, data.y, loss_fn)
+    if built is not None:
+        kernel, stacked = built
+        current = params
+        for _ in range(steps):
+            _, grads, _ = kernel(stacked)
+            current = {
+                name: Tensor(t.data - alpha * grads[name][0])
+                for name, t in sorted(current.items())
+            }
+            stacked = {name: t.data[None] for name, t in current.items()}
+        return current
     names, tensors = _ordered(params)
     # Promote plain leaves so the inner gradient exists; tensors that already
     # require grad are kept as-is to preserve the caller's graph connection.

@@ -16,6 +16,7 @@ import numpy as np
 from ..autodiff import Tensor, grad
 from ..data.dataset import Dataset
 from ..federated.node import EdgeNode
+from ..nn.batched import node_loss_gradient
 from ..nn.fused import fused_model_loss
 from ..nn.modules import Model
 from ..nn.parameters import Params, require_grad
@@ -44,7 +45,14 @@ def loss_gradient(
     data: Dataset,
     loss_fn: Callable[[Tensor, np.ndarray], Tensor],
 ) -> Params:
-    """``∇_θ L(θ, data)`` with unused parameters mapped to zero gradients."""
+    """``∇_θ L(θ, data)`` with unused parameters mapped to zero gradients.
+
+    The first-order kernel computes it where it applies; else the tape."""
+    built = node_loss_gradient(model, params, data.x, data.y, loss_fn)
+    if built is not None:
+        kernel, stacked = built
+        _, grads, _ = kernel(stacked)
+        return {name: Tensor(g[0]) for name, g in grads.items()}
     theta = require_grad(params)
     loss = fused_model_loss(model, theta, data.x, data.y, loss_fn)
     names = sorted(theta)

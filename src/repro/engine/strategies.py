@@ -43,6 +43,7 @@ from ..data.dataset import Dataset, FederatedDataset, NodeSplit
 from ..federated.node import EdgeNode, build_nodes
 from ..nn.batched import (
     _param_shapes,
+    batched_loss_gradient,
     batched_meta_gradient,
     batched_model_loss,
     stack_params,
@@ -296,13 +297,16 @@ class SgdStrategy(LocalStrategy):
 
     def local_step(self, node: EdgeNode) -> float:
         assert node.params is not None
-        cfg = self.config
         gradient = loss_gradient(
             self.model, node.params, self._full_data(node), self.loss_fn
         )
-        node.params = add_scaled(node.params, gradient, -cfg.learning_rate)
+        node.params = self._update(node.params, gradient)
         node.record_local_step(gradient_evals=1)
         return 0.0
+
+    def _update(self, params: Params, gradient: Params) -> Params:
+        """One SGD step; ``params`` may carry a leading node axis."""
+        return add_scaled(params, gradient, -self.config.learning_rate)
 
     def release_node(self, node: EdgeNode) -> None:
         cache = self.__dict__.get("_data_cache")
@@ -318,54 +322,54 @@ class SgdStrategy(LocalStrategy):
         x = np.asarray(data.x)
         return (x.shape, x.dtype.kind, np.asarray(data.y).shape)
 
-    def _stacked_block_inputs(
-        self, nodes: Sequence[EdgeNode]
-    ) -> Tuple[np.ndarray, np.ndarray, Params, List[str]]:
-        datasets = [self._full_data(node) for node in nodes]
-        xs = np.stack([np.asarray(d.x) for d in datasets])
-        ys = np.stack([np.asarray(d.y) for d in datasets])
-        stacked = stack_params([node.params for node in nodes])
-        return xs, ys, stacked, sorted(stacked)
-
-    def _apply_stacked(
-        self, nodes: Sequence[EdgeNode], stacked: Params, steps: int,
-        gradient_evals: int,
-    ) -> None:
-        for node, tree in zip(nodes, unstack_params(stacked, len(nodes))):
-            # Intentional per-node loop: state fan-out and step accounting,
-            # not compute (the compute ran as one stacked tape above).
-            node.params = tree
-            for _ in range(steps):
-                node.record_local_step(gradient_evals=gradient_evals)
-
     def local_block_vectorized(
         self,
         nodes: Sequence[EdgeNode],
         steps: int,
         rngs: Sequence[np.random.Generator],
     ) -> None:
-        cfg = self.config
-        xs, ys, stacked, names = self._stacked_block_inputs(nodes)
+        datasets = [self._full_data(node) for node in nodes]
+        batch = (
+            np.stack([np.asarray(d.x) for d in datasets]),
+            np.stack([np.asarray(d.y) for d in datasets]),
+        )
+        stacked = stack_params([node.params for node in nodes])
+        # The first-order kernel, its inputs hoisted out of the steps; the
+        # stacked tape where it declines.
+        kernel = batched_loss_gradient(self.model, batch, self.loss_fn)
         for _ in range(steps):
-            theta = require_grad(stacked)
-            loss_vec = batched_model_loss(self.model, theta, xs, ys)
-            grads = grad(
-                ops.sum_(loss_vec), [theta[n] for n in names],
-                allow_unused=True,
-            )
-            stacked = {
-                name: Tensor(
-                    theta[name].data
-                    + (-cfg.learning_rate)
-                    * (
-                        np.zeros_like(theta[name].data)
-                        if g is None
-                        else g.data
-                    )
-                )
-                for name, g in zip(names, grads)
-            }
-        self._apply_stacked(nodes, stacked, steps, gradient_evals=1)
+            if kernel is not None:
+                _, grads, _ = kernel({n: t.data for n, t in stacked.items()})
+                gradient = {name: Tensor(g) for name, g in grads.items()}
+            else:
+                gradient = self._stacked_tape_gradient(stacked, batch)
+            stacked = self._update(stacked, gradient)
+        self._apply_stacked(nodes, stacked, steps)
+
+    def _apply_stacked(
+        self, nodes: Sequence[EdgeNode], stacked: Params, steps: int
+    ) -> None:
+        for node, tree in zip(nodes, unstack_params(stacked, len(nodes))):
+            # Intentional per-node loop: state fan-out and step accounting,
+            # not compute (the compute ran stacked above).
+            node.params = tree
+            for _ in range(steps):
+                node.record_local_step(gradient_evals=1)
+
+    def _stacked_tape_gradient(
+        self, stacked: Params, batch: Tuple[np.ndarray, np.ndarray]
+    ) -> Params:
+        """Every node's loss gradient from one stacked tape."""
+        theta = require_grad(stacked)
+        names = sorted(theta)
+        loss_vec = batched_model_loss(self.model, theta, *batch)
+        grads = grad(
+            ops.sum_(loss_vec), [theta[n] for n in names], allow_unused=True
+        )
+        return {
+            name: Tensor(np.zeros_like(theta[name].data)) if g is None else g
+            for name, g in zip(names, grads)
+        }
 
     def global_loss(self, params: Params, nodes: Sequence[EdgeNode]) -> float:
         """Weighted empirical loss ``L_w(theta)`` (eq. 2)."""
@@ -402,61 +406,21 @@ class ProxStrategy(SgdStrategy):
     ) -> None:
         self._anchor = detach(aggregated)
 
-    def local_step(self, node: EdgeNode) -> float:
-        assert node.params is not None
+    def _update(self, params: Params, gradient: Params) -> Params:
+        """One proximal step; the shared anchor broadcasts over a leading
+        node axis, so a stacked step is the serial step per slice."""
         cfg = self.config
-        anchor = self._anchor
-        gradient = loss_gradient(
-            self.model, node.params, self._full_data(node), self.loss_fn
-        )
-        node.params = {
+        return {
             name: Tensor(
-                node.params[name].data
+                p.data
                 - cfg.learning_rate
                 * (
                     gradient[name].data
-                    + cfg.mu_prox * (node.params[name].data - anchor[name].data)
+                    + cfg.mu_prox * (p.data - self._anchor[name].data)
                 )
             )
-            for name in node.params
+            for name, p in params.items()
         }
-        node.record_local_step(gradient_evals=1)
-        return 0.0
-
-    def local_block_vectorized(
-        self,
-        nodes: Sequence[EdgeNode],
-        steps: int,
-        rngs: Sequence[np.random.Generator],
-    ) -> None:
-        cfg = self.config
-        anchor = self._anchor
-        xs, ys, stacked, names = self._stacked_block_inputs(nodes)
-        for _ in range(steps):
-            theta = require_grad(stacked)
-            loss_vec = batched_model_loss(self.model, theta, xs, ys)
-            grads = grad(
-                ops.sum_(loss_vec), [theta[n] for n in names],
-                allow_unused=True,
-            )
-            updated: Params = {}
-            for name, g in zip(names, grads):
-                gd = (
-                    np.zeros_like(theta[name].data) if g is None else g.data
-                )
-                # The shared anchor broadcasts over the leading node axis;
-                # per-slice arithmetic mirrors the serial local_step.
-                updated[name] = Tensor(
-                    theta[name].data
-                    - cfg.learning_rate
-                    * (
-                        gd
-                        + cfg.mu_prox
-                        * (theta[name].data - anchor[name].data[None])
-                    )
-                )
-            stacked = updated
-        self._apply_stacked(nodes, stacked, steps, gradient_evals=1)
 
 
 # ----------------------------------------------------------------------

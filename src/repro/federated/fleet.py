@@ -718,7 +718,9 @@ class FleetSimulator:
                 # the update never reaches the buffer.
                 self._versions.release(base_version)
                 continue
-            update = self._train_node(info["round"], node_id, base_version)
+            update, weight = self._train_node(
+                info["round"], node_id, base_version
+            )
             corrupt = faults.corruption(info["round"], node_id)
             if corrupt is not None:
                 update = faults.corrupt_params(
@@ -750,7 +752,7 @@ class FleetSimulator:
             full = self.buffer.add(
                 BufferEntry(
                     node_id=node_id,
-                    weight=self.registry.weight(node_id),
+                    weight=weight,
                     base_version=base_version,
                     params=update,
                 )
@@ -775,8 +777,9 @@ class FleetSimulator:
 
     def _train_node(
         self, round_index: int, node_id: int, base_version: int
-    ) -> Params:
-        """Materialize, train one block, evict; returns the update."""
+    ) -> Tuple[Params, float]:
+        """Materialize, train one block, evict; returns the update and the
+        node's weight ``|D_i|``, read off the shard it just built."""
         strategy = self.strategy
         cfg = self.config
         node = self.registry.materialize(
@@ -794,7 +797,7 @@ class FleetSimulator:
         assert node.params is not None
         update = detach(node.params)
         self.registry.evict(node_id, strategy)
-        return update
+        return update, node.weight
 
     def _flush(self, round_index: int, tel: Any) -> None:
         assert self.params is not None

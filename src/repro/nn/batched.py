@@ -30,6 +30,13 @@ norm, the activation and softmax-xent on raw arrays.  The result is
 tolerance-equal to the tape, per node relative to that node's largest
 reference gradient entry; the bound and its measurements are in the
 "Exact meta-gradient kernel" section of docs/AUTODIFF.md.
+
+``batched_loss_gradient`` is the first-order half of the same arithmetic:
+one forward and one backward give the mean cross-entropy, its parameter
+gradient and its input gradient.  It serves every first-order step that
+would otherwise build a tape — local SGD, the inner step of eq. 3/6, the
+FGSM/PGD input gradient and the Wasserstein ascent ("First-order gradient
+kernel" in docs/AUTODIFF.md).
 """
 
 from __future__ import annotations
@@ -56,6 +63,8 @@ __all__ = [
     "batched_one_hot",
     "batched_model_loss",
     "batched_meta_gradient",
+    "batched_loss_gradient",
+    "node_loss_gradient",
     "supports_batched_loss",
 ]
 
@@ -63,6 +72,9 @@ LossFn = Callable[[Tensor, np.ndarray], Tensor]
 #: one block's kernel: stacked θ -> (stacked meta-gradient, (N,) losses)
 MetaGradientKernel = Callable[[Params], Tuple[Params, np.ndarray]]
 Arrays = Dict[str, np.ndarray]
+#: one batch's first-order kernel: stacked θ arrays (and optionally new
+#: inputs) -> ((N,) losses, stacked gradient arrays, input gradient)
+LossGradientKernel = Callable[..., Tuple[np.ndarray, Arrays, np.ndarray]]
 
 
 def stack_params(params_list: Sequence[Params]) -> Params:
@@ -490,7 +502,9 @@ def _batch(
             return None
         x = model.embedding.data[ids].reshape(ids.shape[0], ids.shape[1], dim)
     else:
-        x = _as_input_tensor(x).data
+        x = x.data if isinstance(x, Tensor) else np.asarray(x)
+        if x.dtype != np.longdouble:  # kept for extended-precision references
+            x = x.astype(np.float64, copy=False)
     if x.shape[2:] != (dim,) or y.shape != x.shape[:2] or not y.size:
         return None
     try:
@@ -602,3 +616,81 @@ def batched_meta_gradient(
         return {name: Tensor(meta[name]) for name in names}, losses
 
     return kernel
+
+
+# ----------------------------------------------------------------------
+# Closed-form first-order gradient over the node axis
+# ----------------------------------------------------------------------
+def batched_loss_gradient(
+    model: Model,
+    batch: Tuple[np.ndarray, np.ndarray],
+    loss_fn: LossFn = cross_entropy,
+) -> Optional[LossGradientKernel]:
+    """The batch's first-order cross-entropy kernel, or ``None``.
+
+    ``batch`` is a stacked ``(x, y)`` pair.  ``kernel(theta)`` maps stacked
+    θ, raw arrays by name, to the ``(N,)`` mean cross-entropies, their
+    gradients by sorted name, and the input gradient ``δz_0 W_0ᵀ``: ``(N,
+    B, dim)``, in the first layer's feature space (embedded, for token
+    ids; the space :func:`repro.attacks.embed_inputs` perturbs).  One
+    forward and one backward on raw arrays; the one-hot labels and the
+    embedded features are hoisted out of the calls.  ``kernel(theta, x)``
+    takes new first-layer inputs of the batch's shape against the same
+    labels, for an ascent on the inputs.
+
+    Declines where :func:`batched_meta_gradient` does: a disabled fast
+    path, a loss other than ``cross_entropy``, a model
+    :func:`supports_batched_loss` rejects, or a batch the tape should
+    report (mismatched shapes, no rows, labels that are not integers or
+    lie outside the classes).  Each kernel call counts one
+    ``fused_dispatches``.
+    """
+    if not fastpath.enabled() or not supports_batched_loss(model, loss_fn):
+        return None
+    layers, activation = _dense_layers(model)
+    prepared = _batch(model, batch, layers[0].fan_in)
+    if prepared is None:
+        return None
+    features, targets = prepared
+    names = sorted(_param_shapes(model))
+    w0, b0 = layers[0].w, layers[0].b
+
+    def kernel(
+        theta: Arrays, x: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, Arrays, np.ndarray]:
+        fastpath.note_fused_dispatch()
+        x = features if x is None else x
+        hidden, logits = _forward(
+            theta, layers, activation,
+            np.matmul(x, theta[w0]) + theta[b0][:, None],
+        )
+        probs, losses = _softmax_xent(logits, targets)
+        grads, dzs, _ = _backward(
+            theta, layers, hidden, (probs - targets) / targets.shape[1]
+        )
+        grads[w0] = _tmatmul(x, dzs[0])
+        inputs = np.matmul(dzs[0], np.swapaxes(theta[w0], 1, 2))
+        return losses, {name: grads[name] for name in names}, inputs
+
+    return kernel
+
+
+def node_loss_gradient(
+    model: Model,
+    params: Params,
+    x: np.ndarray,
+    y: np.ndarray,
+    loss_fn: LossFn = cross_entropy,
+) -> Optional[Tuple[LossGradientKernel, Arrays]]:
+    """:func:`batched_loss_gradient` on one node's ``(x, y)``, with
+    ``params`` as its one-node stack of raw arrays; ``None`` where the
+    kernel declines or the tree's names or shapes are not the model's
+    (the tape handles those)."""
+    if {name: t.shape for name, t in params.items()} != _param_shapes(model):
+        return None
+    kernel = batched_loss_gradient(
+        model, (np.asarray(x)[None], np.asarray(y)[None]), loss_fn
+    )
+    if kernel is None:
+        return None
+    return kernel, {name: t.data[None] for name, t in params.items()}

@@ -72,6 +72,24 @@ class TestFGSM:
         adv = fgsm(model, params, x, y, xi=0.1)
         assert np.abs(adv - x).max() <= 0.1 + 1e-12
 
+    def test_token_ids_are_perturbed_in_the_embedded_space(self):
+        model = EmbeddingClassifier(
+            vocab_size=11, embed_dim=4, seq_len=5, hidden_dims=(6,),
+            num_classes=2,
+        )
+        rng = np.random.default_rng(2)
+        ids = rng.integers(0, 11, size=(7, 5))
+        y = rng.integers(0, 2, size=7)
+        params = model.init(rng)
+        adv = fgsm(model, params, ids, y, xi=0.1)
+        clean = embed_inputs(model, ids)
+        assert adv.shape == clean.shape == (7, 20)
+        g = input_gradient(model, params, ids, y)
+        np.testing.assert_array_equal(adv, clean + 0.1 * np.sign(g))
+        clean_loss = cross_entropy(model.apply(params, clean), y).item()
+        adv_loss = cross_entropy(model.apply(params, adv), y).item()
+        assert adv_loss > clean_loss
+
     def test_increases_loss(self, trained_model):
         model, params, x, y = trained_model
         adv = fgsm(model, params, x, y, xi=0.3)

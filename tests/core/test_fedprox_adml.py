@@ -9,8 +9,15 @@ from repro.core import (
     FedProx,
     FedProxConfig,
 )
-from repro.data import MnistLikeConfig, SyntheticConfig, generate_mnist_like, generate_synthetic
-from repro.nn import LogisticRegression
+from repro.data import (
+    MnistLikeConfig,
+    Sent140LikeConfig,
+    SyntheticConfig,
+    generate_mnist_like,
+    generate_sent140_like,
+    generate_synthetic,
+)
+from repro.nn import EmbeddingClassifier, LogisticRegression
 from repro.nn.parameters import to_vector
 
 
@@ -161,3 +168,19 @@ class TestFederatedADML:
             attack=lambda m, p, x, y: fgsm(m, p, x, y, xi=0.1, clip_range=(0, 1)),
         )
         assert report.adversarial_accuracy > untrained.adversarial_accuracy
+
+    def test_trains_on_sent140_token_ids(self):
+        """Token-id inputs: FGSM perturbs the embedded features, so the
+        inner step trains on floats while the clean test set stays ids."""
+        fed = generate_sent140_like(Sent140LikeConfig(num_nodes=6, seed=0))
+        model = EmbeddingClassifier(
+            vocab_size=fed.metadata["vocab_size"], embed_dim=4,
+            seq_len=fed.metadata["seq_len"], hidden_dims=(8,),
+            num_classes=2, batch_norm=True,
+        )
+        cfg = ADMLConfig(
+            alpha=0.05, beta=0.05, t0=2, total_iterations=4, k=5, epsilon=0.1
+        )
+        result = FederatedADML(model, cfg).fit(fed, list(range(5)))
+        assert np.isfinite(to_vector(result.params)).all()
+        assert all(n.gradient_evaluations == 16 for n in result.nodes)

@@ -96,6 +96,14 @@ class TestSyntheticShardFactory:
         factory = SyntheticShardFactory(seed=0)
         assert not np.array_equal(factory.make(0).x, factory.make(1).x)
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_size_draw_is_the_shard_length(self, seed):
+        """The weight a delivered update carries is ``len(make(i))``; the
+        registry's ``weight(i)`` for unmaterialized nodes must agree."""
+        factory = SyntheticShardFactory(seed=seed)
+        for node_id in [0, 1, 17, 999_999]:
+            assert factory.num_samples(node_id) == len(factory.make(node_id))
+
 
 class TestFleetRegistry:
     def test_materialize_evict_tracks_residency(self):

@@ -7,13 +7,15 @@ model ``supports_batched_loss`` accepts, on the vectorized executor and
 that node's largest reference gradient entry on the paper's model, and
 within ``1e-11`` over random tiny problems, where batch norm over two or
 three samples loses digits in the tape and the kernel alike; each node's
-outer loss is within ``1e-12`` relative.  Every case it declines returns
-``None`` so the tape runs unchanged.
+outer loss is within ``1e-12`` relative.  Over random problems the kernel
+and the tape are each held to an extended-precision evaluation, since
+their gap can be the sum of two such losses.  Every case it declines
+returns ``None`` so the tape runs unchanged.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.autodiff import Tensor, fastpath
@@ -29,6 +31,11 @@ REL_TOL = 1e-12
 #: 15,000 draws was 1.1e-12, from 2-sample batch norm (docs/AUTODIFF.md)
 PROPERTY_TOL = 1e-11
 VOCAB = 30
+#: np.longdouble carries more digits than float64 (x87 80-bit, or quad)
+EXTENDED = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+needs_extended = pytest.mark.skipif(
+    not EXTENDED, reason="np.longdouble is float64 on this platform"
+)
 
 
 @pytest.fixture(autouse=True)
@@ -119,6 +126,27 @@ def assert_within_tolerance(got, ref, rel_tol=REL_TOL):
             assert err <= rel_tol * scale, (name, i, err, scale)
 
 
+def extended(model, batch):
+    """``batch`` with np.longdouble features: token ids looked up first,
+    every float64 value widened exactly; labels unchanged."""
+    x, y = batch
+    if np.asarray(x).dtype.kind in "iu":
+        x = model.embedding.data[x].reshape(*x.shape[:2], -1)
+    return np.asarray(x, dtype=np.longdouble), y
+
+
+def extended_reference(model, stacked, train, tests, alpha):
+    """The exact meta-gradient in extended precision: the kernel's
+    arithmetic on np.longdouble inputs, rounded to float64 once.  The
+    kernel and the tape are each held to it, so an error in the kernel's
+    math cannot pass: the tape would miss the reference."""
+    kernel = batched_meta_gradient(
+        model, extended(model, train), [extended(model, t) for t in tests],
+        alpha,
+    )
+    return kernel(stacked)[0]
+
+
 def tape_reference(model, stacked, train, tests, alpha):
     """The stacked tape's gradient of the summed outer losses: one tape per
     outer set, since each set is its own batch-norm batch."""
@@ -142,16 +170,25 @@ def tape_reference(model, stacked, train, tests, alpha):
     token_ids=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+@example(
+    # 2-sample batch norm: the kernel is 3.6e-12 and the tape 7.3e-12 from
+    # the extended reference, on opposite sides (a 1.09e-11 gap).
+    kind="embedding", hidden=[2, 3], batch_norm=True, activation="relu",
+    nodes=4, n_train=6, n_tests=[2], alpha=0.001953125, token_ids=False,
+    seed=6,
+)
 @settings(max_examples=120, deadline=None)
+@needs_extended
 def test_property_kernel_matches_stacked_tape(
     kind, hidden, batch_norm, activation, nodes, n_train, n_tests, alpha,
     token_ids, seed,
 ):
     """LogReg (no hidden layer), MLPs and the embedding model (token ids
     or already-embedded floats), BN on/off, ReLU/tanh, 1-4 nodes, batches
-    of 1-6, one to three outer sets.  Biases feeding BN have an
-    exact-zero true meta-gradient, so only the node-scaled bound applies
-    to them."""
+    of 1-6, one to three outer sets.  The kernel and the stacked tape are
+    each within the bound of the extended-precision reference.  Biases
+    feeding BN have an exact-zero true meta-gradient, so only the
+    node-scaled bound applies to them."""
     model = build_model(kind, tuple(hidden), batch_norm, activation)
     token_ids = token_ids and kind == "embedding"
     stacked, train, tests = problem(
@@ -162,8 +199,11 @@ def test_property_kernel_matches_stacked_tape(
     before = fastpath.stats().fused_dispatches
     got, losses = kernel(stacked)
     assert fastpath.stats().fused_dispatches == before + 1
+    reference = extended_reference(model, stacked, train, tests, alpha)
+    assert_within_tolerance(got, reference, PROPERTY_TOL)
     assert_within_tolerance(
-        got, tape_reference(model, stacked, train, tests, alpha), PROPERTY_TOL
+        tape_reference(model, stacked, train, tests, alpha), reference,
+        PROPERTY_TOL,
     )
     assert_losses_within_tolerance(
         losses, tape_losses(model, stacked, train, tests, alpha)

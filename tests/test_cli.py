@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.autodiff import fastpath
 from repro.cli import build_parser, main
 
 
@@ -68,6 +69,15 @@ class TestTrainCommand:
         ]
         assert main(argv) == 0
         assert "robust-fedml" in capsys.readouterr().out
+
+    def test_no_fastpath_holds_through_the_adaptation_table(self, capsys):
+        """No kernel, no fused op and no fast-path backward in fit() or in
+        the eq.-6 adaptation table; the switch is back on afterwards."""
+        assert main(self.COMMON + ["--no-fastpath", "--json"]) == 0
+        stats = fastpath.stats()
+        assert stats.fused_dispatches == 0 and stats.backwards == 0
+        assert fastpath.enabled()
+        assert len(json.loads(capsys.readouterr().out)["adaptation_losses"]) == 3
 
     def test_json_output_shape(self, capsys):
         assert main(self.COMMON + ["--json"]) == 0
