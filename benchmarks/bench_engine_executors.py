@@ -1,25 +1,30 @@
-"""Ablation — round-engine executors: serial vs pool vs stacked throughput.
+"""Ablation — round-engine executors: serial vs stacked throughput.
 
 The unified round engine runs each node's T0-step block through a pluggable
-``Executor``.  Client blocks between aggregations are independent, so
-``ParallelExecutor`` fans them out across a process pool; deterministic
-per-node seeding (``[seed, block, node]``) plus lossless float64 pickling
-keep the result bit-identical to ``SerialExecutor``.  This bench measures
-the trade — rounds/sec for the executors on the same FedML workload — and
-asserts the parallel path stays seed-deterministic.  The break-even point
-depends on per-block compute: meta-gradients over an MLP amortize the
-pickle/IPC cost; a tiny model would not.  Speedup also needs real cores —
-on a single-CPU machine the pool is pure overhead, so the written record
-includes ``cpus`` and the speedup assertion only applies with >= 2.
+``Executor``.  ``SerialExecutor`` runs the nodes one by one and is the
+reference; :class:`VectorizedExecutor` builds *one* stacked ``(N, ...)``
+computation per group of same-shaped nodes, so the per-step Python
+overhead is paid once per group rather than once per node.  Stacking
+may reassociate floating-point sums, so the vectorized result matches
+serial within tolerance, and each executor repeats its own result bit
+for bit.
 
-:class:`VectorizedExecutor` plays a different game: instead of more
-processes it builds *one* stacked ``(N, ...)`` tape per block, so the
-per-op Python overhead is paid once per fleet rather than once per node.
-``run_comparison`` times it on the same 8-node workload (tolerance-matched
-to serial, bit-reproducible against itself); ``run_scale_comparison``
-measures where stacking actually pays — a 50-node uniform fleet, where a
-process pool only adds pickling — and gates a >= 10x rounds/sec win over
-the pool.
+``run_comparison`` times both executors on an 8-node MLP FedML fit and
+reports ``speedup`` (serial_s / vectorized_s), ``serial_bit_reproducible``
+(a serial double run), ``vectorized_bit_reproducible`` and
+``vectorized_matches_serial``.  ``run_scale_comparison`` isolates the
+executor itself: it times ``run_block`` on a 50-node FedAvg/LogReg fleet
+with uniform shards, where per-node compute is tiny and stacking pays
+most, and reports ``vectorized50_speedup_vs_serial`` and
+``vectorized50_matches_serial``.  Every time is the faster of two runs.
+
+Gates: the standalone exit code and the pytest entries require
+``speedup >= 0.75`` and ``vectorized50_speedup_vs_serial >= 3.0``.  Five
+runs on a 2-vCPU host (Python 3.11, NumPy 2.4) gave ``speedup``
+0.94–1.11 and ``vectorized50_speedup_vs_serial`` 4.5–6.8, so the gates
+sit 20% and 33% under the slowest run.  The 8-node leg barely stacks:
+its power-law shards all differ in size, so every node forms its own
+group and the stacked fit does the serial fit's work.
 
 Standalone mode writes the CI artifact ``BENCH_engine.json``::
 
@@ -37,9 +42,14 @@ import numpy as np
 from repro.core import FedML, FedMLConfig
 from repro.data import SyntheticConfig, generate_synthetic
 from repro.data.dataset import FederatedDataset
-from repro.engine import ParallelExecutor, VectorizedExecutor
+from repro.engine import SerialExecutor, VectorizedExecutor
 from repro.nn import MLP
 from repro.nn.parameters import to_vector
+
+#: minimum 8-node fit speedup (serial_s / vectorized_s)
+MIN_SPEEDUP = 0.75
+#: minimum 50-node ``run_block`` speedup of the stacked path over serial
+MIN_SCALE_SPEEDUP = 3.0
 
 
 def build_workload(nodes, mean_samples=400):
@@ -68,42 +78,26 @@ def available_cpus():
         return os.cpu_count() or 1
 
 
-def run_comparison(nodes=8, total_iterations=40, t0=5, workers=None):
-    """Time one serial and one parallel fit; return the comparison record."""
+def timed_fit(model, fed, sources, total_iterations, t0, executor):
+    """One FedML fit: ``(seconds, flat final params)``."""
+    runner = make_runner(model, total_iterations, t0, executor=executor)
+    start = time.perf_counter()
+    result = runner.fit(fed, sources)
+    return time.perf_counter() - start, to_vector(result.params)
+
+
+def run_comparison(nodes=8, total_iterations=40, t0=5):
+    """Time serial and vectorized FedML fits; return the comparison record."""
     model, fed, sources = build_workload(nodes)
     aggregations = total_iterations // t0
+    args = (model, fed, sources, total_iterations, t0)
 
-    start = time.perf_counter()
-    serial = make_runner(model, total_iterations, t0).fit(fed, sources)
-    serial_s = time.perf_counter() - start
-
-    with ParallelExecutor(max_workers=workers) as pool:
-        runner = make_runner(model, total_iterations, t0, executor=pool)
-        start = time.perf_counter()
-        parallel = runner.fit(fed, sources)
-        parallel_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    vectorized = make_runner(
-        model, total_iterations, t0, executor=VectorizedExecutor()
-    ).fit(fed, sources)
-    vectorized_s = time.perf_counter() - start
-    rerun = make_runner(
-        model, total_iterations, t0, executor=VectorizedExecutor()
-    ).fit(fed, sources)
-
-    deterministic = bool(
-        np.array_equal(to_vector(serial.params), to_vector(parallel.params))
-    )
-    vectorized_matches_serial = bool(
-        np.allclose(
-            to_vector(serial.params), to_vector(vectorized.params),
-            rtol=1e-6, atol=1e-9,
-        )
-    )
-    vectorized_bit_reproducible = bool(
-        np.array_equal(to_vector(vectorized.params), to_vector(rerun.params))
-    )
+    serial_s, serial = timed_fit(*args, SerialExecutor())
+    rerun_s, serial_rerun = timed_fit(*args, SerialExecutor())
+    serial_s = min(serial_s, rerun_s)
+    vectorized_s, vectorized = timed_fit(*args, VectorizedExecutor())
+    rerun_s, vectorized_rerun = timed_fit(*args, VectorizedExecutor())
+    vectorized_s = min(vectorized_s, rerun_s)
     return {
         "nodes": nodes,
         "total_iterations": total_iterations,
@@ -111,34 +105,47 @@ def run_comparison(nodes=8, total_iterations=40, t0=5, workers=None):
         "rounds": aggregations,
         "cpus": available_cpus(),
         "serial_seconds": serial_s,
-        "parallel_seconds": parallel_s,
         "vectorized_seconds": vectorized_s,
         "serial_rounds_per_sec": aggregations / serial_s,
-        "parallel_rounds_per_sec": aggregations / parallel_s,
         "vectorized_rounds_per_sec": aggregations / vectorized_s,
-        "speedup": serial_s / parallel_s,
-        "deterministic": deterministic,
-        "vectorized_matches_serial": vectorized_matches_serial,
-        "vectorized_bit_reproducible": vectorized_bit_reproducible,
+        "speedup": serial_s / vectorized_s,
+        "serial_bit_reproducible": bool(
+            np.array_equal(serial, serial_rerun)
+        ),
+        "vectorized_matches_serial": bool(
+            np.allclose(serial, vectorized, rtol=1e-6, atol=1e-9)
+        ),
+        "vectorized_bit_reproducible": bool(
+            np.array_equal(vectorized, vectorized_rerun)
+        ),
     }
 
 
-def run_scale_comparison(nodes=50, blocks=8, t0=5, workers=None):
-    """Pool vs stacked tape at fleet scale, uniform per-node data.
+def timed_blocks(executor, strategy, fed, init, blocks, t0):
+    """One warmup block, then ``blocks`` timed ones: ``(seconds, params)``."""
+    from repro.nn.parameters import detach
 
-    This leg isolates the executor itself: it times ``run_block`` — the
-    exact component the executors swap out — on a FedAvg/LogReg fleet
-    where per-node compute is tiny, so the pool's per-task pickling and
-    the serial tape's per-node Python overhead dominate.  One warmup
-    block per executor first (pool spawn, fastpath plan build), then
-    ``blocks`` timed rounds.  At 50 nodes the pool pays 50 pickled
-    round-trips per block while the stacked tape pays one batched
-    backward; the >= 10x rounds/sec gate lives here.
+    nodes = strategy.build_nodes(fed, list(range(len(fed.nodes))))
+    for node in nodes:
+        node.params = detach(init)
+    executor.run_block(strategy, nodes, t0, block_index=0, base_seed=0)
+    start = time.perf_counter()
+    for block in range(1, blocks + 1):
+        executor.run_block(strategy, nodes, t0, block_index=block, base_seed=0)
+    elapsed = time.perf_counter() - start
+    return elapsed, np.concatenate([to_vector(n.params) for n in nodes])
+
+
+def run_scale_comparison(nodes=50, blocks=8, t0=5):
+    """Serial vs stacked ``run_block`` at fleet scale, uniform node data.
+
+    One warmup block per run first (fastpath plan build), then ``blocks``
+    timed blocks.  The serial executor pays one first-order step per node
+    per local step; the stacked path pays one per block.
     """
     from repro.core import FedAvgConfig
     from repro.engine import SgdStrategy
     from repro.nn import LogisticRegression
-    from repro.nn.parameters import detach
 
     model = LogisticRegression(60, 10)
     fed = generate_synthetic(
@@ -157,84 +164,64 @@ def run_scale_comparison(nodes=50, blocks=8, t0=5, workers=None):
         learning_rate=0.05, t0=t0, total_iterations=t0 * (blocks + 1),
         eval_every=10_000, seed=0,
     )
-    strategy = SgdStrategy(model, cfg)
     init = model.init(np.random.default_rng(0))
+    args = (SgdStrategy(model, cfg), fed, init, blocks, t0)
 
-    def run_blocks(executor):
-        ns = strategy.build_nodes(fed, list(range(nodes)))
-        for node in ns:
-            node.params = detach(init)
-        executor.run_block(strategy, ns, t0, block_index=0, base_seed=0)
-        start = time.perf_counter()
-        for block in range(1, blocks + 1):
-            executor.run_block(
-                strategy, ns, t0, block_index=block, base_seed=0
-            )
-        elapsed = time.perf_counter() - start
-        params = np.concatenate([to_vector(n.params) for n in ns])
-        return elapsed, params
-
-    with ParallelExecutor(max_workers=workers) as pool:
-        parallel_s, parallel_params = run_blocks(pool)
-    vectorized_s, vectorized_params = run_blocks(VectorizedExecutor())
-    _, rerun_params = run_blocks(VectorizedExecutor())
-
-    matches = bool(
-        np.allclose(
-            parallel_params, vectorized_params, rtol=1e-6, atol=1e-9
-        )
-    )
-    reproducible = bool(
-        np.array_equal(vectorized_params, rerun_params)
-    )
+    serial_s, serial = timed_blocks(SerialExecutor(), *args)
+    rerun_s, _ = timed_blocks(SerialExecutor(), *args)
+    serial_s = min(serial_s, rerun_s)
+    vectorized_s, vectorized = timed_blocks(VectorizedExecutor(), *args)
+    rerun_s, rerun = timed_blocks(VectorizedExecutor(), *args)
+    vectorized_s = min(vectorized_s, rerun_s)
     return {
         "scale_nodes": nodes,
         "scale_rounds": blocks,
-        "parallel50_seconds": parallel_s,
+        "serial50_seconds": serial_s,
         "vectorized50_seconds": vectorized_s,
-        "parallel50_rounds_per_sec": blocks / parallel_s,
+        "serial50_rounds_per_sec": blocks / serial_s,
         "vectorized50_rounds_per_sec": blocks / vectorized_s,
-        "vectorized50_speedup_vs_parallel": parallel_s / vectorized_s,
-        "vectorized50_matches_parallel": matches,
-        "vectorized50_bit_reproducible": reproducible,
+        "vectorized50_speedup_vs_serial": serial_s / vectorized_s,
+        "vectorized50_matches_serial": bool(
+            np.allclose(serial, vectorized, rtol=1e-6, atol=1e-9)
+        ),
+        "vectorized50_bit_reproducible": bool(
+            np.array_equal(vectorized, rerun)
+        ),
     }
 
 
-def test_ablation_parallel_executor(benchmark):
-    """Pytest entry: parallel matches serial bit-for-bit and is faster.
-
-    The speedup assertion needs real cores to share the work; on a
-    single-CPU box a process pool is pure overhead, so only determinism
-    is checked there.
-    """
+def test_ablation_vectorized_executor(benchmark):
+    """Pytest entry: both executors repeat themselves bit for bit, and
+    the stacked fit matches serial within tolerance at no real cost."""
     result = benchmark.pedantic(
         run_comparison, kwargs={"nodes": 8}, rounds=1, iterations=1
     )
-    assert result["deterministic"], "parallel run diverged from serial"
+    assert result["serial_bit_reproducible"], (
+        "two serial runs of the same config diverged"
+    )
     assert result["vectorized_matches_serial"], (
         "vectorized run left the serial tolerance band"
     )
     assert result["vectorized_bit_reproducible"], (
         "two vectorized runs of the same config diverged"
     )
-    if result["cpus"] >= 2:
-        assert result["speedup"] > 1.0, (
-            f"no speedup at {result['nodes']} nodes on "
-            f"{result['cpus']} cpus: {result['speedup']:.2f}x"
-        )
+    assert result["speedup"] >= MIN_SPEEDUP, (
+        f"stacked fit at {result['speedup']:.2f}x of serial speed at "
+        f"{result['nodes']} nodes"
+    )
 
 
 def test_ablation_vectorized_scale(benchmark):
-    """Pytest entry: the stacked tape beats the pool >= 10x at 50 nodes."""
+    """Pytest entry: the stacked path beats serial at 50 nodes."""
     result = benchmark.pedantic(
         run_scale_comparison, kwargs={"nodes": 50}, rounds=1, iterations=1
     )
-    assert result["vectorized50_matches_parallel"], (
-        "vectorized run left the parallel tolerance band at 50 nodes"
+    assert result["vectorized50_matches_serial"], (
+        "vectorized run left the serial tolerance band at 50 nodes"
     )
-    assert result["vectorized50_speedup_vs_parallel"] >= 10.0, (
-        f"stacked tape only "
-        f"{result['vectorized50_speedup_vs_parallel']:.1f}x over the pool "
+    assert result["vectorized50_speedup_vs_serial"] >= MIN_SCALE_SPEEDUP, (
+        f"stacked path only "
+        f"{result['vectorized50_speedup_vs_serial']:.1f}x over serial "
         f"at {result['scale_nodes']} nodes"
     )
 
@@ -244,43 +231,42 @@ def main():
     parser.add_argument("--nodes", type=int, default=8)
     parser.add_argument("--iterations", type=int, default=40)
     parser.add_argument("--t0", type=int, default=5)
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--scale-nodes", type=int, default=50)
     parser.add_argument("--out", default="BENCH_engine.json")
     args = parser.parse_args()
 
     result = run_comparison(
-        nodes=args.nodes, total_iterations=args.iterations, t0=args.t0,
-        workers=args.workers,
+        nodes=args.nodes, total_iterations=args.iterations, t0=args.t0
     )
-    result.update(
-        run_scale_comparison(nodes=args.scale_nodes, workers=args.workers)
-    )
+    result.update(run_scale_comparison(nodes=args.scale_nodes))
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2)
     print(
         f"{result['nodes']} nodes on {result['cpus']} cpus, "
         f"{result['rounds']} rounds: "
-        f"serial {result['serial_rounds_per_sec']:.2f} r/s, "
-        f"parallel {result['parallel_rounds_per_sec']:.2f} r/s "
-        f"({result['speedup']:.2f}x, "
-        f"deterministic={result['deterministic']}), "
+        f"serial {result['serial_rounds_per_sec']:.2f} r/s "
+        f"(bit_reproducible={result['serial_bit_reproducible']}), "
         f"vectorized {result['vectorized_rounds_per_sec']:.2f} r/s "
-        f"(matches_serial={result['vectorized_matches_serial']}, "
+        f"({result['speedup']:.2f}x, "
+        f"matches_serial={result['vectorized_matches_serial']}, "
         f"bit_reproducible={result['vectorized_bit_reproducible']})"
     )
     print(
         f"{result['scale_nodes']} nodes scale: "
-        f"parallel {result['parallel50_rounds_per_sec']:.2f} r/s, "
+        f"serial {result['serial50_rounds_per_sec']:.2f} r/s, "
         f"vectorized {result['vectorized50_rounds_per_sec']:.2f} r/s "
-        f"({result['vectorized50_speedup_vs_parallel']:.1f}x) "
+        f"({result['vectorized50_speedup_vs_serial']:.1f}x, "
+        f"matches_serial={result['vectorized50_matches_serial']}) "
         f"-> {args.out}"
     )
     healthy = (
-        result["deterministic"]
+        result["serial_bit_reproducible"]
         and result["vectorized_matches_serial"]
         and result["vectorized_bit_reproducible"]
-        and result["vectorized50_speedup_vs_parallel"] >= 10.0
+        and result["vectorized50_matches_serial"]
+        and result["vectorized50_bit_reproducible"]
+        and result["speedup"] >= MIN_SPEEDUP
+        and result["vectorized50_speedup_vs_serial"] >= MIN_SCALE_SPEEDUP
     )
     return 0 if healthy else 1
 

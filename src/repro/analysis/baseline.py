@@ -1,9 +1,9 @@
 """Repo-level lint baseline: land new rules warn-only, then ratchet.
 
 A baseline file (``analysis/baseline.json`` at the repo root) records
-findings that are *known and accepted* — typically intentional per-process
-state a new rule cannot distinguish from a bug (e.g. the autodiff fastpath
-plan cache flagged by DET105).  A baselined finding is reported as
+findings that are *known and accepted* — typically intentional code a new
+rule cannot distinguish from a bug (e.g. the benchmark timing loops that
+DET102 flags).  A baselined finding is reported as
 ``baselined`` instead of failing the gate, so:
 
 * a new rule family can ship enforcing immediately on *new* code, and

@@ -203,12 +203,6 @@ class EntropyPlanter:
     def __getattr__(self, name: str) -> Any:
         return getattr(self._inner, name)
 
-    def __getstate__(self) -> Dict[str, Any]:
-        return dict(self.__dict__)
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-
     def local_step(self, node: Any) -> Any:
         result = self._inner.local_step(node)
         if (

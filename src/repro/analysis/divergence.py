@@ -5,7 +5,7 @@ streams here.  Rather than a blunt "results differ", the comparator walks
 the unified event log (PR 6) in block order and reports the earliest
 diverging coordinate, most specific signal first:
 
-1. **RNG ledger** (``rng_ledger`` events, serial runs) — a draw-count or
+1. **RNG ledger** (``rng_ledger`` events, either executor) — a draw-count or
    draw-shape mismatch at ``(block, node)`` means the strategy's control
    flow through its seeded stream already differs: the root cause is at or
    before this point.
@@ -17,9 +17,9 @@ diverging coordinate, most specific signal first:
 4. **History and final parameters** — the coarse backstop; reached only if
    the per-block signals were unavailable (e.g. fingerprints disabled).
 
-Wall-clock fields (``duration_s``), worker-local cache statistics
-(``cache_hit``), and tracebacks legitimately differ between runs and are
-excluded from comparison.
+Wall-clock fields (``duration_s``), cache statistics (``cache_hit``),
+and tracebacks legitimately differ between runs and are excluded from
+comparison.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ Suppressions use ``reprolint`` comment directives:
   listed rules for the whole file.
 
 Rule names may end in ``*`` to match a whole family by prefix
-(``# reprolint: disable=DET1*`` suppresses DET101..DET105), and comma lists
+(``# reprolint: disable=DET1*`` suppresses DET101..DET104), and comma lists
 tolerate whitespace (``disable=RNG001, DET101``).
 """
 

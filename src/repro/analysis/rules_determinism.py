@@ -1,8 +1,8 @@
 """DET1xx: determinism rules powered by the dataflow engine.
 
-Every guarantee this repo makes — serial ≡ parallel, kill-and-resume ≡
-uninterrupted, faults as pure functions of ``(seed, block, node)`` — is a
-determinism claim.  These rules enforce the contract statically:
+Every guarantee this repo makes — a serial run repeats bit for bit,
+kill-and-resume ≡ uninterrupted, faults as pure functions of
+``(seed, block, node)`` — is a determinism claim.  These rules enforce the contract statically:
 
 * **DET101** unseeded entropy: module-level ``np.random.*`` / ``random.*``
   draws, ``os.urandom``, ``secrets``, ``uuid.uuid4`` and argless
@@ -12,13 +12,10 @@ determinism claim.  These rules enforce the contract statically:
 * **DET103** unordered iteration: set-like values feeding reductions,
   order-materializing conversions, or list accumulation.
 * **DET104** object identity in keys/sort orders: ``id()`` / ``hash()``
-  results used as dict keys, set elements, or sort keys (unstable across
-  processes and runs).
-* **DET105** cross-worker shared mutable state: module-level mutables
-  written inside worker-reachable code (anything ``_run_node_block`` can
-  execute in a pool process diverges silently from the parent).
+  results used as dict keys, set elements, or sort keys (they differ from
+  run to run).
 
-DET101/104/105 are structural; DET102/103 consult the per-file taint
+DET101/104 are structural; DET102/103 consult the per-file taint
 analysis (:class:`repro.analysis.dataflow.ModuleDataflow`), so hazards are
 tracked through assignments, calls, and local-function returns rather than
 matched at the construction site only.
@@ -27,7 +24,7 @@ matched at the construction site only.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Optional
 
 from .dataflow import (
     IDENTITY,
@@ -47,7 +44,6 @@ __all__ = [
     "WallClockControlFlowRule",
     "UnorderedIterationRule",
     "IdentityOrderRule",
-    "SharedMutableStateRule",
 ]
 
 #: File suffixes exempt from DET101: the seeded-stream factory itself.
@@ -68,32 +64,6 @@ _AGGREGATION_SINKS = frozenset(
         "select",
         "broadcast",
         "filter_updates",
-    }
-)
-
-#: Path fragments marking files whose functions run inside pool workers
-#: (reachable from ``engine.executors._run_node_block``).
-_WORKER_REACHABLE_PARTS = frozenset({"engine", "autodiff", "nn", "attacks"})
-_WORKER_REACHABLE_FILES = frozenset({"maml.py", "node.py"})
-
-#: Module-level initializers that make a name a mutable container.
-_CONTAINER_CALLS = frozenset(
-    {"list", "dict", "set", "OrderedDict", "defaultdict", "deque", "Counter"}
-)
-_MUTATING_METHODS = frozenset(
-    {
-        "append",
-        "extend",
-        "insert",
-        "add",
-        "update",
-        "setdefault",
-        "pop",
-        "popitem",
-        "clear",
-        "remove",
-        "discard",
-        "move_to_end",
     }
 )
 
@@ -264,20 +234,20 @@ class UnorderedIterationRule(LintRule):
 
 @register
 class IdentityOrderRule(LintRule):
-    """DET104: ``id()``/``hash()`` keys differ across processes and runs."""
+    """DET104: ``id()``/``hash()`` keys differ from run to run."""
 
     id = "DET104"
     title = "identity-key"
     severity = Severity.ERROR
     hint = (
         "key by a stable domain id (node_id, name) instead of id()/hash(); "
-        "identity keys silently diverge between parent and pool workers"
+        "identity keys differ from run to run"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.in_autodiff:
             # The tape walks graphs keyed by object identity on purpose:
-            # those structures never cross a process boundary.
+            # those keys never outlive the backward pass that built them.
             return
         df = ctx.dataflow()
         for scope in df.scopes:
@@ -357,183 +327,3 @@ class IdentityOrderRule(LintRule):
                                 "sort key built from id()/hash() gives a "
                                 "process-dependent order",
                             )
-
-
-@register
-class SharedMutableStateRule(LintRule):
-    """DET105: worker-side writes to module globals diverge silently."""
-
-    id = "DET105"
-    title = "shared-mutable-state"
-    severity = Severity.ERROR
-    hint = (
-        "thread the state through function arguments / return values, or "
-        "baseline it if it is intentional per-process cache state"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not self._worker_reachable(ctx):
-            return
-        mutables, instances = self._module_state(ctx.tree)
-        if not mutables and not instances:
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            statements = list(scope_statements(node))
-            local_names = self._local_bindings(node, statements)
-            globals_declared: Set[str] = set()
-            for stmt in statements:
-                if isinstance(stmt, ast.Global):
-                    globals_declared.update(stmt.names)
-            for stmt in statements:
-                yield from self._check_write(
-                    ctx,
-                    stmt,
-                    mutables,
-                    instances,
-                    local_names - globals_declared,
-                    globals_declared,
-                )
-
-    @staticmethod
-    def _worker_reachable(ctx: FileContext) -> bool:
-        parts = set(ctx.path.parts)
-        if parts & _WORKER_REACHABLE_PARTS:
-            return True
-        return ctx.path.name in _WORKER_REACHABLE_FILES
-
-    @staticmethod
-    def _module_state(
-        tree: ast.Module,
-    ) -> Tuple[Set[str], Set[str]]:
-        """Module-level names bound to containers / to class instances."""
-        mutables: Set[str] = set()
-        instances: Set[str] = set()
-        statements: List[ast.stmt] = list(tree.body)
-        for stmt in tree.body:
-            if isinstance(stmt, (ast.If, ast.Try)):
-                statements.extend(ast.walk(stmt))  # type: ignore[arg-type]
-        for stmt in statements:
-            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                continue
-            value = stmt.value
-            if value is None:
-                continue
-            targets = (
-                stmt.targets
-                if isinstance(stmt, ast.Assign)
-                else [stmt.target]
-            )
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-            if not names:
-                continue
-            if isinstance(
-                value,
-                (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
-                 ast.SetComp),
-            ):
-                mutables.update(names)
-            elif isinstance(value, ast.Call):
-                parts = dotted(value.func)
-                if parts and parts[-1] in _CONTAINER_CALLS:
-                    mutables.update(names)
-                elif parts and parts[-1][:1].isupper():
-                    instances.update(names)
-        return mutables, instances
-
-    @staticmethod
-    def _local_bindings(
-        func: ast.AST, statements: List[ast.stmt]
-    ) -> Set[str]:
-        """Names bound in the function body (shadowing module globals)."""
-        bound: Set[str] = set()
-        args = getattr(func, "args", None)
-        if args is not None:
-            for node in ast.walk(args):
-                if isinstance(node, ast.arg):
-                    bound.add(node.arg)
-        for stmt in statements:
-            for root in stmt_expressions(stmt):
-                for node in ast.walk(root):
-                    if isinstance(node, ast.Name) and isinstance(
-                        node.ctx, (ast.Store, ast.Del)
-                    ):
-                        bound.add(node.id)
-            if isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                bound.add(stmt.name)
-        return bound
-
-    def _check_write(
-        self,
-        ctx: FileContext,
-        stmt: ast.stmt,
-        mutables: Set[str],
-        instances: Set[str],
-        shadowed: Set[str],
-        globals_declared: Set[str],
-    ) -> Iterator[Finding]:
-        def is_global_target(name: str) -> bool:
-            if name in globals_declared:
-                return True
-            return name not in shadowed
-
-        if isinstance(stmt, (ast.Assign, ast.AugAssign)):
-            targets = (
-                stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            )
-            for target in targets:
-                if isinstance(target, ast.Subscript) and isinstance(
-                    target.value, ast.Name
-                ):
-                    name = target.value.id
-                    if name in mutables and is_global_target(name):
-                        yield self.finding(
-                            ctx,
-                            target,
-                            f"writes into module-level container '{name}' "
-                            "from worker-reachable code",
-                        )
-                elif isinstance(target, ast.Attribute) and isinstance(
-                    target.value, ast.Name
-                ):
-                    name = target.value.id
-                    if (
-                        name in (mutables | instances)
-                        and is_global_target(name)
-                    ):
-                        yield self.finding(
-                            ctx,
-                            target,
-                            f"mutates module-level object '{name}' from "
-                            "worker-reachable code",
-                        )
-                elif (
-                    isinstance(target, ast.Name)
-                    and target.id in globals_declared
-                ):
-                    yield self.finding(
-                        ctx,
-                        target,
-                        f"rebinds module global '{target.id}' from "
-                        "worker-reachable code",
-                    )
-        for node in _stmt_expr_walk(stmt):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _MUTATING_METHODS
-                and isinstance(func.value, ast.Name)
-            ):
-                name = func.value.id
-                if name in mutables and is_global_target(name):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"mutates module-level container '{name}' from "
-                        "worker-reachable code",
-                    )

@@ -52,7 +52,6 @@ __all__ = [
     "disabled",
     "enable",
     "enabled",
-    "merge_stats",
     "plan_cache_size",
     "reset_stats",
     "stats",
@@ -121,7 +120,6 @@ class FastpathStats:
 
 
 _STATS = FastpathStats()
-_STAT_NAMES = frozenset(f.name for f in fields(FastpathStats))
 
 
 def stats() -> FastpathStats:
@@ -136,20 +134,6 @@ def reset_stats() -> None:
 def note_fused_dispatch() -> None:
     """Record that a call site dispatched to a fused composite op."""
     _STATS.fused_dispatches += 1
-
-
-def merge_stats(delta: Dict[str, int]) -> None:
-    """Fold a worker process's counter delta into this process's stats.
-
-    The :class:`~repro.engine.executors.ParallelExecutor` runs backward
-    passes in worker processes whose module-global counters die with the
-    worker; merging their per-task deltas here keeps the exported
-    ``autodiff_fastpath_*`` totals identical between serial and parallel
-    executions of the same workload.
-    """
-    for key, value in delta.items():
-        if key in _STAT_NAMES:
-            setattr(_STATS, key, getattr(_STATS, key) + int(value))
 
 
 def to_registry(registry: Any, prefix: str = "autodiff_fastpath_") -> None:

@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from . import ops
 from . import tensor as tensor_mod
 
-__all__ = ["OpStats", "TapeProfiler", "profile_ops", "worker_profile"]
+__all__ = ["OpStats", "TapeProfiler", "profile_ops"]
 
 #: Public op functions that get timing wrappers while profiling is active.
 _TIMED_OPS = tuple(
@@ -126,38 +126,6 @@ class TapeProfiler:
         )
         return "\n".join(lines)
 
-    def as_portable(self) -> Dict[str, List[float]]:
-        """Op stats as plain picklable lists (``[calls, elements,
-        grad_calls, seconds]`` per op) for cross-process transport."""
-        return {
-            name: [float(s.calls), float(s.elements), float(s.grad_calls), s.seconds]
-            for name, s in self.op_stats.items()
-        }
-
-    def merge_portable(
-        self,
-        op_stats: Dict[str, List[float]],
-        graph_walks: int = 0,
-        walked_nodes: int = 0,
-    ) -> None:
-        """Fold a worker profiler's :meth:`as_portable` export into this one.
-
-        Used by the parallel executor: workers profile their own block and
-        ship the numbers home, so ``--profile-tape`` sees the same op
-        counts whether the block ran in-process or in a pool.
-        """
-        for name, values in op_stats.items():
-            calls, elements, grad_calls, seconds = values
-            stats = self.op_stats.get(name)
-            if stats is None:
-                stats = self.op_stats[name] = OpStats()
-            stats.calls += int(calls)
-            stats.elements += int(elements)
-            stats.grad_calls += int(grad_calls)
-            stats.seconds += seconds
-        self.graph_walks += graph_walks
-        self.walked_nodes += walked_nodes
-
     def to_registry(self, registry: Any, prefix: str = "autodiff_") -> None:
         """Export into a :class:`repro.obs.MetricRegistry` as counters."""
         for name, s in self.op_stats.items():
@@ -208,36 +176,5 @@ def profile_ops(
     finally:
         ops._PROFILE_HOOK = None
         tensor_mod._WALK_HOOK = None
-        for name, fn in originals:
-            setattr(ops, name, fn)
-
-
-@contextmanager
-def worker_profile() -> Iterator[TapeProfiler]:
-    """Fresh profiler for one executor-worker task.
-
-    A forked worker can inherit the parent's active profiling state — a
-    hook bound to a *copy* of the parent's profiler that can never be read
-    back.  Unlike :func:`profile_ops` this does not reject that state: it
-    shadows whatever is installed with a private profiler for the duration
-    of the task and restores the inherited state afterwards.  The caller
-    ships ``prof.as_portable()`` home, where the parent merges it with
-    :meth:`TapeProfiler.merge_portable`.
-    """
-    prof = TapeProfiler()
-    previous_hook = ops._PROFILE_HOOK
-    previous_walk = tensor_mod._WALK_HOOK
-    originals: List[Tuple[str, Callable[..., Any]]] = [
-        (name, getattr(ops, name)) for name in _TIMED_OPS
-    ]
-    ops._PROFILE_HOOK = prof.record_creation
-    tensor_mod._WALK_HOOK = prof.record_walk
-    for name, fn in originals:
-        setattr(ops, name, _timed(name.rstrip("_"), fn, prof))
-    try:
-        yield prof
-    finally:
-        ops._PROFILE_HOOK = previous_hook
-        tensor_mod._WALK_HOOK = previous_walk
         for name, fn in originals:
             setattr(ops, name, fn)

@@ -34,12 +34,12 @@ non-zero on findings; rule catalog in ``docs/STATIC_ANALYSIS.md``)::
         src benchmarks examples
     python -m repro.cli check-graph --json
 
-Audit a config's determinism contract end-to-end (runs it twice — serial
-vs serial and serial vs parallel — and bisects the first diverging
-``(round, block, node)`` from the event log; ``docs/TESTING.md``)::
+Audit a config's determinism contract end-to-end (runs it twice on one
+executor and bisects the first diverging ``(round, block, node)`` from
+the event log and the RNG ledger; ``docs/TESTING.md``)::
 
     python -m repro.cli check-determinism --algorithm fedml --nodes 10
-    python -m repro.cli check-determinism --algorithm all --compare both
+    python -m repro.cli check-determinism --algorithm all --compare vectorized
     python -m repro.cli check-determinism --algorithm fedml \
         --plant-entropy block=1,node=3   # planted bug: exits 1, localized
 """
@@ -71,7 +71,7 @@ from .core import (
     evaluate_adaptation,
 )
 from .core.fedprox import FedProx, FedProxConfig
-from .engine import EngineOptions, Executor, ParallelExecutor, VectorizedExecutor
+from .engine import EngineOptions, Executor, VectorizedExecutor
 from .faults import FaultPlan, ResiliencePolicy, RunInterrupted
 from .data import (
     FederatedDataset,
@@ -149,14 +149,9 @@ def _build_telemetry(args: argparse.Namespace) -> Optional[Telemetry]:
     return telemetry
 
 
-def _build_executor(args: argparse.Namespace) -> Optional[Executor]:
-    """Map ``--executor``/``--workers`` to an engine executor (default serial)."""
-    kind = getattr(args, "executor", "serial")
-    if kind == "parallel":
-        return ParallelExecutor(max_workers=getattr(args, "workers", None))
-    if kind == "vectorized":
-        return VectorizedExecutor()
-    return None
+def _build_executor(kind: str) -> Optional[Executor]:
+    """Map an ``--executor`` choice to an engine executor (default serial)."""
+    return VectorizedExecutor() if kind == "vectorized" else None
 
 
 def _build_fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
@@ -315,7 +310,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         args.source_fraction, np.random.default_rng(args.split_seed)
     )
     telemetry = _build_telemetry(args)
-    executor = _build_executor(args)
+    executor = _build_executor(args.executor)
     trainer = _build_trainer(args, model, engine_options, telemetry, executor)
 
     from .autodiff import fastpath
@@ -352,9 +347,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
             return 3
-        finally:
-            if executor is not None:
-                executor.close()
         if telemetry is not None:
             fastpath.to_registry(telemetry.registry)
 
@@ -672,13 +664,9 @@ def _determinism_run(
     )
     sink = MemorySink()
     telemetry = Telemetry(sink=sink, node_fingerprints=True)
-    executor: Optional[Executor] = None
-    if executor_kind == "parallel":
-        executor = ParallelExecutor(max_workers=getattr(args, "workers", None))
-    elif executor_kind == "vectorized":
-        executor = VectorizedExecutor()
     trainer = _build_trainer(
-        run_args, model, _build_engine_options(run_args), telemetry, executor
+        run_args, model, _build_engine_options(run_args), telemetry,
+        _build_executor(executor_kind),
     )
     if plant is not None:
         if not hasattr(trainer, "strategy"):
@@ -686,19 +674,15 @@ def _determinism_run(
                 f"--plant-entropy is not supported for '{algorithm}'"
             )
         trainer.strategy = EntropyPlanter(trainer.strategy, *plant)
-    # The ledger hook is process-global: only the serial path binds node
-    # generators in this process, so parallel runs are compared via node
-    # fingerprints and events instead (workers never report ledgers back).
-    ledger = install_ledger() if executor_kind == "serial" else None
+    # Both executors bind every node generator through
+    # ``instrument_node_rng``, so the ledger sees every stream either way.
+    ledger = install_ledger()
     try:
         result = trainer.fit(federated, sources)
     finally:
         uninstall_ledger()
-        if executor is not None:
-            executor.close()
-    if ledger is not None:
-        ledger.emit_events(telemetry.events)
-        ledger.to_registry(telemetry.registry)
+    ledger.emit_events(telemetry.events)
+    ledger.to_registry(telemetry.registry)
     telemetry.close()
     history_rows = []
     history = getattr(result, "history", None)
@@ -715,16 +699,7 @@ def _determinism_run(
         history=history_rows,
         final_params_fp=params_fingerprint(result.params),
     )
-    return fingerprint, ledger, sink.records
-
-
-def _without_ledger(fingerprint):
-    """A copy of a fingerprint with ledger data removed (parallel compares)."""
-    import copy
-
-    stripped = copy.copy(fingerprint)
-    stripped.ledger = {}
-    return stripped
+    return fingerprint, ledger
 
 
 def _cmd_check_determinism(args: argparse.Namespace) -> int:
@@ -740,58 +715,29 @@ def _cmd_check_determinism(args: argparse.Namespace) -> int:
     algorithms = (
         list(_ALL_ALGORITHMS) if args.algorithm == "all" else [args.algorithm]
     )
-    modes = (
-        ["serial", "parallel"] if args.compare == "both" else [args.compare]
-    )
+    mode = args.compare
     results = []
     failures = 0
     ledger_records: List[dict] = []
-    needs_serial_base = any(m in ("serial", "parallel") for m in modes)
     for algorithm in algorithms:
-        base_fp = None
-        if needs_serial_base:
-            base_fp, base_ledger, _ = _determinism_run(
-                args, algorithm, "serial", f"{algorithm}/serial#1", plant=plant
-            )
-            if base_ledger is not None:
-                ledger_records.extend(
-                    {"type": "rng_ledger", "algorithm": algorithm, **entry}
-                    for entry in base_ledger.as_dicts()
-                )
-        for mode in modes:
-            if mode == "vectorized":
-                # Stacked fp math only promises tolerance-level equality
-                # with serial, so the claim proven here is the stronger
-                # one the executor does make: two vectorized runs are
-                # bit-for-bit identical.
-                first_fp, _, _ = _determinism_run(
-                    args, algorithm, mode, f"{algorithm}/{mode}#1",
-                    plant=plant,
-                )
-                rerun_fp, _, _ = _determinism_run(
-                    args, algorithm, mode, f"{algorithm}/{mode}#2",
-                    plant=plant,
-                )
-                point = compare_runs(
-                    _without_ledger(first_fp), _without_ledger(rerun_fp)
-                )
-                results.append((algorithm, "vectorized-vs-vectorized", point))
-                if point is not None:
-                    failures += 1
-                continue
-            assert base_fp is not None
-            rerun_fp, _, _ = _determinism_run(
-                args, algorithm, mode, f"{algorithm}/{mode}#2", plant=plant
-            )
-            if mode == "parallel":
-                point = compare_runs(
-                    _without_ledger(base_fp), rerun_fp
-                )
-            else:
-                point = compare_runs(base_fp, rerun_fp)
-            results.append((algorithm, f"serial-vs-{mode}", point))
-            if point is not None:
-                failures += 1
+        # Two runs on one executor must be bit-for-bit identical, RNG
+        # ledger included.  Stacked fp math only promises tolerance-level
+        # equality with serial, so runs are never compared across
+        # executors here.
+        first_fp, first_ledger = _determinism_run(
+            args, algorithm, mode, f"{algorithm}/{mode}#1", plant=plant
+        )
+        rerun_fp, _ = _determinism_run(
+            args, algorithm, mode, f"{algorithm}/{mode}#2", plant=plant
+        )
+        ledger_records.extend(
+            {"type": "rng_ledger", "algorithm": algorithm, **entry}
+            for entry in first_ledger.as_dicts()
+        )
+        point = compare_runs(first_fp, rerun_fp)
+        results.append((algorithm, f"{mode}-vs-{mode}", point))
+        if point is not None:
+            failures += 1
     if args.ledger_out:
         with open(args.ledger_out, "w", encoding="utf-8") as handle:
             for record in ledger_records:
@@ -919,15 +865,10 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--adapt-steps", type=int, default=5)
     # Execution.
     train.add_argument(
-        "--executor", choices=["serial", "parallel", "vectorized"],
+        "--executor", choices=["serial", "vectorized"],
         default="serial",
-        help="run each node's local steps serially, in a process pool "
-        "(bit-identical to serial), or as stacked batched tapes "
-        "(tolerance-equal to serial, bit-reproducible run-to-run)",
-    )
-    train.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="process count for --executor parallel (default: os.cpu_count())",
+        help="run each node's local steps serially, or as stacked batched "
+        "tapes (tolerance-equal to serial, bit-reproducible run-to-run)",
     )
     # Faults & resilience.
     train.add_argument(
@@ -1022,7 +963,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--faults", default=None, metavar="SPEC",
         help="deterministic fault plan (kinds: crash, drop, corrupt, "
-        "delay, kill — flaky targets executor workers and is rejected)",
+        "delay, kill — flaky fails executor blocks and is rejected)",
     )
     fleet.add_argument("--faults-seed", type=int, default=0)
     fleet.add_argument("--checkpoint", default=None, metavar="PATH")
@@ -1090,26 +1031,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     check_det = sub.add_parser(
         "check-determinism",
-        help="run a config twice (serial vs serial / serial vs parallel) and "
-        "bisect any mismatch to the first diverging (round, block, node)",
+        help="run a config twice on one executor and bisect any mismatch "
+        "to the first diverging (round, block, node)",
     )
     add_dataset_args(check_det)
     add_algorithm_args(check_det, extra_choices=["all"])
     check_det.add_argument(
         "--compare",
-        choices=["serial", "parallel", "vectorized", "both"],
-        default="both",
-        help="what to compare (default both: baseline serial run vs a "
-        "second serial run and a parallel run; 'vectorized' instead runs "
-        "the vectorized executor twice and requires bit-identity)",
-    )
-    check_det.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="process count for the parallel comparison run",
+        choices=["serial", "vectorized"],
+        default="serial",
+        help="the executor to run twice; the two runs must be bit-identical, "
+        "RNG ledger included (default serial)",
     )
     check_det.add_argument(
         "--ledger-out", default=None, metavar="PATH",
-        help="write the baseline run's RNG-stream ledger as JSONL",
+        help="write the first run's RNG-stream ledger as JSONL",
     )
     check_det.add_argument(
         "--plant-entropy", default=None, metavar="block=B,node=N",

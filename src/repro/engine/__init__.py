@@ -2,13 +2,13 @@
 
 One driver (:class:`RoundEngine`), pluggable per-algorithm local behaviour
 (:class:`LocalStrategy` and friends), and swappable block schedulers
-(:class:`SerialExecutor` / :class:`ParallelExecutor`).  The algorithm
+(:class:`SerialExecutor` / :class:`VectorizedExecutor`).  The algorithm
 classes in :mod:`repro.core` are thin facades over this package; see
 ``docs/ENGINE.md`` for the layer diagram and extension guide.
 """
 
 from .evaluation import loss_gradient, node_training_data, weighted_node_average
-from .executors import Executor, ExecutorError, ParallelExecutor, SerialExecutor
+from .executors import Executor, ExecutorError, SerialExecutor
 from .round_engine import EngineOptions, EngineResult, RoundEngine
 from .vectorized import VectorizedExecutor
 from .strategies import (
@@ -32,7 +32,6 @@ __all__ = [
     "Executor",
     "ExecutorError",
     "SerialExecutor",
-    "ParallelExecutor",
     "VectorizedExecutor",
     "LocalStrategy",
     "RunnerStepAdapter",

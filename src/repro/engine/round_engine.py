@@ -15,7 +15,7 @@ The loop advances in *blocks* (the run of iterations between two
 aggregations) rather than single iterations: each node's T0 consecutive
 steps commute with other nodes' because nodes are independent between
 aggregations, so block execution is bit-identical to the textbook
-iteration-major loop — and it is the unit an executor can parallelize.
+iteration-major loop — and it is the unit an executor schedules.
 
 Faults and resilience
 ---------------------
@@ -23,12 +23,12 @@ With :class:`EngineOptions` the engine additionally survives injected and
 real failures.  A seeded :class:`~repro.faults.plan.FaultPlan` decides —
 per ``(block, node)`` cell, as a pure function of
 ``(plan seed, schedule, kind, block, node)`` — which nodes crash,
-which updates are dropped/corrupted/delayed, and which executor workers
-fail flakily; a :class:`~repro.faults.policy.ResiliencePolicy` decides how
+which updates are dropped/corrupted/delayed, and which node blocks fail
+flakily; a :class:`~repro.faults.policy.ResiliencePolicy` decides how
 the engine degrades (bounded retry with simulated backoff, round timeout
 on the link clock, NaN quarantine, a minimum-participant floor).  Because
 no decision reads wall-clock time or execution order, a faulty run is as
-bit-reproducible as a clean one, serial or parallel.
+bit-reproducible as a clean one, on either executor.
 
 Checkpoints are written at aggregation boundaries — the only points where
 every node holds the broadcast global model, so one parameter tree plus a

@@ -9,11 +9,9 @@ how the global objective is measured (``evaluate``).  Everything else —
 telemetry, history — is the engine's job and identical for every algorithm.
 
 Strategies are deliberately *plain data + functions*: they hold the model,
-a frozen config, and the loss function, and they are picklable so the
-:class:`~repro.engine.executors.ParallelExecutor` can ship them to worker
-processes.  Mutable per-fit state (the FedProx anchor, Robust FedML's
-generation counters) is rebuilt by ``begin_fit`` each run; transient caches
-are dropped on pickling.
+a frozen config, and the loss function.  Mutable per-fit state (the FedProx
+anchor, Robust FedML's generation counters) is rebuilt by ``begin_fit``
+each run; per-node caches are dropped in ``release_node``.
 
 The concrete strategies map onto the paper and its baselines:
 
@@ -222,13 +220,6 @@ class LocalStrategy:
         registry exists to avoid.  Default: nothing to release.
         """
 
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        state["_node_rng"] = None  # rebound by the executor in the worker
-        for key in getattr(self, "_transient", ()):
-            state.pop(key, None)
-        return state
-
 
 class RunnerStepAdapter:
     """Routes ``local_step`` through a runner that overrides it.
@@ -237,7 +228,7 @@ class RunnerStepAdapter:
     ``local_step`` to inject faults or noise.  The facades detect the
     override and hand the engine this adapter so the subclass behaviour
     still applies.  The adapter holds the runner (telemetry, platform and
-    all), so it is not picklable — overridden steps run serially.
+    all); overridden steps always run node by node.
     """
 
     #: never vectorize through the adapter: the runner's overridden
@@ -280,7 +271,6 @@ class SgdStrategy(LocalStrategy):
 
     name = "fedavg"
     log_uplink = True
-    _transient = ("_data_cache",)
 
     def build_nodes(
         self, federated: FederatedDataset, source_ids: Sequence[int]
@@ -431,7 +421,6 @@ class MetaStrategy(LocalStrategy):
 
     name = "fedml"
     log_uplink = True
-    _transient = ("_held",)
 
     def _extra_test_sets(self, node: EdgeNode) -> List[Dataset]:
         """Outer-loss sets beyond the node's test set (default: none)."""

@@ -6,7 +6,7 @@ over N nodes is N disjoint computations on identically-shaped buffers.
 nodes to the strategy's ``local_block_vectorized`` — which stacks their
 parameter trees and minibatches into ``(N, ...)`` arrays and runs one
 batched ``local_step`` using the node-axis autodiff ops — rather than
-scheduling per-node work like the serial and parallel executors.
+scheduling per-node work like the serial executor.
 
 Capability and fallback
 -----------------------
@@ -20,12 +20,12 @@ so mixed fleets work and no strategy ever breaks by omission.
 Determinism contract
 --------------------
 Per-node generators follow the same ``[base_seed, block_index, node_id]``
-discipline as the other executors (built through ``instrument_node_rng``
+discipline as the serial executor (built through ``instrument_node_rng``
 so the RNG ledger sees identical streams).  Stacked fp math may reorder
 accumulations relative to the serial tapes, so serial-vs-vectorized
 equality is *tolerance*-gated; vectorized-vs-vectorized double runs are
 bit-identical (asserted by ``repro check-determinism --compare
-vectorized`` and the engine bench).  Serial/parallel golden traces are
+vectorized`` and the engine bench).  The serial golden traces are
 untouched by construction — this executor never runs unless selected.
 
 Observability: per-group ``local_train_vectorized`` spans, per-node
@@ -46,13 +46,12 @@ import numpy as np
 from ..autodiff import fastpath
 from ..federated.node import EdgeNode
 from ..obs.telemetry import Telemetry, resolve
-from ..utils.rng import instrument_node_rng
 from ..utils.serialization import params_fingerprint
 from .executors import (
     ExecutorError,
     SerialExecutor,
     _emit_cache_event,
-    _node_seed,
+    _node_rng,
 )
 
 __all__ = ["VectorizedExecutor"]
@@ -90,14 +89,7 @@ class VectorizedExecutor:
         group: Sequence[EdgeNode], block_index: int, base_seed: int
     ) -> List[np.random.Generator]:
         return [
-            instrument_node_rng(
-                np.random.default_rng(
-                    _node_seed(base_seed, block_index, node.node_id)
-                ),
-                block_index,
-                node.node_id,
-            )
-            for node in group
+            _node_rng(base_seed, block_index, node.node_id) for node in group
         ]
 
     def run_block(
@@ -186,7 +178,3 @@ class VectorizedExecutor:
                 block_index=block_index, base_seed=base_seed,
                 telemetry=telemetry,
             )
-
-    def close(self) -> None:
-        """Nothing to release."""
-        self._serial.close()

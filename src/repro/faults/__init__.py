@@ -3,7 +3,7 @@
 The paper's operating regime is *edge* deployment — unreliable devices and
 links are the norm, not the exception.  This package makes that regime
 testable: a seeded :class:`FaultPlan` composes schedules of node crashes,
-lost/corrupted/delayed updates and flaky executor workers, and decides
+lost/corrupted/delayed updates and flaky local blocks, and decides
 each ``(block, node)`` cell for the engine and the fleet alike; a
 :class:`ResiliencePolicy` tells the round engine how to absorb them
 (bounded retry, straggler timeout, NaN quarantine, participant floor); and

@@ -6,7 +6,7 @@ The :class:`~repro.engine.round_engine.RoundEngine` consults it at two
 points per block:
 
 1. **before local steps** — which nodes are crashed (skip their block) and
-   which workers fail flakily (charge bounded retries, or fail the block
+   which node blocks fail flakily (charge bounded retries, or fail the block
    when the retry budget is exhausted);
 2. **between local steps and aggregation** — which updates are dropped,
    corrupted, or delayed; which are straggler-dropped by the policy's
@@ -17,8 +17,8 @@ points per block:
 The plan makes every fault decision, each a pure function of
 ``(plan seed, schedule, kind, block, node)``; the injector only applies the
 engine's policy to them.  It never looks at wall-clock time or execution
-order, which is what keeps faulty runs bit-identical across serial and
-parallel executors and across checkpoint/resume boundaries.
+order, which is what keeps faulty runs bit-identical across reruns and
+across checkpoint/resume boundaries.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ class FaultInjector:
     def simulate_flaky(
         self, block: int, node_ids: Iterable[int]
     ) -> Tuple[Set[int], Dict[int, float]]:
-        """Resolve plan-injected worker flakiness for this block.
+        """Resolve plan-injected block flakiness for this block.
 
         Returns ``(failed, backoff_s)``: nodes whose retry budget the
         failure count exhausts (their block is lost), and the simulated
@@ -172,7 +172,7 @@ class FaultInjector:
         """Decide which of the ``selected`` updates reach the aggregator.
 
         ``stale_ids`` are nodes that never computed this block (crashed, or
-        their worker failed permanently) — they carry last round's params
+        their block failed permanently) — they carry last round's params
         and are only used as a last resort by the participant floor.
         """
         delays = dict(extra_delay_s or {})

@@ -16,8 +16,8 @@ Every stochastic decision is one draw from its own named
 ``(plan seed, "fleet-fault", schedule index, kind, block, node)``, so it is a
 pure function of the plan seed and the cell — never of execution order,
 the node set, the run length, or the other schedules.  Same
-``(seed, schedules)`` ⇒ same faults, regardless of executor, worker count,
-or whether the run was resumed from a checkpoint mid-way; adding a node or
+``(seed, schedules)`` ⇒ same faults, regardless of executor or of whether
+the run was resumed from a checkpoint mid-way; adding a node or
 appending a schedule leaves every other cell's faults unchanged.  That
 determinism is the subsystem's headline guarantee: a faulty run is as
 bit-reproducible as a clean one.
@@ -40,9 +40,9 @@ Fault kinds
     timeout the node becomes a straggler and is dropped; without one the
     delay only shows up in the simulated round clock.
 ``flaky``
-    The executor worker running the node's block fails ``fail_times``
-    times before succeeding; the policy's bounded retry absorbs it (or the
-    node misses the block when retries are exhausted).
+    The node's local block fails ``fail_times`` times before succeeding;
+    the policy's bounded retry absorbs it (or the node misses the block
+    when retries are exhausted).
 ``kill``
     The whole run dies at the end of ``block`` — after the checkpoint for
     that boundary is written — by raising
@@ -122,7 +122,7 @@ class FaultEvent:
     fraction: float = 1.0  # corrupt/nan: fraction of entries poisoned
     scale: float = 10.0  # corrupt/scale: multiplier
     delay_s: float = 0.0  # delay: extra simulated seconds
-    fail_times: int = 1  # flaky: worker failures before success
+    fail_times: int = 1  # flaky: block failures before success
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -194,7 +194,7 @@ class DelaySchedule(FaultSchedule):
 
 @dataclass(frozen=True)
 class FlakyWorkerSchedule(FaultSchedule):
-    """A node's worker fails ``fail_times`` before success, prob ``rate``."""
+    """A node's block fails ``fail_times`` before success, prob ``rate``."""
 
     rate: float
     fail_times: int = 1
@@ -339,7 +339,7 @@ class FaultPlan:
         return explicit[0] if explicit else None
 
     def flaky_failures(self, block: int, node: int) -> int:
-        """Worker failures before the node's block succeeds (0: not flaky).
+        """Failures before the node's block succeeds (0: not flaky).
 
         Overlapping flaky sources take the largest failure count.
         """

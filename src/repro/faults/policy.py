@@ -4,7 +4,7 @@ A :class:`ResiliencePolicy` tells the :class:`~repro.engine.RoundEngine`
 how to survive the faults a :class:`~repro.faults.plan.FaultPlan` (or a
 genuinely failing strategy/executor) throws at it:
 
-* **bounded retry with backoff** — a node block whose worker fails is
+* **bounded retry with backoff** — a node block that fails is
   restored from its pre-block snapshot and re-run, up to ``max_retries``
   times; each retry charges ``backoff_base_s * 2**attempt`` *simulated*
   seconds to the node's block time (never a real sleep — wall-clock

@@ -495,7 +495,7 @@ class FleetSimulator:
         if "flaky" in kinds.union(e.kind for e in explicit):
             raise ValueError(
                 "flaky faults are not supported on the fleet path "
-                "(no executor workers to be flaky)"
+                "(no executor blocks to be flaky)"
             )
         outside = [
             e.node_id

@@ -41,10 +41,7 @@ from .tracing import (
     NullTracer,
     Span,
     SpanRecord,
-    TraceContext,
     Tracer,
-    WorkerTrace,
-    reparent,
 )
 
 __all__ = [
@@ -60,9 +57,6 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "TraceContext",
-    "WorkerTrace",
-    "reparent",
     "EventLog",
     "NullEventLog",
     "NULL_EVENT_LOG",

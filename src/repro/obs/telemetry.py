@@ -25,7 +25,7 @@ from typing import Optional
 from .events import NULL_EVENT_LOG, EventLog
 from .metrics import MetricRegistry
 from .sink import MemorySink, TelemetrySink
-from .tracing import NULL_TRACER, SpanRecord, TraceContext, Tracer
+from .tracing import NULL_TRACER, SpanRecord, Tracer
 
 __all__ = [
     "Telemetry",
@@ -98,14 +98,6 @@ class Telemetry:
     # -- tracing --------------------------------------------------------
     def span(self, name: str, **attributes: object):
         return self.tracer.span(name, **attributes)
-
-    def trace_context(self, profile_tape: bool = False) -> TraceContext:
-        """Current trace position, picklable for executor workers."""
-        return TraceContext.capture(self.tracer, profile_tape=profile_tape)
-
-    def ingest_span(self, record: SpanRecord) -> None:
-        """Adopt a re-parented worker span: ring buffer + sink stream."""
-        self.tracer.ingest(record)
 
     def _emit_span(self, record: SpanRecord) -> None:
         self.sink.emit(record.to_dict())
@@ -186,13 +178,6 @@ class NullTelemetry:
 
     def span(self, name: str, **attributes: object):
         return NULL_TRACER._span
-
-    def trace_context(self, profile_tape: bool = False) -> None:
-        """Disabled tracing propagates as ``None`` (workers skip capture)."""
-        return None
-
-    def ingest_span(self, record: SpanRecord) -> None:
-        return None
 
     def counter(self, name: str, **labels: str) -> _NullMetric:
         return self._metric

@@ -19,19 +19,9 @@ how the telemetry layer streams them to a sink.
 object whose enter/exit/end do nothing, so instrumented hot paths cost one
 attribute lookup and one call when telemetry is off.
 
-Cross-process propagation
--------------------------
-Worker processes (the :class:`~repro.engine.executors.ParallelExecutor`)
-cannot stream spans to the parent's sink.  Instead the parent captures its
-current trace position as a :class:`TraceContext` (a small picklable value),
-ships it with the task, and the worker runs a private child tracer whose
-finished records come back in a :class:`WorkerTrace` bundle.  The parent
-then re-parents them with :func:`reparent` — prefixing the parent path and
-depth — and feeds them through :meth:`Tracer.ingest`, so serial and parallel
-runs produce one coherent trace with the same span tree shape.  Trace
-collection only reads clocks and appends records; it never touches model
-state or RNG streams, which is what keeps traced runs bit-identical to
-untraced ones (asserted against the golden traces).
+Trace collection only reads clocks and appends records; it never touches
+model state or RNG streams, which is what keeps traced runs bit-identical
+to untraced ones (asserted against the golden traces).
 """
 
 from __future__ import annotations
@@ -47,9 +37,6 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "TraceContext",
-    "WorkerTrace",
-    "reparent",
 ]
 
 
@@ -155,16 +142,6 @@ class Tracer:
     def active_depth(self) -> int:
         return len(self._stack)
 
-    @property
-    def current_path(self) -> str:
-        """Slash-joined path of the innermost open span ('' at top level)."""
-        return self._stack[-1].path if self._stack else ""
-
-    @property
-    def current_depth(self) -> int:
-        """Depth the next child span would get."""
-        return self._stack[-1].depth + 1 if self._stack else 0
-
     def span(self, name: str, **attributes: object) -> Span:
         return Span(self, name, attributes)
 
@@ -172,11 +149,6 @@ class Tracer:
         if name is None:
             return list(self.finished)
         return [r for r in self.finished if r.name == name]
-
-    def ingest(self, record: SpanRecord) -> None:
-        """Adopt an externally produced record (e.g. a re-parented worker
-        span) as if one of this tracer's own spans had just closed."""
-        self._finish(record)
 
     def _finish(self, record: SpanRecord) -> None:
         if self._retain:
@@ -218,81 +190,9 @@ class NullTracer:
     def records(self, name: Optional[str] = None) -> List[SpanRecord]:
         return []
 
-    def ingest(self, record: SpanRecord) -> None:
-        return None
-
     @property
     def active_depth(self) -> int:
         return 0
 
-    @property
-    def current_path(self) -> str:
-        return ""
-
-    @property
-    def current_depth(self) -> int:
-        return 0
-
 
 NULL_TRACER = NullTracer()
-
-
-# ----------------------------------------------------------------------
-# Cross-process propagation
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class TraceContext:
-    """Picklable snapshot of the parent's trace position.
-
-    Shipped into executor workers so their spans can be re-parented under
-    the span that was open when the work was submitted.  ``profile_tape``
-    asks the worker to additionally collect autodiff tape-profiler deltas
-    (only honoured when a profiler is active in the parent).
-    """
-
-    #: slash path of the parent span worker spans nest under
-    path: str
-    #: depth worker root spans are re-based to
-    depth: int
-    #: collect per-op tape profiler statistics in the worker
-    profile_tape: bool = False
-
-    @classmethod
-    def capture(cls, tracer: "Tracer | NullTracer", profile_tape: bool = False) -> "TraceContext":
-        return cls(
-            path=tracer.current_path,
-            depth=tracer.current_depth,
-            profile_tape=profile_tape,
-        )
-
-
-@dataclass
-class WorkerTrace:
-    """What one worker task sends back besides its node result.
-
-    All fields are plain data (picklable): the worker's finished spans in
-    close order, the fast-path counter delta accumulated during the task,
-    and — when requested — the tape profiler's per-op statistics.  Clock
-    values in ``spans`` are the worker's ``perf_counter`` readings; on
-    Linux that clock is system-wide monotonic, so worker and parent spans
-    share a timeline.  Only durations are interpreted elsewhere.
-    """
-
-    spans: List[SpanRecord] = field(default_factory=list)
-    fastpath_delta: Dict[str, int] = field(default_factory=dict)
-    op_stats: Dict[str, List[float]] = field(default_factory=dict)
-    graph_walks: int = 0
-    walked_nodes: int = 0
-
-
-def reparent(record: SpanRecord, context: TraceContext) -> SpanRecord:
-    """Rebase one worker span under the parent position in ``context``."""
-    path = f"{context.path}/{record.path}" if context.path else record.path
-    return SpanRecord(
-        name=record.name,
-        path=path,
-        start=record.start,
-        end=record.end,
-        depth=record.depth + context.depth,
-        attributes=dict(record.attributes),
-    )

@@ -173,47 +173,6 @@ class TestDet104IdentityKeys:
         assert "DET104" not in ids_in(src, path="src/repro/autodiff/tape.py")
 
 
-class TestDet105SharedMutableState:
-    WORKER_PATH = "src/repro/engine/helpers.py"
-
-    def test_fires_on_worker_side_writes(self):
-        src = """
-        _CACHE = {}
-        _COUNT = 0
-        def run_block(key, value):
-            global _COUNT
-            _COUNT = _COUNT + 1
-            _CACHE[key] = value
-        """
-        found = ids_in(src, path=self.WORKER_PATH)
-        assert found.count("DET105") == 2
-
-    def test_fires_on_mutating_method(self):
-        src = """
-        _SEEN = set()
-        def run_block(key):
-            _SEEN.add(key)
-        """
-        assert "DET105" in ids_in(src, path=self.WORKER_PATH)
-
-    def test_silent_when_shadowed_by_local(self):
-        src = """
-        _CACHE = {}
-        def run_block(key, value):
-            _CACHE = {}
-            _CACHE[key] = value
-        """
-        assert "DET105" not in ids_in(src, path=self.WORKER_PATH)
-
-    def test_silent_outside_worker_reachable_paths(self):
-        src = """
-        _CACHE = {}
-        def run_block(key, value):
-            _CACHE[key] = value
-        """
-        assert "DET105" not in ids_in(src, path="src/repro/obs/helpers.py")
-
-
 class TestSuppressionWildcards:
     def test_family_wildcard_suppresses_det_rules(self):
         src = (

@@ -1,25 +1,26 @@
-"""Serial/parallel executor equivalence and determinism.
+"""Executor determinism: the per-node stream contract and error context.
 
-The contract under test (see ``docs/ENGINE.md``): for picklable
-strategies, :class:`ParallelExecutor` is *bit-for-bit* identical to
-:class:`SerialExecutor` on the same seeds — pickling float64 arrays is
-lossless and both executors bind the same per-node generator
-``default_rng([base_seed, block_index, node_id])``.
+The contract under test (see ``docs/ENGINE.md``): both executors bind the
+same per-node generator ``default_rng([base_seed, block_index, node_id])``,
+so a strategy drawing randomness sees the same stream whether its block
+runs node by node or stacked.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import FedAvg, FedAvgConfig, FedML, FedMLConfig
+from repro.analysis.determinism import install_ledger, uninstall_ledger
+from repro.autodiff import Tensor
 from repro.data import SyntheticConfig, generate_synthetic
 from repro.engine import (
     ExecutorError,
     LocalStrategy,
-    ParallelExecutor,
     RoundEngine,
     SerialExecutor,
+    VectorizedExecutor,
 )
 from repro.nn import LogisticRegression
+from repro.nn.batched import stack_params, unstack_params
 from repro.nn.parameters import add_scaled, to_vector, zeros_like_params
 
 
@@ -32,7 +33,7 @@ def workload():
 
 
 class NoisyConfig:
-    """Minimal engine config (picklable, module-level for the fork path)."""
+    """Minimal engine config."""
 
     t0 = 2
     total_iterations = 4
@@ -63,62 +64,70 @@ class NoisyStrategy(LocalStrategy):
         return {"param_norm": float(np.linalg.norm(to_vector(params)))}
 
 
-class TestParallelMatchesSerial:
-    def _fit(self, workload, runner_cls, config, executor):
-        fed, sources, model = workload
-        return runner_cls(model, config, executor=executor).fit(fed, sources)
+class StackedNoisyStrategy(NoisyStrategy):
+    """:class:`NoisyStrategy` that opts into stacked execution.
 
-    @pytest.mark.parametrize(
-        "runner_cls,config",
-        [
-            (
-                FedML,
-                FedMLConfig(
-                    alpha=0.05, beta=0.05, t0=3, total_iterations=6, k=3, seed=0
-                ),
-            ),
-            (
-                FedAvg,
-                FedAvgConfig(
-                    learning_rate=0.05, t0=3, total_iterations=6, seed=0
-                ),
-            ),
-        ],
-    )
-    def test_bit_for_bit(self, workload, runner_cls, config):
-        serial = self._fit(workload, runner_cls, config, SerialExecutor())
-        with ParallelExecutor(max_workers=2) as executor:
-            parallel = self._fit(workload, runner_cls, config, executor)
-        np.testing.assert_array_equal(
-            to_vector(serial.params), to_vector(parallel.params)
-        )
-        assert serial.history.records == parallel.history.records
-        assert [n.local_steps for n in serial.nodes] == [
-            n.local_steps for n in parallel.nodes
-        ]
-        assert [n.gradient_evaluations for n in serial.nodes] == [
-            n.gradient_evaluations for n in parallel.nodes
-        ]
+    ``local_block_vectorized`` draws node ``i``'s noise from ``rngs[i]``
+    in the order ``local_step`` draws it from ``self._node_rng`` (step by
+    step, tensor by tensor), and the update is elementwise, so a stacked
+    block must reproduce the serial one bit for bit.
+    """
+
+    name = "stacked-noisy"
+    supports_vectorized = True
+
+    def vectorized_signature(self, node):
+        return ("noisy",)
+
+    def local_block_vectorized(self, nodes, steps, rngs):
+        shapes = {name: t.shape for name, t in nodes[0].params.items()}
+        stacked = stack_params([node.params for node in nodes])
+        for _ in range(steps):
+            noise = {name: [] for name in shapes}
+            for rng in rngs:
+                for name, shape in shapes.items():
+                    noise[name].append(rng.standard_normal(shape))
+            stacked = add_scaled(
+                stacked,
+                {name: Tensor(np.stack(rows)) for name, rows in noise.items()},
+                0.01,
+            )
+        for node, params in zip(nodes, unstack_params(stacked, len(nodes))):
+            node.params = params
+            for _ in range(steps):
+                node.record_local_step(gradient_evals=0)
+
+
+class TestVectorizedMatchesSerial:
+    """The per-node stream contract on the stacked path."""
+
+    def _fit(self, workload, executor):
+        fed, sources, model = workload
+        strategy = StackedNoisyStrategy(model, NoisyConfig())
+        ledger = install_ledger()
+        try:
+            result = RoundEngine(strategy, executor=executor).fit(fed, sources)
+        finally:
+            uninstall_ledger()
+        return result, ledger.as_dicts()
 
     def test_stochastic_strategy_same_stream(self, workload):
-        """A strategy drawing per-node randomness sees the same stream."""
-        fed, sources, model = workload
-
-        def run(executor):
-            strategy = NoisyStrategy(model, NoisyConfig())
-            return RoundEngine(strategy, executor=executor).fit(fed, sources)
-
-        serial = run(SerialExecutor())
-        with ParallelExecutor(max_workers=3) as executor:
-            parallel = run(executor)
+        """A stacked block sees each node's serial stream, draw for draw."""
+        serial, serial_ledger = self._fit(workload, SerialExecutor())
+        stacked, stacked_ledger = self._fit(workload, VectorizedExecutor())
         np.testing.assert_array_equal(
-            to_vector(serial.params), to_vector(parallel.params)
+            to_vector(serial.params), to_vector(stacked.params)
         )
-        assert serial.history.records == parallel.history.records
+        assert serial.history.records == stacked.history.records
+        assert [n.local_steps for n in serial.nodes] == [
+            n.local_steps for n in stacked.nodes
+        ]
+        assert serial_ledger == stacked_ledger
+        assert all(row["draws"] > 0 for row in serial_ledger)
 
 
 class ExplodingStrategy(NoisyStrategy):
-    """Fails every step on selected nodes (picklable, module-level)."""
+    """Fails every step on selected nodes."""
 
     name = "exploding"
     fail_nodes = frozenset({3})
@@ -129,16 +138,12 @@ class ExplodingStrategy(NoisyStrategy):
         return super().local_step(node)
 
 
-class ExplodingTwoStrategy(ExplodingStrategy):
-    fail_nodes = frozenset({1, 4})
-
-
 class TestExecutorErrors:
-    """A worker raising mid-block surfaces with context, no pool hang."""
+    """A node raising mid-block surfaces with its node and block."""
 
-    def _fit(self, workload, executor, strategy_cls=ExplodingStrategy):
+    def _fit(self, workload, executor):
         fed, sources, model = workload
-        strategy = strategy_cls(model, NoisyConfig())
+        strategy = ExplodingStrategy(model, NoisyConfig())
         return RoundEngine(strategy, executor=executor).fit(fed, sources)
 
     def test_serial_error_carries_node_and_block(self, workload):
@@ -150,67 +155,3 @@ class TestExecutorErrors:
         assert "node 3" in str(err)
         assert "block 0" in str(err)
         assert isinstance(err.__cause__, ValueError)
-
-    def test_parallel_error_carries_context_and_pool_survives(self, workload):
-        fed, sources, model = workload
-        with ParallelExecutor(max_workers=3) as executor:
-            with pytest.raises(ExecutorError) as excinfo:
-                self._fit(workload, executor)
-            err = excinfo.value
-            assert err.node_id == 3
-            assert err.block_index == 0
-            assert isinstance(err.__cause__, ValueError)
-            # all futures were drained: the pool is immediately reusable
-            healthy = RoundEngine(
-                NoisyStrategy(model, NoisyConfig()), executor=executor
-            ).fit(fed, sources)
-            assert np.isfinite(to_vector(healthy.params)).all()
-
-    def test_parallel_reports_first_failure_in_node_order(self, workload):
-        with ParallelExecutor(max_workers=3) as executor:
-            with pytest.raises(ExecutorError) as excinfo:
-                self._fit(workload, executor, ExplodingTwoStrategy)
-        assert excinfo.value.node_id == 1
-
-
-class TestParallelExecutorLifecycle:
-    def test_close_is_idempotent(self):
-        executor = ParallelExecutor(max_workers=2)
-        executor.close()  # never started: nothing to shut down
-        executor.close()
-
-    def test_pool_restarts_after_close(self, workload):
-        fed, sources, model = workload
-        config = FedMLConfig(
-            alpha=0.05, beta=0.05, t0=2, total_iterations=2, k=3, seed=0
-        )
-        executor = ParallelExecutor(max_workers=2)
-        first = FedML(model, config, executor=executor).fit(fed, sources)
-        executor.close()
-        second = FedML(model, config, executor=executor).fit(fed, sources)
-        executor.close()
-        np.testing.assert_array_equal(
-            to_vector(first.params), to_vector(second.params)
-        )
-
-    def test_run_block_after_close_recreates_pool(self, workload):
-        """Direct regression: run_block on a closed executor transparently
-        re-creates the pool instead of failing inside ProcessPoolExecutor."""
-        from repro.nn.parameters import detach
-
-        fed, sources, model = workload
-        strategy = NoisyStrategy(model, NoisyConfig())
-        nodes = strategy.build_nodes(fed, sources)
-        init = model.init(np.random.default_rng(0))
-        for node in nodes:
-            node.params = detach(init)
-        executor = ParallelExecutor(max_workers=2)
-        executor.run_block(strategy, nodes, 1, block_index=0, base_seed=0)
-        executor.close()
-        assert executor._pool is None
-        executor.run_block(strategy, nodes, 1, block_index=1, base_seed=0)
-        executor.close()
-        assert all(node.local_steps == 2 for node in nodes)
-        assert all(
-            np.isfinite(to_vector(node.params)).all() for node in nodes
-        )

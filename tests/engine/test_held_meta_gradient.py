@@ -9,8 +9,6 @@ growing, the fast path being switched off, another node stepping in
 between — and after the slot is dropped on eviction or at a block end.
 """
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -125,13 +123,6 @@ def test_release_drops_the_slot(meta):
     strategy.release_node(node)
     assert "_held" not in strategy.__dict__
     assert_step_is_uncached_meta_gradient(strategy, node)
-
-
-def test_held_kernel_is_never_pickled(meta):
-    strategy, (node, _) = meta
-    assert_step_is_uncached_meta_gradient(strategy, node)
-    assert "_held" in strategy.__dict__
-    assert "_held" not in pickle.loads(pickle.dumps(strategy)).__dict__
 
 
 def test_growing_adversarial_set_rebuilds():

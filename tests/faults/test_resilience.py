@@ -12,9 +12,7 @@ from repro.data import SyntheticConfig, generate_synthetic
 from repro.engine import (
     EngineOptions,
     ExecutorError,
-    ParallelExecutor,
     RoundEngine,
-    SerialExecutor,
 )
 from repro.faults import ResiliencePolicy
 from repro.nn import LogisticRegression
@@ -91,24 +89,21 @@ class TestRealFailures:
         # one retry per block before the drop (2 blocks at this config)
         assert tel.registry.get("fl_retries_total").value == 2
 
-    def test_drop_on_failure_serial_matches_parallel(self, workload):
+    def test_drop_on_failure_repeats_bit_for_bit(self, workload):
         fed, sources, model = workload
 
-        def run(executor):
+        def run():
             engine = RoundEngine(
                 ExplodingStrategy(model, NoisyConfig()),
-                executor=executor,
                 options=EngineOptions(resilience=drop_policy()),
             )
             return engine.fit(fed, sources)
 
-        serial = run(SerialExecutor())
-        with ParallelExecutor(max_workers=3) as executor:
-            parallel = run(executor)
+        first, second = run(), run()
         np.testing.assert_array_equal(
-            to_vector(serial.params), to_vector(parallel.params)
+            to_vector(first.params), to_vector(second.params)
         )
-        assert serial.history.records == parallel.history.records
+        assert first.history.records == second.history.records
 
     def test_retry_restores_snapshot_bit_exactly(self, workload):
         """A transient failure absorbed by one retry leaves the run

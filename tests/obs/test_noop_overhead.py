@@ -135,18 +135,3 @@ def test_disabled_serial_run_block_reads_no_clock(monkeypatch):
     )
     assert strategy.steps == 12
     assert reads["count"] == 0
-
-
-def test_disabled_worker_entry_ships_no_trace():
-    # The parent captures no TraceContext when telemetry is off, so the
-    # worker entry point must skip the collector entirely and return no
-    # WorkerTrace bundle.
-    from repro.engine.executors import _run_node_block
-
-    assert NULL_TELEMETRY.trace_context() is None
-    strategy = _CountingStrategy()
-    params, steps, gevals, worker = _run_node_block(
-        strategy, _StubNode(0), 3, [0, 0, 0], trace=None
-    )
-    assert strategy.steps == 3
-    assert worker is None

@@ -18,11 +18,11 @@ ENGINE_RESULT = {
     "nodes": 8,
     "cpus": 4,
     "serial_seconds": 2.0,
-    "parallel_seconds": 1.0,
+    "vectorized_seconds": 1.0,
     "serial_rounds_per_sec": 5.0,
-    "parallel_rounds_per_sec": 10.0,
+    "vectorized_rounds_per_sec": 10.0,
     "speedup": 2.0,
-    "deterministic": True,
+    "serial_bit_reproducible": True,
 }
 
 
@@ -34,7 +34,9 @@ def _write(path, payload):
 class TestGatedMetrics:
     def test_selects_flags_ratios_and_throughput(self):
         spec = gated_metrics(ENGINE_RESULT)
-        assert spec["deterministic"] == {"value": True, "direction": "exact"}
+        assert spec["serial_bit_reproducible"] == {
+            "value": True, "direction": "exact"
+        }
         assert spec["speedup"]["direction"] == "higher"
         assert "serial_rounds_per_sec" in spec
         # config echoes and raw timings are informational, never gated
@@ -61,9 +63,9 @@ class TestCheckResult:
         assert "below floor" in failures[0].message
 
     def test_flag_flip_fails_exactly(self):
-        current = dict(ENGINE_RESULT, deterministic=False)
+        current = dict(ENGINE_RESULT, serial_bit_reproducible=False)
         failures = check_result("b", current, self._entry())
-        assert [f.metric for f in failures] == ["deterministic"]
+        assert [f.metric for f in failures] == ["serial_bit_reproducible"]
 
     def test_missing_metric_is_a_regression(self):
         current = {k: v for k, v in ENGINE_RESULT.items() if k != "speedup"}
@@ -127,14 +129,14 @@ class TestRunGate:
         slowed = dict(
             ENGINE_RESULT,
             speedup=ENGINE_RESULT["speedup"] / 3.0,
-            parallel_rounds_per_sec=(
-                ENGINE_RESULT["parallel_rounds_per_sec"] / 3.0
+            vectorized_rounds_per_sec=(
+                ENGINE_RESULT["vectorized_rounds_per_sec"] / 3.0
             ),
         )
         _write(tmp_path / "BENCH_engine.json", slowed)
         failures, _ = run_gate([bench], baseline)
         assert {f.metric for f in failures} == {
-            "speedup", "parallel_rounds_per_sec"
+            "speedup", "vectorized_rounds_per_sec"
         }
 
     def test_update_rewrites_baseline(self, tmp_path):
@@ -183,7 +185,7 @@ class TestBenchCheckCli:
 
         _write(
             tmp_path / "BENCH_engine.json",
-            dict(ENGINE_RESULT, speedup=0.1, deterministic=False),
+            dict(ENGINE_RESULT, speedup=0.1, serial_bit_reproducible=False),
         )
         assert main(["bench-check", bench, "--baseline", baseline]) == 1
         err = capsys.readouterr().err

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.obs import (
-    NULL_TRACER,
-    SpanRecord,
-    TraceContext,
-    Tracer,
-    WorkerTrace,
-    reparent,
-)
+from repro.obs import NULL_TRACER, Tracer
 
 
 class FakeClock:
@@ -165,93 +158,3 @@ class TestRingEviction:
                 pass
         assert len(seen) == 3
         assert tracer.spans_dropped == 2
-
-
-class TestCurrentPosition:
-    def test_current_path_and_depth_track_open_spans(self):
-        tracer = Tracer(clock=FakeClock())
-        assert tracer.current_path == ""
-        assert tracer.current_depth == 0
-        with tracer.span("fit"):
-            assert tracer.current_path == "fit"
-            assert tracer.current_depth == 1
-            with tracer.span("round"):
-                assert tracer.current_path == "fit/round"
-                assert tracer.current_depth == 2
-        assert tracer.current_path == ""
-        assert tracer.current_depth == 0
-
-
-class TestTraceContext:
-    def test_capture_snapshots_current_position(self):
-        tracer = Tracer(clock=FakeClock())
-        with tracer.span("fit"):
-            with tracer.span("round"):
-                context = TraceContext.capture(tracer)
-        assert context.path == "fit/round"
-        assert context.depth == 2
-        assert context.profile_tape is False
-
-    def test_capture_from_null_tracer_is_rootless(self):
-        context = TraceContext.capture(NULL_TRACER, profile_tape=True)
-        assert context == TraceContext(path="", depth=0, profile_tape=True)
-
-    def test_round_trips_through_pickle(self):
-        import pickle
-
-        context = TraceContext(path="fit/round", depth=2, profile_tape=True)
-        assert pickle.loads(pickle.dumps(context)) == context
-
-
-class TestReparent:
-    def _worker_record(self, depth=0):
-        return SpanRecord(
-            name="local_train",
-            path="local_train",
-            start=1.0,
-            end=2.5,
-            depth=depth,
-            attributes={"node": 4, "worker": True},
-        )
-
-    def test_prefixes_path_and_rebases_depth(self):
-        context = TraceContext(path="fit/round/local_steps", depth=3)
-        record = reparent(self._worker_record(), context)
-        assert record.path == "fit/round/local_steps/local_train"
-        assert record.depth == 3
-        assert record.attributes == {"node": 4, "worker": True}
-        assert (record.start, record.end) == (1.0, 2.5)
-
-    def test_empty_parent_path_keeps_worker_path(self):
-        record = reparent(self._worker_record(), TraceContext(path="", depth=0))
-        assert record.path == "local_train"
-        assert record.depth == 0
-
-    def test_ingested_reparented_span_lands_in_ring(self):
-        tracer = Tracer(clock=FakeClock())
-        with tracer.span("fit"):
-            context = TraceContext.capture(tracer)
-        tracer.ingest(reparent(self._worker_record(), context))
-        record = tracer.records("local_train")[0]
-        assert record.path == "fit/local_train"
-        assert record.depth == 1
-
-    def test_null_tracer_position_and_ingest_are_inert(self):
-        NULL_TRACER.ingest(self._worker_record())
-        assert NULL_TRACER.records() == []
-        assert NULL_TRACER.current_path == ""
-        assert NULL_TRACER.current_depth == 0
-        assert NULL_TRACER.spans_dropped == 0
-
-
-class TestWorkerTrace:
-    def test_defaults_are_empty_and_picklable(self):
-        import pickle
-
-        worker = WorkerTrace()
-        assert worker.spans == []
-        assert worker.fastpath_delta == {}
-        assert worker.op_stats == {}
-        assert worker.graph_walks == 0
-        clone = pickle.loads(pickle.dumps(worker))
-        assert clone.spans == [] and clone.walked_nodes == 0
