@@ -12,6 +12,7 @@ import numpy as np
 from repro.autodiff import Tensor
 from repro.core import FedML, FedMLConfig
 from repro.data import SyntheticConfig, generate_synthetic
+from repro.engine import MetaStrategy
 from repro.federated import Platform, coordinate_median, trimmed_mean
 from repro.metrics import format_table
 from repro.nn import LogisticRegression
@@ -19,14 +20,11 @@ from repro.nn import LogisticRegression
 from conftest import print_figure, run_once
 
 
-class _FaultyNodeFedML(FedML):
-    """FedML variant where one node uploads amplified-noise parameters."""
+class _FaultyNodeStrategy(MetaStrategy):
+    """FedML's local step, after which one node uploads amplified noise."""
 
-    def __init__(self, *args, faulty_node_index=0, noise_scale=20.0, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.faulty_node_index = faulty_node_index
-        self.noise_scale = noise_scale
-        self._fault_rng = np.random.default_rng(99)
+    # The stacked block would skip the corruption in local_step.
+    supports_vectorized = False
 
     def local_step(self, node):
         value = super().local_step(node)
@@ -38,6 +36,18 @@ class _FaultyNodeFedML(FedML):
                 for name, t in node.params.items()
             }
         return value
+
+
+class _FaultyNodeFedML(FedML):
+    """FedML variant where one node uploads amplified-noise parameters."""
+
+    strategy_type = _FaultyNodeStrategy
+
+    def __init__(self, *args, faulty_node_index=0, noise_scale=20.0, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.strategy.faulty_node_index = faulty_node_index
+        self.strategy.noise_scale = noise_scale
+        self.strategy._fault_rng = np.random.default_rng(99)
 
 
 AGGREGATORS = {

@@ -28,10 +28,6 @@ class _DPFedML(FedML):
         super().__init__(*args, **kwargs)
         self.mechanism = mechanism
 
-    def local_step(self, node):
-        value = super().local_step(node)
-        return value
-
     def fit(self, federated, source_ids, init_params=None, verbose=False):
         # Wrap the platform aggregator to privatize each upload.
         if self.mechanism is not None:

@@ -51,7 +51,7 @@ import json
 import sys
 import time
 from contextlib import nullcontext
-from typing import List, Optional
+from typing import Any, List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -62,6 +62,7 @@ from .core import (
     FederatedADML,
     FederatedMetaSGD,
     FederatedReptile,
+    FederatedRunner,
     FedML,
     FedMLConfig,
     MetaSGDConfig,
@@ -186,92 +187,58 @@ def _build_engine_options(
     )
 
 
-def _build_trainer(
+def _algorithm_config(
     args: argparse.Namespace,
-    model: Model,
-    engine_options: Optional[EngineOptions],
-    telemetry: Optional[Telemetry] = None,
-    executor: Optional[Executor] = None,
-):
-    # Every algorithm routes through the round engine, so they all accept
-    # the same telemetry/executor/fault plumbing.
-    common = dict(
-        telemetry=telemetry,
-        executor=executor,
-        engine_options=engine_options,
-    )
+) -> Tuple[Type[FederatedRunner], Any]:
+    """The runner class for ``--algorithm`` and its config.
+
+    Raises ``ValueError`` on a rejected hyper-parameter, before any data
+    is built or any training starts.
+    """
     if args.algorithm == "fedml":
-        return FedML(
-            model,
-            FedMLConfig(
-                alpha=args.alpha, beta=args.beta, t0=args.t0,
-                total_iterations=args.iterations, k=args.k,
-                first_order=args.first_order, eval_every=args.eval_every,
-                seed=args.seed,
-            ),
-            **common,
+        return FedML, FedMLConfig(
+            alpha=args.alpha, beta=args.beta, t0=args.t0,
+            total_iterations=args.iterations, k=args.k,
+            first_order=args.first_order, eval_every=args.eval_every,
+            seed=args.seed,
         )
     if args.algorithm == "robust-fedml":
-        return RobustFedML(
-            model,
-            RobustFedMLConfig(
-                alpha=args.alpha, beta=args.beta, t0=args.t0,
-                total_iterations=args.iterations, k=args.k,
-                lam=args.lam, nu=args.nu, ta=args.ta, n0=args.n0,
-                r_max=args.r_max, eval_every=args.eval_every, seed=args.seed,
-            ),
-            **common,
+        return RobustFedML, RobustFedMLConfig(
+            alpha=args.alpha, beta=args.beta, t0=args.t0,
+            total_iterations=args.iterations, k=args.k,
+            lam=args.lam, nu=args.nu, ta=args.ta, n0=args.n0,
+            r_max=args.r_max, eval_every=args.eval_every, seed=args.seed,
         )
     if args.algorithm == "fedavg":
-        return FedAvg(
-            model,
-            FedAvgConfig(
-                learning_rate=args.beta, t0=args.t0,
-                total_iterations=args.iterations, eval_every=args.eval_every,
-                seed=args.seed,
-            ),
-            **common,
+        return FedAvg, FedAvgConfig(
+            learning_rate=args.beta, t0=args.t0,
+            total_iterations=args.iterations, eval_every=args.eval_every,
+            seed=args.seed,
         )
     if args.algorithm == "fedprox":
-        return FedProx(
-            model,
-            FedProxConfig(
-                learning_rate=args.beta, mu_prox=args.mu_prox, t0=args.t0,
-                total_iterations=args.iterations, eval_every=args.eval_every,
-                seed=args.seed,
-            ),
-            **common,
+        return FedProx, FedProxConfig(
+            learning_rate=args.beta, mu_prox=args.mu_prox, t0=args.t0,
+            total_iterations=args.iterations, eval_every=args.eval_every,
+            seed=args.seed,
         )
     if args.algorithm == "reptile":
-        return FederatedReptile(
-            model,
-            ReptileConfig(
-                inner_lr=args.alpha, outer_lr=args.beta, t0=args.t0,
-                total_iterations=args.iterations, k=args.k,
-                eval_every=args.eval_every, seed=args.seed,
-            ),
-            **common,
+        return FederatedReptile, ReptileConfig(
+            inner_lr=args.alpha, outer_lr=args.beta, t0=args.t0,
+            total_iterations=args.iterations, k=args.k,
+            eval_every=args.eval_every, seed=args.seed,
         )
     if args.algorithm == "meta-sgd":
-        return FederatedMetaSGD(
-            model,
-            MetaSGDConfig(
-                alpha_init=args.alpha, beta=args.beta, t0=args.t0,
-                total_iterations=args.iterations, k=args.k,
-                eval_every=args.eval_every, seed=args.seed,
-            ),
-            **common,
+        return FederatedMetaSGD, MetaSGDConfig(
+            alpha_init=args.alpha, beta=args.beta, t0=args.t0,
+            total_iterations=args.iterations, k=args.k,
+            eval_every=args.eval_every, seed=args.seed,
         )
     if args.algorithm == "adml":
-        return FederatedADML(
-            model,
-            ADMLConfig(
-                alpha=args.alpha, beta=args.beta, t0=args.t0,
-                total_iterations=args.iterations, k=args.k,
-                epsilon=args.epsilon, eval_every=args.eval_every,
-                seed=args.seed,
-            ),
-            **common,
+        return FederatedADML, ADMLConfig(
+            alpha=args.alpha, beta=args.beta, t0=args.t0,
+            total_iterations=args.iterations, k=args.k,
+            epsilon=args.epsilon, eval_every=args.eval_every,
+            seed=args.seed,
         )
     raise ValueError(f"unknown algorithm '{args.algorithm}'")
 
@@ -301,6 +268,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     try:
         engine_options = _build_engine_options(args)
+        runner, config = _algorithm_config(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -310,8 +278,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
         args.source_fraction, np.random.default_rng(args.split_seed)
     )
     telemetry = _build_telemetry(args)
-    executor = _build_executor(args.executor)
-    trainer = _build_trainer(args, model, engine_options, telemetry, executor)
+    trainer = runner(
+        model, config, telemetry=telemetry,
+        executor=_build_executor(args.executor), engine_options=engine_options,
+    )
 
     from .autodiff import fastpath
 
@@ -664,9 +634,11 @@ def _determinism_run(
     )
     sink = MemorySink()
     telemetry = Telemetry(sink=sink, node_fingerprints=True)
-    trainer = _build_trainer(
-        run_args, model, _build_engine_options(run_args), telemetry,
-        _build_executor(executor_kind),
+    runner, config = _algorithm_config(run_args)
+    trainer = runner(
+        model, config, telemetry=telemetry,
+        executor=_build_executor(executor_kind),
+        engine_options=_build_engine_options(run_args),
     )
     if plant is not None:
         if not hasattr(trainer, "strategy"):

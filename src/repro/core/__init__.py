@@ -1,35 +1,34 @@
 """The paper's algorithms: FedML, Robust FedML, FedAvg, MAML, Reptile."""
 
 from .adaptation import AdaptationCurve, adapt, evaluate_adaptation
-from .adml import ADMLConfig, ADMLResult, FederatedADML
+from .adml import ADMLConfig, FederatedADML
 from .async_fedml import AsyncFedML, AsyncFedMLConfig, AsyncFedMLResult
-from .fedavg import FedAvg, FedAvgConfig, FedAvgResult
-from .fedprox import FedProx, FedProxConfig, FedProxResult
-from .fedml import FedML, FedMLConfig, FedMLResult
+from .fedavg import FedAvg, FedAvgConfig
+from .fedprox import FedProx, FedProxConfig
+from .fedml import FedML, FedMLConfig
 from .maml import MAML, inner_adapt, meta_gradient, meta_loss
 from .meta_sgd import FederatedMetaSGD, MetaSGDConfig, MetaSGDResult
-from .reptile import FederatedReptile, ReptileConfig, ReptileResult
+from .reptile import FederatedReptile, ReptileConfig
 from .robust import RobustFedML, RobustFedMLConfig, RobustFedMLResult
+from .runner import FederatedResult, FederatedRunner
 
 __all__ = [
     "ADMLConfig",
     "AsyncFedML",
     "AsyncFedMLConfig",
     "AsyncFedMLResult",
-    "ADMLResult",
     "FederatedADML",
     "FedProx",
     "FedProxConfig",
-    "FedProxResult",
     "AdaptationCurve",
     "adapt",
     "evaluate_adaptation",
     "FedAvg",
     "FedAvgConfig",
-    "FedAvgResult",
+    "FederatedResult",
+    "FederatedRunner",
     "FedML",
     "FedMLConfig",
-    "FedMLResult",
     "MAML",
     "FederatedMetaSGD",
     "MetaSGDConfig",
@@ -39,7 +38,6 @@ __all__ = [
     "meta_loss",
     "FederatedReptile",
     "ReptileConfig",
-    "ReptileResult",
     "RobustFedML",
     "RobustFedMLConfig",
     "RobustFedMLResult",

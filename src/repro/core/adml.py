@@ -17,30 +17,21 @@ to one attack form), whereas the DRO scheme amortizes perturbation
 construction over an adversarial dataset grown on a fixed schedule and is
 derived from a distributional robustness objective.
 
-:class:`FederatedADML` is a facade over :class:`repro.engine.RoundEngine`
-+ :class:`repro.engine.AdmlStrategy`; routing through the engine gives it
-the participation sampling and telemetry spans it previously lacked.
+:class:`FederatedADML` is a :class:`~repro.core.runner.FederatedRunner`
+over :class:`repro.engine.AdmlStrategy`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
-from ..data.dataset import FederatedDataset
-from ..engine import AdmlStrategy, EngineOptions, RoundEngine, RunnerStepAdapter
-from ..engine.executors import Executor
+from ..engine import AdmlStrategy
 from ..federated.node import EdgeNode
-from ..federated.platform import Platform
-from ..federated.sampling import FullParticipation
-from ..nn.losses import cross_entropy
-from ..nn.modules import Model
 from ..nn.parameters import Params
-from ..obs.telemetry import Telemetry
-from ..utils.logging import RunLogger
-from .maml import LossFn
+from .runner import FederatedRunner
 
-__all__ = ["ADMLConfig", "ADMLResult", "FederatedADML"]
+__all__ = ["ADMLConfig", "FederatedADML"]
 
 
 @dataclass(frozen=True)
@@ -66,81 +57,10 @@ class ADMLConfig:
             raise ValueError("t0, total_iterations and k must be >= 1")
 
 
-@dataclass
-class ADMLResult:
-    params: Params
-    nodes: List[EdgeNode]
-    platform: Platform
-    history: RunLogger
-
-    @property
-    def global_meta_losses(self) -> List[float]:
-        return self.history.series("global_meta_loss")
-
-
-class FederatedADML:
+class FederatedADML(FederatedRunner):
     """ADML-style adversarial meta-training under FedML's communication."""
 
-    def __init__(
-        self,
-        model: Model,
-        config: ADMLConfig,
-        loss_fn: LossFn = cross_entropy,
-        platform: Optional[Platform] = None,
-        participation=None,
-        telemetry: Optional[Telemetry] = None,
-        executor: Optional[Executor] = None,
-        engine_options: Optional[EngineOptions] = None,
-    ) -> None:
-        self.model = model
-        self.config = config
-        self.loss_fn = loss_fn
-        self.platform = platform if platform is not None else Platform()
-        self.participation = (
-            participation if participation is not None else FullParticipation()
-        )
-        self.telemetry = telemetry
-        if telemetry is not None and self.platform.telemetry is None:
-            self.platform.telemetry = telemetry
-        self.executor = executor
-        self.engine_options = engine_options
-        self.strategy = AdmlStrategy(model, config, loss_fn)
+    strategy_type = AdmlStrategy
 
     def global_meta_loss(self, params: Params, nodes: Sequence[EdgeNode]) -> float:
         return self.strategy.global_meta_loss(params, nodes)
-
-    def local_step(self, node: EdgeNode) -> float:
-        """One adversarial meta-update (FGSM inner + clean/perturbed outer)."""
-        return self.strategy.local_step(node)
-
-    def _engine_strategy(self):
-        if type(self).local_step is not FederatedADML.local_step:
-            return RunnerStepAdapter(self.strategy, self)
-        return self.strategy
-
-    def fit(
-        self,
-        federated: FederatedDataset,
-        source_ids: Sequence[int],
-        init_params: Optional[Params] = None,
-        verbose: bool = False,
-        resume: bool = False,
-    ) -> ADMLResult:
-        engine = RoundEngine(
-            self._engine_strategy(),
-            platform=self.platform,
-            participation=self.participation,
-            telemetry=self.telemetry,
-            executor=self.executor,
-            options=self.engine_options,
-        )
-        run = engine.fit(
-            federated, source_ids, init_params,
-            verbose=verbose, resume=resume,
-        )
-        return ADMLResult(
-            params=run.params,
-            nodes=run.nodes,
-            platform=run.platform,
-            history=run.history,
-        )

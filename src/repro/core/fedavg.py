@@ -7,29 +7,21 @@ result is a good consensus model but — as Figures 3(c)–(e) show — a poor
 *initialization* for few-shot adaptation, which is the phenomenon FedML
 exists to fix.
 
-:class:`FedAvg` is a facade over :class:`repro.engine.RoundEngine` +
+:class:`FedAvg` is a :class:`~repro.core.runner.FederatedRunner` over
 :class:`repro.engine.SgdStrategy`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
-from ..data.dataset import FederatedDataset
-from ..engine import EngineOptions, RoundEngine, RunnerStepAdapter, SgdStrategy
-from ..engine.executors import Executor
+from ..engine import SgdStrategy
 from ..federated.node import EdgeNode
-from ..federated.platform import Platform
-from ..federated.sampling import FullParticipation
-from ..nn.losses import cross_entropy
-from ..nn.modules import Model
 from ..nn.parameters import Params
-from ..obs.telemetry import Telemetry
-from ..utils.logging import RunLogger
-from .maml import LossFn
+from .runner import FederatedRunner
 
-__all__ = ["FedAvgConfig", "FedAvgResult", "FedAvg"]
+__all__ = ["FedAvgConfig", "FedAvg"]
 
 
 @dataclass(frozen=True)
@@ -49,82 +41,11 @@ class FedAvgConfig:
             raise ValueError("t0 and total_iterations must be >= 1")
 
 
-@dataclass
-class FedAvgResult:
-    params: Params
-    nodes: List[EdgeNode]
-    platform: Platform
-    history: RunLogger
-
-    @property
-    def global_losses(self) -> List[float]:
-        return self.history.series("global_loss")
-
-
-class FedAvg:
+class FedAvg(FederatedRunner):
     """Runner for federated averaging over a :class:`FederatedDataset`."""
 
-    def __init__(
-        self,
-        model: Model,
-        config: FedAvgConfig,
-        loss_fn: LossFn = cross_entropy,
-        platform: Optional[Platform] = None,
-        participation=None,
-        telemetry: Optional[Telemetry] = None,
-        executor: Optional[Executor] = None,
-        engine_options: Optional[EngineOptions] = None,
-    ) -> None:
-        self.model = model
-        self.config = config
-        self.loss_fn = loss_fn
-        self.platform = platform if platform is not None else Platform()
-        self.participation = (
-            participation if participation is not None else FullParticipation()
-        )
-        self.telemetry = telemetry
-        if telemetry is not None and self.platform.telemetry is None:
-            self.platform.telemetry = telemetry
-        self.executor = executor
-        self.engine_options = engine_options
-        self.strategy = SgdStrategy(model, config, loss_fn)
+    strategy_type = SgdStrategy
 
     def global_loss(self, params: Params, nodes: Sequence[EdgeNode]) -> float:
         """Weighted empirical loss ``L_w(theta)`` (eq. 2)."""
         return self.strategy.global_loss(params, nodes)
-
-    def local_step(self, node: EdgeNode) -> float:
-        """One SGD step on the node's full local dataset."""
-        return self.strategy.local_step(node)
-
-    def _engine_strategy(self):
-        if type(self).local_step is not FedAvg.local_step:
-            return RunnerStepAdapter(self.strategy, self)
-        return self.strategy
-
-    def fit(
-        self,
-        federated: FederatedDataset,
-        source_ids: Sequence[int],
-        init_params: Optional[Params] = None,
-        verbose: bool = False,
-        resume: bool = False,
-    ) -> FedAvgResult:
-        engine = RoundEngine(
-            self._engine_strategy(),
-            platform=self.platform,
-            participation=self.participation,
-            telemetry=self.telemetry,
-            executor=self.executor,
-            options=self.engine_options,
-        )
-        run = engine.fit(
-            federated, source_ids, init_params,
-            verbose=verbose, resume=resume,
-        )
-        return FedAvgResult(
-            params=run.params,
-            nodes=run.nodes,
-            platform=run.platform,
-            history=run.history,
-        )

@@ -13,31 +13,24 @@ and broadcasts it back.  ``T0`` is the paper's knob trading communication
 cost against local computation (Theorem 2 characterizes the error it
 introduces).
 
-:class:`FedML` is a facade: the round loop itself lives in
-:class:`repro.engine.RoundEngine` and the local update in
-:class:`repro.engine.MetaStrategy`; this class keeps the public surface
-(``fit`` signature, :class:`FedMLResult`, ``local_step`` et al.) stable.
+:class:`FedML` is a :class:`~repro.core.runner.FederatedRunner` whose
+``strategy_type`` is :class:`repro.engine.MetaStrategy`: the round loop
+lives in :class:`repro.engine.RoundEngine` and the local update in the
+strategy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..data.dataset import FederatedDataset
-from ..engine import EngineOptions, MetaStrategy, RoundEngine, RunnerStepAdapter
-from ..engine.executors import Executor
+from ..engine import MetaStrategy
 from ..federated.node import EdgeNode
-from ..federated.platform import Platform
-from ..federated.sampling import FullParticipation
-from ..nn.losses import cross_entropy
-from ..nn.modules import Model
 from ..nn.parameters import Params
-from ..obs.telemetry import Telemetry
-from ..utils.logging import RunLogger
-from .maml import LossFn
+from .runner import FederatedRunner
 
-__all__ = ["FedMLConfig", "FedMLResult", "FedML"]
+__all__ = ["FedMLConfig", "FedML"]
 
 
 @dataclass(frozen=True)
@@ -86,53 +79,11 @@ class FedMLConfig:
             raise ValueError("k must be >= 1")
 
 
-@dataclass
-class FedMLResult:
-    """Everything a run produces: final model, nodes, platform, history."""
-
-    params: Params
-    nodes: List[EdgeNode]
-    platform: Platform
-    history: RunLogger
-
-    @property
-    def global_meta_losses(self) -> List[float]:
-        return self.history.series("global_meta_loss")
-
-    @property
-    def uplink_bytes(self) -> int:
-        return self.platform.comm_log.uplink_bytes
-
-
-class FedML:
+class FedML(FederatedRunner):
     """Runner for Algorithm 1 over a :class:`FederatedDataset`."""
 
-    def __init__(
-        self,
-        model: Model,
-        config: FedMLConfig,
-        loss_fn: LossFn = cross_entropy,
-        platform: Optional[Platform] = None,
-        participation=None,
-        telemetry: Optional[Telemetry] = None,
-        executor: Optional[Executor] = None,
-        engine_options: Optional[EngineOptions] = None,
-    ) -> None:
-        self.model = model
-        self.config = config
-        self.loss_fn = loss_fn
-        self.platform = platform if platform is not None else Platform()
-        self.participation = (
-            participation if participation is not None else FullParticipation()
-        )
-        self.telemetry = telemetry
-        if telemetry is not None and self.platform.telemetry is None:
-            self.platform.telemetry = telemetry
-        self.executor = executor
-        self.engine_options = engine_options
-        self.strategy = MetaStrategy(model, config, loss_fn)
+    strategy_type = MetaStrategy
 
-    # ------------------------------------------------------------------
     def build_source_nodes(
         self, federated: FederatedDataset, source_ids: Sequence[int]
     ) -> List[EdgeNode]:
@@ -141,43 +92,3 @@ class FedML:
     def global_meta_loss(self, params: Params, nodes: Sequence[EdgeNode]) -> float:
         """``G(theta) = Σ ω_i G_i(theta)`` over the source nodes."""
         return self.strategy.global_meta_loss(params, nodes)
-
-    def local_step(self, node: EdgeNode) -> float:
-        """One local meta-update (eq. 3 + eq. 4) on ``node``; returns its loss."""
-        return self.strategy.local_step(node)
-
-    def _engine_strategy(self):
-        # Subclasses (the ablation benches) override local_step to inject
-        # faults; route the engine through the override when present.
-        if type(self).local_step is not FedML.local_step:
-            return RunnerStepAdapter(self.strategy, self)
-        return self.strategy
-
-    # ------------------------------------------------------------------
-    def fit(
-        self,
-        federated: FederatedDataset,
-        source_ids: Sequence[int],
-        init_params: Optional[Params] = None,
-        verbose: bool = False,
-        resume: bool = False,
-    ) -> FedMLResult:
-        """Run Algorithm 1 and return the learned initialization."""
-        engine = RoundEngine(
-            self._engine_strategy(),
-            platform=self.platform,
-            participation=self.participation,
-            telemetry=self.telemetry,
-            executor=self.executor,
-            options=self.engine_options,
-        )
-        run = engine.fit(
-            federated, source_ids, init_params,
-            verbose=verbose, resume=resume,
-        )
-        return FedMLResult(
-            params=run.params,
-            nodes=run.nodes,
-            platform=run.platform,
-            history=run.history,
-        )

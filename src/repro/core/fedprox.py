@@ -11,30 +11,21 @@ shares FedAvg's weakness at few-shot adaptation — but it converges more
 stably when nodes drift (large T0 or very dissimilar nodes), which the
 ablation benches exercise.
 
-:class:`FedProx` is a facade over :class:`repro.engine.RoundEngine` +
-:class:`repro.engine.ProxStrategy`; routing through the engine gives it
-the participation sampling and telemetry spans it previously lacked.
+:class:`FedProx` is a :class:`~repro.core.runner.FederatedRunner` over
+:class:`repro.engine.ProxStrategy`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
-from ..data.dataset import FederatedDataset
-from ..engine import EngineOptions, ProxStrategy, RoundEngine, RunnerStepAdapter
-from ..engine.executors import Executor
+from ..engine import ProxStrategy
 from ..federated.node import EdgeNode
-from ..federated.platform import Platform
-from ..federated.sampling import FullParticipation
-from ..nn.losses import cross_entropy
-from ..nn.modules import Model
 from ..nn.parameters import Params
-from ..obs.telemetry import Telemetry
-from ..utils.logging import RunLogger
-from .maml import LossFn
+from .runner import FederatedRunner
 
-__all__ = ["FedProxConfig", "FedProxResult", "FedProx"]
+__all__ = ["FedProxConfig", "FedProx"]
 
 
 @dataclass(frozen=True)
@@ -57,81 +48,10 @@ class FedProxConfig:
             raise ValueError("t0 and total_iterations must be >= 1")
 
 
-@dataclass
-class FedProxResult:
-    params: Params
-    nodes: List[EdgeNode]
-    platform: Platform
-    history: RunLogger
-
-    @property
-    def global_losses(self) -> List[float]:
-        return self.history.series("global_loss")
-
-
-class FedProx:
+class FedProx(FederatedRunner):
     """Runner for FedProx over a :class:`FederatedDataset`."""
 
-    def __init__(
-        self,
-        model: Model,
-        config: FedProxConfig,
-        loss_fn: LossFn = cross_entropy,
-        platform: Optional[Platform] = None,
-        participation=None,
-        telemetry: Optional[Telemetry] = None,
-        executor: Optional[Executor] = None,
-        engine_options: Optional[EngineOptions] = None,
-    ) -> None:
-        self.model = model
-        self.config = config
-        self.loss_fn = loss_fn
-        self.platform = platform if platform is not None else Platform()
-        self.participation = (
-            participation if participation is not None else FullParticipation()
-        )
-        self.telemetry = telemetry
-        if telemetry is not None and self.platform.telemetry is None:
-            self.platform.telemetry = telemetry
-        self.executor = executor
-        self.engine_options = engine_options
-        self.strategy = ProxStrategy(model, config, loss_fn)
+    strategy_type = ProxStrategy
 
     def global_loss(self, params: Params, nodes: Sequence[EdgeNode]) -> float:
         return self.strategy.global_loss(params, nodes)
-
-    def local_step(self, node: EdgeNode) -> float:
-        """One proximal SGD step on the node's full local dataset."""
-        return self.strategy.local_step(node)
-
-    def _engine_strategy(self):
-        if type(self).local_step is not FedProx.local_step:
-            return RunnerStepAdapter(self.strategy, self)
-        return self.strategy
-
-    def fit(
-        self,
-        federated: FederatedDataset,
-        source_ids: Sequence[int],
-        init_params: Optional[Params] = None,
-        verbose: bool = False,
-        resume: bool = False,
-    ) -> FedProxResult:
-        engine = RoundEngine(
-            self._engine_strategy(),
-            platform=self.platform,
-            participation=self.participation,
-            telemetry=self.telemetry,
-            executor=self.executor,
-            options=self.engine_options,
-        )
-        run = engine.fit(
-            federated, source_ids, init_params,
-            verbose=verbose, resume=resume,
-        )
-        return FedProxResult(
-            params=run.params,
-            nodes=run.nodes,
-            platform=run.platform,
-            history=run.history,
-        )

@@ -13,38 +13,25 @@ aggregation of both trees), making it a natural "learned-α" extension of
 Algorithm 1 — the paper's future-work direction of tuning the adaptation
 step automatically.
 
-:class:`FederatedMetaSGD` is a facade over
-:class:`repro.engine.RoundEngine` + :class:`repro.engine.MetaSgdStrategy`;
-the engine drives a *merged* ``theta::``/``logalpha::`` parameter tree and
-the facade splits it back for :class:`MetaSGDResult`.
+:class:`FederatedMetaSGD` is a :class:`~repro.core.runner.FederatedRunner`
+over :class:`repro.engine.MetaSgdStrategy`; the engine drives a *merged*
+``theta::``/``logalpha::`` parameter tree and the runner splits it back
+for :class:`MetaSGDResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..autodiff import Tensor
-from ..data.dataset import FederatedDataset, NodeSplit
-from ..engine import (
-    EngineOptions,
-    MetaSgdStrategy,
-    RoundEngine,
-    RunnerStepAdapter,
-    split_meta_sgd_trees,
-)
-from ..engine.executors import Executor
+from ..data.dataset import NodeSplit
+from ..engine import EngineResult, MetaSgdStrategy, split_meta_sgd_trees
 from ..federated.node import EdgeNode
-from ..federated.platform import Platform
-from ..federated.sampling import FullParticipation
-from ..nn.losses import cross_entropy
-from ..nn.modules import Model
 from ..nn.parameters import Params
-from ..obs.telemetry import Telemetry
-from ..utils.logging import RunLogger
-from .maml import LossFn
+from .runner import FederatedResult, FederatedRunner
 
 __all__ = ["MetaSGDConfig", "MetaSGDResult", "FederatedMetaSGD"]
 
@@ -69,16 +56,10 @@ class MetaSGDConfig:
 
 
 @dataclass
-class MetaSGDResult:
-    params: Params
-    log_alpha: Params
-    nodes: List[EdgeNode]
-    platform: Platform
-    history: RunLogger
+class MetaSGDResult(FederatedResult):
+    """A run's result with θ and the learned log-rates split apart."""
 
-    @property
-    def global_meta_losses(self) -> List[float]:
-        return self.history.series("global_meta_loss")
+    log_alpha: Params
 
     def learned_rates(self) -> Params:
         """The per-parameter inner rates exp(log_alpha)."""
@@ -87,35 +68,11 @@ class MetaSGDResult:
         }
 
 
-class FederatedMetaSGD:
+class FederatedMetaSGD(FederatedRunner):
     """Meta-SGD under the FedML communication pattern."""
 
-    def __init__(
-        self,
-        model: Model,
-        config: MetaSGDConfig,
-        loss_fn: LossFn = cross_entropy,
-        platform: Optional[Platform] = None,
-        participation=None,
-        telemetry: Optional[Telemetry] = None,
-        executor: Optional[Executor] = None,
-        engine_options: Optional[EngineOptions] = None,
-    ) -> None:
-        self.model = model
-        self.config = config
-        self.loss_fn = loss_fn
-        self.platform = platform if platform is not None else Platform()
-        self.participation = (
-            participation if participation is not None else FullParticipation()
-        )
-        self.telemetry = telemetry
-        if telemetry is not None and self.platform.telemetry is None:
-            self.platform.telemetry = telemetry
-        self.executor = executor
-        self.engine_options = engine_options
-        self.strategy = MetaSgdStrategy(model, config, loss_fn)
+    strategy_type = MetaSgdStrategy
 
-    # ------------------------------------------------------------------
     def adapt(
         self, params: Params, log_alpha: Params, split: NodeSplit
     ) -> Params:
@@ -130,41 +87,8 @@ class FederatedMetaSGD:
     def global_meta_loss(self, merged: Params, nodes: Sequence[EdgeNode]) -> float:
         return self.strategy.global_meta_loss(merged, nodes)
 
-    def local_step(self, node: EdgeNode) -> float:
-        """One joint (theta, log_alpha) meta-update on ``node``."""
-        return self.strategy.local_step(node)
-
-    def _engine_strategy(self):
-        if type(self).local_step is not FederatedMetaSGD.local_step:
-            return RunnerStepAdapter(self.strategy, self)
-        return self.strategy
-
-    # ------------------------------------------------------------------
-    def fit(
-        self,
-        federated: FederatedDataset,
-        source_ids: Sequence[int],
-        init_params: Optional[Params] = None,
-        verbose: bool = False,
-        resume: bool = False,
-    ) -> MetaSGDResult:
-        engine = RoundEngine(
-            self._engine_strategy(),
-            platform=self.platform,
-            participation=self.participation,
-            telemetry=self.telemetry,
-            executor=self.executor,
-            options=self.engine_options,
-        )
-        run = engine.fit(
-            federated, source_ids, init_params,
-            verbose=verbose, resume=resume,
-        )
-        final_params, final_log_alpha = split_meta_sgd_trees(run.params)
+    def _result(self, run: EngineResult) -> MetaSGDResult:
+        params, log_alpha = split_meta_sgd_trees(run.params)
         return MetaSGDResult(
-            params=final_params,
-            log_alpha=final_log_alpha,
-            nodes=run.nodes,
-            platform=run.platform,
-            history=run.history,
+            params, run.nodes, run.platform, run.history, log_alpha=log_alpha
         )

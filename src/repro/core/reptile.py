@@ -7,30 +7,21 @@ ablation baseline: each node runs ``inner_steps`` SGD steps on its full
 local data and moves its meta-parameters toward the result; the platform
 aggregates every ``t0`` local meta-steps.
 
-:class:`FederatedReptile` is a facade over :class:`repro.engine.RoundEngine`
-+ :class:`repro.engine.ReptileStrategy`; routing through the engine gives it
-the participation sampling and telemetry spans it previously lacked.
+:class:`FederatedReptile` is a :class:`~repro.core.runner.FederatedRunner`
+over :class:`repro.engine.ReptileStrategy`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
-from ..data.dataset import FederatedDataset
-from ..engine import EngineOptions, ReptileStrategy, RoundEngine, RunnerStepAdapter
-from ..engine.executors import Executor
+from ..engine import ReptileStrategy
 from ..federated.node import EdgeNode
-from ..federated.platform import Platform
-from ..federated.sampling import FullParticipation
-from ..nn.losses import cross_entropy
-from ..nn.modules import Model
 from ..nn.parameters import Params
-from ..obs.telemetry import Telemetry
-from ..utils.logging import RunLogger
-from .maml import LossFn
+from .runner import FederatedRunner
 
-__all__ = ["ReptileConfig", "ReptileResult", "FederatedReptile"]
+__all__ = ["ReptileConfig", "FederatedReptile"]
 
 
 @dataclass(frozen=True)
@@ -51,77 +42,10 @@ class ReptileConfig:
             raise ValueError("inner_steps, t0 and total_iterations must be >= 1")
 
 
-@dataclass
-class ReptileResult:
-    params: Params
-    nodes: List[EdgeNode]
-    platform: Platform
-    history: RunLogger
-
-
-class FederatedReptile:
+class FederatedReptile(FederatedRunner):
     """Reptile under the FedML communication pattern."""
 
-    def __init__(
-        self,
-        model: Model,
-        config: ReptileConfig,
-        loss_fn: LossFn = cross_entropy,
-        platform: Optional[Platform] = None,
-        participation=None,
-        telemetry: Optional[Telemetry] = None,
-        executor: Optional[Executor] = None,
-        engine_options: Optional[EngineOptions] = None,
-    ) -> None:
-        self.model = model
-        self.config = config
-        self.loss_fn = loss_fn
-        self.platform = platform if platform is not None else Platform()
-        self.participation = (
-            participation if participation is not None else FullParticipation()
-        )
-        self.telemetry = telemetry
-        if telemetry is not None and self.platform.telemetry is None:
-            self.platform.telemetry = telemetry
-        self.executor = executor
-        self.engine_options = engine_options
-        self.strategy = ReptileStrategy(model, config, loss_fn)
+    strategy_type = ReptileStrategy
 
     def global_meta_loss(self, params: Params, nodes: Sequence[EdgeNode]) -> float:
         return self.strategy.global_meta_loss(params, nodes)
-
-    def local_step(self, node: EdgeNode) -> float:
-        """One Reptile meta-step (inner SGD + interpolation) on ``node``."""
-        return self.strategy.local_step(node)
-
-    def _engine_strategy(self):
-        if type(self).local_step is not FederatedReptile.local_step:
-            return RunnerStepAdapter(self.strategy, self)
-        return self.strategy
-
-    def fit(
-        self,
-        federated: FederatedDataset,
-        source_ids: Sequence[int],
-        init_params: Optional[Params] = None,
-        verbose: bool = False,
-        resume: bool = False,
-    ) -> ReptileResult:
-        engine = RoundEngine(
-            self._engine_strategy(),
-            platform=self.platform,
-            participation=self.participation,
-            telemetry=self.telemetry,
-            executor=self.executor,
-            options=self.engine_options,
-        )
-        run = engine.fit(
-            federated, source_ids, init_params,
-            verbose=verbose, resume=resume,
-        )
-        return ReptileResult(
-            params=run.params,
-            nodes=run.nodes,
-            platform=run.platform,
-            history=run.history,
-        )

@@ -3,7 +3,8 @@
 One driver (:class:`RoundEngine`), pluggable per-algorithm local behaviour
 (:class:`LocalStrategy` and friends), and swappable block schedulers
 (:class:`SerialExecutor` / :class:`VectorizedExecutor`).  The algorithm
-classes in :mod:`repro.core` are thin facades over this package; see
+classes in :mod:`repro.core` run on it through one
+:class:`~repro.core.runner.FederatedRunner`; see
 ``docs/ENGINE.md`` for the layer diagram and extension guide.
 """
 
@@ -19,7 +20,6 @@ from .strategies import (
     MetaStrategy,
     ProxStrategy,
     ReptileStrategy,
-    RunnerStepAdapter,
     SgdStrategy,
     merge_meta_sgd_trees,
     split_meta_sgd_trees,
@@ -34,7 +34,6 @@ __all__ = [
     "SerialExecutor",
     "VectorizedExecutor",
     "LocalStrategy",
-    "RunnerStepAdapter",
     "SgdStrategy",
     "ProxStrategy",
     "MetaStrategy",

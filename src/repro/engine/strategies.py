@@ -58,7 +58,6 @@ from .evaluation import loss_gradient, node_training_data, weighted_node_average
 
 __all__ = [
     "LocalStrategy",
-    "RunnerStepAdapter",
     "SgdStrategy",
     "ProxStrategy",
     "MetaStrategy",
@@ -219,32 +218,6 @@ class LocalStrategy:
         every node ever sampled — exactly the O(fleet) residency the lazy
         registry exists to avoid.  Default: nothing to release.
         """
-
-
-class RunnerStepAdapter:
-    """Routes ``local_step`` through a runner that overrides it.
-
-    Benchmarks subclass the facade runners (e.g. ``FedML``) and override
-    ``local_step`` to inject faults or noise.  The facades detect the
-    override and hand the engine this adapter so the subclass behaviour
-    still applies.  The adapter holds the runner (telemetry, platform and
-    all); overridden steps always run node by node.
-    """
-
-    #: never vectorize through the adapter: the runner's overridden
-    #: ``local_step`` is the whole point, and a stacked block would skip it
-    #: (class attribute, so ``__getattr__`` cannot forward the strategy's)
-    supports_vectorized = False
-
-    def __init__(self, strategy: LocalStrategy, runner: Any) -> None:
-        self._strategy = strategy
-        self._runner = runner
-
-    def local_step(self, node: EdgeNode) -> float:
-        return self._runner.local_step(node)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._strategy, name)
 
 
 # ----------------------------------------------------------------------

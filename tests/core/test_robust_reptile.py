@@ -43,6 +43,10 @@ class TestRobustConfig:
             {"n0": 0},
             {"r_max": -1},
             {"alpha": 0.0},
+            {"t0": -1},
+            {"t0": 0},
+            {"total_iterations": 0},
+            {"k": 0},
         ],
     )
     def test_invalid_raises(self, kwargs):

@@ -145,3 +145,24 @@ class TestFaultSpecValidation:
         )
         assert main(argv + ["--faults", "drop:rate=1.5"]) == 2
         assert "rate must be in [0, 1]" in capsys.readouterr().err
+
+
+class TestHyperParameterValidation:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--beta", "-1"], "learning rates must be positive"),
+            (["--t0", "0"], "t0 must be >= 1"),
+            (["--algorithm", "robust-fedml", "--t0", "-1"], "t0 must be >= 1"),
+        ],
+    )
+    def test_rejected_value_exits_2_before_training(
+        self, flags, message, monkeypatch, capsys
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("repro.engine.RoundEngine.fit", no_training)
+        argv = ["train", "--nodes", "5", "--iterations", "5", *flags]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
