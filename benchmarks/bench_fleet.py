@@ -3,10 +3,10 @@
 The fleet path's pitch is O(sampled) memory: a million registered nodes
 must cost no more residency than the per-round sample plus the
 aggregation buffer, because node state is materialized from the seed at
-dispatch and evicted at consume.  This bench runs the headline leg —
-1,000,000 registered / 1,000 sampled per round — and records throughput
-(updates/sec, rounds/sec), the materialized-node high-water mark, and
-whether it stayed inside ``sampled + buffer``.  A second leg re-runs a
+dispatch and evicted once the round's wave has trained.  This bench runs
+the headline leg — 1,000,000 registered / 1,000 sampled per round — and
+records throughput (updates/sec, rounds/sec), the materialized-node
+high-water mark, and whether it stayed inside ``sampled + buffer``.  A second leg re-runs a
 small fleet twice and asserts bit-identical θ, so the speed numbers are
 never bought with nondeterminism.
 

@@ -187,6 +187,10 @@ def _build_engine_options(
     )
 
 
+#: the algorithms whose config has a ``first_order`` switch
+_FIRST_ORDER_ALGORITHMS = ("fedml", "robust-fedml", "adml")
+
+
 def _algorithm_config(
     args: argparse.Namespace,
 ) -> Tuple[Type[FederatedRunner], Any]:
@@ -195,6 +199,11 @@ def _algorithm_config(
     Raises ``ValueError`` on a rejected hyper-parameter, before any data
     is built or any training starts.
     """
+    if args.first_order and args.algorithm not in _FIRST_ORDER_ALGORITHMS:
+        raise ValueError(
+            f"--first-order does not apply to {args.algorithm} (only to "
+            f"{', '.join(_FIRST_ORDER_ALGORITHMS)})"
+        )
     if args.algorithm == "fedml":
         return FedML, FedMLConfig(
             alpha=args.alpha, beta=args.beta, t0=args.t0,
@@ -206,8 +215,9 @@ def _algorithm_config(
         return RobustFedML, RobustFedMLConfig(
             alpha=args.alpha, beta=args.beta, t0=args.t0,
             total_iterations=args.iterations, k=args.k,
-            lam=args.lam, nu=args.nu, ta=args.ta, n0=args.n0,
-            r_max=args.r_max, eval_every=args.eval_every, seed=args.seed,
+            first_order=args.first_order, lam=args.lam, nu=args.nu,
+            ta=args.ta, n0=args.n0, r_max=args.r_max,
+            eval_every=args.eval_every, seed=args.seed,
         )
     if args.algorithm == "fedavg":
         return FedAvg, FedAvgConfig(
@@ -237,8 +247,8 @@ def _algorithm_config(
         return FederatedADML, ADMLConfig(
             alpha=args.alpha, beta=args.beta, t0=args.t0,
             total_iterations=args.iterations, k=args.k,
-            epsilon=args.epsilon, eval_every=args.eval_every,
-            seed=args.seed,
+            epsilon=args.epsilon, first_order=args.first_order,
+            eval_every=args.eval_every, seed=args.seed,
         )
     raise ValueError(f"unknown algorithm '{args.algorithm}'")
 
@@ -687,6 +697,14 @@ def _cmd_check_determinism(args: argparse.Namespace) -> int:
     algorithms = (
         list(_ALL_ALGORITHMS) if args.algorithm == "all" else [args.algorithm]
     )
+    try:
+        for algorithm in algorithms:
+            _algorithm_config(
+                argparse.Namespace(**{**vars(args), "algorithm": algorithm})
+            )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     mode = args.compare
     results = []
     failures = 0

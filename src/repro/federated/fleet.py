@@ -11,9 +11,10 @@ hundred participate per round.  This module serves that regime:
     Lazy node store.  A node is a *spec* — ``(node_id, shard seed)`` — until
     it is sampled; :meth:`~FleetRegistry.materialize` builds its data shard
     and model state on demand and :meth:`~FleetRegistry.evict` drops them
-    the moment its update has been consumed, so resident state is bounded
-    by the in-flight set, never the fleet.  The ``fl_fleet_resident_nodes``
-    gauge (and its ``_peak`` high-water twin) make the bound observable.
+    as soon as its update has been taken, so resident state is bounded by
+    one round's training wave, never the fleet.  The
+    ``fl_fleet_resident_nodes`` gauge (and its ``_peak`` high-water twin)
+    make the bound observable.
 
 :class:`FleetSimulator`
     A priority-queue scheduler over the :class:`~.network.LinkModel` clock.
@@ -23,10 +24,17 @@ hundred participate per round.  This module serves that regime:
     ``completion``/``timeout`` events in simulated-time order.  Heap keys
     are ``(time, kind rank, node_id)`` — a total order independent of
     insertion order, so the event schedule is a pure function of the seed.
-    Local training happens when a node's completion event is *popped*:
-    materialize, run ``local_steps`` through the strategy's ``local_step``
-    with the standard ``[seed, round, node]`` RNG stream, hand the update
-    to the aggregator, evict.
+    Every node a round dispatches starts from the same θ, so the round's
+    *wave* — the dispatched nodes whose completion will deliver (not
+    dropped, not timed out) — trains at dispatch as one
+    :class:`~repro.engine.vectorized.VectorizedExecutor` block:
+    materialize, train same-shaped shards stacked on the node axis (a
+    slice equals the one-node step bit for bit) and the rest one by one,
+    each on the standard ``[seed, round, node]`` RNG stream, evict.  The
+    completion events then pop in heap order and hand each kept update to
+    the aggregator.  ``begin_fit`` runs at the start of a run and
+    ``on_aggregate`` after every flush, so a FedProx anchor is the
+    version a node was dispatched with.
 
 :class:`BufferedAggregator`
     FedBuff-style buffered aggregation.  Updates accumulate in a
@@ -69,6 +77,7 @@ import numpy as np
 
 from ..autodiff import Tensor
 from ..data.dataset import Dataset, NodeSplit
+from ..engine.vectorized import VectorizedExecutor
 from ..faults.injector import RunInterrupted, record_fault
 from ..faults.plan import FaultPlan
 from ..nn.batched import stack_params
@@ -76,7 +85,7 @@ from ..nn.parameters import Params, detach
 from ..obs.telemetry import Telemetry, resolve
 from ..utils.checkpoint import load_checkpoint, save_checkpoint
 from ..utils.logging import RunLogger
-from ..utils.rng import instrument_node_rng, spawn
+from ..utils.rng import spawn
 from ..utils.serialization import payload_bytes
 from .aggregation import normalized_weights, weighted_mean
 from .network import CommunicationLog, LinkModel
@@ -362,9 +371,6 @@ class _VersionStore:
         else:
             self._refs[version] = refs - 1
 
-    def get(self, version: int) -> Params:
-        return self._trees[version]
-
     def snapshot(self) -> Dict[int, Params]:
         return dict(self._trees)
 
@@ -514,6 +520,7 @@ class FleetSimulator:
         )
         self._versions = _VersionStore()
         self._pending: List[Tuple[float, int, int, Dict[str, Any]]] = []
+        self._executor = VectorizedExecutor()
         self.params: Optional[Params] = None
         self.server_version = 0
         self.sim_clock_s = 0.0
@@ -560,6 +567,8 @@ class FleetSimulator:
             self.params = strategy.initial_params(rng, None)
             self.server_version = 0
             start_round = 0
+        # No node is resident between rounds, so the hooks see none.
+        strategy.begin_fit(self.params, [])
 
         events.emit(
             "run_start",
@@ -646,6 +655,7 @@ class FleetSimulator:
         payload = payload_bytes(self.params)
         heap = self._pending
         faults = self.faults
+        wave: List[int] = []  # dispatched nodes whose completion delivers
         for node_id in ids:
             if faults.crashed(round_index, node_id):
                 record_fault(tel, "crash", round_index, node_id)
@@ -697,7 +707,10 @@ class FleetSimulator:
                         info,
                     ),
                 )
+                if not dropped:
+                    wave.append(node_id)
             self._versions.retain(self.server_version, self.params)
+        trained = self._train_wave(round_index, wave)
 
         delivered = 0
         wave_end = self.sim_clock_s
@@ -718,9 +731,7 @@ class FleetSimulator:
                 # the update never reaches the buffer.
                 self._versions.release(base_version)
                 continue
-            update, weight = self._train_node(
-                info["round"], node_id, base_version
-            )
+            update, weight = trained.pop(node_id)
             corrupt = faults.corruption(info["round"], node_id)
             if corrupt is not None:
                 update = faults.corrupt_params(
@@ -775,29 +786,23 @@ class FleetSimulator:
         )
         return delivered
 
-    def _train_node(
-        self, round_index: int, node_id: int, base_version: int
-    ) -> Tuple[Params, float]:
-        """Materialize, train one block, evict; returns the update and the
-        node's weight ``|D_i|``, read off the shard it just built."""
-        strategy = self.strategy
-        cfg = self.config
-        node = self.registry.materialize(
-            node_id, self._versions.get(base_version)
+    def _train_wave(
+        self, round_index: int, ids: List[int]
+    ) -> Dict[int, Tuple[Params, float]]:
+        """Materialize ``ids`` with the round's θ, train them as one
+        executor block, evict them; returns each node's update and weight
+        ``|D_i|``, read off the shard it just built."""
+        nodes = [self.registry.materialize(nid, self.params) for nid in ids]
+        self._executor.run_block(
+            self.strategy, nodes, self.config.local_steps,
+            block_index=round_index, base_seed=self.config.seed,
         )
-        strategy.bind_node_rng(
-            instrument_node_rng(
-                np.random.default_rng([cfg.seed, round_index, node_id]),
-                round_index,
-                node_id,
-            )
-        )
-        for _ in range(cfg.local_steps):
-            strategy.local_step(node)
-        assert node.params is not None
-        update = detach(node.params)
-        self.registry.evict(node_id, strategy)
-        return update, node.weight
+        trained: Dict[int, Tuple[Params, float]] = {}
+        for node in nodes:
+            assert node.params is not None
+            trained[node.node_id] = (detach(node.params), node.weight)
+            self.registry.evict(node.node_id, self.strategy)
+        return trained
 
     def _flush(self, round_index: int, tel: Any) -> None:
         assert self.params is not None
@@ -807,6 +812,7 @@ class FleetSimulator:
         for stat in stats:
             self._versions.release(int(stat["base_version"]))
         self.params = merged
+        self.strategy.on_aggregate(merged, [])
         self.server_version += 1
         self.updates_aggregated += len(stats)
         tel.counter("fl_fleet_flushes_total").inc()

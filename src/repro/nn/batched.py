@@ -685,8 +685,11 @@ def node_loss_gradient(
     """:func:`batched_loss_gradient` on one node's ``(x, y)``, with
     ``params`` as its one-node stack of raw arrays; ``None`` where the
     kernel declines or the tree's names or shapes are not the model's
-    (the tape handles those)."""
-    if {name: t.shape for name, t in params.items()} != _param_shapes(model):
+    (the tape handles those).  Support is checked first: only a model
+    :func:`supports_batched_loss` accepts has parameter shapes to compare."""
+    if not supports_batched_loss(model, loss_fn) or (
+        {name: t.shape for name, t in params.items()} != _param_shapes(model)
+    ):
         return None
     kernel = batched_loss_gradient(
         model, (np.asarray(x)[None], np.asarray(y)[None]), loss_fn

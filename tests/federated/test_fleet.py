@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.determinism import install_ledger, uninstall_ledger
-from repro.core.fedavg import FedAvgConfig
-from repro.engine.strategies import SgdStrategy
+from repro.core import FedAvgConfig, FedMLConfig, FedProxConfig
+from repro.engine.strategies import MetaStrategy, ProxStrategy, SgdStrategy
+from repro.faults import RunInterrupted
 from repro.faults.plan import (
     ExplicitSchedule,
     FaultEvent,
@@ -339,6 +340,157 @@ class TestFleetSimulator:
     def test_sim_clock_advances_monotonically(self):
         result, _ = run_fleet(rounds=4)
         assert result.sim_clock_s > 0
+
+
+class OneByOneSgd(SgdStrategy):
+    """FedAvg off the node axis: every node runs ``local_step`` alone."""
+
+    supports_vectorized = False
+
+
+class OneByOneMeta(MetaStrategy):
+    """FedML off the node axis."""
+
+    supports_vectorized = False
+
+
+#: every fault kind the wave must skip or deliver around; the 5 s delays
+#: blow the 2 s round timeout (each kind fires, measured with telemetry)
+WAVE_FAULTS = (
+    "crash:rate=0.2;drop:rate=0.2;corrupt:rate=0.2,mode=nan;"
+    "delay:rate=0.3,delay_s=5.0"
+)
+
+
+class TestStackedWave:
+    """A round's wave trains as stacked groups, and each node's update is
+    the one it gets training alone: a run equals the same run forced one
+    node at a time, bit for bit."""
+
+    def _run(self, kind, stacked, group_sizes):
+        shards = SyntheticShardFactory(seed=1)
+        model = LogisticRegression(shards.input_dim, shards.num_classes)
+        if kind == "fedavg":
+            strategy = (SgdStrategy if stacked else OneByOneSgd)(
+                model,
+                FedAvgConfig(learning_rate=0.05, t0=2, total_iterations=8),
+            )
+        else:
+            strategy = (MetaStrategy if stacked else OneByOneMeta)(
+                model,
+                FedMLConfig(
+                    alpha=0.05, beta=0.05, t0=2, total_iterations=8,
+                    k=shards.k,
+                ),
+            )
+        block = strategy.local_block_vectorized
+
+        def spy(nodes, steps, rngs):
+            group_sizes.append(len(nodes))
+            block(nodes, steps, rngs)
+
+        strategy.local_block_vectorized = spy
+        config = FleetConfig(
+            fleet_size=500, sampled_per_round=24, rounds=4, local_steps=2,
+            buffer_size=5, seed=1, round_timeout_s=2.0,
+        )
+        return FleetSimulator(
+            strategy, config, shards=shards,
+            faults=FaultPlan.from_spec(WAVE_FAULTS, seed=3),
+        ).run()
+
+    @pytest.mark.parametrize("kind", ["fedavg", "fedml"])
+    def test_stacked_run_equals_one_node_at_a_time(self, kind):
+        group_sizes, unstacked = [], []
+        stacked = self._run(kind, True, group_sizes)
+        alone = self._run(kind, False, unstacked)
+        assert max(group_sizes) > 1 and unstacked == []
+        assert trees_equal(stacked.params, alone.params)
+        assert stacked.history.records == alone.history.records
+        assert stacked.server_version == alone.server_version > 0
+        assert stacked.updates_aggregated == alone.updates_aggregated
+        assert stacked.comm_log.uplink_bytes == alone.comm_log.uplink_bytes
+        assert stacked.sim_clock_s == alone.sim_clock_s
+
+
+class TestFedProxFleet:
+    """The fleet runs the strategy's fit hooks: ``begin_fit`` installs the
+    FedProx anchor and ``on_aggregate`` moves it after every flush."""
+
+    SEED, FLEET, SAMPLED, STEPS = 0, 500, 8, 3
+
+    def _strategy(self, shards, rounds):
+        return ProxStrategy(
+            LogisticRegression(shards.input_dim, shards.num_classes),
+            FedProxConfig(
+                learning_rate=0.05, mu_prox=0.5, t0=self.STEPS,
+                total_iterations=rounds * self.STEPS, seed=self.SEED,
+            ),
+        )
+
+    def test_sync_rounds_match_handrolled_fedprox(self):
+        rounds = 2
+        shards = SyntheticShardFactory(seed=self.SEED)
+        config = FleetConfig(
+            fleet_size=self.FLEET, sampled_per_round=self.SAMPLED,
+            rounds=rounds, local_steps=self.STEPS, seed=self.SEED,
+        )
+        result = FleetSimulator(
+            self._strategy(shards, rounds), config, shards=shards
+        ).run()
+
+        strategy = self._strategy(shards, rounds)
+        theta = strategy.initial_params(np.random.default_rng(self.SEED), None)
+        sampler = IdSpaceSampler(self.SAMPLED, self.SEED)
+        registry = FleetRegistry(self.FLEET, shards)
+        for round_index in range(rounds):
+            strategy.begin_fit(theta, [])  # the anchor: θ of this round
+            trees, weights = [], []
+            for node_id in sampler.select_ids(self.FLEET, round_index):
+                node = registry.materialize(node_id, theta)
+                strategy.bind_node_rng(
+                    instrument_node_rng(
+                        np.random.default_rng(
+                            [self.SEED, round_index, node_id]
+                        ),
+                        round_index,
+                        node_id,
+                    )
+                )
+                for _ in range(self.STEPS):
+                    strategy.local_step(node)
+                trees.append(node.params)
+                weights.append(registry.weight(node_id))
+                registry.evict(node_id, strategy)
+            normalized = (np.array(weights) / np.sum(weights)).tolist()
+            theta = reference_weighted_mean(trees, normalized)
+        assert trees_equal(result.params, theta)
+
+    def _buffered(self, spec, checkpoint=None):
+        shards = SyntheticShardFactory(seed=self.SEED)
+        config = FleetConfig(
+            fleet_size=self.FLEET, sampled_per_round=self.SAMPLED, rounds=4,
+            local_steps=self.STEPS, buffer_size=3, seed=self.SEED,
+            round_timeout_s=2.0,
+        )
+        return FleetSimulator(
+            self._strategy(shards, 4), config, shards=shards,
+            faults=FaultPlan.from_spec(spec, seed=3),
+            checkpoint_path=checkpoint,
+        )
+
+    def test_buffered_faulted_run_resumes_bit_equal(self, tmp_path):
+        """A resumed run re-installs the anchor from the restored θ."""
+        baseline = self._buffered(WAVE_FAULTS).run()
+        assert baseline.server_version > 0
+        assert all(np.isfinite(t.data).all() for t in baseline.params.values())
+        ckpt = str(tmp_path / "fedprox.ckpt")
+        killing = WAVE_FAULTS + ";kill:block=1"
+        with pytest.raises(RunInterrupted):
+            self._buffered(killing, ckpt).run()
+        resumed = self._buffered(killing, ckpt).run(resume=True)
+        assert trees_equal(baseline.params, resumed.params)
+        assert baseline.history.records == resumed.history.records
 
 
 class TestIdSpaceSampling:

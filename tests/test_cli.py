@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.autodiff import fastpath
-from repro.cli import build_parser, main
+from repro.cli import _algorithm_config, build_parser, main
 
 
 class TestParser:
@@ -154,6 +154,14 @@ class TestHyperParameterValidation:
             (["--beta", "-1"], "learning rates must be positive"),
             (["--t0", "0"], "t0 must be >= 1"),
             (["--algorithm", "robust-fedml", "--t0", "-1"], "t0 must be >= 1"),
+            *[
+                (
+                    ["--algorithm", algorithm, "--first-order"],
+                    f"--first-order does not apply to {algorithm} (only to "
+                    "fedml, robust-fedml, adml)",
+                )
+                for algorithm in ("fedavg", "fedprox", "reptile", "meta-sgd")
+            ],
         ],
     )
     def test_rejected_value_exits_2_before_training(
@@ -166,3 +174,42 @@ class TestHyperParameterValidation:
         argv = ["train", "--nodes", "5", "--iterations", "5", *flags]
         assert main(argv) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+class TestFirstOrderFlag:
+    @pytest.mark.parametrize("algorithm", ["fedml", "robust-fedml", "adml"])
+    def test_flag_reaches_every_config_that_has_it(self, algorithm):
+        parser = build_parser()
+        for flags, expected in (([], False), (["--first-order"], True)):
+            args = parser.parse_args(["train", "--algorithm", algorithm, *flags])
+            assert _algorithm_config(args)[1].first_order is expected
+
+    def test_first_order_changes_robust_fedml_output(self, capsys):
+        argv = [
+            "train", "--algorithm", "robust-fedml", "--nodes", "5",
+            "--iterations", "4", "--t0", "2", "--ta", "2", "--n0", "1",
+            "--r-max", "1", "--adapt-steps", "1", "--eval-every", "2",
+            "--json",
+        ]
+        outputs = []
+        for extra in ([], ["--first-order"]):
+            assert main(argv + extra) == 0
+            outputs.append(json.loads(capsys.readouterr().out))
+        assert outputs[0]["final_loss"] != outputs[1]["final_loss"]
+
+    def test_check_determinism_rejects_it_before_any_run(
+        self, monkeypatch, capsys
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("repro.engine.RoundEngine.fit", no_training)
+        argv = [
+            "check-determinism", "--algorithm", "all", "--first-order",
+            "--nodes", "4", "--iterations", "4",
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --first-order does not apply to fedavg (only to fedml, "
+            "robust-fedml, adml)"
+        ]
