@@ -17,9 +17,10 @@ largest such ratio is recorded as ``max_rel_err``.
 The stacked leg times one exact step of the vectorized executor on the
 ``fedml_sent140_vec`` shapes (24 nodes, the Sent140 embedding MLP, 5-shot
 train and 27-sample test batches) with the closed-form kernel
-``repro.nn.batched.batched_meta_gradient`` and with the stacked tape, over
-a short training trajectory.  Per node, every tensor must be within
-``1e-12`` of that node's largest tape gradient entry
+``repro.nn.batched.batched_meta_gradient``, and the same 24 nodes' steps
+on the per-node tape (``fastpath.disabled()``, the path every node the
+kernel declines runs), over a short training trajectory.  Per node, every
+tensor must be within ``1e-12`` of that node's largest tape gradient entry
 (``stacked_within_tolerance``; worst ratio in ``stacked_max_rel_err``).
 
 The first-order leg times ``repro.nn.batched.batched_loss_gradient``
@@ -46,7 +47,6 @@ import numpy as np
 
 from repro.attacks import wasserstein_ascent
 from repro.autodiff import Tensor, fastpath
-from repro.core import FedMLConfig
 from repro.core.maml import meta_gradient
 from repro.data import (
     MnistLikeConfig,
@@ -56,7 +56,7 @@ from repro.data import (
     generate_sent140_like,
     generate_synthetic,
 )
-from repro.engine import MetaStrategy
+from repro.data.dataset import Dataset, NodeSplit
 from repro.engine.evaluation import loss_gradient
 from repro.federated.fleet import SyntheticShardFactory
 from repro.nn import cross_entropy
@@ -146,17 +146,32 @@ def node_relative_error(fast, ref):
     return worst
 
 
+def per_node_tape(model, stacked, train, test, alpha):
+    """Every node's exact meta-gradient from the per-node tape, stacked."""
+    grads = []
+    with fastpath.disabled():
+        for i in range(len(train[1])):
+            split = NodeSplit(
+                Dataset(train[0][i], train[1][i]),
+                Dataset(test[0][i], test[1][i]),
+            )
+            params = {name: Tensor(t.data[i]) for name, t in stacked.items()}
+            grads.append(meta_gradient(model, params, split, alpha)[0])
+    return {
+        name: Tensor(np.stack([g[name].data for g in grads]))
+        for name in grads[0]
+    }
+
+
 def run_stacked_comparison(steps=20, alpha=0.05, beta=0.05):
-    """Kernel vs stacked tape along a ``steps``-step training trajectory."""
+    """Kernel vs per-node tape along a ``steps``-step training trajectory."""
     model, stacked, train, test = build_stacked_workload()
-    strategy = MetaStrategy(model, FedMLConfig(alpha=alpha, beta=beta))
     names = sorted(stacked)
     kernel = batched_meta_gradient(model, train, [test], alpha)
     assert kernel is not None
-    # Warm-up outside the timed region (the tape's first backward builds
-    # its plan).
+    # Warm-up outside the timed region.
     kernel(stacked)
-    strategy._stacked_tape_gradient(stacked, names, train, test)
+    per_node_tape(model, stacked, train, test, alpha)
     kernel_s = tape_s = 0.0
     worst = 0.0
     for _ in range(steps):
@@ -164,7 +179,7 @@ def run_stacked_comparison(steps=20, alpha=0.05, beta=0.05):
         fast, _ = kernel(stacked)
         kernel_s += time.perf_counter() - start
         start = time.perf_counter()
-        ref = strategy._stacked_tape_gradient(stacked, names, train, test)
+        ref = per_node_tape(model, stacked, train, test, alpha)
         tape_s += time.perf_counter() - start
         worst = max(worst, node_relative_error(fast, ref))
         stacked = {

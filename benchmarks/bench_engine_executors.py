@@ -4,10 +4,10 @@ The unified round engine runs each node's T0-step block through a pluggable
 ``Executor``.  ``SerialExecutor`` runs the nodes one by one and is the
 reference; :class:`VectorizedExecutor` builds *one* stacked ``(N, ...)``
 computation per group of same-shaped nodes, so the per-step Python
-overhead is paid once per group rather than once per node.  Stacking
-may reassociate floating-point sums, so the vectorized result matches
-serial within tolerance, and each executor repeats its own result bit
-for bit.
+overhead is paid once per group rather than once per node.  Both run one
+block loop that differs only in how it groups nodes, so the vectorized
+result equals serial bit for bit (``np.array_equal``), and each executor
+repeats its own result bit for bit.
 
 ``run_comparison`` times both executors on an 8-node MLP FedML fit and
 reports ``speedup`` (serial_s / vectorized_s), ``serial_bit_reproducible``
@@ -112,9 +112,7 @@ def run_comparison(nodes=8, total_iterations=40, t0=5):
         "serial_bit_reproducible": bool(
             np.array_equal(serial, serial_rerun)
         ),
-        "vectorized_matches_serial": bool(
-            np.allclose(serial, vectorized, rtol=1e-6, atol=1e-9)
-        ),
+        "vectorized_matches_serial": bool(np.array_equal(serial, vectorized)),
         "vectorized_bit_reproducible": bool(
             np.array_equal(vectorized, vectorized_rerun)
         ),
@@ -140,8 +138,8 @@ def run_scale_comparison(nodes=50, blocks=8, t0=5):
     """Serial vs stacked ``run_block`` at fleet scale, uniform node data.
 
     One warmup block per run first (fastpath plan build), then ``blocks``
-    timed blocks.  The serial executor pays one first-order step per node
-    per local step; the stacked path pays one per block.
+    timed blocks.  The serial executor calls the first-order kernel once
+    per node per local step; the stacked path once per local step.
     """
     from repro.core import FedAvgConfig
     from repro.engine import SgdStrategy
@@ -182,7 +180,7 @@ def run_scale_comparison(nodes=50, blocks=8, t0=5):
         "vectorized50_rounds_per_sec": blocks / vectorized_s,
         "vectorized50_speedup_vs_serial": serial_s / vectorized_s,
         "vectorized50_matches_serial": bool(
-            np.allclose(serial, vectorized, rtol=1e-6, atol=1e-9)
+            np.array_equal(serial, vectorized)
         ),
         "vectorized50_bit_reproducible": bool(
             np.array_equal(vectorized, rerun)
@@ -192,7 +190,7 @@ def run_scale_comparison(nodes=50, blocks=8, t0=5):
 
 def test_ablation_vectorized_executor(benchmark):
     """Pytest entry: both executors repeat themselves bit for bit, and
-    the stacked fit matches serial within tolerance at no real cost."""
+    the stacked fit equals serial bit for bit at no real cost."""
     result = benchmark.pedantic(
         run_comparison, kwargs={"nodes": 8}, rounds=1, iterations=1
     )
@@ -200,7 +198,7 @@ def test_ablation_vectorized_executor(benchmark):
         "two serial runs of the same config diverged"
     )
     assert result["vectorized_matches_serial"], (
-        "vectorized run left the serial tolerance band"
+        "vectorized run differs from serial"
     )
     assert result["vectorized_bit_reproducible"], (
         "two vectorized runs of the same config diverged"
@@ -217,7 +215,7 @@ def test_ablation_vectorized_scale(benchmark):
         run_scale_comparison, kwargs={"nodes": 50}, rounds=1, iterations=1
     )
     assert result["vectorized50_matches_serial"], (
-        "vectorized run left the serial tolerance band at 50 nodes"
+        "vectorized run differs from serial at 50 nodes"
     )
     assert result["vectorized50_speedup_vs_serial"] >= MIN_SCALE_SPEEDUP, (
         f"stacked path only "

@@ -13,12 +13,12 @@ observability, four did not).  ENG001 keeps the loop in one place:
 * ``for t in range(...)`` loops that test ``t % <...>.t0`` are flagged as
   hand-rolled round loops — implement a ``LocalStrategy`` instead.
 
-ENG002 guards the vectorized execution path: a strategy that opts into
-``supports_vectorized`` promises one stacked tape per block, so a
+ENG002 guards the stacked execution path: a strategy that opts into
+``supports_vectorized`` promises one stacked step per block, so a
 ``for ... in nodes`` Python loop inside its ``local_step`` /
 ``local_block_vectorized`` path (including ``self.``-helpers those methods
-call) silently reintroduces the per-node serial cost the executor exists
-to remove.  Intentional *bookkeeping* loops (fanning stacked results back
+call) silently reintroduces the per-node cost that stacking exists to
+remove.  Intentional *bookkeeping* loops (fanning stacked results back
 out to node state) are accepted via the repo baseline, not exempted in the
 rule — keeping the list explicit and shrink-only.  Stacking comprehensions
 are not flagged: building ``(N, ...)`` inputs necessarily touches every
@@ -173,9 +173,9 @@ class VectorizedNodeLoopRule(LintRule):
     title = "vectorized-node-loop"
     severity = Severity.ERROR
     hint = (
-        "stack node state into (N, ...) arrays and use the node-axis ops "
-        "(repro.nn.batched); accepted bookkeeping fan-out loops belong in "
-        "analysis/baseline.json"
+        "stack node state into (N, ...) arrays and call the closed-form "
+        "kernels (repro.nn.batched) once per step; accepted bookkeeping "
+        "fan-out loops belong in analysis/baseline.json"
     )
 
     _ENTRY_METHODS = frozenset({"local_step", "local_block_vectorized"})

@@ -86,13 +86,6 @@ _BVEC = np.array([0.25, -0.35])  # (2,) bias for the fused linear composite
 # non-degenerate targets gradient in the audit.
 _T3 = np.array([[0.2, 0.5, 0.3], [0.7, 0.1, 0.2]])  # (2, 3)
 _T2 = np.array([[0.6, 0.4], [0.1, 0.9]])  # (2, 2)
-# Node-axis (leading-dim) stacks for the batched op variants: two distinct
-# node slices so a wrong contraction axis cannot cancel out.
-_A3 = np.stack([_A, _B])  # (2, 2, 3)
-_M3 = np.stack([_M, -_M])  # (2, 3, 2)
-_B2 = np.stack([_BVEC, -_BVEC])  # (2, 2)
-_T3N = np.stack([_T3, _T3[:, ::-1]])  # (2, 2, 3)
-_T2N = np.stack([_T2, _T2[::-1]])  # (2, 2, 2)
 
 
 def _specs() -> Dict[str, OpSpec]:
@@ -139,16 +132,6 @@ def _specs() -> Dict[str, OpSpec]:
             (_A, _M, _BVEC, _T2),
         ),
         OpSpec("norm_sq", ops.norm_sq, (_A,)),
-        # Node-axis variants: spec-only names (not in ops.__all__) that keep
-        # the batched dispatch paths under the same AD210-212 audit and the
-        # gradcheck sweep.
-        OpSpec("matmul_nodes", ops.matmul, (_A3, _M3)),
-        OpSpec("softmax_xent_nodes", ops.softmax_xent, (_A3, _T3N)),
-        OpSpec(
-            "linear_softmax_xent_nodes",
-            ops.linear_softmax_xent,
-            (_A3, _M3, _B2, _T2N),
-        ),
     ]
     return {spec.name: spec for spec in entries}
 
@@ -158,22 +141,9 @@ def _specs() -> Dict[str, OpSpec]:
 OP_SPECS: Dict[str, OpSpec] = _specs()
 
 
-def audited_op_names(
-    op_names: Optional[Sequence[str]] = None,
-    specs: Optional[Mapping[str, OpSpec]] = None,
-) -> List[str]:
-    """Ops the audit must cover: everything registered minus constant ops.
-
-    Spec-only variant names (e.g. the ``*_nodes`` node-axis twins) are
-    appended so batched dispatch paths cannot silently drop out of the
-    audit even though they share a public op in ``ops.__all__``.
-    """
-    table = specs if specs is not None else OP_SPECS
-    if op_names is not None:
-        names = list(op_names)
-    else:
-        names = list(ops.__all__)
-        names.extend(sorted(k for k in table if k not in set(names)))
+def audited_op_names(op_names: Optional[Sequence[str]] = None) -> List[str]:
+    """Ops the audit must cover: everything registered minus constant ops."""
+    names = list(op_names) if op_names is not None else list(ops.__all__)
     return [n for n in names if n not in CONSTANT_OPS]
 
 
@@ -258,7 +228,7 @@ def audit_double_backward(
     """Verify every registered op's VJP builds a differentiable cotangent."""
     table = specs if specs is not None else OP_SPECS
     findings: List[Finding] = []
-    for name in audited_op_names(op_names, specs=table):
+    for name in audited_op_names(op_names):
         spec = table.get(name)
         if spec is None:
             findings.append(

@@ -5,6 +5,10 @@ context records one VJP closure per differentiable parent.  VJP closures are
 themselves written with the operations in this module, which is what makes
 second-order differentiation (``create_graph=True``) work without any special
 casing.
+
+The tape runs one node at a time: ``matmul`` and the fused cross-entropy
+composites take one node's 2-D operands.  Stacking nodes on a leading axis
+is the job of the closed-form kernels in :mod:`repro.nn.batched`.
 """
 
 from __future__ import annotations
@@ -380,35 +384,12 @@ def clip(a: Tensor, low: float, high: float) -> Tensor:
 # Linear algebra
 # ----------------------------------------------------------------------
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim == 3 and b.ndim == 3:
-        if a.shape[0] != b.shape[0]:
-            raise ValueError(
-                f"batched matmul needs matching leading (node) dims, got "
-                f"{a.shape} @ {b.shape}"
-            )
-
-        def _raw_a3(g: np.ndarray) -> np.ndarray:
-            return np.matmul(g, b.data.transpose(0, 2, 1))
-
-        def _raw_b3(g: np.ndarray) -> np.ndarray:
-            return np.matmul(a.data.transpose(0, 2, 1), g)
-
-        raws3 = (_raw_a3, _raw_b3)
-        return _make(
-            np.matmul(a.data, b.data),
-            (a, b),
-            (
-                lambda g: matmul(g, transpose(b, (0, 2, 1))),
-                lambda g: matmul(transpose(a, (0, 2, 1)), g),
-            ),
-            "matmul",
-            raw_vjps=raws3,
-        )
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError(
-            f"matmul expects 2-D (or matching 3-D batched) operands, got "
-            f"{a.shape} @ {b.shape}; reshape other inputs first"
+            f"matmul expects 2-D operands, got {a.shape} @ {b.shape}; "
+            "reshape other inputs first"
         )
+
     def _raw_a(g: np.ndarray) -> np.ndarray:
         return g @ np.transpose(b.data)
 
@@ -728,204 +709,12 @@ def _xent_logp(logits_t: Tensor, shift_t: Tensor) -> Tensor:
     return sub(logits_t, lse)
 
 
-# -- node-axis twins ----------------------------------------------------
-#
-# The ``*_nodes`` variants carry a leading node axis: logits are
-# ``(nodes, batch, classes)`` and the loss is a ``(nodes,)`` vector of
-# per-node means.  Each node slice runs the same float-op sequence as the
-# 2-D path (reductions shift from axis 1 to axis 2, the mean stays over
-# the batch axis), so per-slice results match the per-node tapes up to fp
-# accumulation order — see docs/AUTODIFF.md for the tolerance policy.
-
-
-def _xent_forward_nodes(
-    logits_data: np.ndarray, targets_data: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Node-axis fused forward: per-node losses in one pass."""
-    shift = np.max(logits_data, axis=2, keepdims=True)
-    e = np.exp(logits_data - shift)
-    s = np.sum(e, axis=(2,), keepdims=True)
-    logp = logits_data - (np.log(s) + shift)
-    inv_n = 1.0 / logits_data.shape[1]
-    per = np.sum(logp * targets_data, axis=(2,))
-    out = np.asarray(-(np.sum(per, axis=(1,)) * np.asarray(inv_n)))
-    return out, shift, e, s, inv_n
-
-
-def _xent_outer_nodes_raw(
-    g: np.ndarray, inv_n: float, shape: Tuple[int, ...]
-) -> np.ndarray:
-    """Node-axis cotangent of the per-example nll: ``g`` is ``(nodes,)``."""
-    g3 = (-g * np.asarray(inv_n)).reshape((shape[0], 1, 1))
-    return np.broadcast_to(g3, shape).copy()
-
-
-def _xent_dlogits_nodes_raw(
-    g: np.ndarray,
-    e: np.ndarray,
-    s: np.ndarray,
-    targets_data: np.ndarray,
-    inv_n: float,
-) -> np.ndarray:
-    """Raw logits cotangent with reductions shifted to the class axis."""
-    shape = e.shape
-    g5 = _xent_outer_nodes_raw(g, inv_n, shape) * targets_data
-    g6 = np.sum(-g5, axis=(2,), keepdims=True)
-    g8 = np.broadcast_to(g6 / s, shape).copy()
-    return g5 + g8 * e
-
-
-def _xent_outer_nodes(
-    g: Tensor, inv_t: Tensor, shape: Tuple[int, ...]
-) -> Tensor:
-    """Differentiable twin of :func:`_xent_outer_nodes_raw`."""
-    g3 = reshape(mul(neg(g), inv_t), (shape[0], 1, 1))
-    return broadcast_to(g3, shape)
-
-
-def _xent_dlogits_nodes(
-    g: Tensor, logits_t: Tensor, targets: Tensor, shift_t: Tensor, inv_t: Tensor
-) -> Tensor:
-    """Differentiable twin of :func:`_xent_dlogits_nodes_raw`."""
-    shape = logits_t.shape
-    e_t = exp(sub(logits_t, shift_t))
-    s_t = sum_(e_t, axis=2, keepdims=True)
-    g5 = mul(_xent_outer_nodes(g, inv_t, shape), targets)
-    g6 = sum_(neg(g5), axis=2, keepdims=True)
-    g8 = broadcast_to(div(g6, s_t), shape)
-    return add(g5, mul(g8, e_t))
-
-
-def _xent_logp_nodes(logits_t: Tensor, shift_t: Tensor) -> Tensor:
-    """Differentiable node-axis log-probabilities."""
-    e_t = exp(sub(logits_t, shift_t))
-    lse = add(log(sum_(e_t, axis=2, keepdims=True)), shift_t)
-    return sub(logits_t, lse)
-
-
-def _softmax_xent_nodes(logits: Tensor, targets: Tensor) -> Tensor:
-    """Node-axis fused xent: ``(nodes, batch, classes)`` -> ``(nodes,)``."""
-    t_data = targets.data
-    out, shift, e, s, inv_n = _xent_forward_nodes(logits.data, t_data)
-    shift_t = Tensor(shift)
-    inv_t = Tensor(np.asarray(inv_n))
-    shape = logits.shape
-
-    def vjp_logits(g: Tensor) -> Tensor:
-        return _xent_dlogits_nodes(g, logits, targets, shift_t, inv_t)
-
-    def vjp_targets(g: Tensor) -> Tensor:
-        return mul(
-            _xent_outer_nodes(g, inv_t, shape), _xent_logp_nodes(logits, shift_t)
-        )
-
-    def _raw_logits(g: np.ndarray) -> np.ndarray:
-        return _xent_dlogits_nodes_raw(g, e, s, t_data, inv_n)
-
-    def _raw_targets(g: np.ndarray) -> np.ndarray:
-        logp = logits.data - (np.log(s) + shift)
-        return _xent_outer_nodes_raw(g, inv_n, shape) * logp
-
-    vjps: Tuple[Optional[Vjp], ...] = (vjp_logits, vjp_targets)
-    raws: Tuple[Optional[RawVjp], ...] = (_raw_logits, _raw_targets)
-    return _make(
-        out, (logits, targets), vjps, "softmax_xent_nodes", raw_vjps=raws
-    )
-
-
-def _linear_softmax_xent_nodes(
-    x: Tensor, w: Tensor, b: Tensor, targets: Tensor
-) -> Tensor:
-    """Node-axis fused linear+xent: one batched matmul for all nodes."""
-    num_nodes = x.shape[0]
-    classes = w.shape[2]
-    logits_data = np.matmul(x.data, w.data) + b.data[:, None, :]
-    if targets.shape != logits_data.shape:
-        raise ValueError(
-            f"targets shape {targets.shape} does not match logits "
-            f"{logits_data.shape}"
-        )
-    t_data = targets.data
-    out, shift, e, s, inv_n = _xent_forward_nodes(logits_data, t_data)
-    shift_t = Tensor(shift)
-    inv_t = Tensor(np.asarray(inv_n))
-    shape = logits_data.shape
-
-    def logits_t() -> Tensor:
-        return add(matmul(x, w), reshape(b, (num_nodes, 1, classes)))
-
-    def vjp_x(g: Tensor) -> Tensor:
-        return matmul(
-            _xent_dlogits_nodes(g, logits_t(), targets, shift_t, inv_t),
-            transpose(w, (0, 2, 1)),
-        )
-
-    def vjp_w(g: Tensor) -> Tensor:
-        return matmul(
-            transpose(x, (0, 2, 1)),
-            _xent_dlogits_nodes(g, logits_t(), targets, shift_t, inv_t),
-        )
-
-    def vjp_b(g: Tensor) -> Tensor:
-        return sum_(
-            _xent_dlogits_nodes(g, logits_t(), targets, shift_t, inv_t),
-            axis=1,
-        )
-
-    def vjp_targets(g: Tensor) -> Tensor:
-        return mul(
-            _xent_outer_nodes(g, inv_t, shape),
-            _xent_logp_nodes(logits_t(), shift_t),
-        )
-
-    seen: Tuple[Optional[np.ndarray], int] = (None, -1)
-    cached: Optional[np.ndarray] = None
-
-    def _dl(g: np.ndarray) -> np.ndarray:
-        nonlocal seen, cached
-        if seen[0] is not g or seen[1] != _BACKWARD_EPOCH:
-            seen = (g, _BACKWARD_EPOCH)
-            cached = _xent_dlogits_nodes_raw(g, e, s, t_data, inv_n)
-        assert cached is not None
-        return cached
-
-    def _raw_x(g: np.ndarray) -> np.ndarray:
-        return np.matmul(_dl(g), w.data.transpose(0, 2, 1))
-
-    def _raw_w(g: np.ndarray) -> np.ndarray:
-        return np.matmul(x.data.transpose(0, 2, 1), _dl(g))
-
-    def _raw_b(g: np.ndarray) -> np.ndarray:
-        return np.sum(_dl(g), axis=(1,))
-
-    def _raw_targets(g: np.ndarray) -> np.ndarray:
-        logp = logits_data - (np.log(s) + shift)
-        return _xent_outer_nodes_raw(g, inv_n, shape) * logp
-
-    vjps: Tuple[Optional[Vjp], ...] = (vjp_x, vjp_w, vjp_b, vjp_targets)
-    raws: Tuple[Optional[RawVjp], ...] = (_raw_x, _raw_w, _raw_b, _raw_targets)
-    return _make(
-        out, (x, w, b, targets), vjps, "linear_softmax_xent_nodes",
-        raw_vjps=raws,
-    )
-
-
 def softmax_xent(logits: Tensor, targets: Tensor) -> Tensor:
     """Fused ``neg(mean(sum(log_softmax(logits, 1) * targets, axis=1)))``.
 
     ``targets`` is usually a constant one-hot tensor (the cross-entropy hot
     path), but any ``(batch, classes)`` weighting differentiates correctly.
-
-    A 3-D ``(nodes, batch, classes)`` input takes the node-axis path and
-    returns a ``(nodes,)`` vector of per-node losses.
     """
-    if logits.ndim == 3:
-        if targets.shape != logits.shape:
-            raise ValueError(
-                f"targets shape {targets.shape} does not match logits "
-                f"{logits.shape}"
-            )
-        return _softmax_xent_nodes(logits, targets)
     if logits.ndim != 2:
         raise ValueError(
             f"softmax_xent expects (batch, classes) logits, got {logits.shape}"
@@ -968,18 +757,7 @@ def linear_softmax_xent(
 
     The backward shares one cotangent-of-logits computation across the
     ``x``/``w``/``b`` VJPs (memoized per seed on the raw path).
-
-    A 3-D ``x:(nodes,batch,features) w:(nodes,features,classes)
-    b:(nodes,classes)`` input takes the node-axis path and returns a
-    ``(nodes,)`` vector of per-node losses.
     """
-    if x.ndim == 3 and w.ndim == 3 and b.ndim == 2:
-        if not (x.shape[0] == w.shape[0] == b.shape[0]):
-            raise ValueError(
-                "node-axis linear_softmax_xent needs matching leading dims, "
-                f"got x:{x.shape} w:{w.shape} b:{b.shape}"
-            )
-        return _linear_softmax_xent_nodes(x, w, b, targets)
     if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
         raise ValueError(
             "linear_softmax_xent expects x:(batch,features) w:(features,"

@@ -711,9 +711,8 @@ def _cmd_check_determinism(args: argparse.Namespace) -> int:
     ledger_records: List[dict] = []
     for algorithm in algorithms:
         # Two runs on one executor must be bit-for-bit identical, RNG
-        # ledger included.  Stacked fp math only promises tolerance-level
-        # equality with serial, so runs are never compared across
-        # executors here.
+        # ledger included.  (Serial and vectorized runs are bit-equal too;
+        # CI compares them on `train --json` output.)
         first_fp, first_ledger = _determinism_run(
             args, algorithm, mode, f"{algorithm}/{mode}#1", plant=plant
         )
@@ -857,8 +856,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument(
         "--executor", choices=["serial", "vectorized"],
         default="serial",
-        help="run each node's local steps serially, or as stacked batched "
-        "tapes (tolerance-equal to serial, bit-reproducible run-to-run)",
+        help="run each node's local steps one node at a time, or with "
+        "same-shaped nodes stacked (bit-equal to serial)",
     )
     # Faults & resilience.
     train.add_argument(

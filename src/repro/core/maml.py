@@ -11,9 +11,9 @@ centralized MAML baseline:
 * :func:`meta_loss` — ``L(phi(theta), D_test)``, the per-node objective
   ``G_i(theta)`` of Section IV;
 * :func:`meta_gradient` — exact (second-order) or first-order meta-gradient
-  of the per-node objective, also as a function of θ (``meta_gradient_fn``).
-  Exact one-step MAML runs :func:`repro.nn.batched.batched_meta_gradient` on
-  a one-node stack while the fast path is on; else the generic tape runs;
+  of the per-node objective.  Exact one-step MAML runs
+  :func:`repro.nn.batched.batched_meta_gradient` on a one-node stack while
+  the fast path is on; else the generic tape runs;
 * :class:`MAML` — a centralized trainer used as a reference baseline.
 """
 
@@ -32,13 +32,10 @@ from ..nn.losses import cross_entropy
 from ..nn.modules import Model
 from ..nn.parameters import Params, require_grad
 
-__all__ = ["LossFn", "MetaGradientFn", "inner_adapt", "meta_loss",
-           "meta_gradient", "meta_gradient_fn", "MAML"]
+__all__ = ["LossFn", "inner_adapt", "meta_loss", "meta_gradient", "MAML"]
 
 #: maps model outputs and integer labels to a scalar loss tensor
 LossFn = Callable[[Tensor, np.ndarray], Tensor]
-#: one node's meta-gradient: ``params -> (gradient, meta-loss value)``
-MetaGradientFn = Callable[[Params], Tuple[Params, float]]
 
 
 def _ordered(params: Params) -> Tuple[List[str], List[Tensor]]:
@@ -129,67 +126,6 @@ def meta_loss(
     return fused_model_loss(model, phi, split.test.x, split.test.y, loss_fn).item()
 
 
-def meta_gradient_fn(
-    model: Model,
-    split: NodeSplit,
-    alpha: float,
-    inner_steps: int = 1,
-    loss_fn: LossFn = cross_entropy,
-    first_order: bool = False,
-    extra_test_sets: Optional[Sequence[Dataset]] = None,
-) -> MetaGradientFn:
-    """:func:`meta_gradient` on fixed node data, as a function of ``params``.
-
-    The closed-form kernel, when it applies, is built here once, so its
-    hoisted inputs serve every call; where it declines, and for a tree
-    whose names or shapes are not the model's, the generic tape runs.
-    """
-    test = split.test
-    extras = [d for d in extra_test_sets or () if len(d) > 0]
-    # The kernel takes stacked batches: a one-node stack has a leading 1.
-    stacks = [
-        (np.asarray(d.x)[None], np.asarray(d.y)[None])
-        for d in (split.train, test, *extras)
-    ]
-    kernel = batched_meta_gradient(
-        model, stacks[0], stacks[1:], alpha, loss_fn,
-        inner_steps=inner_steps, first_order=first_order,
-    )
-
-    def tape(params: Params) -> Tuple[Params, float]:
-        theta = require_grad(params)
-        phi = inner_adapt(
-            model, theta, split.train, alpha, steps=inner_steps,
-            loss_fn=loss_fn, create_graph=not first_order,
-        )
-        # The outer derivative below is always first-order
-        # (create_graph=False), so the fused composite applies even when
-        # the inner step kept an exact second-order graph.
-        outer = fused_model_loss(model, phi, test.x, test.y, loss_fn)
-        for d in extras:
-            outer = outer + fused_model_loss(model, phi, d.x, d.y, loss_fn)
-        names, tensors = _ordered(theta)
-        grads = grad(outer, tensors, allow_unused=True)
-        return {
-            name: Tensor(np.zeros_like(theta[name].data)) if g is None else g
-            for name, g in zip(names, grads)
-        }, outer.item()
-
-    if kernel is None:
-        return tape
-    shapes = _param_shapes(model)
-
-    def one_node(params: Params) -> Tuple[Params, float]:
-        if {name: t.shape for name, t in params.items()} != shapes:
-            return tape(params)
-        stacked = {name: Tensor(t.data[None]) for name, t in params.items()}
-        gradient, losses = kernel(stacked)
-        unstacked = {name: Tensor(g.data[0]) for name, g in gradient.items()}
-        return unstacked, float(losses[0])
-
-    return one_node
-
-
 def meta_gradient(
     model: Model,
     params: Params,
@@ -208,13 +144,46 @@ def meta_gradient(
 
     ``extra_test_sets`` adds further outer-loss terms evaluated at the same
     adapted parameters — Robust FedML uses this to include the adversarial
-    dataset ``D_i^adv`` (eq. 14); empty ones are skipped.  Builds
-    :func:`meta_gradient_fn` and calls it once.
+    dataset ``D_i^adv`` (eq. 14); empty ones are skipped.  The closed-form
+    kernel runs on a one-node stack where it applies; where it declines,
+    and for a tree whose names or shapes are not the model's, the generic
+    tape runs.
     """
-    return meta_gradient_fn(
-        model, split, alpha, inner_steps=inner_steps, loss_fn=loss_fn,
-        first_order=first_order, extra_test_sets=extra_test_sets,
-    )(params)
+    test = split.test
+    extras = [d for d in extra_test_sets or () if len(d) > 0]
+    # The kernel takes stacked batches: a one-node stack has a leading 1.
+    stacks = [
+        (np.asarray(d.x)[None], np.asarray(d.y)[None])
+        for d in (split.train, test, *extras)
+    ]
+    kernel = batched_meta_gradient(
+        model, stacks[0], stacks[1:], alpha, loss_fn,
+        inner_steps=inner_steps, first_order=first_order,
+    )
+    if kernel is not None and (
+        {name: t.shape for name, t in params.items()} == _param_shapes(model)
+    ):
+        stacked = {name: Tensor(t.data[None]) for name, t in params.items()}
+        gradient, losses = kernel(stacked)
+        unstacked = {name: Tensor(g.data[0]) for name, g in gradient.items()}
+        return unstacked, float(losses[0])
+    theta = require_grad(params)
+    phi = inner_adapt(
+        model, theta, split.train, alpha, steps=inner_steps,
+        loss_fn=loss_fn, create_graph=not first_order,
+    )
+    # The outer derivative below is always first-order (create_graph=False),
+    # so the fused composite applies even when the inner step kept an exact
+    # second-order graph.
+    outer = fused_model_loss(model, phi, test.x, test.y, loss_fn)
+    for d in extras:
+        outer = outer + fused_model_loss(model, phi, d.x, d.y, loss_fn)
+    names, tensors = _ordered(theta)
+    grads = grad(outer, tensors, allow_unused=True)
+    return {
+        name: Tensor(np.zeros_like(theta[name].data)) if g is None else g
+        for name, g in zip(names, grads)
+    }, outer.item()
 
 
 @dataclass

@@ -11,10 +11,10 @@ only what is its own.
 ``self.strategy`` is the instance the engine runs, so changing what one
 local iteration does means subclassing the strategy: override its
 ``local_step``, set ``supports_vectorized = False`` unless
-``local_block_vectorized`` applies the change too (the vectorized
-executor would otherwise skip it), and name the subclass as the
-``strategy_type`` of a runner subclass.  ``fit`` never calls the
-runner's own ``local_step``.
+``local_block_vectorized`` applies the change too (both executors run the
+stacked block for every node it serves, so the override would otherwise
+never run), and name the subclass as the ``strategy_type`` of a runner
+subclass.  ``fit`` never calls the runner's own ``local_step``.
 """
 
 from __future__ import annotations

@@ -9,9 +9,13 @@ classes in :mod:`repro.core` run on it through one
 """
 
 from .evaluation import loss_gradient, node_training_data, weighted_node_average
-from .executors import Executor, ExecutorError, SerialExecutor
+from .executors import (
+    Executor,
+    ExecutorError,
+    SerialExecutor,
+    VectorizedExecutor,
+)
 from .round_engine import EngineOptions, EngineResult, RoundEngine
-from .vectorized import VectorizedExecutor
 from .strategies import (
     AdmlStrategy,
     AdversarialStrategy,

@@ -1,39 +1,51 @@
 """Client executors: how one block of local steps is scheduled.
 
 Between two aggregations, nodes are independent — node ``i``'s T0 local
-steps never read node ``j``'s state.  An :class:`Executor` decides how
-that block runs; every executor runs it in this process:
+steps never read node ``j``'s state — so how a block is grouped cannot
+change a bit.  One loop runs every block; the two executors differ only
+in their grouping key:
 
 ``SerialExecutor``
-    Runs every node's block node by node.  The reference implementation
-    and the default.
+    One node per group.  The reference schedule and the default.
 
-``VectorizedExecutor`` (:mod:`repro.engine.vectorized`)
-    Stacks groups of same-shaped nodes on a leading node axis and runs
-    each group's block as one batched computation, falling back to
-    ``SerialExecutor`` for the rest.
+``VectorizedExecutor``
+    One group per ``vectorized_signature``: same-shaped nodes stack on a
+    leading node axis and take each step as one batched computation.
 
-Determinism contract: both executors bind the strategy's per-node
-generator to ``default_rng([base_seed, block_index, node_id])`` before the
-node's block (``_node_rng``), so a strategy that draws randomness
-during ``local_step`` gets the same stream on either executor, in any
-node order.  Two serial runs are bit-for-bit identical
-(``tests/engine/test_seed_equivalence.py``), as are two vectorized runs;
-serial and vectorized runs agree within tolerance.
+A node runs in a group's ``local_block_vectorized`` when its strategy sets
+``supports_vectorized`` and its ``vectorized_signature`` is not ``None``
+(the closed-form kernels serve it).  Every other node runs its own
+``local_step``s, the per-node reference path, under either executor.
+
+Determinism contract: both executors hand each node the generator
+``default_rng([base_seed, block_index, node_id])`` for its block
+(``_node_rng``), so a strategy that draws randomness gets the same stream
+on either executor, in any node order.  Two runs of either executor are
+bit-for-bit identical (``tests/engine/test_seed_equivalence.py``), and so
+are a serial and a vectorized run: a stacked kernel step computes each
+node's slice as that node's one-node stack does
+(``tests/nn/test_stacked_slices.py``).
+
+A group whose block raises runs again one node at a time, so the
+:class:`ExecutorError` names a node whose own block fails, whichever node
+of a stack it is.
 
 Observability: ``run_block`` accepts the run's telemetry.  With telemetry
-enabled, each node's block is timed as a ``local_train`` span, and
-per-node ``node_result``/``node_error`` events and a per-block
-``cache_hit`` event land on the unified event log.  None of this touches
-node state or RNG streams: traced runs stay bit-identical to untraced
-ones.
+enabled, a one-node group is timed as a ``local_train`` span and a larger
+group as a ``local_train_vectorized`` span; per-node
+``node_result``/``node_error`` events, and per-block ``vectorized_block``
+and ``cache_hit`` events land on the unified event log.  None of this
+touches node state or RNG streams: traced runs stay bit-identical to
+untraced ones, and an untraced block reads no clock.
 """
 
 from __future__ import annotations
 
 import time
 import traceback
-from typing import Any, Dict, Optional, Protocol, Sequence
+from typing import (
+    Any, Dict, Hashable, List, Optional, Protocol, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -43,22 +55,24 @@ from ..obs.telemetry import Telemetry, resolve
 from ..utils.rng import instrument_node_rng
 from ..utils.serialization import params_fingerprint
 
-__all__ = ["Executor", "ExecutorError", "SerialExecutor"]
+__all__ = ["Executor", "ExecutorError", "SerialExecutor", "VectorizedExecutor"]
 
 #: fast-path counter keys surfaced on the per-block ``cache_hit`` event
 _CACHE_EVENT_KEYS = (
     "backwards", "plan_hits", "plan_misses", "raw_vjp_calls", "fused_dispatches",
 )
+#: a block's groups: whether each runs stacked, and its nodes
+Groups = List[Tuple[bool, List[EdgeNode]]]
 
 
 class ExecutorError(RuntimeError):
     """A node's block failed; carries which node, which block, and why.
 
-    Both executors translate any exception escaping ``local_step`` into
-    this, so the engine's retry logic (and a human reading a traceback)
-    knows *where* the failure happened.  The original exception rides
-    along as ``__cause__`` and its formatted traceback as
-    :attr:`worker_traceback`, the text a ``node_error`` event records.
+    The executors translate any exception escaping a block into this, so
+    the engine's retry logic (and a human reading a traceback) knows
+    *where* the failure happened.  The original exception rides along as
+    ``__cause__`` and its formatted traceback as :attr:`worker_traceback`,
+    the text a ``node_error`` event records.
     """
 
     def __init__(
@@ -106,22 +120,75 @@ def _node_rng(
     )
 
 
-def _emit_cache_event(tel: Any, block_index: int, delta: Dict[str, int]) -> None:
-    """One ``cache_hit`` event per block summarising fast-path activity.
+def _run_group(
+    strategy: Any,
+    stacked: bool,
+    group: List[EdgeNode],
+    steps: int,
+    block_index: int,
+    base_seed: int,
+) -> None:
+    """One group's block: a stacked block, or one node's own local steps."""
+    rngs = [_node_rng(base_seed, block_index, node.node_id) for node in group]
+    if stacked:
+        strategy.local_block_vectorized(group, steps, rngs)
+        return
+    (node,) = group
+    strategy.bind_node_rng(rngs[0])
+    for _ in range(steps):
+        strategy.local_step(node)
 
-    A block whose every step took a fused kernel runs no backward at all,
-    so fused dispatches alone also count as activity.
+
+def _culprit(
+    strategy: Any,
+    group: List[EdgeNode],
+    steps: int,
+    block_index: int,
+    base_seed: int,
+    error: BaseException,
+) -> Tuple[EdgeNode, BaseException, str]:
+    """The node a failed group's ``error`` is charged to, with its cause
+    and traceback; called while ``error`` is being handled.
+
+    A stacked block fails as a whole, so a group of several nodes runs
+    again one node at a time and the first node whose own block raises is
+    named.  Should every node pass alone, the group's first node carries
+    the group's error.  Nodes that ran are left stepped; the engine
+    restores its snapshot before a retry.
     """
-    if delta.get("backwards", 0) or delta.get("fused_dispatches", 0):
-        tel.events.emit(
-            "cache_hit",
-            block=block_index,
-            **{k: delta.get(k, 0) for k in _CACHE_EVENT_KEYS},
-        )
+    trace = traceback.format_exc()
+    if len(group) > 1:
+        for node in group:
+            try:
+                _run_group(strategy, True, [node], steps, block_index, base_seed)
+            except Exception as own:
+                return node, own, traceback.format_exc()
+    return group[0], error, trace
 
 
-class SerialExecutor:
-    """In-process, node-by-node execution (the reference schedule)."""
+class _GroupingExecutor:
+    """The block loop; a subclass supplies the stacking key."""
+
+    def _group_key(self, node: EdgeNode, signature: Hashable) -> Hashable:
+        """The stacked group a node with a signature joins."""
+        raise NotImplementedError
+
+    def _groups(self, strategy: Any, nodes: Sequence[EdgeNode]) -> Groups:
+        """The block's groups, in first-appearance order over ``nodes``.
+
+        A node its strategy does not stack (no ``supports_vectorized``,
+        or no signature) is a group of its own that runs ``local_step``.
+        """
+        stacking = getattr(strategy, "supports_vectorized", False)
+        groups: Dict[Tuple[bool, Hashable], List[EdgeNode]] = {}
+        for node in nodes:
+            signature = strategy.vectorized_signature(node) if stacking else None
+            key = (
+                (False, node.node_id) if signature is None
+                else (True, self._group_key(node, signature))
+            )
+            groups.setdefault(key, []).append(node)
+        return [(stacked, group) for (stacked, _), group in groups.items()]
 
     def run_block(
         self,
@@ -134,58 +201,112 @@ class SerialExecutor:
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         tel = resolve(telemetry)
-        if not tel.enabled:
-            # Disabled path: exactly the pre-observability loop, no clock
-            # reads, no per-node bookkeeping.
-            for node in nodes:
-                strategy.bind_node_rng(
-                    _node_rng(base_seed, block_index, node.node_id)
+        traced = tel.enabled
+        fastpath_base = fastpath.stats().as_dict() if traced else {}
+        groups = self._groups(strategy, nodes)
+        for stacked, group in groups:
+            if traced:
+                span = (
+                    tel.span(
+                        "local_train", node=group[0].node_id,
+                        block=block_index, steps=steps,
+                    )
+                    if len(group) == 1
+                    else tel.span(
+                        "local_train_vectorized", block=block_index,
+                        nodes=len(group), steps=steps,
+                    )
                 )
-                try:
-                    for _ in range(steps):
-                        strategy.local_step(node)
-                except Exception as exc:
-                    raise ExecutorError(
-                        node.node_id, block_index, exc,
-                        worker_traceback=traceback.format_exc(),
-                    ) from exc
-            return
-
-        events = tel.events
-        fastpath_base = fastpath.stats().as_dict()
-        for node in nodes:
-            strategy.bind_node_rng(
-                _node_rng(base_seed, block_index, node.node_id)
-            )
-            start = time.perf_counter()
-            span = tel.span(
-                "local_train", node=node.node_id, block=block_index,
-                steps=steps,
-            )
+                start = time.perf_counter()
             try:
-                for _ in range(steps):
-                    strategy.local_step(node)
-            except Exception as exc:
-                worker_tb = traceback.format_exc()
-                span.set(error=repr(exc))
-                span.end()
-                events.emit(
-                    "node_error", node=node.node_id, block=block_index,
-                    error=repr(exc), traceback=worker_tb,
+                _run_group(
+                    strategy, stacked, group, steps, block_index, base_seed
                 )
+            except Exception as exc:
+                node, cause, trace = _culprit(
+                    strategy, group, steps, block_index, base_seed, exc
+                )
+                if traced:
+                    span.set(error=repr(cause))
+                    span.end()
+                    tel.events.emit(
+                        "node_error", node=node.node_id, block=block_index,
+                        error=repr(cause), traceback=trace,
+                    )
                 raise ExecutorError(
-                    node.node_id, block_index, exc,
-                    worker_traceback=worker_tb,
-                ) from exc
-            span.end()
-            result_fields: Dict[str, Any] = {}
-            if tel.node_fingerprints:
-                result_fields["params_fp"] = params_fingerprint(node.params)
-            events.emit(
-                "node_result", node=node.node_id, block=block_index,
-                steps=steps, duration_s=time.perf_counter() - start,
-                **result_fields,
+                    node.node_id, block_index, cause, worker_traceback=trace,
+                ) from cause
+            if traced:
+                span.end()
+                _emit_node_results(
+                    tel, group, stacked, block_index, steps,
+                    time.perf_counter() - start,
+                )
+        if traced:
+            _emit_block_events(
+                tel, groups, block_index,
+                fastpath.stats().delta_since(fastpath_base),
             )
-        _emit_cache_event(
-            tel, block_index, fastpath.stats().delta_since(fastpath_base)
+
+
+class SerialExecutor(_GroupingExecutor):
+    """One node per group: each node's block runs on its own (the
+    reference schedule)."""
+
+    def _group_key(self, node: EdgeNode, signature: Hashable) -> Hashable:
+        return node.node_id
+
+
+class VectorizedExecutor(_GroupingExecutor):
+    """One group per signature: same-shaped nodes run one stacked block."""
+
+    def _group_key(self, node: EdgeNode, signature: Hashable) -> Hashable:
+        return signature
+
+
+def _emit_node_results(
+    tel: Any,
+    group: List[EdgeNode],
+    stacked: bool,
+    block_index: int,
+    steps: int,
+    duration: float,
+) -> None:
+    """One ``node_result`` per node; a group's time is split evenly."""
+    for node in group:
+        fields: Dict[str, Any] = {}
+        if tel.node_fingerprints:
+            fields["params_fp"] = params_fingerprint(node.params)
+        if stacked:
+            fields["vectorized"] = True
+        tel.events.emit(
+            "node_result", node=node.node_id, block=block_index,
+            steps=steps, duration_s=duration / len(group), **fields,
+        )
+
+
+def _emit_block_events(
+    tel: Any, groups: Groups, block_index: int, delta: Dict[str, int]
+) -> None:
+    """The block's stacking summary and its ``cache_hit`` event.
+
+    ``cache_hit`` summarises fast-path activity.  A block whose every step
+    took a fused kernel runs no backward at all, so fused dispatches alone
+    also count as activity.
+    """
+    stacked_groups = [group for stacked, group in groups if stacked]
+    stacked_nodes = sum(len(group) for group in stacked_groups)
+    fallback_nodes = len(groups) - len(stacked_groups)  # one node each
+    tel.events.emit(
+        "vectorized_block", block=block_index,
+        vectorized_nodes=stacked_nodes, fallback_nodes=fallback_nodes,
+        groups=len(stacked_groups),
+    )
+    tel.counter("fl_vectorized_nodes_total").inc(stacked_nodes)
+    tel.counter("fl_vectorized_fallback_total").inc(fallback_nodes)
+    if delta.get("backwards", 0) or delta.get("fused_dispatches", 0):
+        tel.events.emit(
+            "cache_hit",
+            block=block_index,
+            **{k: delta.get(k, 0) for k in _CACHE_EVENT_KEYS},
         )

@@ -13,6 +13,13 @@ a frozen config, and the loss function.  Mutable per-fit state (the FedProx
 anchor, Robust FedML's generation counters) is rebuilt by ``begin_fit``
 each run; per-node caches are dropped in ``release_node``.
 
+FedAvg, FedProx, FedML and Robust FedML each have one step on a stack of
+nodes, ``local_block_vectorized``, which every node the closed-form
+kernels serve runs under either executor (a serial node is a stack of
+one).  ``local_step`` is the per-node reference path for the rest: a
+node ``vectorized_signature`` returns ``None`` for, and every node of a
+strategy without ``supports_vectorized``.
+
 The concrete strategies map onto the paper and its baselines:
 
 =====================  ==============================================
@@ -41,9 +48,9 @@ from ..data.dataset import Dataset, FederatedDataset, NodeSplit
 from ..federated.node import EdgeNode, build_nodes
 from ..nn.batched import (
     _param_shapes,
+    batch_key,
     batched_loss_gradient,
     batched_meta_gradient,
-    batched_model_loss,
     stack_params,
     supports_batched_loss,
     unstack_params,
@@ -52,8 +59,7 @@ from ..nn.fused import fused_model_loss
 from ..nn.losses import cross_entropy
 from ..nn.modules import Model
 from ..nn.parameters import Params, add_scaled, detach, require_grad
-from ..core.maml import LossFn, MetaGradientFn, inner_adapt, meta_loss
-from ..core.maml import meta_gradient, meta_gradient_fn
+from ..core.maml import LossFn, inner_adapt, meta_gradient, meta_loss
 from .evaluation import loss_gradient, node_training_data, weighted_node_average
 
 __all__ = [
@@ -86,11 +92,11 @@ class LocalStrategy:
     #: include platform uplink bytes in the history records
     log_uplink: bool = False
     #: capability flag: this strategy implements
-    #: :meth:`local_block_vectorized` and may be run by the
-    #: ``VectorizedExecutor`` as one stacked tape per block.  Stacked fp
-    #: math reorders accumulations, so only strategies that opt in here
-    #: are ever vectorized; everything else falls back to serial per-node
-    #: execution inside the same block.
+    #: :meth:`local_block_vectorized`, which both executors run for every
+    #: node with a :meth:`vectorized_signature`; everything else runs
+    #: :meth:`local_step` node by node.  A subclass that overrides
+    #: ``local_step`` of a stacking strategy must set this to ``False``
+    #: (or change its block too), or the override never runs.
     supports_vectorized: bool = False
 
     def __init__(
@@ -132,11 +138,12 @@ class LocalStrategy:
 
     # -- vectorized (stacked) execution ---------------------------------
     def vectorized_signature(self, node: EdgeNode) -> Optional[Tuple]:
-        """Grouping key for stacked execution, or ``None`` to fall back.
+        """Grouping key for stacked execution, or ``None`` for ``local_step``.
 
-        Nodes with equal signatures share one stacked tape; the key must
-        capture everything that makes their buffers stackable (data
-        shapes, dtypes).  The base implementation opts every node out.
+        Nodes with equal signatures may share one stacked block; the key
+        must capture everything that makes their buffers stackable (data
+        shapes, dtypes), and be ``None`` wherever the block cannot run
+        the node.  The base implementation opts every node out.
         """
         return None
 
@@ -146,13 +153,14 @@ class LocalStrategy:
         steps: int,
         rngs: Sequence[np.random.Generator],
     ) -> None:
-        """Run ``steps`` local iterations for all ``nodes`` as one tape.
+        """Run ``steps`` local iterations for all ``nodes`` as one stack.
 
-        Only called by the ``VectorizedExecutor``, only when
-        ``supports_vectorized`` is set, and only on groups with equal
-        :meth:`vectorized_signature`.  ``rngs[i]`` is node ``i``'s
-        deterministic ``[seed, block, node]`` generator — the same stream
-        the serial executor would bind.
+        Called only when ``supports_vectorized`` is set, on a group of
+        nodes with equal :meth:`vectorized_signature`: one node per group
+        on the ``SerialExecutor``, one signature per group on the
+        ``VectorizedExecutor``.  ``rngs[i]`` is node ``i``'s deterministic
+        ``[seed, block, node]`` generator, the stream ``local_step`` would
+        see bound.
         """
         raise NotImplementedError
 
@@ -279,11 +287,15 @@ class SgdStrategy(LocalStrategy):
     supports_vectorized = True
 
     def vectorized_signature(self, node: EdgeNode) -> Optional[Tuple]:
-        if not supports_batched_loss(self.model, self.loss_fn):
+        """The full dataset's shapes, or ``None`` where the first-order
+        kernel declines: the fast path off, a model or loss it does not
+        take, or a batch it rejects."""
+        if not fastpath.enabled() or not supports_batched_loss(
+            self.model, self.loss_fn
+        ):
             return None
         data = self._full_data(node)
-        x = np.asarray(data.x)
-        return (x.shape, x.dtype.kind, np.asarray(data.y).shape)
+        return batch_key(self.model, data.x, data.y)
 
     def local_block_vectorized(
         self,
@@ -291,21 +303,15 @@ class SgdStrategy(LocalStrategy):
         steps: int,
         rngs: Sequence[np.random.Generator],
     ) -> None:
-        datasets = [self._full_data(node) for node in nodes]
-        batch = (
-            np.stack([np.asarray(d.x) for d in datasets]),
-            np.stack([np.asarray(d.y) for d in datasets]),
-        )
+        batch = _stacked([self._full_data(node) for node in nodes])
         stacked = stack_params([node.params for node in nodes])
-        # The first-order kernel, its inputs hoisted out of the steps; the
-        # stacked tape where it declines.
-        kernel = batched_loss_gradient(self.model, batch, self.loss_fn)
+        # The first-order kernel, its inputs hoisted out of the steps.
+        kernel = _accepted(
+            batched_loss_gradient(self.model, batch, self.loss_fn)
+        )
         for _ in range(steps):
-            if kernel is not None:
-                _, grads, _ = kernel({n: t.data for n, t in stacked.items()})
-                gradient = {name: Tensor(g) for name, g in grads.items()}
-            else:
-                gradient = self._stacked_tape_gradient(stacked, batch)
+            _, grads, _ = kernel({n: t.data for n, t in stacked.items()})
+            gradient = {name: Tensor(g) for name, g in grads.items()}
             stacked = self._update(stacked, gradient)
         self._apply_stacked(nodes, stacked, steps)
 
@@ -318,21 +324,6 @@ class SgdStrategy(LocalStrategy):
             node.params = tree
             for _ in range(steps):
                 node.record_local_step(gradient_evals=1)
-
-    def _stacked_tape_gradient(
-        self, stacked: Params, batch: Tuple[np.ndarray, np.ndarray]
-    ) -> Params:
-        """Every node's loss gradient from one stacked tape."""
-        theta = require_grad(stacked)
-        names = sorted(theta)
-        loss_vec = batched_model_loss(self.model, theta, *batch)
-        grads = grad(
-            ops.sum_(loss_vec), [theta[n] for n in names], allow_unused=True
-        )
-        return {
-            name: Tensor(np.zeros_like(theta[name].data)) if g is None else g
-            for name, g in zip(names, grads)
-        }
 
     def global_loss(self, params: Params, nodes: Sequence[EdgeNode]) -> float:
         """Weighted empirical loss ``L_w(theta)`` (eq. 2)."""
@@ -399,45 +390,44 @@ class MetaStrategy(LocalStrategy):
         """Outer-loss sets beyond the node's test set (default: none)."""
         return []
 
-    def _meta_gradient_fn(
-        self, node: EdgeNode, extras: Sequence[Dataset]
-    ) -> MetaGradientFn:
-        """The node's meta-gradient function, held across its block.
-
-        One slot, since executors run a node's steps back to back; keyed
-        on the identity of the node and its datasets (held alive by the
-        key) plus the fast-path switch, so it never serves a function
-        built for other data or another fast-path state."""
-        key = (fastpath.enabled(), node, node.split, *extras)
-        held = self.__dict__.get("_held")
-        if held is None or [*map(id, held[0])] != [*map(id, key)]:
-            cfg = self.config
-            fn = meta_gradient_fn(
-                self.model, node.split, cfg.alpha, inner_steps=cfg.inner_steps,
-                loss_fn=self.loss_fn, first_order=cfg.first_order,
-                extra_test_sets=extras,
-            )
-            held = self._held = (key, fn)
-        return held[1]
+    def _outer_sets(self, node: EdgeNode) -> List[Dataset]:
+        """The node's outer-loss sets: its test set and the extras."""
+        return [node.split.test, *self._extra_test_sets(node)]
 
     def local_step(self, node: EdgeNode) -> float:
         """One local meta-update (eq. 3 + eq. 4) on ``node``."""
         assert node.params is not None
+        cfg = self.config
         extras = self._extra_test_sets(node)
-        gradient, value = self._meta_gradient_fn(node, extras)(node.params)
-        node.params = add_scaled(node.params, gradient, -self.config.beta)
+        gradient, value = meta_gradient(
+            self.model, node.params, node.split, cfg.alpha,
+            inner_steps=cfg.inner_steps, loss_fn=self.loss_fn,
+            first_order=cfg.first_order, extra_test_sets=extras,
+        )
+        node.params = add_scaled(node.params, gradient, -cfg.beta)
         node.record_local_step(gradient_evals=2 + len(extras))
         return value
-
-    def release_node(self, node: EdgeNode) -> None:
-        self.__dict__.pop("_held", None)
 
     supports_vectorized = True
 
     def vectorized_signature(self, node: EdgeNode) -> Optional[Tuple]:
-        if not supports_batched_loss(self.model, self.loss_fn):
+        """The shapes of the node's train and outer sets, or ``None``
+        where the exact kernel declines: the fast path off,
+        ``first_order``, ``inner_steps != 1``, a model or loss it does
+        not take, or a batch it rejects."""
+        cfg = self.config
+        if (
+            cfg.first_order
+            or cfg.inner_steps != 1
+            or not fastpath.enabled()
+            or not supports_batched_loss(self.model, self.loss_fn)
+        ):
             return None
-        return _split_shapes(node.split)
+        keys = tuple(
+            batch_key(self.model, d.x, d.y)
+            for d in (node.split.train, *self._outer_sets(node))
+        )
+        return None if None in keys else keys
 
     def local_block_vectorized(
         self,
@@ -446,22 +436,24 @@ class MetaStrategy(LocalStrategy):
         rngs: Sequence[np.random.Generator],
     ) -> None:
         cfg = self.config
-        train, test = _stacked_split(nodes)
+        train = _stacked([node.split.train for node in nodes])
+        # Each outer set stacked across the group; equal signatures give
+        # every node the same number of sets of the same shapes.
+        tests = [
+            _stacked(sets)
+            for sets in zip(*(self._outer_sets(node) for node in nodes))
+        ]
         stacked = stack_params([node.params for node in nodes])
         names = sorted(stacked)
-        # The closed-form kernel, its inputs hoisted out of the T0 loop;
-        # whatever it declines runs the stacked tape below.
-        kernel = batched_meta_gradient(
-            self.model, train, [test], cfg.alpha, self.loss_fn,
-            inner_steps=cfg.inner_steps, first_order=cfg.first_order,
+        # The closed-form kernel, its inputs hoisted out of the T0 loop.
+        kernel = _accepted(
+            batched_meta_gradient(
+                self.model, train, tests, cfg.alpha, self.loss_fn,
+                inner_steps=cfg.inner_steps, first_order=cfg.first_order,
+            )
         )
         for _ in range(steps):
-            if kernel is not None:
-                gradient, _ = kernel(stacked)
-            else:
-                gradient = self._stacked_tape_gradient(
-                    stacked, names, train, test
-                )
+            gradient, _ = kernel(stacked)
             stacked = {
                 name: Tensor(
                     stacked[name].data + (-cfg.beta) * gradient[name].data
@@ -472,48 +464,7 @@ class MetaStrategy(LocalStrategy):
             # Intentional per-node loop: state fan-out and step accounting.
             node.params = tree
             for _ in range(steps):
-                node.record_local_step()
-
-    def _stacked_tape_gradient(
-        self,
-        stacked: Params,
-        names: Sequence[str],
-        train: Tuple[np.ndarray, np.ndarray],
-        test: Tuple[np.ndarray, np.ndarray],
-    ) -> Params:
-        """One stacked meta-gradient through the autodiff tape.
-
-        The inner loss's node-axis ops carry differentiable closure VJPs,
-        so ``create_graph=True`` keeps the exact second-order graph for
-        the outer backward.
-        """
-        cfg = self.config
-        theta = require_grad(stacked)
-        current: Params = theta
-        for _ in range(cfg.inner_steps):
-            inner_vec = batched_model_loss(self.model, current, *train)
-            inner_grads = grad(
-                ops.sum_(inner_vec),
-                [current[n] for n in names],
-                create_graph=not cfg.first_order,
-                allow_unused=True,
-            )
-            current = {
-                name: (
-                    current[name] if g is None else current[name] - cfg.alpha * g
-                )
-                for name, g in zip(names, inner_grads)
-            }
-        outer_vec = batched_model_loss(self.model, current, *test)
-        outer_grads = grad(
-            ops.sum_(outer_vec), [theta[n] for n in names], allow_unused=True
-        )
-        return {
-            name: (
-                Tensor(np.zeros_like(theta[name].data)) if g is None else g
-            )
-            for name, g in zip(names, outer_grads)
-        }
+                node.record_local_step(gradient_evals=1 + len(tests))
 
     def global_meta_loss(
         self, params: Params, nodes: Sequence[EdgeNode]
@@ -554,7 +505,8 @@ class MetaStrategy(LocalStrategy):
         training block's.  Exact (``first_order=False``) whatever the
         config, since a loss value does not depend on that switch.
         """
-        train, test = _stacked_split(group)
+        train = _stacked([node.split.train for node in group])
+        test = _stacked([node.split.test for node in group])
         kernel = batched_meta_gradient(
             self.model, train, [test], self.config.alpha, self.loss_fn,
             inner_steps=inner_steps,
@@ -588,20 +540,26 @@ def _split_shapes(split: NodeSplit) -> Tuple:
     )
 
 
-def _stacked_split(
-    nodes: Sequence[EdgeNode],
-) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-    """The nodes' train and test batches as stacked ``(x, y)`` pairs."""
-    def stack(sets: Sequence[Dataset]) -> Tuple[np.ndarray, np.ndarray]:
-        return (
-            np.stack([np.asarray(d.x) for d in sets]),
-            np.stack([np.asarray(d.y) for d in sets]),
-        )
+def _stacked(sets: Sequence[Dataset]) -> Tuple[np.ndarray, np.ndarray]:
+    """One same-shaped dataset per node as a stacked ``(x, y)`` pair
+    (``np.array`` builds ``np.stack``'s array at a fraction of its
+    per-call cost, which a one-node group pays every block)."""
+    return np.array([d.x for d in sets]), np.array([d.y for d in sets])
 
-    return (
-        stack([node.split.train for node in nodes]),
-        stack([node.split.test for node in nodes]),
-    )
+
+def _accepted(kernel: Optional[Any]) -> Any:
+    """A stacked block's kernel, which the group's signatures promise.
+
+    Signatures read shapes and dtypes only, so the kernel can still
+    decline labels outside the model's classes; the tape rejects those
+    too, so the block raises.
+    """
+    if kernel is None:
+        raise ValueError(
+            "the closed-form kernel declined a stacked block: labels "
+            "outside the model's classes, or nodes without a signature"
+        )
+    return kernel
 
 
 def merge_meta_sgd_trees(params: Params, log_alpha: Params) -> Params:
@@ -804,11 +762,8 @@ class AdmlStrategy(MetaStrategy):
     log_uplink = False
     # Adversarial perturbations are regenerated per node per step; the
     # plain stacked meta-step inherited from MetaStrategy would silently
-    # drop them, so this strategy runs serial (executor falls back).
+    # drop them, so every node runs this local_step.
     supports_vectorized = False
-
-    def vectorized_signature(self, node: EdgeNode) -> Optional[Tuple]:
-        return None
 
     def _fgsm(self, node: EdgeNode, data: Dataset) -> Dataset:
         """``data`` FGSM-perturbed against the node's current model."""
@@ -838,21 +793,17 @@ class AdversarialStrategy(MetaStrategy):
     """Robust FedML / Algorithm 2: DRO outer loss over a grown ``D^adv``.
 
     The local step is a MAML meta-step whose outer loss adds the node's
-    adversarial dataset (eq. 14); :meth:`on_block_end` implements the
-    generation schedule (every ``N0·T0`` iterations, at most ``R`` times)
-    by solving the Wasserstein inner supremum with ``Ta`` ascent steps.
-    The attack machinery is shared with :class:`AdmlStrategy` — both
-    perturb in the model's continuous feature space.
+    adversarial dataset (eq. 14) as a second outer set, so its stacked
+    block is :class:`MetaStrategy`'s and ``D^adv``'s shape joins the
+    signature; :meth:`on_block_end` implements the generation schedule
+    (every ``N0·T0`` iterations, at most ``R`` times) by solving the
+    Wasserstein inner supremum with ``Ta`` ascent steps.  The attack
+    machinery is shared with :class:`AdmlStrategy` — both perturb in the
+    model's continuous feature space.
     """
 
     name = "robust-fedml"
     log_uplink = False
-    # The DRO outer loss depends on each node's grown (ragged) D^adv; the
-    # inherited stacked meta-step would drop it, so run serial.
-    supports_vectorized = False
-
-    def vectorized_signature(self, node: EdgeNode) -> Optional[Tuple]:
-        return None
 
     def init_node_state(self, node: EdgeNode) -> None:
         # Token models: embed the node's data once so clean and adversarial
@@ -924,7 +875,6 @@ class AdversarialStrategy(MetaStrategy):
         rng: np.random.Generator,
         telemetry: Any,
     ) -> None:
-        self.__dict__.pop("_held", None)  # the block ends; D^adv may grow
         cfg = self.config
         if t % (cfg.n0 * cfg.t0) != 0:
             return

@@ -27,7 +27,7 @@ hundred participate per round.  This module serves that regime:
     Every node a round dispatches starts from the same θ, so the round's
     *wave* — the dispatched nodes whose completion will deliver (not
     dropped, not timed out) — trains at dispatch as one
-    :class:`~repro.engine.vectorized.VectorizedExecutor` block:
+    :class:`~repro.engine.executors.VectorizedExecutor` block:
     materialize, train same-shaped shards stacked on the node axis (a
     slice equals the one-node step bit for bit) and the rest one by one,
     each on the standard ``[seed, round, node]`` RNG stream, evict.  The
@@ -77,7 +77,7 @@ import numpy as np
 
 from ..autodiff import Tensor
 from ..data.dataset import Dataset, NodeSplit
-from ..engine.vectorized import VectorizedExecutor
+from ..engine.executors import VectorizedExecutor
 from ..faults.injector import RunInterrupted, record_fault
 from ..faults.plan import FaultPlan
 from ..nn.batched import stack_params

@@ -1,35 +1,27 @@
-"""Node-axis (batched) model evaluation for the vectorized executor.
+"""Closed-form kernels over a leading node axis.
 
-The serial engine runs one autodiff tape per node per local step.  This
-module stacks N nodes' parameter trees and minibatches into ``(N, ...)``
-arrays and evaluates them as **one** tape using the node-axis op variants
-of :mod:`repro.autodiff.ops` (batched ``matmul``, ``softmax_xent`` /
-``linear_softmax_xent`` on 3-D logits) — a 100-node local-training block
-becomes a handful of large ndarray ops instead of 100 small tapes.
-
-Semantics: nodes are independent, so the stacked computation is block
-diagonal — gradient slice ``i`` of the stacked loss-sum equals node
-``i``'s own gradient exactly in real arithmetic, and matches it bit-for-
-bit per slice for the ops whose reductions keep per-row accumulation
-order (see docs/AUTODIFF.md for the fp-reordering tolerance policy; the
-engine only *claims* bitwise equality for vectorized-vs-vectorized runs).
+Between aggregations nodes are independent, so a block of T0 local steps
+over N same-shaped nodes is N disjoint computations.  This module stacks
+their parameter trees and batches into ``(N, ...)`` arrays and computes
+every node's step at once, on raw arrays, with no autodiff tape; a
+serial node is a stack of one.  Slice ``i`` of a stacked call equals
+node ``i``'s one-node call bit for bit (``tests/nn/test_stacked_slices.py``),
+so grouping nodes changes no result.
 
 ``stack_params`` / ``unstack_params`` convert between a list of per-node
-parameter trees and one stacked tree; ``batched_model_loss`` is the
-node-axis twin of :func:`repro.nn.fused.fused_model_loss` returning a
-``(N,)`` per-node loss vector; ``supports_batched_loss`` is the
-capability probe strategies use before opting in.
+parameter trees and one stacked tree; ``supports_batched_loss`` and
+``batch_key`` are the capability probes strategies group nodes by.
 
 ``batched_meta_gradient`` removes the exact-MAML tape (an inner
 ``create_graph=True`` graph walked again by the outer backward) for every
-model ``supports_batched_loss`` accepts, stacked and, as a one-node stack,
-serial.  Its per-block kernel maps stacked θ to the exact one-step
-meta-gradient ``v − α·H v`` and the outer losses, with ``H v`` taken
-forward-over-reverse (Pearlmutter's R-op) through the dense layers, batch
-norm, the activation and softmax-xent on raw arrays.  The result is
-tolerance-equal to the tape, per node relative to that node's largest
-reference gradient entry; the bound and its measurements are in the
-"Exact meta-gradient kernel" section of docs/AUTODIFF.md.
+model ``supports_batched_loss`` accepts.  Its per-block kernel maps
+stacked θ to the exact one-step meta-gradient ``v − α·H v`` and the outer
+losses, with ``H v`` taken forward-over-reverse (Pearlmutter's R-op)
+through the dense layers, batch norm, the activation and softmax-xent on
+raw arrays.  The result is tolerance-equal to the tape, per node relative
+to that node's largest reference gradient entry; the bound and its
+measurements are in the "Exact meta-gradient kernel" section of
+docs/AUTODIFF.md.
 
 ``batched_loss_gradient`` is the first-order half of the same arithmetic:
 one forward and one backward give the mean cross-entropy, its parameter
@@ -46,22 +38,16 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..autodiff import Tensor, fastpath, ops
+from ..autodiff import Tensor, fastpath
 from .losses import cross_entropy
-from .modules import (
-    EmbeddingClassifier,
-    LogisticRegression,
-    MLP,
-    Model,
-    _as_input_tensor,
-)
+from .modules import EmbeddingClassifier, LogisticRegression, MLP, Model
 from .parameters import Params
 
 __all__ = [
     "stack_params",
     "unstack_params",
     "batched_one_hot",
-    "batched_model_loss",
+    "batch_key",
     "batched_meta_gradient",
     "batched_loss_gradient",
     "node_loss_gradient",
@@ -128,51 +114,6 @@ def batched_one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 _BN_EPSILON = 1e-5
 
 
-def _batch_norm_nodes(
-    h: Tensor, gamma: Tensor, beta: Tensor, epsilon: float = _BN_EPSILON
-) -> Tensor:
-    """Node-axis twin of ``modules._batch_norm``: stats over the batch axis."""
-    n, _, f = h.shape
-    g3 = ops.reshape(gamma, (n, 1, f))
-    b3 = ops.reshape(beta, (n, 1, f))
-    mu = ops.mean(h, axis=1, keepdims=True)
-    centered = h - mu
-    var = ops.mean(centered * centered, axis=1, keepdims=True)
-    inv_std = ops.power(var + ops.as_tensor(epsilon), -0.5)
-    return centered * inv_std * g3 + b3
-
-
-def _mlp_logits_nodes(mlp: MLP, stacked: Params, h: Tensor) -> Tensor:
-    """Batched MLP forward: ``(N, B, in)`` features to ``(N, B, C)`` logits."""
-    act = MLP._ACTIVATIONS[mlp.activation]
-    n = h.shape[0]
-    num_layers = len(mlp.hidden_dims) + 1
-    for layer in range(num_layers):
-        w = stacked[f"W{layer}"]
-        b = stacked[f"b{layer}"]
-        h = ops.matmul(h, w) + ops.reshape(b, (n, 1, w.shape[2]))
-        if layer < len(mlp.hidden_dims):
-            if mlp.batch_norm:
-                h = _batch_norm_nodes(
-                    h, stacked[f"gamma{layer}"], stacked[f"beta{layer}"]
-                )
-            h = act(h)
-    return h
-
-
-def _embed_nodes(model: EmbeddingClassifier, ids: np.ndarray) -> Tensor:
-    """Frozen-table lookup for ``(N, B, seq)`` ids -> ``(N, B, seq*emb)``."""
-    ids = np.asarray(ids)
-    if ids.ndim != 3 or ids.shape[2] != model.seq_len:
-        raise ValueError(
-            f"expected ids of shape (nodes, batch, {model.seq_len}), "
-            f"got {ids.shape}"
-        )
-    embedded = ops.getitem(model.embedding, ids)  # (N, B, seq, emb)
-    n, b = ids.shape[0], ids.shape[1]
-    return ops.reshape(embedded, (n, b, model.seq_len * model.embed_dim))
-
-
 def _is_token_ids(x: object) -> bool:
     """Integer arrays are token ids; float arrays and tensors are features
     that go straight to the head, the rule ``EmbeddingClassifier.apply``
@@ -181,42 +122,35 @@ def _is_token_ids(x: object) -> bool:
 
 
 def supports_batched_loss(model: Model, loss_fn: LossFn) -> bool:
-    """Whether :func:`batched_model_loss` can evaluate this model/loss."""
+    """Whether the closed-form kernels take this model and loss."""
     if loss_fn is not cross_entropy:
         return False
     return isinstance(model, (LogisticRegression, MLP, EmbeddingClassifier))
 
 
-def batched_model_loss(
-    model: Model, stacked: Params, x: np.ndarray, y: np.ndarray
-) -> Tensor:
-    """Per-node cross-entropy losses for stacked params/data, as one tape.
+def batch_key(model: Model, x: object, y: object) -> Optional[Tuple]:
+    """What one node's ``(x, y)`` arrays stack by for the kernels.
 
-    ``x`` is ``(nodes, batch, ...)`` features (or integer token ids for
-    :class:`EmbeddingClassifier`), ``y`` is ``(nodes, batch)`` integer
-    labels; returns a ``(nodes,)`` loss vector.  Sum it to backprop all
-    nodes at once — independence makes the stacked gradient block
-    diagonal, so slice ``i`` is node ``i``'s gradient.
+    The key is the batch's shapes and input kind; ``None`` marks a batch
+    the kernels decline by its shape or dtype (:func:`_batch`'s checks on
+    one node), which the tape then runs or reports.  Reads no data, so
+    labels outside the classes are found only when a kernel is built.
+    ``model`` must be one :func:`supports_batched_loss` accepts.
     """
-    y = np.asarray(y)
-    targets = Tensor(batched_one_hot(y, model.output_dim))
-    if isinstance(model, LogisticRegression):
-        fastpath.note_fused_dispatch()
-        return ops.linear_softmax_xent(
-            _as_input_tensor(x), stacked["W"], stacked["b"], targets
-        )
-    if isinstance(model, EmbeddingClassifier):
-        h = _embed_nodes(model, x) if _is_token_ids(x) else _as_input_tensor(x)
-        logits = _mlp_logits_nodes(model.head, stacked, h)
-    elif isinstance(model, MLP):
-        logits = _mlp_logits_nodes(model, stacked, _as_input_tensor(x))
+    x, y = np.asarray(x), np.asarray(y)
+    if isinstance(model, EmbeddingClassifier) and x.dtype.kind in "iu":
+        row = (model.seq_len,)
     else:
-        raise TypeError(
-            f"batched_model_loss does not support {type(model).__name__}; "
-            "gate call sites on supports_batched_loss()"
-        )
-    fastpath.note_fused_dispatch()
-    return ops.softmax_xent(logits, targets)
+        mlp = model.head if isinstance(model, EmbeddingClassifier) else model
+        row = (mlp.input_dim,)
+    if (
+        x.shape[1:] != row
+        or y.shape != x.shape[:1]
+        or not y.size
+        or y.dtype.kind not in "iu"
+    ):
+        return None
+    return x.shape, x.dtype.kind, y.shape
 
 
 # ----------------------------------------------------------------------
@@ -325,7 +259,7 @@ def _softmax_xent(
     logits: np.ndarray, targets: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Softmax and the ``(N,)`` mean cross-entropies (the arithmetic of
-    ``ops._xent_forward_nodes``)."""
+    ``ops._xent_forward``, with the class axis last)."""
     shift = np.maximum.reduce(logits, axis=2, keepdims=True)
     e = np.exp(logits - shift)
     s = np.add.reduce(e, axis=2, keepdims=True)
@@ -493,7 +427,7 @@ def _batch(
     model: Model, batch: Tuple[np.ndarray, np.ndarray], dim: int
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """``(N, B, dim)`` first-layer inputs (token ids looked up; float
-    features go to the head, as in :func:`batched_model_loss`) and one-hot
+    features go to the head, as ``EmbeddingClassifier.apply`` sends them) and one-hot
     labels, or ``None`` for a batch the tape should report."""
     x, y = batch[0], np.asarray(batch[1])
     if isinstance(model, EmbeddingClassifier) and _is_token_ids(x):

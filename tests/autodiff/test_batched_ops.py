@@ -1,26 +1,15 @@
-"""Node-axis (batched) op variants: stacked-vs-loop equivalence.
+"""Raw VJP twins of ``tanh``/``sigmoid``/``power``/``clip``.
 
-The contract (docs/AUTODIFF.md): for every op that understands a leading
-node axis, forward/backward slices of the stacked computation must match
-N independent per-node tapes within documented tolerance — stacked fp
-math may reorder accumulations, so the claim is tolerance-level, not
-bitwise.  (The per-op cases here verify that for the ops actually in use
-the slices come out bit-identical today; the hypothesis property only
-requires the documented tolerance.)  Raw VJP twins added for
-``tanh``/``sigmoid``/``power``/``clip`` keep graphs containing them on
-the fast path, bit-identical to the closure backward.
+The twins keep graphs containing these ops on the fast path, bit-identical
+to the closure backward.  (Stacking nodes on an axis is the closed-form
+kernels' job, ``tests/nn/test_stacked_slices.py``; the tape's ops take
+one node's operands.)
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.autodiff import Tensor, fastpath, grad, ops
-
-#: documented per-op stacked-vs-loop tolerance (see docs/AUTODIFF.md)
-RTOL = 1e-9
-ATOL = 1e-12
 
 
 @pytest.fixture(autouse=True)
@@ -31,13 +20,6 @@ def _fresh_fastpath():
     yield
     fastpath.enable()
     fastpath.clear_cache()
-
-
-def one_hot3(rng, n, b, c):
-    labels = rng.integers(0, c, size=(n, b))
-    out = np.zeros((n, b, c))
-    out[np.arange(n)[:, None], np.arange(b)[None, :], labels] = 1.0
-    return out
 
 
 class TestRawTwins:
@@ -70,179 +52,3 @@ class TestRawTwins:
         base = fastpath.stats().closure_vjp_calls
         grad(loss, [x])
         assert fastpath.stats().closure_vjp_calls == base
-
-
-class TestBatchedMatmul:
-    def test_forward_backward_slices_match_loops(self):
-        rng = np.random.default_rng(0)
-        n = 5
-        a = Tensor(rng.normal(size=(n, 3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(n, 4, 2)), requires_grad=True)
-        out = ops.matmul(a, b)
-        ga, gb = grad(ops.sum_(out), [a, b])
-        for i in range(n):
-            ai = Tensor(a.data[i], requires_grad=True)
-            bi = Tensor(b.data[i], requires_grad=True)
-            oi = ops.matmul(ai, bi)
-            gai, gbi = grad(ops.sum_(oi), [ai, bi])
-            np.testing.assert_array_equal(out.data[i], oi.data)
-            np.testing.assert_allclose(
-                ga.data[i], gai.data, rtol=RTOL, atol=ATOL
-            )
-            np.testing.assert_allclose(
-                gb.data[i], gbi.data, rtol=RTOL, atol=ATOL
-            )
-
-    def test_double_backward_through_batched_contraction(self):
-        rng = np.random.default_rng(1)
-        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 4, 2)), requires_grad=True)
-        ga, _ = grad(
-            ops.sum_(ops.matmul(a, b)), [a, b], create_graph=True
-        )
-        (gg,) = grad(ops.sum_(ops.mul(ga, ga)), [b])
-        assert gg.shape == (2, 4, 2)
-
-    def test_mismatched_leading_dims_rejected(self):
-        a = Tensor(np.zeros((2, 3, 4)))
-        b = Tensor(np.zeros((3, 4, 2)))
-        with pytest.raises(ValueError, match="matching leading"):
-            ops.matmul(a, b)
-
-
-class TestBatchedXent:
-    def test_softmax_xent_nodes_matches_loops(self):
-        rng = np.random.default_rng(2)
-        n, b, c = 4, 6, 3
-        logits = Tensor(rng.normal(size=(n, b, c)), requires_grad=True)
-        targets = Tensor(one_hot3(rng, n, b, c))
-        loss_vec = ops.softmax_xent(logits, targets)
-        assert loss_vec.shape == (n,)
-        (gl,) = grad(ops.sum_(loss_vec), [logits])
-        for i in range(n):
-            li = Tensor(logits.data[i], requires_grad=True)
-            ti = Tensor(targets.data[i])
-            loss_i = ops.softmax_xent(li, ti)
-            (gi,) = grad(loss_i, [li])
-            np.testing.assert_allclose(
-                loss_vec.data[i], loss_i.data, rtol=RTOL, atol=ATOL
-            )
-            np.testing.assert_allclose(
-                gl.data[i], gi.data, rtol=RTOL, atol=ATOL
-            )
-
-    def test_linear_softmax_xent_nodes_matches_loops(self):
-        rng = np.random.default_rng(3)
-        n, b, f, c = 4, 5, 6, 3
-        x = Tensor(rng.normal(size=(n, b, f)), requires_grad=True)
-        w = Tensor(rng.normal(size=(n, f, c)), requires_grad=True)
-        bias = Tensor(rng.normal(size=(n, c)), requires_grad=True)
-        targets = Tensor(one_hot3(rng, n, b, c))
-        loss_vec = ops.linear_softmax_xent(x, w, bias, targets)
-        gx, gw, gb = grad(ops.sum_(loss_vec), [x, w, bias])
-        for i in range(n):
-            xi = Tensor(x.data[i], requires_grad=True)
-            wi = Tensor(w.data[i], requires_grad=True)
-            bi = Tensor(bias.data[i], requires_grad=True)
-            loss_i = ops.linear_softmax_xent(
-                xi, wi, bi, Tensor(targets.data[i])
-            )
-            gxi, gwi, gbi = grad(loss_i, [xi, wi, bi])
-            np.testing.assert_allclose(
-                loss_vec.data[i], loss_i.data, rtol=RTOL, atol=ATOL
-            )
-            for stacked_g, loop_g in ((gx, gxi), (gw, gwi), (gb, gbi)):
-                np.testing.assert_allclose(
-                    stacked_g.data[i], loop_g.data, rtol=RTOL, atol=ATOL
-                )
-
-    def test_fastpath_bit_identical_on_stacked_graph(self):
-        """The raw-VJP path over a stacked graph matches its own reference."""
-        rng = np.random.default_rng(4)
-        n, b, f, c = 3, 4, 5, 2
-        x = Tensor(rng.normal(size=(n, b, f)), requires_grad=True)
-        w = Tensor(rng.normal(size=(n, f, c)), requires_grad=True)
-        bias = Tensor(rng.normal(size=(n, c)), requires_grad=True)
-        targets = Tensor(one_hot3(rng, n, b, c))
-
-        def loss():
-            return ops.sum_(ops.linear_softmax_xent(x, w, bias, targets))
-
-        fast = grad(loss(), [x, w, bias])
-        with fastpath.disabled():
-            ref = grad(loss(), [x, w, bias])
-        for f_, r_ in zip(fast, ref):
-            assert f_.data.tobytes() == r_.data.tobytes()
-
-    def test_plan_replays_over_stacked_buffers(self):
-        """One cached backward plan serves repeated stacked backwards."""
-        rng = np.random.default_rng(7)
-        n, b, f, c = 3, 4, 5, 2
-        targets = Tensor(one_hot3(rng, n, b, c))
-        fastpath.reset_stats()
-        for _ in range(4):
-            x = Tensor(rng.normal(size=(n, b, f)), requires_grad=True)
-            w = Tensor(rng.normal(size=(n, f, c)), requires_grad=True)
-            bias = Tensor(rng.normal(size=(n, c)), requires_grad=True)
-            grad(
-                ops.sum_(ops.linear_softmax_xent(x, w, bias, targets)),
-                [x, w, bias],
-            )
-        stats = fastpath.stats()
-        assert stats.plan_misses == 1
-        assert stats.plan_hits == 3
-
-
-_BATCHED_UNARY = [
-    ("tanh", ops.tanh),
-    ("sigmoid", ops.sigmoid),
-    ("relu", ops.relu),
-    ("exp", ops.exp),
-    ("power", lambda t: ops.power(t, 2.0)),
-    ("clip", lambda t: ops.clip(t, -0.7, 0.7)),
-]
-_BATCHED_BINARY = [
-    ("add", ops.add),
-    ("sub", ops.sub),
-    ("mul", ops.mul),
-]
-
-
-@given(
-    seed=st.integers(0, 2**31 - 1),
-    n=st.integers(1, 4),
-    rows=st.integers(1, 4),
-    cols=st.integers(1, 4),
-    unary=st.sampled_from(_BATCHED_UNARY),
-    binary=st.sampled_from(_BATCHED_BINARY),
-)
-@settings(max_examples=60, deadline=None)
-def test_random_stacked_graphs_match_per_node_tapes(
-    seed, n, rows, cols, unary, binary
-):
-    """Property: a random stacked elementwise+matmul graph equals N loops."""
-    rng = np.random.default_rng(seed)
-    _, un_op = unary
-    _, bin_op = binary
-    a = Tensor(rng.normal(size=(n, rows, cols)), requires_grad=True)
-    b = Tensor(rng.normal(size=(n, rows, cols)), requires_grad=True)
-    m = Tensor(rng.normal(size=(n, cols, rows)), requires_grad=True)
-
-    def build(at, bt, mt):
-        h = bin_op(un_op(at), bt)
-        return ops.sum_(ops.matmul(h, mt))
-
-    total = build(a, b, m)
-    ga, gb, gm = grad(total, [a, b, m], allow_unused=True)
-    for i in range(n):
-        ai = Tensor(a.data[i], requires_grad=True)
-        bi = Tensor(b.data[i], requires_grad=True)
-        mi = Tensor(m.data[i], requires_grad=True)
-        loss_i = build(ai, bi, mi)
-        gai, gbi, gmi = grad(loss_i, [ai, bi, mi], allow_unused=True)
-        for stacked_g, loop_g in ((ga, gai), (gb, gbi), (gm, gmi)):
-            if loop_g is None:
-                continue
-            np.testing.assert_allclose(
-                stacked_g.data[i], loop_g.data, rtol=RTOL, atol=ATOL
-            )

@@ -6,9 +6,9 @@ the autodiff tape on every path: a serial local step, the per-node
 fallback of the vectorized executor and of the fleet's training wave,
 evaluation and target adaptation.  It must never fail the kernels'
 parameter-shape lookup, which knows only the built-ins.  ``Linear``
-below computes logistic regression's logits, so each run is held to the
-built-in model's run with the fast path off, which is the tape's
-arithmetic.
+below computes logistic regression's logits, so each run is held, bit for
+bit, to the built-in model's run with the fast path off, which is the
+tape's arithmetic on both executors.
 """
 
 import numpy as np
@@ -33,8 +33,6 @@ from repro.federated.fleet import (
 from repro.nn import LogisticRegression, Model
 from repro.nn import init as initializers
 
-REL_TOL = 1e-12
-
 
 class Linear(Model):
     """``x @ W + b``: logistic regression's logits in a custom model."""
@@ -57,13 +55,10 @@ class Linear(Model):
         return x @ params["W"] + params["b"]
 
 
-def assert_close(got, ref):
+def assert_same(got, ref):
     assert sorted(got) == sorted(ref)
     for name in ref:
-        scale = np.max(np.abs(ref[name].data))
-        assert np.max(np.abs(got[name].data - ref[name].data)) <= (
-            REL_TOL * scale
-        ), name
+        assert np.array_equal(got[name].data, ref[name].data), name
 
 
 RUNNERS = [
@@ -90,7 +85,7 @@ def test_runners_fit_a_custom_model_on_the_tape(runner, config, executor):
         builtin = runner(
             LogisticRegression(60, 10), config, executor=executor()
         ).fit(federated, sources)
-    assert_close(custom.params, builtin.params)
+    assert_same(custom.params, builtin.params)
 
 
 def test_fleet_wave_trains_a_custom_model_node_by_node():
@@ -116,4 +111,4 @@ def test_fleet_wave_trains_a_custom_model_node_by_node():
     with fastpath.disabled():
         builtin = run(LogisticRegression)
     assert custom.updates_aggregated == builtin.updates_aggregated == 36
-    assert_close(custom.params, builtin.params)
+    assert_same(custom.params, builtin.params)

@@ -1,13 +1,15 @@
-"""Vectorized executor equivalence, fallback, and telemetry.
+"""Vectorized executor equivalence, fallback, failures and telemetry.
 
-The contract under test (see ``docs/ENGINE.md``): for strategies that
-opt in via ``supports_vectorized``, :class:`VectorizedExecutor` runs one
-stacked tape per signature group and must match :class:`SerialExecutor`
-within floating-point reassociation tolerance; two vectorized runs of
-the same config are bit-identical; strategies that do not opt in fall
-back to the internal serial executor and stay bit-for-bit equal to a
-plain serial run.
+The contract under test (see ``docs/ENGINE.md``): the two executors run
+one block loop and differ only in how they group nodes, so a vectorized
+run equals the serial run bit for bit — θ, history and per-node counters
+— whether its nodes take the stacked kernels (one group per signature) or
+their own ``local_step`` (no signature: the fast path off, FOMAML, or a
+strategy that does not stack).  A failing stack is charged to the node
+whose own block fails, as on the serial executor.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from repro.core import (
     FedMLConfig,
     FedProx,
     FedProxConfig,
+    RobustFedML,
+    RobustFedMLConfig,
 )
 from repro.data import (
     Dataset,
@@ -29,17 +33,19 @@ from repro.data import (
     generate_sent140_like,
     generate_synthetic,
 )
-from repro.engine import RoundEngine, SerialExecutor, VectorizedExecutor
+from repro.engine import (
+    EngineOptions,
+    RoundEngine,
+    SerialExecutor,
+    SgdStrategy,
+    VectorizedExecutor,
+)
 from repro.engine import strategies
+from repro.faults import ResiliencePolicy
 from repro.nn import EmbeddingClassifier, LogisticRegression
 from repro.nn.parameters import to_vector
 
 from .test_executors import NoisyConfig, NoisyStrategy
-
-#: end-to-end serial-vs-vectorized tolerance — stacked tapes may
-#: reassociate fp accumulations (see docs/AUTODIFF.md)
-EQUIV_RTOL = 1e-6
-EQUIV_ATOL = 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -65,33 +71,43 @@ RUNNERS = [
             learning_rate=0.05, mu_prox=0.1, t0=3, total_iterations=6, seed=0
         ),
     ),
+    (
+        # D^adv is generated at the first block end, so the second block
+        # stacks it as a second outer set.
+        RobustFedML,
+        RobustFedMLConfig(
+            alpha=0.05, beta=0.05, t0=3, total_iterations=6, k=3, seed=0,
+            ta=1, n0=1, r_max=1,
+        ),
+    ),
 ]
 
 
-def _fit(workload, runner_cls, config, executor, telemetry=None):
+def _fit(workload, runner_cls, config, executor, telemetry=None, **kwargs):
     fed, sources, model = workload
     return runner_cls(
-        model, config, telemetry=telemetry, executor=executor
+        model, config, telemetry=telemetry, executor=executor, **kwargs
     ).fit(fed, sources)
+
+
+def assert_same_run(first, second):
+    """θ, history and per-node counters equal bit for bit."""
+    assert np.array_equal(to_vector(first.params), to_vector(second.params))
+    assert first.history.records == second.history.records
+    assert [n.local_steps for n in first.nodes] == [
+        n.local_steps for n in second.nodes
+    ]
+    assert [n.gradient_evaluations for n in first.nodes] == [
+        n.gradient_evaluations for n in second.nodes
+    ]
 
 
 class TestVectorizedMatchesSerial:
     @pytest.mark.parametrize("runner_cls,config", RUNNERS)
-    def test_equivalent_within_tolerance(self, workload, runner_cls, config):
+    def test_bit_equal_to_serial(self, workload, runner_cls, config):
         serial = _fit(workload, runner_cls, config, SerialExecutor())
         vectorized = _fit(workload, runner_cls, config, VectorizedExecutor())
-        np.testing.assert_allclose(
-            to_vector(serial.params),
-            to_vector(vectorized.params),
-            rtol=EQUIV_RTOL,
-            atol=EQUIV_ATOL,
-        )
-        assert [n.local_steps for n in serial.nodes] == [
-            n.local_steps for n in vectorized.nodes
-        ]
-        assert [n.gradient_evaluations for n in serial.nodes] == [
-            n.gradient_evaluations for n in vectorized.nodes
-        ]
+        assert_same_run(serial, vectorized)
 
     @pytest.mark.parametrize("runner_cls,config", RUNNERS)
     def test_double_run_bit_identical(self, workload, runner_cls, config):
@@ -124,15 +140,65 @@ class TestSerialFallback:
 
     def test_ragged_nodes_fall_back_per_node(self, workload):
         """Nodes with distinct data shapes form distinct signature groups —
-        partition covers every node exactly once."""
+        the groups cover every node exactly once, in node order."""
         fed, sources, model = workload
         config = FedAvgConfig(learning_rate=0.05, t0=2, total_iterations=2, seed=0)
         strategy = FedAvg(model, config).strategy
         nodes = strategy.build_nodes(fed, sources)
-        groups, fallback = VectorizedExecutor._partition(strategy, nodes)
-        covered = [n.node_id for g in groups.values() for n in g]
-        covered += [n.node_id for n in fallback]
-        assert sorted(covered) == sorted(n.node_id for n in nodes)
+        for executor in (SerialExecutor(), VectorizedExecutor()):
+            groups = executor._groups(strategy, nodes)
+            covered = [n.node_id for _, group in groups for n in group]
+            assert sorted(covered) == sorted(n.node_id for n in nodes)
+            assert all(stacked for stacked, _ in groups)
+        assert all(
+            len(group) == 1 for _, group in SerialExecutor()._groups(
+                strategy, nodes
+            )
+        )
+
+
+class FailsOnNode3(SgdStrategy):
+    """FedAvg whose block raises whenever node 3 is in its group."""
+
+    def local_block_vectorized(self, nodes, steps, rngs):
+        if any(node.node_id == 3 for node in nodes):
+            raise ValueError("node 3 fails")
+        super().local_block_vectorized(nodes, steps, rngs)
+
+
+class TestFailureAttribution:
+    """A failing stack is charged to the node whose own block fails."""
+
+    @pytest.fixture(scope="class")
+    def uniform(self):
+        # Six same-size nodes: the vectorized executor stacks all of them.
+        rng = np.random.default_rng(3)
+        nodes = [
+            Dataset(rng.normal(size=(12, 60)), rng.integers(0, 10, size=12))
+            for _ in range(6)
+        ]
+        fed = FederatedDataset(name="uniform", nodes=nodes, num_classes=10)
+        return fed, list(range(6)), LogisticRegression(60, 10)
+
+    def _fit(self, uniform, executor):
+        fed, sources, model = uniform
+        config = FedAvgConfig(learning_rate=0.05, t0=2, total_iterations=2, seed=0)
+        strategy = FailsOnNode3(model, config)
+        groups = executor._groups(strategy, strategy.build_nodes(fed, sources))
+        options = EngineOptions(
+            resilience=ResiliencePolicy(drop_on_failure=True, max_retries=0)
+        )
+        result = RoundEngine(
+            strategy, executor=executor, options=options
+        ).fit(fed, sources)
+        return result, groups
+
+    def test_only_the_failing_node_is_dropped(self, uniform):
+        serial, _ = self._fit(uniform, SerialExecutor())
+        vectorized, groups = self._fit(uniform, VectorizedExecutor())
+        assert [len(group) for _, group in groups] == [6]
+        assert [n.local_steps for n in serial.nodes] == [2, 2, 2, 0, 2, 2]
+        assert_same_run(serial, vectorized)
 
 
 class TestTelemetry:
@@ -221,17 +287,13 @@ class TestEmbeddedFeatures:
     def test_serial_and_vectorized_agree(self, embedded, runner_cls, config):
         serial = _fit(embedded, runner_cls, config, SerialExecutor())
         vectorized = _fit(embedded, runner_cls, config, VectorizedExecutor())
-        np.testing.assert_allclose(
-            to_vector(serial.params),
-            to_vector(vectorized.params),
-            rtol=EQUIV_RTOL,
-            atol=EQUIV_ATOL,
-        )
+        assert_same_run(serial, vectorized)
 
 
 class TestSent140Model:
-    """FedML on the benchmark's Sent140 model, where the stacked step takes
-    the closed-form kernel unless the fast path is off."""
+    """FedML on the benchmark's Sent140 model: every node takes the
+    closed-form kernel unless the fast path is off or the config asks for
+    FOMAML, and then each node runs its own steps on the tape."""
 
     CONFIG = FedMLConfig(
         alpha=0.05, beta=0.05, t0=3, total_iterations=6, k=5, seed=0
@@ -278,15 +340,15 @@ class TestSent140Model:
         seen = self._spy(monkeypatch)
         serial = _fit(sent140, FedML, self.CONFIG, SerialExecutor())
         vectorized = _fit(sent140, FedML, self.CONFIG, VectorizedExecutor())
-        # Training: the vectorized fit's 2 blocks, 3 steps each.  Evaluation,
-        # on both executors: 3 per fit (θ⁰ and 2 rounds), one group each.
-        assert seen == {"accepted": 2 + 6, "declined": 0, "calls": 6 + 6}
-        np.testing.assert_allclose(
-            to_vector(serial.params),
-            to_vector(vectorized.params),
-            rtol=EQUIV_RTOL,
-            atol=EQUIV_ATOL,
-        )
+        # Training, 2 blocks of 3 steps: one kernel per node and block on
+        # the serial executor, one per block on the vectorized one.
+        # Evaluation, on both: 3 per fit (θ⁰ and 2 rounds), one group each.
+        assert seen == {
+            "accepted": 12 + 2 + 6,
+            "declined": 0,
+            "calls": 36 + 6 + 6,
+        }
+        assert_same_run(serial, vectorized)
 
     def test_double_run_bit_identical(self, sent140):
         first = _fit(sent140, FedML, self.CONFIG, VectorizedExecutor())
@@ -297,18 +359,25 @@ class TestSent140Model:
         )
         assert first.history.records == second.history.records
 
-    def test_disabled_fastpath_stays_on_the_stacked_tape(
-        self, sent140, monkeypatch
-    ):
+    @pytest.mark.parametrize("setup", ["fast path off", "first order"])
+    def test_tape_runs_equal_serial(self, sent140, monkeypatch, setup):
+        config = self.CONFIG
+        switch = fastpath.disabled()
+        if setup == "first order":
+            config = FedMLConfig(
+                alpha=0.05, beta=0.05, t0=3, total_iterations=6, k=5, seed=0,
+                first_order=True,
+            )
+            switch = nullcontext()
         seen = self._spy(monkeypatch)
-        with fastpath.disabled():
-            taped = _fit(sent140, FedML, self.CONFIG, VectorizedExecutor())
-        # 2 training blocks and 3 evaluations, all declined.
-        assert seen == {"accepted": 0, "declined": 2 + 3, "calls": 0}
-        kernel = _fit(sent140, FedML, self.CONFIG, VectorizedExecutor())
-        np.testing.assert_allclose(
-            to_vector(taped.params),
-            to_vector(kernel.params),
-            rtol=EQUIV_RTOL,
-            atol=EQUIV_ATOL,
-        )
+        with switch:
+            serial = _fit(sent140, FedML, config, SerialExecutor())
+            vectorized = _fit(sent140, FedML, config, VectorizedExecutor())
+        # No node has a signature, so training builds no kernel; each fit
+        # evaluates 3 times, and the exact kernel serves those unless the
+        # fast path is off.
+        if setup == "fast path off":
+            assert seen == {"accepted": 0, "declined": 6, "calls": 0}
+        else:
+            assert seen == {"accepted": 6, "declined": 0, "calls": 6}
+        assert_same_run(serial, vectorized)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import FedML, FedMLConfig
-from repro.engine import EngineOptions
+from repro.engine import EngineOptions, VectorizedExecutor
 from repro.faults import (
     CorruptSchedule,
     CrashSchedule,
@@ -31,13 +31,15 @@ GOLDEN = json.loads(
 )
 
 
-def run(name, options=None, resume=False, telemetry=None):
+def run(name, options=None, resume=False, telemetry=None, executor=None):
     fed, sources, model = build_workload()
     kwargs = {}
     if options is not None:
         kwargs["engine_options"] = options
     if telemetry is not None:
         kwargs["telemetry"] = telemetry
+    if executor is not None:
+        kwargs["executor"] = executor
     runner = build_runners(model, **kwargs)[name]
     return runner.fit(fed, sources, resume=resume)
 
@@ -74,6 +76,31 @@ class TestKillAndResume:
         resumed = run(name, options, resume=True)
         baseline = run(name)
         assert_same_run(resumed, baseline)
+
+    @pytest.mark.parametrize("name", ["fedml", "robust-fedml"])
+    def test_vectorized_resume_matches_uninterrupted_serial_run(
+        self, name, tmp_path
+    ):
+        """Killed and resumed on the vectorized executor, a run equals the
+        uninterrupted serial run.  At the golden config nodes 1 and 2
+        stack; robust-fedml's checkpoint after block 1 holds their
+        ``D^adv``, which the resumed run restores into that stacked group."""
+        ckpt = str(tmp_path / "run.ckpt")
+        options = EngineOptions(
+            faults=FaultPlan([KillSchedule(block=1)]),
+            checkpoint_path=ckpt,
+        )
+        with pytest.raises(RunInterrupted):
+            run(name, options, executor=VectorizedExecutor())
+        resumed = run(name, options, resume=True, executor=VectorizedExecutor())
+        assert_same_run(resumed, run(name))
+        fed, sources, model = build_workload()
+        strategy = build_runners(model)[name].strategy
+        groups = VectorizedExecutor()._groups(strategy, resumed.nodes)
+        assert [n.node_id for _, group in groups if len(group) > 1
+                for n in group] == [1, 2]
+        if name == "robust-fedml":
+            assert all(n.adversarial is not None for n in resumed.nodes)
 
     def test_resume_matches_under_concurrent_faults(self, tmp_path):
         """Kill mid-way through a crash-faulted run: the resumed half must

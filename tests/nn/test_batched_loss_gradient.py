@@ -351,9 +351,10 @@ def test_inner_adapt_keeps_the_graph_for_leaves_that_require_grad():
 
 
 @pytest.mark.parametrize("strategy_cls", [SgdStrategy, ProxStrategy])
-def test_stacked_sgd_block_matches_the_stacked_tape(strategy_cls):
+def test_stacked_sgd_block_matches_the_per_node_tape(strategy_cls):
     """Four vectorized FedAvg/FedProx steps on three nodes: the kernel (one
-    dispatch per step) and the stacked-tape fallback agree node by node."""
+    dispatch per step) and each node's own steps on the tape agree node by
+    node."""
     model = build_model("mlp", (6,), True, "relu")
     stacked, (x, y), _ = problem(model, 3, 8, [], 5, False)
     config = (
@@ -361,7 +362,7 @@ def test_stacked_sgd_block_matches_the_stacked_tape(strategy_cls):
         else FedProxConfig(learning_rate=0.1, mu_prox=0.3)
     )
 
-    def run_block():
+    def run(step):
         strategy = strategy_cls(model, config)
         strategy.begin_fit(node_params(stacked, 0), [])
         nodes = [
@@ -371,12 +372,23 @@ def test_stacked_sgd_block_matches_the_stacked_tape(strategy_cls):
         ]
         for i, node in enumerate(nodes):
             node.params = node_params(stacked, i)
-        strategy.local_block_vectorized(nodes, 4, [None] * 3)
+        step(strategy, nodes)
         return {
             name: t.data
             for name, t in stack_params([n.params for n in nodes]).items()
         }
 
-    fast, dispatches, ref = both(run_block)
-    assert dispatches == 4
+    def stacked_block(strategy, nodes):
+        strategy.local_block_vectorized(nodes, 4, [None] * 3)
+
+    def own_steps(strategy, nodes):
+        for node in nodes:
+            for _ in range(4):
+                strategy.local_step(node)
+
+    before = fastpath.stats().fused_dispatches
+    fast = run(stacked_block)
+    assert fastpath.stats().fused_dispatches - before == 4
+    with fastpath.disabled():
+        ref = run(own_steps)
     assert_nodes_within(fast, ref)
