@@ -57,7 +57,10 @@ class Dataset:
                 f"k must be in (0, {len(self)}) to leave a non-empty test "
                 f"set, got {k}"
             )
-        return self.subset(range(k)), self.subset(range(k, len(self)))
+        return (
+            Dataset(self.x[:k].copy(), self.y[:k].copy()),
+            Dataset(self.x[k:].copy(), self.y[k:].copy()),
+        )
 
     def batches(
         self, batch_size: int, rng: Optional[np.random.Generator] = None

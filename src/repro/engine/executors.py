@@ -20,11 +20,17 @@ A node runs in a group's ``local_block_vectorized`` when its strategy sets
 Determinism contract: both executors hand each node the generator
 ``default_rng([base_seed, block_index, node_id])`` for its block
 (``_node_rng``), so a strategy that draws randomness gets the same stream
-on either executor, in any node order.  Two runs of either executor are
-bit-for-bit identical (``tests/engine/test_seed_equivalence.py``), and so
-are a serial and a vectorized run: a stacked kernel step computes each
-node's slice as that node's one-node stack does
-(``tests/nn/test_stacked_slices.py``).
+on either executor, in any node order.  NumPy's ``SeedSequence`` reads
+that list as ``uint32`` words: each entry split into little-endian 32-bit
+words (``[0]`` for zero), so a key of three values below 2³² is three
+words.  The generator is seeded on its first attribute access: a block
+whose strategy never draws (no shipped strategy does) builds none, and
+one that draws gets the same stream, draw for draw.  It still passes
+through ``instrument_node_rng``, so an installed RNG ledger lists every
+stream.  Two runs of either executor are bit-for-bit identical
+(``tests/engine/test_seed_equivalence.py``), and so are a serial and a
+vectorized run: a stacked kernel step computes each node's slice as that
+node's one-node stack does (``tests/nn/test_stacked_slices.py``).
 
 A group whose block raises runs again one node at a time, so the
 :class:`ExecutorError` names a node whose own block fails, whichever node
@@ -105,16 +111,40 @@ class Executor(Protocol):
     ) -> None: ...
 
 
+class _LazyGenerator:
+    """``np.random.default_rng(seed)``, built on the first attribute access.
+
+    Every attribute is the built generator's, so draws are the same, draw
+    for draw; a block that never draws never pays for the build.
+    """
+
+    __slots__ = ("_seed", "_rng")
+
+    def __init__(self, seed: List[int]) -> None:
+        self._seed = seed
+        self._rng: Optional[np.random.Generator] = None
+
+    def __getattr__(self, name: str) -> Any:
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._seed)
+        return getattr(self._rng, name)
+
+    def __reduce__(self) -> Any:
+        """Copies and pickles as the built generator, state included."""
+        return self.__getattr__("__reduce__")()
+
+
 def _node_rng(
     base_seed: int, block_index: int, node_id: int
 ) -> np.random.Generator:
-    """The node's ``[base_seed, block_index, node_id]`` stream for a block.
+    """The node's ``[base_seed, block_index, node_id]`` stream for a block,
+    seeded on its first draw.
 
-    Built through ``instrument_node_rng``, so an installed RNG ledger
+    Passed through ``instrument_node_rng``, so an installed RNG ledger
     records it the same way on every executor.
     """
     return instrument_node_rng(
-        np.random.default_rng([base_seed, block_index, node_id]),
+        _LazyGenerator([base_seed, block_index, node_id]),  # type: ignore[arg-type]
         block_index,
         node_id,
     )

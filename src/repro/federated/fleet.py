@@ -69,6 +69,7 @@ an uninterrupted run.  All of it is proven by the property/chaos layer in
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -158,6 +159,23 @@ class SyntheticShardFactory(ShardFactory):
     k: int = 4
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # A shard needs one sample to adapt on and one to test on.
+        if not 2 <= self.min_samples <= self.max_samples:
+            raise ValueError(
+                "min_samples and max_samples must satisfy "
+                f"2 <= min_samples <= max_samples, got {self.min_samples} "
+                f"and {self.max_samples}"
+            )
+        for name in ("input_dim", "num_classes", "k"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not value >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be non-negative, got {value}")
+
     def num_samples(self, node_id: int) -> int:
         rng = spawn(self.seed, "fleet-size", node_id)
         return int(rng.integers(self.min_samples, self.max_samples + 1))
@@ -170,12 +188,20 @@ class SyntheticShardFactory(ShardFactory):
         b = rng.normal(u, 1.0, size=self.num_classes)
         big_b = rng.normal(0.0, np.sqrt(self.beta)) if self.beta > 0 else 0.0
         v = rng.normal(big_b, 1.0, size=self.input_dim)
-        std = np.sqrt(
-            np.arange(1, self.input_dim + 1, dtype=np.float64) ** (-1.2)
+        x = rng.normal(
+            v, _feature_scale(self.input_dim), size=(count, self.input_dim)
         )
-        x = rng.normal(v, std, size=(count, self.input_dim))
         y = np.argmax(x @ w.T + b, axis=1)
         return Dataset(x=x, y=y.astype(np.int64))
+
+
+@functools.lru_cache(maxsize=16)
+def _feature_scale(input_dim: int) -> np.ndarray:
+    """Synthetic(α̃, β̃)'s per-feature std ``sqrt(j^-1.2)``, built once per
+    width and read-only, since every shard shares it."""
+    std = np.sqrt(np.arange(1, input_dim + 1, dtype=np.float64) ** (-1.2))
+    std.setflags(write=False)
+    return std
 
 
 class FleetRegistry:

@@ -1,26 +1,45 @@
 """Algorithm 1 against its closed form on a quadratic federation.
 
 With linear regression and squared loss every ``G_i`` is quadratic, so a
-local step is an affine map ``θ ← P_i θ + q_i`` and a round of ``T0``
-steps followed by the eq.-5 weighted aggregation is
+local step is an affine map ``θ_i ← P_i θ_i + R_i θ + q_i`` of the node's
+iterate and the round's θ (``R_i = 0`` except for FedProx's anchor).
+With ``θ_i = θ`` at the round's start, ``T0`` steps give ``θ_i = U_i θ +
+s_i`` (``U ← P U + R``, ``s ← P s + q`` from ``U = I``, ``s = 0``), and
+the eq.-5 weighted aggregation makes a round
 
-    θ ← Σ ω_i (P_i^T0 θ + s_i),   s_i = Σ_{k<T0} P_i^k q_i.
+    θ ← Σ ω_i (U_i θ + s_i).
 
 Per node, with ``L(θ; X, y) = ‖Xθ − y‖² / n``, ``∇L = A θ − b`` for
-``A = 2 XᵀX / n`` and ``b = 2 Xᵀy / n``.  Exact FedML's meta-step (eq. 3
-and 4) has ``M = I − α A_train``, ``P = I − β M A_test M`` and ``q = −β M
-(α A_test b_train − b_test)``; FedAvg's step on all local data has ``P = I
-− η A`` and ``q = η b``.  The engine's θ_T must equal that trajectory
-within 1e-12 relative for ``T0`` in {1, 5, 10}, on both executors.  The
-kernels take cross-entropy only, so this pins the per-node tape path that
-runs every node they do not serve.
+``A = 2 XᵀX / n`` and ``b = 2 Xᵀy / n``:
+
+* exact FedML's meta-step (eq. 3 and 4) has ``M = I − α A_train``,
+  ``P = I − β M A_test M`` and ``q = −β M (α A_test b_train − b_test)``;
+* FedAvg's step on all local data has ``P = I − η A`` and ``q = η b``;
+* FedProx's adds ``μ (θ_i − θ)``: ``P = I − η (A + μI)``, ``R = η μ I``
+  and ``q = η b``;
+* Reptile's takes ``s`` inner SGD steps ``φ ← M φ + α b`` (``M = I − α A``)
+  from ``θ_i`` and moves ``ε`` of the way: ``P = (1 − ε) I + ε M^s`` and
+  ``q = ε c`` with ``c = Σ_{k<s} M^k α b``.
+
+The engine's θ_T must equal that trajectory within 1e-12 relative for
+``T0`` in {1, 5, 10}, on both executors.  The kernels take cross-entropy
+only, so this pins the per-node tape path that runs every node they do
+not serve.
 """
 
 import numpy as np
 import pytest
 
 from repro.autodiff import Tensor
-from repro.core import FedAvg, FedAvgConfig, FedML, FedMLConfig
+from repro.core import (
+    FedAvg,
+    FedAvgConfig,
+    FederatedReptile,
+    FedML,
+    FedMLConfig,
+    ReptileConfig,
+)
+from repro.core.fedprox import FedProx, FedProxConfig
 from repro.data import Dataset, FederatedDataset
 from repro.engine import SerialExecutor, VectorizedExecutor
 from repro.nn import Model
@@ -29,9 +48,14 @@ from repro.nn.losses import mse
 NODES = 8
 DIM = 5
 ALPHA = BETA = 0.05
+MU = 0.1  # FedProx's proximal coefficient
+EPSILON = 0.5  # Reptile's outer step
+INNER_STEPS = 2  # Reptile's inner SGD steps
 TOTAL = 200
 K = 3
 REL_TOL = 1e-12
+IDENTITY = np.eye(DIM)
+NO_ANCHOR = np.zeros((DIM, DIM))
 
 
 class LinearRegression(Model):
@@ -70,19 +94,39 @@ def quadratic(data):
     return 2.0 * data.x.T @ data.x / n, 2.0 * data.x.T @ data.y / n
 
 
+def full_quadratic(node):
+    """``(A, b)`` on all of the node's data, as the first-order steps see it."""
+    return quadratic(node.split.train.concat(node.split.test))
+
+
 def fedml_map(node):
     a_train, b_train = quadratic(node.split.train)
     a_test, b_test = quadratic(node.split.test)
-    m = np.eye(DIM) - ALPHA * a_train
+    m = IDENTITY - ALPHA * a_train
     return (
-        np.eye(DIM) - BETA * m @ a_test @ m,
+        IDENTITY - BETA * m @ a_test @ m,
+        NO_ANCHOR,
         -BETA * m @ (ALPHA * a_test @ b_train - b_test),
     )
 
 
 def fedavg_map(node):
-    a, b = quadratic(node.split.train.concat(node.split.test))
-    return np.eye(DIM) - BETA * a, BETA * b
+    a, b = full_quadratic(node)
+    return IDENTITY - BETA * a, NO_ANCHOR, BETA * b
+
+
+def fedprox_map(node):
+    a, b = full_quadratic(node)
+    return IDENTITY - BETA * (a + MU * IDENTITY), BETA * MU * IDENTITY, BETA * b
+
+
+def reptile_map(node):
+    a, b = full_quadratic(node)
+    m = IDENTITY - ALPHA * a
+    m_s, c = IDENTITY, np.zeros((DIM, 1))
+    for _ in range(INNER_STEPS):
+        m_s, c = m @ m_s, m @ c + ALPHA * b
+    return (1 - EPSILON) * IDENTITY + EPSILON * m_s, NO_ANCHOR, EPSILON * c
 
 
 def oracle(nodes, step_map, theta, t0):
@@ -91,19 +135,31 @@ def oracle(nodes, step_map, theta, t0):
     weights = weights / weights.sum()
     rounds = []
     for node in nodes:
-        p, q = step_map(node)
-        p_t0, s = np.eye(DIM), np.zeros((DIM, 1))
+        p, r, q = step_map(node)
+        u, s = IDENTITY, np.zeros((DIM, 1))
         for _ in range(t0):
-            p_t0, s = p @ p_t0, p @ s + q
-        rounds.append((p_t0, s))
+            u, s = p @ u + r, p @ s + q
+        rounds.append((u, s))
     for _ in range(TOTAL // t0):
-        theta = sum(w * (p @ theta + s) for w, (p, s) in zip(weights, rounds))
+        theta = sum(w * (u @ theta + s) for w, (u, s) in zip(weights, rounds))
     return theta
 
 
 RUNNERS = {
     "fedml": (FedML, FedMLConfig, dict(alpha=ALPHA, beta=BETA, k=K), fedml_map),
     "fedavg": (FedAvg, FedAvgConfig, dict(learning_rate=BETA), fedavg_map),
+    "fedprox": (
+        FedProx, FedProxConfig, dict(learning_rate=BETA, mu_prox=MU),
+        fedprox_map,
+    ),
+    "reptile": (
+        FederatedReptile,
+        ReptileConfig,
+        dict(
+            inner_lr=ALPHA, outer_lr=EPSILON, inner_steps=INNER_STEPS, k=K
+        ),
+        reptile_map,
+    ),
 }
 
 

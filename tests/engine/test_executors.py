@@ -3,14 +3,19 @@
 The contract under test (see ``docs/ENGINE.md``): both executors bind the
 same per-node generator ``default_rng([base_seed, block_index, node_id])``,
 so a strategy drawing randomness sees the same stream whether its block
-runs node by node or stacked.
+runs node by node or stacked.  The generator is seeded on its first draw,
+so a block that never draws builds none.
 """
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.analysis.determinism import install_ledger, uninstall_ledger
 from repro.autodiff import Tensor
+from repro.core import FedAvg, FedAvgConfig
 from repro.data import SyntheticConfig, generate_synthetic
 from repro.engine import (
     ExecutorError,
@@ -19,6 +24,7 @@ from repro.engine import (
     SerialExecutor,
     VectorizedExecutor,
 )
+from repro.engine.executors import _node_rng
 from repro.nn import LogisticRegression
 from repro.nn.batched import stack_params, unstack_params
 from repro.nn.parameters import add_scaled, to_vector, zeros_like_params
@@ -124,6 +130,121 @@ class TestVectorizedMatchesSerial:
         ]
         assert serial_ledger == stacked_ledger
         assert all(row["draws"] > 0 for row in serial_ledger)
+
+
+class DrawRecorder(LocalStrategy):
+    """Keeps every draw a node's block makes from its bound generator."""
+
+    name = "draw-recorder"
+
+    def __init__(self, model, config):
+        super().__init__(model, config)
+        self.draws = {}
+
+    def local_step(self, node):
+        self.draws.setdefault(node.node_id, []).append(
+            self._node_rng.random(3)
+        )
+        node.record_local_step(gradient_evals=0)
+        return 0.0
+
+
+class StackedDrawRecorder(DrawRecorder):
+    """:class:`DrawRecorder` as one stacked block per group."""
+
+    name = "stacked-draw-recorder"
+    supports_vectorized = True
+
+    def vectorized_signature(self, node):
+        return ("draws",)
+
+    def local_block_vectorized(self, nodes, steps, rngs):
+        for _ in range(steps):
+            for node, rng in zip(nodes, rngs):
+                self.draws.setdefault(node.node_id, []).append(rng.random(3))
+
+
+@pytest.fixture
+def built_seeds(monkeypatch):
+    """The seed of every ``np.random.default_rng`` built during a test."""
+    seeds = []
+    real = np.random.default_rng
+
+    def spy(seed=None):
+        seeds.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    return seeds
+
+
+def node_keys(seeds):
+    """The ``[seed, block, node]`` lists among ``built_seeds``."""
+    return {tuple(seed) for seed in seeds if isinstance(seed, list)}
+
+
+class TestLazyNodeStreams:
+    """The per-node generator is built on its first draw, and only then."""
+
+    @pytest.mark.parametrize("ledger", [False, True])
+    @pytest.mark.parametrize("executor", [SerialExecutor, VectorizedExecutor])
+    def test_fedavg_fit_builds_no_node_generator(
+        self, workload, built_seeds, executor, ledger
+    ):
+        fed, sources, model = workload
+        config = FedAvgConfig(
+            learning_rate=0.05, t0=2, total_iterations=4, seed=7
+        )
+        recorder = install_ledger() if ledger else None
+        try:
+            FedAvg(model, config, executor=executor()).fit(fed, sources)
+        finally:
+            uninstall_ledger()
+        streams = {(7, block, node) for block in range(2) for node in sources}
+        assert built_seeds  # the spy sees the fit's own generators
+        assert not streams & node_keys(built_seeds)
+        if recorder is not None:  # every stream is still listed, undrawn
+            assert {
+                (7, row["block"], row["node"]) for row in recorder.as_dicts()
+            } == streams
+            assert recorder.total_draws == 0
+
+    @pytest.mark.parametrize("ledger", [False, True])
+    @pytest.mark.parametrize("executor", [SerialExecutor, VectorizedExecutor])
+    @pytest.mark.parametrize("strategy_cls", [DrawRecorder, StackedDrawRecorder])
+    def test_drawing_strategy_gets_the_seeded_stream(
+        self, workload, built_seeds, strategy_cls, executor, ledger
+    ):
+        fed, sources, model = workload
+        strategy = strategy_cls(model, NoisyConfig())
+        nodes = strategy.build_nodes(fed, sources)
+        recorder = install_ledger() if ledger else None
+        try:
+            executor().run_block(
+                strategy, nodes, 3, block_index=5, base_seed=11
+            )
+        finally:
+            uninstall_ledger()
+        assert node_keys(built_seeds) == {(11, 5, n) for n in sources}
+        for node_id in sources:
+            expected = np.random.default_rng([11, 5, node_id])
+            for draw in strategy.draws[node_id]:
+                np.testing.assert_array_equal(draw, expected.random(3))
+        if recorder is not None:
+            rows = recorder.as_dicts()
+            assert [(row["node"], row["draws"]) for row in rows] == [
+                (node_id, 3) for node_id in sources
+            ]
+
+    @pytest.mark.parametrize("drawn", [0, 2])
+    def test_copies_and_pickles_as_the_generator(self, drawn):
+        rng = _node_rng(11, 5, 3)
+        expected = np.random.default_rng([11, 5, 3])
+        for _ in range(drawn):
+            np.testing.assert_array_equal(rng.random(3), expected.random(3))
+        for twin in (copy.deepcopy(rng), pickle.loads(pickle.dumps(rng))):
+            assert isinstance(twin, np.random.Generator)
+            assert twin.bit_generator.state == expected.bit_generator.state
 
 
 class ExplodingStrategy(NoisyStrategy):

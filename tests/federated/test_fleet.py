@@ -105,6 +105,30 @@ class TestSyntheticShardFactory:
         for node_id in [0, 1, 17, 999_999]:
             assert factory.num_samples(node_id) == len(factory.make(node_id))
 
+    @pytest.mark.parametrize(
+        "field, fields",
+        [
+            ("min_samples", dict(min_samples=1, max_samples=1)),
+            ("min_samples", dict(min_samples=0, max_samples=0)),
+            ("max_samples", dict(min_samples=30, max_samples=12)),
+            ("input_dim", dict(input_dim=0)),
+            ("num_classes", dict(num_classes=0)),
+            ("k", dict(k=0)),
+            ("alpha", dict(alpha=-0.5)),
+            ("beta", dict(beta=-0.5)),
+            ("beta", dict(beta=float("nan"))),
+        ],
+    )
+    def test_bad_fields_rejected_at_construction(self, field, fields):
+        """A bad field fails when the factory is built, not mid-run."""
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            SyntheticShardFactory(**fields)
+
+    def test_smallest_valid_shard_splits(self):
+        factory = SyntheticShardFactory(min_samples=2, max_samples=2)
+        node = FleetRegistry(10, factory).materialize(3)
+        assert (len(node.split.train), len(node.split.test)) == (1, 1)
+
 
 class TestFleetRegistry:
     def test_materialize_evict_tracks_residency(self):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.autodiff import Tensor
@@ -13,6 +13,24 @@ from repro.utils import (
     payload_bytes,
     serialize_params,
     spawn,
+)
+from repro.utils.rng import _name_to_int
+
+#: seeds of one, two and three or more ``SeedSequence`` words
+SEEDS = st.one_of(
+    st.just(0),
+    st.integers(1, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(2**64, 2**100),
+)
+NAMES = st.lists(
+    st.one_of(
+        st.text(max_size=12),
+        st.integers(-(2**40), 2**40),
+        st.integers(2**32, 2**80),
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    ),
+    max_size=5,
 )
 
 
@@ -41,6 +59,29 @@ class TestRngFactory:
 
     def test_repr(self):
         assert "seed=9" in repr(RngFactory(9))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=SEEDS, names=NAMES)
+    @example(seed=0, names=[])
+    @example(seed=0, names=[0, "", np.int64(0)])
+    @example(
+        seed=2**32, names=["fleet-shard", -1, 2**32, np.int64(-5), 2**64 + 3]
+    )
+    @example(seed=2**64 + 7, names=["fleet-fault", 0, "crash", 3, 12345])
+    def test_stream_is_the_list_seeded_stream(self, seed, names):
+        """``stream`` is NumPy's stream for the list ``[seed, *names]``."""
+        words = [_name_to_int(name) for name in names]
+        expected = np.random.default_rng(
+            np.random.SeedSequence([seed, *words])
+        )
+        assert spawn(seed, *names).bit_generator.state == (
+            expected.bit_generator.state
+        )
+
+    @given(seed=st.integers(max_value=-1), names=NAMES)
+    def test_negative_seed_raises(self, seed, names):
+        with pytest.raises(ValueError):
+            spawn(seed, *names)
 
 
 class TestSerialization:
