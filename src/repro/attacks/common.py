@@ -39,7 +39,7 @@ def input_gradient(
     built = node_loss_gradient(model, params, features, y, loss_fn)
     if built is not None:
         kernel, stacked = built
-        return kernel(stacked)[2][0]
+        return kernel(stacked, input_gradient=True).input_gradient[0]
     x_tensor = Tensor(features, requires_grad=True)
     loss = loss_fn(model.apply(params, x_tensor), y)
     (g,) = grad(loss, [x_tensor], allow_unused=True)

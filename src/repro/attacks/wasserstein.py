@@ -76,7 +76,9 @@ def wasserstein_ascent(
         kernel, stacked = built
         scale = 2.0 * lam / len(anchor)
         for _ in range(steps):
-            g = kernel(stacked, current[None])[2][0]
+            g = kernel(
+                stacked, current[None], input_gradient=True
+            ).input_gradient[0]
             current = current + nu * (g - scale * (current - anchor))
         return current
     for _ in range(steps):

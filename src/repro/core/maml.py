@@ -71,7 +71,7 @@ def inner_adapt(
         kernel, stacked = built
         current = params
         for _ in range(steps):
-            _, grads, _ = kernel(stacked)
+            grads = kernel(stacked, gradient=True).gradient
             current = {
                 name: Tensor(t.data - alpha * grads[name][0])
                 for name, t in sorted(current.items())
@@ -163,10 +163,12 @@ def meta_gradient(
     if kernel is not None and (
         {name: t.shape for name, t in params.items()} == _param_shapes(model)
     ):
-        stacked = {name: Tensor(t.data[None]) for name, t in params.items()}
-        gradient, losses = kernel(stacked)
-        unstacked = {name: Tensor(g.data[0]) for name, g in gradient.items()}
-        return unstacked, float(losses[0])
+        out = kernel(
+            {name: t.data[None] for name, t in params.items()},
+            gradient=True, losses=True,
+        )
+        unstacked = {name: Tensor(g[0]) for name, g in out.gradient.items()}
+        return unstacked, float(out.losses[0])
     theta = require_grad(params)
     phi = inner_adapt(
         model, theta, split.train, alpha, steps=inner_steps,

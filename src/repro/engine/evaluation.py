@@ -51,7 +51,7 @@ def loss_gradient(
     built = node_loss_gradient(model, params, data.x, data.y, loss_fn)
     if built is not None:
         kernel, stacked = built
-        _, grads, _ = kernel(stacked)
+        grads = kernel(stacked, gradient=True).gradient
         return {name: Tensor(g[0]) for name, g in grads.items()}
     theta = require_grad(params)
     loss = fused_model_loss(model, theta, data.x, data.y, loss_fn)

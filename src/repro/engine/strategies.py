@@ -310,7 +310,8 @@ class SgdStrategy(LocalStrategy):
             batched_loss_gradient(self.model, batch, self.loss_fn)
         )
         for _ in range(steps):
-            _, grads, _ = kernel({n: t.data for n, t in stacked.items()})
+            theta = {n: t.data for n, t in stacked.items()}
+            grads = kernel(theta, gradient=True).gradient
             gradient = {name: Tensor(g) for name, g in grads.items()}
             stacked = self._update(stacked, gradient)
         self._apply_stacked(nodes, stacked, steps)
@@ -444,7 +445,9 @@ class MetaStrategy(LocalStrategy):
             for sets in zip(*(self._outer_sets(node) for node in nodes))
         ]
         stacked = stack_params([node.params for node in nodes])
-        names = sorted(stacked)
+        # The block owns the stack's arrays, so each step updates them in
+        # place: g ← −β·g, θ ← θ + g is θ + (−β)·g, bit for bit.
+        theta = {name: t.data for name, t in stacked.items()}
         # The closed-form kernel, its inputs hoisted out of the T0 loop.
         kernel = _accepted(
             batched_meta_gradient(
@@ -453,13 +456,9 @@ class MetaStrategy(LocalStrategy):
             )
         )
         for _ in range(steps):
-            gradient, _ = kernel(stacked)
-            stacked = {
-                name: Tensor(
-                    stacked[name].data + (-cfg.beta) * gradient[name].data
-                )
-                for name in names
-            }
+            for name, g in kernel(theta, gradient=True).gradient.items():
+                g *= -cfg.beta
+                theta[name] += g
         for node, tree in zip(nodes, unstack_params(stacked, len(nodes))):
             # Intentional per-node loop: state fan-out and step accounting.
             node.params = tree
@@ -503,7 +502,8 @@ class MetaStrategy(LocalStrategy):
 
         Built per evaluation, never held: the data are the group's, not a
         training block's.  Exact (``first_order=False``) whatever the
-        config, since a loss value does not depend on that switch.
+        config, since a loss value does not depend on that switch; the
+        call asks for the losses alone.
         """
         train = _stacked([node.split.train for node in group])
         test = _stacked([node.split.test for node in group])
@@ -515,10 +515,10 @@ class MetaStrategy(LocalStrategy):
         if kernel is None or shapes != _param_shapes(self.model):
             return {}
         theta = {
-            name: Tensor(np.broadcast_to(t.data, (len(group), *t.shape)))
+            name: np.broadcast_to(t.data, (len(group), *t.shape))
             for name, t in params.items()
         }
-        _, losses = kernel(theta)
+        losses = kernel(theta, losses=True).losses
         return {node.node_id: float(loss) for node, loss in zip(group, losses)}
 
     def evaluate(

@@ -208,10 +208,13 @@ class FleetRegistry:
     """Materializes and evicts nodes on demand; tracks the resident set.
 
     The registry never holds per-node objects for unsampled ids — a node
-    costs memory only between :meth:`materialize` and :meth:`evict`.  The
+    costs memory only between :meth:`materialize` and :meth:`evict`, or
+    while parked.  The
     ``fl_fleet_resident_nodes`` gauge tracks the live count and
     ``fl_fleet_resident_nodes_peak`` its high-water mark, which the
-    memory-bound regression test pins to ``sampled + buffer``.
+    memory-bound regression test pins to ``sampled + buffer``.  A node
+    evicted with ``park=True`` waits in :attr:`parked` for its id's next
+    :meth:`materialize` (the fleet parks only its evaluation subset).
     """
 
     def __init__(
@@ -226,6 +229,7 @@ class FleetRegistry:
         self.shards = shards
         self._tel = resolve(telemetry)
         self._resident: Dict[int, EdgeNode] = {}
+        self.parked: Dict[int, EdgeNode] = {}
         self.resident_peak = 0
         self.materializations = 0
         self._tel.gauge("fl_fleet_registered").set(self.fleet_size)
@@ -248,14 +252,16 @@ class FleetRegistry:
             )
         node = self._resident.get(node_id)
         if node is None:
-            data = self.shards.make(node_id)
-            k = max(1, min(self.shards.k, len(data) - 1))
-            train, test = data.split(k)
-            node = EdgeNode(
-                node_id=node_id,
-                split=NodeSplit(train=train, test=test),
-                weight=float(len(data)),
-            )
+            node = self.parked.pop(node_id, None)
+            if node is None:
+                data = self.shards.make(node_id)
+                k = max(1, min(self.shards.k, len(data) - 1))
+                train, test = data.split(k)
+                node = EdgeNode(
+                    node_id=node_id,
+                    split=NodeSplit(train=train, test=test),
+                    weight=float(len(data)),
+                )
             self._resident[node_id] = node
             self.materializations += 1
             count = len(self._resident)
@@ -267,11 +273,16 @@ class FleetRegistry:
             node.params = detach(params)
         return node
 
-    def evict(self, node_id: int, strategy: Any = None) -> None:
-        """Drop the node's materialized state (and any strategy caches)."""
+    def evict(
+        self, node_id: int, strategy: Any = None, park: bool = False
+    ) -> None:
+        """Drop the node's materialized state (and any strategy caches);
+        with ``park``, keep the node for its id's next materialization."""
         node = self._resident.pop(node_id, None)
         if node is None:
             return
+        if park:
+            self.parked[node_id] = node
         if strategy is not None and hasattr(strategy, "release_node"):
             strategy.release_node(node)
         self._tel.counter("fl_fleet_evictions_total").inc()
@@ -595,6 +606,7 @@ class FleetSimulator:
             start_round = 0
         # No node is resident between rounds, so the hooks see none.
         strategy.begin_fit(self.params, [])
+        self.registry.parked.clear()
 
         events.emit(
             "run_start",
@@ -851,13 +863,14 @@ class FleetSimulator:
         )
 
     def _evaluate(self, params: Params) -> Dict[str, float]:
-        """Strategy metrics over the fixed eval subset (transient nodes)."""
+        """Strategy metrics over the fixed eval subset, parked between
+        evaluations: built once per run, unless a wave takes a node."""
         nodes = [self.registry.materialize(nid) for nid in self._eval_ids]
         try:
             metrics = dict(self.strategy.evaluate(params, nodes))
         finally:
             for nid in self._eval_ids:
-                self.registry.evict(nid, self.strategy)
+                self.registry.evict(nid, self.strategy, park=True)
         return metrics
 
     # -- checkpoint / resume -------------------------------------------

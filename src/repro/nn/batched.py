@@ -29,6 +29,9 @@ gradient and its input gradient.  It serves every first-order step that
 would otherwise build a tape — local SGD, the inner step of eq. 3/6, the
 FGSM/PGD input gradient and the Wasserstein ascent ("First-order gradient
 kernel" in docs/AUTODIFF.md).
+
+A kernel call names the outputs it reads, by keyword, and skips the
+arithmetic of the rest; each output is the full call's, bit for bit.
 """
 
 from __future__ import annotations
@@ -52,15 +55,30 @@ __all__ = [
     "batched_loss_gradient",
     "node_loss_gradient",
     "supports_batched_loss",
+    "KernelOutputs",
 ]
 
 LossFn = Callable[[Tensor, np.ndarray], Tensor]
-#: one block's kernel: stacked θ -> (stacked meta-gradient, (N,) losses)
-MetaGradientKernel = Callable[[Params], Tuple[Params, np.ndarray]]
 Arrays = Dict[str, np.ndarray]
-#: one batch's first-order kernel: stacked θ arrays (and optionally new
-#: inputs) -> ((N,) losses, stacked gradient arrays, input gradient)
-LossGradientKernel = Callable[..., Tuple[np.ndarray, Arrays, np.ndarray]]
+
+
+class KernelOutputs(NamedTuple):
+    """One kernel call's outputs; ``None`` for each it was not asked for."""
+
+    gradient: Optional[Arrays] = None  # stacked, by sorted name
+    losses: Optional[np.ndarray] = None  # (N,)
+    input_gradient: Optional[np.ndarray] = None  # first-order kernel only
+
+
+#: stacked θ arrays (first-order: and new inputs) -> the outputs asked for
+Kernel = Callable[..., KernelOutputs]
+
+
+def _asked(*flags: bool) -> None:
+    """Count one fused dispatch for a call that asks for an output."""
+    if not any(flags):
+        raise ValueError("a kernel call must ask for at least one output")
+    fastpath.note_fused_dispatch()
 
 
 def stack_params(params_list: Sequence[Params]) -> Params:
@@ -455,16 +473,17 @@ def batched_meta_gradient(
     loss_fn: LossFn = cross_entropy,
     inner_steps: int = 1,
     first_order: bool = False,
-) -> Optional[MetaGradientKernel]:
+) -> Optional[Kernel]:
     """The block's exact one-step MAML meta-gradient kernel, or ``None``.
 
     ``train`` and each of ``tests`` are stacked ``(x, y)`` batches, fixed
-    for the block's ``T0`` steps.  The kernel maps a stacked θ tree to the
-    stacked gradient of ``Σ_k L(φ; test_k)``, ``φ = θ − α·∇L(θ; train)``,
-    with names sorted as :func:`stack_params` gives them, and to the
-    ``(N,)`` losses ``Σ_k L(φ_i; test_ik)``.  The gradient is ``v − α·H
-    v``, ``v`` the outer gradient at ``φ`` and ``H v`` the R-op of the
-    inner gradient along ``v``, all on raw arrays.  Each outer set runs
+    for the block's ``T0`` steps.  ``kernel(theta, gradient=…, losses=…)``
+    maps stacked θ, raw arrays by name, to the stacked gradient of ``Σ_k
+    L(φ; test_k)``, ``φ = θ − α·∇L(θ; train)``, by sorted name, and the
+    ``(N,)`` losses ``Σ_k L(φ_i; test_ik)``, as it asks.  The gradient is
+    ``v − α·H v``, ``v`` the outer gradient at ``φ`` and ``H v`` the R-op
+    of the inner gradient along ``v``, all on raw arrays; the losses alone
+    need only the inner step and the outer forwards.  Each outer set runs
     its own forward: batch norm uses each batch's own statistics.
 
     Hoisted out of the step, once per block: the embedded features, the
@@ -509,9 +528,10 @@ def batched_meta_gradient(
     inputs = np.concatenate([x_out, x_in], axis=1)  # [X_out; X_in]
     gram = np.matmul(x_out, np.swapaxes(x_in, 1, 2))  # X_out X_inᵀ
 
-    def kernel(stacked: Params) -> Tuple[Params, np.ndarray]:
-        fastpath.note_fused_dispatch()
-        theta = {name: t.data for name, t in stacked.items()}
+    def kernel(
+        theta: Arrays, *, gradient: bool = False, losses: bool = False
+    ) -> KernelOutputs:
+        _asked(gradient, losses)
         z0 = np.matmul(inputs, theta[w0])  # [X_out θ_W0; X_in θ_W0]
         # Inner step at θ (eq. 3): φ for every parameter but W0.
         hidden, logits = _forward(
@@ -527,19 +547,26 @@ def batched_meta_gradient(
             z0[:, :n_out] - alpha * np.matmul(gram, dzs[0]) + phi[b0][:, None]
         )
         v: Arrays = {}
-        losses = np.zeros(len(z0))
+        total = np.zeros(len(z0))
         dz0_out = []
         for start, end, targets in sets:
             hidden_out, logits_out = _forward(
                 phi, layers, activation, z0_out[:, start:end]
             )
-            probs_out, loss = _softmax_xent(logits_out, targets)
-            g, dzs_out, _ = _backward(
-                phi, layers, hidden_out, (probs_out - targets) / (end - start)
-            )
-            v = {name: v[name] + g[name] for name in g} if v else g
-            losses = losses + loss
-            dz0_out.append(dzs_out[0])
+            if losses:
+                probs_out, loss = _softmax_xent(logits_out, targets)
+                total = total + loss
+            else:
+                probs_out = _softmax(logits_out)
+            if gradient:
+                g, dzs_out, _ = _backward(
+                    phi, layers, hidden_out,
+                    (probs_out - targets) / (end - start),
+                )
+                v = {name: v[name] + g[name] for name in g} if v else g
+                dz0_out.append(dzs_out[0])
+        if not gradient:
+            return KernelOutputs(losses=total)
         dz0 = dz0_out[0] if len(dz0_out) == 1 else np.concatenate(dz0_out, 1)
         hv, dz0_dot = _hessian_vector(
             theta, v, layers, hidden, probs, dzs, backs,
@@ -547,7 +574,9 @@ def batched_meta_gradient(
         )
         meta = {name: v[name] - alpha * hv[name] for name in hv}
         meta[w0] = _tmatmul(inputs, np.concatenate([dz0, -alpha * dz0_dot], 1))
-        return {name: Tensor(meta[name]) for name in names}, losses
+        return KernelOutputs(
+            {name: meta[name] for name in names}, total if losses else None
+        )
 
     return kernel
 
@@ -559,18 +588,20 @@ def batched_loss_gradient(
     model: Model,
     batch: Tuple[np.ndarray, np.ndarray],
     loss_fn: LossFn = cross_entropy,
-) -> Optional[LossGradientKernel]:
+) -> Optional[Kernel]:
     """The batch's first-order cross-entropy kernel, or ``None``.
 
-    ``batch`` is a stacked ``(x, y)`` pair.  ``kernel(theta)`` maps stacked
-    θ, raw arrays by name, to the ``(N,)`` mean cross-entropies, their
-    gradients by sorted name, and the input gradient ``δz_0 W_0ᵀ``: ``(N,
-    B, dim)``, in the first layer's feature space (embedded, for token
-    ids; the space :func:`repro.attacks.embed_inputs` perturbs).  One
-    forward and one backward on raw arrays; the one-hot labels and the
-    embedded features are hoisted out of the calls.  ``kernel(theta, x)``
-    takes new first-layer inputs of the batch's shape against the same
-    labels, for an ascent on the inputs.
+    ``batch`` is a stacked ``(x, y)`` pair.  ``kernel(theta, gradient=…,
+    losses=…, input_gradient=…)`` maps stacked θ, raw arrays by name, to
+    the ``(N,)`` mean cross-entropies' gradients by sorted name, the
+    losses, and the input gradient ``δz_0 W_0ᵀ``: ``(N, B, dim)``, in the
+    first layer's feature space (embedded, for token ids; the space
+    :func:`repro.attacks.embed_inputs` perturbs), as it asks.  One forward
+    and one backward on raw arrays, less the loss, ``X_inᵀ δz_0`` or
+    ``δz_0 W_0ᵀ`` where unread; the one-hot labels and the embedded
+    features are hoisted out of the calls.  ``kernel(theta, x, …)`` takes
+    new first-layer inputs of the batch's shape against the same labels,
+    for an ascent on the inputs.
 
     Declines where :func:`batched_meta_gradient` does: a disabled fast
     path, a loss other than ``cross_entropy``, a model
@@ -590,21 +621,31 @@ def batched_loss_gradient(
     w0, b0 = layers[0].w, layers[0].b
 
     def kernel(
-        theta: Arrays, x: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, Arrays, np.ndarray]:
-        fastpath.note_fused_dispatch()
+        theta: Arrays, x: Optional[np.ndarray] = None, *,
+        gradient: bool = False, losses: bool = False,
+        input_gradient: bool = False,
+    ) -> KernelOutputs:
+        _asked(gradient, losses, input_gradient)
         x = features if x is None else x
         hidden, logits = _forward(
             theta, layers, activation,
             np.matmul(x, theta[w0]) + theta[b0][:, None],
         )
-        probs, losses = _softmax_xent(logits, targets)
+        if losses:
+            probs, loss = _softmax_xent(logits, targets)
+        else:
+            probs, loss = _softmax(logits), None
         grads, dzs, _ = _backward(
             theta, layers, hidden, (probs - targets) / targets.shape[1]
         )
-        grads[w0] = _tmatmul(x, dzs[0])
-        inputs = np.matmul(dzs[0], np.swapaxes(theta[w0], 1, 2))
-        return losses, {name: grads[name] for name in names}, inputs
+        if gradient:
+            grads[w0] = _tmatmul(x, dzs[0])
+        return KernelOutputs(
+            {name: grads[name] for name in names} if gradient else None,
+            loss,
+            np.matmul(dzs[0], np.swapaxes(theta[w0], 1, 2))
+            if input_gradient else None,
+        )
 
     return kernel
 
@@ -615,7 +656,7 @@ def node_loss_gradient(
     x: np.ndarray,
     y: np.ndarray,
     loss_fn: LossFn = cross_entropy,
-) -> Optional[Tuple[LossGradientKernel, Arrays]]:
+) -> Optional[Tuple[Kernel, Arrays]]:
     """:func:`batched_loss_gradient` on one node's ``(x, y)``, with
     ``params`` as its one-node stack of raw arrays; ``None`` where the
     kernel declines or the tree's names or shapes are not the model's

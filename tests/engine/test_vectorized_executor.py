@@ -35,6 +35,8 @@ from repro.data import (
 )
 from repro.engine import (
     EngineOptions,
+    ExecutorError,
+    MetaStrategy,
     RoundEngine,
     SerialExecutor,
     SgdStrategy,
@@ -43,7 +45,7 @@ from repro.engine import (
 from repro.engine import strategies
 from repro.faults import ResiliencePolicy
 from repro.nn import EmbeddingClassifier, LogisticRegression
-from repro.nn.parameters import to_vector
+from repro.nn.parameters import clone, to_vector
 
 from .test_executors import NoisyConfig, NoisyStrategy
 
@@ -200,6 +202,55 @@ class TestFailureAttribution:
         assert [n.local_steps for n in serial.nodes] == [2, 2, 2, 0, 2, 2]
         assert_same_run(serial, vectorized)
 
+    def test_failed_stack_leaks_nothing_into_its_nodes(
+        self, uniform, monkeypatch
+    ):
+        """The FedML block steps its own stack in place.  Its kernel here
+        raises on the third step of a stack of several nodes, after two
+        in-place steps; each node then runs alone and passes, so it must
+        end as its clean one-node block does, and the group's first node
+        carries the error."""
+        real = strategies.batched_meta_gradient
+
+        def failing(*args, **kwargs):
+            kernel, calls = real(*args, **kwargs), []
+
+            def call(theta, **outputs):
+                calls.append(len(theta["b"]))
+                if len(calls) == 3 and calls[-1] > 1:
+                    raise FloatingPointError("third stacked step")
+                return kernel(theta, **outputs)
+
+            return call
+
+        monkeypatch.setattr(strategies, "batched_meta_gradient", failing)
+        fed, sources, model = uniform
+        strategy = MetaStrategy(
+            model, FedMLConfig(alpha=0.05, beta=0.05, t0=4, k=3, seed=0)
+        )
+        theta = model.init(np.random.default_rng(0))
+
+        def nodes_at_theta():
+            nodes = strategy.build_nodes(fed, sources)
+            for node in nodes:
+                node.params = clone(theta)
+            return nodes
+
+        clean, nodes = nodes_at_theta(), nodes_at_theta()
+        SerialExecutor().run_block(
+            strategy, clean, 4, block_index=0, base_seed=0
+        )
+        with pytest.raises(ExecutorError) as raised:
+            VectorizedExecutor().run_block(
+                strategy, nodes, 4, block_index=0, base_seed=0
+            )
+        assert raised.value.node_id == nodes[0].node_id
+        assert isinstance(raised.value.__cause__, FloatingPointError)
+        for node, want in zip(nodes, clean):
+            assert node.local_steps == want.local_steps == 4
+            for name, t in want.params.items():
+                assert np.array_equal(node.params[name].data, t.data), name
+
 
 class TestTelemetry:
     def _run_with_telemetry(self, workload, fingerprints=False):
@@ -327,9 +378,9 @@ class TestSent140Model:
                 return None
             seen["accepted"] += 1
 
-            def counted(stacked):
+            def counted(theta, **outputs):
                 seen["calls"] += 1
-                return kernel(stacked)
+                return kernel(theta, **outputs)
 
             return counted
 

@@ -7,6 +7,8 @@ lazy registry residency, buffered-aggregation arithmetic, comm-cost
 accounting, and the O(sampled) id-space sampling fix.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from repro.federated.fleet import (
     FleetConfig,
     FleetRegistry,
     FleetSimulator,
+    ShardFactory,
     SyntheticShardFactory,
 )
 from repro.federated.sampling import (
@@ -364,6 +367,66 @@ class TestFleetSimulator:
     def test_sim_clock_advances_monotonically(self):
         result, _ = run_fleet(rounds=4)
         assert result.sim_clock_s > 0
+
+    def test_eval_subset_is_built_once_per_run(self):
+        """Every round evaluates the same subset: its shards are built on
+        the first evaluation only, and parked in between, and each logged
+        value equals an evaluation on freshly built nodes, bit for bit."""
+        shards = CountingShards(seed=0)
+        strategy = RecordingSgd(
+            LogisticRegression(shards.inner.input_dim, shards.inner.num_classes),
+            FedAvgConfig(learning_rate=0.05, t0=1, total_iterations=4, seed=0),
+        )
+        config = FleetConfig(
+            fleet_size=100_000, sampled_per_round=8, rounds=4, local_steps=1,
+            seed=0, eval_every=1, eval_sample=8,
+        )
+        sim = FleetSimulator(strategy, config, shards=shards)
+        result = sim.run()
+        eval_ids = list(sim._eval_ids)
+        trained = {
+            node_id
+            for r in range(config.rounds)
+            for node_id in sim.sampler.select_ids(config.fleet_size, r)
+        }
+        assert not trained & set(eval_ids)  # no wave took a parked node
+        assert [shards.builds[i] for i in eval_ids] == [1] * len(eval_ids)
+        assert sorted(sim.registry.parked) == sorted(eval_ids)
+        assert sim.registry.resident_count == 0
+        assert result.resident_peak == 8
+
+        fresh = FleetRegistry(config.fleet_size, SyntheticShardFactory(seed=0))
+        nodes = [fresh.materialize(node_id) for node_id in eval_ids]
+        logged = result.history.series("global_loss")
+        assert len(logged) == len(strategy.evaluated) == config.rounds
+        for value, params in zip(logged, strategy.evaluated):
+            assert value == SgdStrategy.evaluate(strategy, params, nodes)[
+                "global_loss"
+            ]
+
+
+class CountingShards(ShardFactory):
+    """Synthetic shards that count how often each id is built."""
+
+    def __init__(self, seed):
+        self.inner = SyntheticShardFactory(seed=seed)
+        self.k = self.inner.k
+        self.builds = Counter()
+
+    def num_samples(self, node_id):
+        return self.inner.num_samples(node_id)
+
+    def make(self, node_id):
+        self.builds[node_id] += 1
+        return self.inner.make(node_id)
+
+
+class RecordingSgd(SgdStrategy):
+    """FedAvg that keeps the θ of every evaluation."""
+
+    def evaluate(self, params, nodes):
+        self.__dict__.setdefault("evaluated", []).append(params)
+        return super().evaluate(params, nodes)
 
 
 class OneByOneSgd(SgdStrategy):

@@ -34,7 +34,7 @@ from repro.engine import ProxStrategy, SgdStrategy
 from repro.engine.evaluation import loss_gradient
 from repro.federated.node import EdgeNode
 from repro.nn import Model, cross_entropy
-from repro.nn.batched import batched_loss_gradient, stack_params
+from repro.nn.batched import KernelOutputs, batched_loss_gradient, stack_params
 from repro.nn.parameters import require_grad
 
 from .test_batched_meta_gradient import (
@@ -46,6 +46,8 @@ from .test_batched_meta_gradient import (
     problem,
 )
 
+#: every output of the first-order kernel
+ALL = {"gradient": True, "losses": True, "input_gradient": True}
 MODELS = [
     ("logreg", (), False, "relu"),
     ("mlp", (5, 4), False, "tanh"),
@@ -79,9 +81,9 @@ def tape_first_order(model, stacked, batch):
                 model, params, Dataset(x[i], y[i]), cross_entropy
             ))
             inputs.append(input_gradient(model, params, x[i], y[i]))
-    return (
-        np.array(losses),
+    return KernelOutputs(
         {name: np.stack([g[name].data for g in grads]) for name in grads[0]},
+        np.array(losses),
         np.stack(inputs),
     )
 
@@ -102,11 +104,12 @@ def assert_nodes_within(got, ref, rel_tol=REL_TOL):
 def assert_first_order_within(got, ref):
     """The property's bound: ``PROPERTY_TOL``, times ``1 / L`` for a node
     with mean loss ``L < 1``."""
-    (losses, grads, inputs), (ref_losses, ref_grads, ref_inputs) = got, ref
-    tol = PROPERTY_TOL * np.maximum(1.0, 1.0 / ref_losses.astype(np.float64))
-    assert np.all(np.abs(losses - ref_losses) <= tol * ref_losses)
+    tol = PROPERTY_TOL * np.maximum(1.0, 1.0 / ref.losses.astype(np.float64))
+    assert np.all(np.abs(got.losses - ref.losses) <= tol * ref.losses)
     assert_nodes_within(
-        {**grads, "x": inputs}, {**ref_grads, "x": ref_inputs}, tol
+        {**got.gradient, "x": got.input_gradient},
+        {**ref.gradient, "x": ref.input_gradient},
+        tol,
     )
 
 
@@ -148,9 +151,11 @@ def test_property_kernel_matches_the_tape(
     assert kernel is not None
     theta = {name: t.data for name, t in stacked.items()}
     before = fastpath.stats().fused_dispatches
-    got = kernel(theta)
+    got = kernel(theta, **ALL)
     assert fastpath.stats().fused_dispatches == before + 1
-    reference = batched_loss_gradient(model, extended(model, batch))(theta)
+    reference = batched_loss_gradient(model, extended(model, batch))(
+        theta, **ALL
+    )
     assert_first_order_within(got, reference)
     assert_first_order_within(tape_first_order(model, stacked, batch), reference)
 
@@ -161,14 +166,12 @@ def test_new_inputs_replace_the_features():
     stacked, (x, y), _ = problem(model, 3, 5, [], 2, False)
     theta = {name: t.data for name, t in stacked.items()}
     moved = x + 0.1
-    losses, grads, inputs = batched_loss_gradient(model, (x, y))(theta, moved)
-    ref_losses, ref_grads, ref_inputs = batched_loss_gradient(
-        model, (moved, y)
-    )(theta)
-    assert losses.tobytes() == ref_losses.tobytes()
-    assert inputs.tobytes() == ref_inputs.tobytes()
-    for name, g in ref_grads.items():
-        assert grads[name].tobytes() == g.tobytes()
+    got = batched_loss_gradient(model, (x, y))(theta, moved, **ALL)
+    ref = batched_loss_gradient(model, (moved, y))(theta, **ALL)
+    assert got.losses.tobytes() == ref.losses.tobytes()
+    assert got.input_gradient.tobytes() == ref.input_gradient.tobytes()
+    for name, g in ref.gradient.items():
+        assert got.gradient[name].tobytes() == g.tobytes()
 
 
 class Unsupported(Model):

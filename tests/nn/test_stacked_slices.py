@@ -1,4 +1,5 @@
-"""A stacked kernel call computes each node as a one-node call would.
+"""A stacked kernel call computes each node as a one-node call would, and a
+narrowed call computes each output it returns as the full call does.
 
 The vectorized executor and the fleet's training wave stack nodes of
 equal shapes on a leading axis and run one kernel call per group.  They
@@ -8,13 +9,21 @@ slice ``i`` of a stacked ``batched_loss_gradient`` or
 ``batched_meta_gradient`` call must be ``np.array_equal`` to the call on
 node ``i``'s one-node stack — the losses, every gradient and, for the
 first-order kernel, the input gradient.
+
+Each call site asks only for the outputs it reads (the training step for
+the gradient, evaluation for the losses, an attack for the input
+gradient), so every subset of outputs asked of either kernel must return
+exactly the arrays of the call that asks for all of them, for one dispatch.
 """
 
+from itertools import combinations
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autodiff import Tensor
+from repro.autodiff import fastpath
 from repro.nn.batched import batched_loss_gradient, batched_meta_gradient
 
 from .test_batched_meta_gradient import build_model, problem
@@ -32,11 +41,22 @@ MODELS = st.sampled_from(
     ]
 )
 SETTINGS = settings(max_examples=150, deadline=None)
+#: each kernel's outputs, as its keyword flags name them
+META_OUTPUTS = ("gradient", "losses")
+LOSS_OUTPUTS = ("gradient", "losses", "input_gradient")
+
+
+def asked(outputs):
+    return {name: True for name in outputs}
 
 
 def one_node(batch, i):
     x, y = batch
     return x[i:i + 1], y[i:i + 1]
+
+
+def raw(stacked, nodes=slice(None)):
+    return {name: t.data[nodes] for name, t in stacked.items()}
 
 
 def assert_slices_equal(stacked_arrays, node_arrays, i):
@@ -58,16 +78,15 @@ def test_loss_gradient_slice_equals_one_node_call(
     model = build_model(*model_args)
     token_ids = token_ids and model_args[0] == "embedding"
     stacked, batch, _ = problem(model, nodes, n, [], seed, token_ids)
-    theta = {name: t.data for name, t in stacked.items()}
-    losses, grads, inputs = batched_loss_gradient(model, batch)(theta)
+    full = batched_loss_gradient(model, batch)(
+        raw(stacked), **asked(LOSS_OUTPUTS)
+    )
     for i in range(nodes):
         kernel = batched_loss_gradient(model, one_node(batch, i))
-        node_losses, node_grads, node_inputs = kernel(
-            {name: t[i:i + 1] for name, t in theta.items()}
-        )
-        assert np.array_equal(losses[i], node_losses[0])
-        assert_slices_equal(grads, node_grads, i)
-        assert np.array_equal(inputs[i], node_inputs[0])
+        node = kernel(raw(stacked, slice(i, i + 1)), **asked(LOSS_OUTPUTS))
+        assert np.array_equal(full.losses[i], node.losses[0])
+        assert_slices_equal(full.gradient, node.gradient, i)
+        assert np.array_equal(full.input_gradient[i], node.input_gradient[0])
 
 
 @given(
@@ -90,19 +109,82 @@ def test_meta_gradient_slice_equals_one_node_call(
     stacked, train, tests = problem(
         model, nodes, n_train, n_tests, seed, token_ids
     )
-    gradient, losses = batched_meta_gradient(model, train, tests, alpha)(
-        stacked
+    full = batched_meta_gradient(model, train, tests, alpha)(
+        raw(stacked), **asked(META_OUTPUTS)
     )
     for i in range(nodes):
         kernel = batched_meta_gradient(
             model, one_node(train, i), [one_node(t, i) for t in tests], alpha
         )
-        node_gradient, node_losses = kernel(
-            {name: Tensor(t.data[i:i + 1]) for name, t in stacked.items()}
-        )
-        assert np.array_equal(losses[i], node_losses[0])
-        assert_slices_equal(
-            {name: g.data for name, g in gradient.items()},
-            {name: g.data for name, g in node_gradient.items()},
-            i,
-        )
+        node = kernel(raw(stacked, slice(i, i + 1)), **asked(META_OUTPUTS))
+        assert np.array_equal(full.losses[i], node.losses[0])
+        assert_slices_equal(full.gradient, node.gradient, i)
+
+
+def assert_narrowed_calls_match(kernel, theta, outputs):
+    """Every non-empty subset of ``outputs`` returns the full call's
+    arrays for the outputs it names, ``None`` for the rest, and counts
+    one fused dispatch."""
+    full = kernel(theta, **asked(outputs))
+    for size in range(1, len(outputs) + 1):
+        for subset in combinations(outputs, size):
+            before = fastpath.stats().fused_dispatches
+            got = kernel(theta, **asked(subset))
+            assert fastpath.stats().fused_dispatches == before + 1
+            for name in outputs:
+                value, want = getattr(got, name), getattr(full, name)
+                if name not in subset:
+                    assert value is None, (subset, name)
+                elif name == "gradient":
+                    assert list(value) == list(want)
+                    for key, array in want.items():
+                        assert np.array_equal(value[key], array), (subset, key)
+                else:
+                    assert np.array_equal(value, want), (subset, name)
+
+
+@given(
+    model_args=MODELS,
+    nodes=st.integers(min_value=2, max_value=5),
+    n_train=st.integers(min_value=1, max_value=6),
+    n_tests=st.lists(
+        st.integers(min_value=1, max_value=6), min_size=1, max_size=2
+    ),
+    alpha=st.floats(min_value=1e-3, max_value=0.5),
+    token_ids=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@SETTINGS
+def test_narrowed_calls_return_the_full_calls_bits(
+    model_args, nodes, n_train, n_tests, alpha, token_ids, seed
+):
+    """On the stack and on node 0's one-node stack, for both kernels."""
+    model = build_model(*model_args)
+    token_ids = token_ids and model_args[0] == "embedding"
+    stacked, train, tests = problem(
+        model, nodes, n_train, n_tests, seed, token_ids
+    )
+    for batches, theta in (
+        ((train, tests), raw(stacked)),
+        (
+            (one_node(train, 0), [one_node(t, 0) for t in tests]),
+            raw(stacked, slice(0, 1)),
+        ),
+    ):
+        meta = batched_meta_gradient(model, *batches, alpha)
+        assert_narrowed_calls_match(meta, theta, META_OUTPUTS)
+        first_order = batched_loss_gradient(model, batches[0])
+        assert_narrowed_calls_match(first_order, theta, LOSS_OUTPUTS)
+
+
+def test_a_call_asking_for_nothing_raises():
+    model = build_model("mlp", (5,), True, "relu")
+    stacked, train, tests = problem(model, 2, 3, [4], 0, False)
+    before = fastpath.stats().fused_dispatches
+    for kernel in (
+        batched_meta_gradient(model, train, tests, 0.1),
+        batched_loss_gradient(model, train),
+    ):
+        with pytest.raises(ValueError, match="at least one output"):
+            kernel(raw(stacked))
+    assert fastpath.stats().fused_dispatches == before
