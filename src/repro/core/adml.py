@@ -53,8 +53,10 @@ class ADMLConfig:
             raise ValueError("learning rates must be positive")
         if self.epsilon < 0:
             raise ValueError("epsilon must be non-negative")
-        if self.t0 < 1 or self.total_iterations < 1 or self.k < 1:
-            raise ValueError("t0, total_iterations and k must be >= 1")
+        if min(self.t0, self.total_iterations, self.k, self.eval_every) < 1:
+            raise ValueError(
+                "t0, total_iterations, k and eval_every must be >= 1"
+            )
 
 
 class FederatedADML(FederatedRunner):

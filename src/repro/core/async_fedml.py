@@ -67,8 +67,11 @@ class AsyncFedMLConfig:
             raise ValueError("mixing must be in (0, 1]")
         if self.staleness_power < 0:
             raise ValueError("staleness_power must be non-negative")
-        if self.t0 < 1 or self.total_uploads < 1 or self.k < 1:
-            raise ValueError("t0, total_uploads and k must be >= 1")
+        if min(self.t0, self.total_uploads, self.k, self.inner_steps,
+               self.eval_every) < 1:
+            raise ValueError(
+                "t0, total_uploads, k, inner_steps and eval_every must be >= 1"
+            )
 
 
 @dataclass

@@ -37,8 +37,8 @@ class FedAvgConfig:
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.t0 < 1 or self.total_iterations < 1:
-            raise ValueError("t0 and total_iterations must be >= 1")
+        if self.t0 < 1 or self.total_iterations < 1 or self.eval_every < 1:
+            raise ValueError("t0, total_iterations and eval_every must be >= 1")
 
 
 class FedAvg(FederatedRunner):

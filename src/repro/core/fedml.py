@@ -73,10 +73,14 @@ class FedMLConfig:
             raise ValueError("learning rates must be positive")
         if self.t0 < 1:
             raise ValueError("t0 must be >= 1")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
         if self.total_iterations < 1:
             raise ValueError("total_iterations must be >= 1")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.inner_steps < 1:
+            raise ValueError("inner_steps must be >= 1")
 
 
 class FedML(FederatedRunner):

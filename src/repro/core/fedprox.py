@@ -44,8 +44,8 @@ class FedProxConfig:
             raise ValueError("learning_rate must be positive")
         if self.mu_prox < 0:
             raise ValueError("mu_prox must be non-negative")
-        if self.t0 < 1 or self.total_iterations < 1:
-            raise ValueError("t0 and total_iterations must be >= 1")
+        if self.t0 < 1 or self.total_iterations < 1 or self.eval_every < 1:
+            raise ValueError("t0, total_iterations and eval_every must be >= 1")
 
 
 class FedProx(FederatedRunner):

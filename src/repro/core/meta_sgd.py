@@ -51,8 +51,10 @@ class MetaSGDConfig:
     def __post_init__(self) -> None:
         if self.alpha_init <= 0 or self.beta <= 0:
             raise ValueError("alpha_init and beta must be positive")
-        if self.t0 < 1 or self.total_iterations < 1 or self.k < 1:
-            raise ValueError("t0, total_iterations and k must be >= 1")
+        if min(self.t0, self.total_iterations, self.k, self.eval_every) < 1:
+            raise ValueError(
+                "t0, total_iterations, k and eval_every must be >= 1"
+            )
 
 
 @dataclass

@@ -38,8 +38,11 @@ class ReptileConfig:
     def __post_init__(self) -> None:
         if self.inner_lr <= 0 or self.outer_lr <= 0:
             raise ValueError("learning rates must be positive")
-        if self.inner_steps < 1 or self.t0 < 1 or self.total_iterations < 1:
-            raise ValueError("inner_steps, t0 and total_iterations must be >= 1")
+        if min(self.inner_steps, self.t0, self.total_iterations,
+               self.eval_every) < 1:
+            raise ValueError(
+                "inner_steps, t0, total_iterations and eval_every must be >= 1"
+            )
 
 
 class FederatedReptile(FederatedRunner):

@@ -59,10 +59,11 @@ each decision is a pure function of ``(plan seed, schedule, kind, round,
 node)`` at O(1) per sampled node, never a table over the fleet.  The fleet
 applies its own policy to them: crashed nodes are never dispatched,
 delays count against the round timeout, NaN updates are quarantined
-before the buffer.  Checkpoints round-trip the global model, the
-pending event queue, and the aggregation buffer — including the base
-models stale entries are anchored to — so kill-and-resume is bit-equal to
-an uninterrupted run.  All of it is proven by the property/chaos layer in
+before the buffer.  A round drains its own event heap, so a checkpoint,
+written between rounds, has no event in flight: it round-trips the global
+model and the aggregation buffer — including the base models stale
+entries are anchored to — so kill-and-resume is bit-equal to an
+uninterrupted run.  All of it is proven by the property/chaos layer in
 ``tests/federated/test_fleet_properties.py`` and
 ``tests/faults/test_fleet_chaos.py``.
 """
@@ -314,8 +315,10 @@ class BufferedAggregator:
     def __init__(self, capacity: int, staleness_alpha: float = 0.5) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if staleness_alpha < 0:
-            raise ValueError("staleness_alpha must be non-negative")
+        if not staleness_alpha >= 0:  # NaN fails too
+            raise ValueError(
+                f"staleness_alpha must be non-negative, got {staleness_alpha}"
+            )
         self.capacity = int(capacity)
         self.staleness_alpha = float(staleness_alpha)
         self.entries: List[BufferEntry] = []
@@ -414,11 +417,10 @@ class _VersionStore:
     def refcounts(self) -> Dict[int, int]:
         """Live refcount per retained version (for checkpointing).
 
-        These are the counts that must survive a save/resume round-trip:
-        one per in-flight dispatch *plus* one per buffered update anchored
-        to the version.  Recomputing them from the buffer alone (as the
-        checkpoint writer once did) undercounts versions held only by
-        pending events, orphaning them on resume.
+        One per dispatch still in flight plus one per buffered update
+        anchored to the version.  A checkpoint is written between rounds,
+        when nothing is in flight, so there each count is the number of
+        buffered updates anchored to its version.
         """
         return dict(self._refs)
 
@@ -475,10 +477,26 @@ class FleetConfig:
             raise ValueError("rounds and local_steps must be >= 1")
         if self.buffer_size is not None and self.buffer_size < 1:
             raise ValueError("buffer_size must be >= 1 (or None)")
-        if self.staleness_alpha < 0:
-            raise ValueError("staleness_alpha must be non-negative")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
+        if self.eval_sample is not None and self.eval_sample < 1:
+            raise ValueError(
+                f"eval_sample must be >= 1 (or None), got {self.eval_sample}"
+            )
+        if (
+            self.round_timeout_s is not None
+            and not self.round_timeout_s > 0  # NaN fails too
+        ):
+            raise ValueError(
+                "round_timeout_s must be positive (or None), got "
+                f"{self.round_timeout_s}"
+            )
+        for name in (
+            "staleness_alpha", "median_seconds_per_step", "heterogeneity"
+        ):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
 
     @property
     def effective_buffer(self) -> int:
@@ -556,7 +574,6 @@ class FleetSimulator:
             config.effective_buffer, config.staleness_alpha
         )
         self._versions = _VersionStore()
-        self._pending: List[Tuple[float, int, int, Dict[str, Any]]] = []
         self._executor = VectorizedExecutor()
         self.params: Optional[Params] = None
         self.server_version = 0
@@ -691,7 +708,7 @@ class FleetSimulator:
             clock=self.sim_clock_s,
         )
         payload = payload_bytes(self.params)
-        heap = self._pending
+        heap: List[Tuple[float, int, int, Dict[str, Any]]] = []
         faults = self.faults
         wave: List[int] = []  # dispatched nodes whose completion delivers
         for node_id in ids:
@@ -875,7 +892,7 @@ class FleetSimulator:
 
     # -- checkpoint / resume -------------------------------------------
     def _save(self, round_index: int, history: RunLogger) -> None:
-        """Checkpoint θ + buffer + base versions + pending events."""
+        """Checkpoint θ + buffer + the base versions it is anchored to."""
         assert self.params is not None
         tree: Params = dict(detach(self.params))
         buffer_meta: List[Dict[str, Any]] = []
@@ -890,10 +907,6 @@ class FleetSimulator:
             for name, tensor in entry.params.items():
                 tree[f"{_BUF_PREFIX}{i}::{name}"] = tensor
         versions = self._versions.snapshot()
-        # Serialize the store's live refcounts (buffer anchors + pending
-        # in-flight events).  Deriving them from the buffer alone loses the
-        # pending retains, so a resumed run would drop versions its pending
-        # events still need and crash on their release.
         refs = self._versions.refcounts()
         for version, params in versions.items():
             for name, tensor in params.items():
@@ -912,10 +925,6 @@ class FleetSimulator:
             "resident_peak": int(self.registry.resident_peak),
             "buffer": buffer_meta,
             "version_refs": {str(v): int(r) for v, r in refs.items()},
-            "pending_events": [
-                [float(t), int(rank), int(node), dict(info)]
-                for t, rank, node, info in sorted(self._pending)
-            ],
             "history": history.records,
         }
         save_checkpoint(self.checkpoint_path, tree, state)
@@ -989,11 +998,6 @@ class FleetSimulator:
             for _ in range(count):
                 self._versions.retain(version, version_trees[version])
         self._versions.check_invariant()
-        self._pending = [
-            (float(t), int(rank), int(node), dict(info))
-            for t, rank, node, info in state.get("pending_events", [])
-        ]
-        heapq.heapify(self._pending)
         history.load_records(state.get("history", []))
         tel = resolve(self.telemetry)
         tel.counter("fl_resumes_total").inc()

@@ -37,6 +37,7 @@ from repro.federated.sampling import (
     sample_id_space,
 )
 from repro.nn import LogisticRegression
+from repro.utils.checkpoint import load_checkpoint, save_checkpoint
 from repro.utils.rng import instrument_node_rng
 from repro.utils.serialization import payload_bytes
 
@@ -197,6 +198,8 @@ class TestBufferedAggregator:
             BufferedAggregator(0)
         with pytest.raises(ValueError):
             BufferedAggregator(4, staleness_alpha=-1.0)
+        with pytest.raises(ValueError, match="staleness_alpha"):
+            BufferedAggregator(4, staleness_alpha=float("nan"))
 
     def test_flush_empty_buffer_raises(self):
         agg = BufferedAggregator(4)
@@ -253,6 +256,29 @@ class TestBufferedAggregator:
 
 def explicit(*events):
     return FaultPlan([ExplicitSchedule(tuple(events))])
+
+
+class TestFleetConfig:
+    @pytest.mark.parametrize(
+        "field, fields",
+        [
+            ("staleness_alpha", dict(buffer_size=4, staleness_alpha=-0.5)),
+            ("staleness_alpha",
+             dict(buffer_size=4, staleness_alpha=float("nan"))),
+            ("heterogeneity", dict(heterogeneity=-1.0)),
+            ("median_seconds_per_step", dict(median_seconds_per_step=-0.05)),
+            ("round_timeout_s", dict(round_timeout_s=0.0)),
+            ("round_timeout_s", dict(round_timeout_s=-1.0)),
+            ("eval_sample", dict(eval_sample=0)),
+            ("eval_every", dict(eval_every=0)),
+        ],
+    )
+    def test_bad_fields_rejected_at_construction(self, field, fields):
+        """A bad knob fails when the config is built, not mid-run."""
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            FleetConfig(
+                fleet_size=100, sampled_per_round=8, rounds=2, **fields
+            )
 
 
 class TestFleetFaults:
@@ -363,6 +389,38 @@ class TestFleetSimulator:
         assert result.resident_peak <= sim.config.sampled_per_round + len(
             sim.buffer.entries
         ) + sim.buffer.capacity
+
+    def test_checkpoint_holds_no_events_and_older_ones_resume(self, tmp_path):
+        """A round drains its own event heap, so a checkpoint holds θ, the
+        buffer and its versions, and no event; one carrying the empty
+        ``pending_events`` list older checkpoints wrote resumes bit-equal
+        to an uninterrupted run."""
+        ckpt = str(tmp_path / "fleet.ckpt")
+
+        def simulator(faults=None):
+            config = FleetConfig(
+                fleet_size=1000, sampled_per_round=16, rounds=4,
+                local_steps=2, buffer_size=5,
+            )
+            return FleetSimulator(
+                make_strategy(rounds=4), config,
+                shards=SyntheticShardFactory(seed=0), faults=faults,
+                checkpoint_path=ckpt,
+            )
+
+        baseline = simulator().run()
+        plan = FaultPlan.from_spec("kill:block=1", seed=0)
+        with pytest.raises(RunInterrupted):
+            simulator(plan).run()
+        saved = load_checkpoint(ckpt)
+        assert "pending_events" not in saved.state
+        assert saved.state["buffer"]  # a partial buffer crosses the kill
+        save_checkpoint(
+            ckpt, saved.params, {**saved.state, "pending_events": []}
+        )
+        resumed = simulator(plan).run(resume=True)
+        assert trees_equal(baseline.params, resumed.params)
+        assert baseline.history.records == resumed.history.records
 
     def test_sim_clock_advances_monotonically(self):
         result, _ = run_fleet(rounds=4)
