@@ -310,6 +310,42 @@ def _requires_path(order: Iterable[Tensor], targets: Sequence[Tensor]) -> Set[in
     return needed
 
 
+def _cotangents(
+    order: List[Tensor],
+    output: Tensor,
+    inputs: Sequence[Tensor],
+    grad_output: Tensor,
+) -> dict[int, Tensor]:
+    """The reference backward: every input's cotangent, by ``id``."""
+    on_path = _requires_path(order, inputs)
+
+    input_ids = {id(t) for t in inputs}
+    cotangents: dict[int, Tensor] = {id(output): grad_output}
+    for node in reversed(order):  # root first
+        cot = cotangents.get(id(node))
+        if cot is None:
+            continue
+        if node._ctx is not None:
+            ctx = node._ctx
+            for parent, vjp in zip(ctx.parents, ctx.vjps):
+                if vjp is None or id(parent) not in on_path:
+                    continue
+                contribution = vjp(cot)
+                if contribution.shape != parent.shape:
+                    raise GradientError(
+                        f"vjp of op '{ctx.op_name}' produced shape "
+                        f"{contribution.shape}, expected {parent.shape}"
+                    )
+                existing = cotangents.get(id(parent))
+                if existing is None:
+                    cotangents[id(parent)] = contribution
+                else:
+                    cotangents[id(parent)] = existing + contribution
+        if id(node) not in input_ids:
+            del cotangents[id(node)]  # free memory; final value not needed
+    return cotangents
+
+
 def grad(
     output: Tensor,
     inputs: Sequence[Tensor],
@@ -334,7 +370,8 @@ def grad(
         graph nodes (enables second-order gradients).  If ``False`` the
         gradients are detached leaves, and the backward pass runs on the
         raw-ndarray fast path of :mod:`repro.autodiff.fastpath` (when
-        enabled; bit-identical to the reference path).
+        enabled; bit-identical to the reference path), or else on the
+        reference path with graph recording off.
     allow_unused:
         If ``True``, inputs not reachable from ``output`` yield ``None``;
         otherwise a :class:`GradientError` is raised.
@@ -363,8 +400,10 @@ def grad(
 
     order = toposort(output) if _order is None else _order
 
-    if not create_graph:
-        from . import fastpath
+    if create_graph:
+        cotangents = _cotangents(order, output, inputs, grad_output)
+    else:
+        from . import fastpath, ops
 
         if fastpath.enabled():
             raw = fastpath.backward(output, inputs, order, grad_output.data)
@@ -380,33 +419,14 @@ def grad(
                 else:
                     fast_results.append(Tensor(arr))
             return fast_results
-
-    on_path = _requires_path(order, inputs)
-
-    input_ids = {id(t) for t in inputs}
-    cotangents: dict[int, Tensor] = {id(output): grad_output}
-    for node in reversed(order):  # root first
-        cot = cotangents.get(id(node))
-        if cot is None:
-            continue
-        if node._ctx is not None:
-            ctx = node._ctx
-            for parent, vjp in zip(ctx.parents, ctx.vjps):
-                if vjp is None or id(parent) not in on_path:
-                    continue
-                contribution = vjp(cot)
-                if contribution.shape != parent.shape:
-                    raise GradientError(
-                        f"vjp of op '{ctx.op_name}' produced shape "
-                        f"{contribution.shape}, expected {parent.shape}"
-                    )
-                existing = cotangents.get(id(parent))
-                if existing is None:
-                    cotangents[id(parent)] = contribution
-                else:
-                    cotangents[id(parent)] = existing + contribution
-        if id(node) not in input_ids:
-            del cotangents[id(node)]  # free memory; final value not needed
+        # The result is detached, so nothing reads the graph the VJPs'
+        # differentiable ops would record: run them with recording off,
+        # as the fast path's closure fallback does.
+        previous = ops._set_grad_enabled(False)
+        try:
+            cotangents = _cotangents(order, output, inputs, grad_output)
+        finally:
+            ops._set_grad_enabled(previous)
 
     results: List[Optional[Tensor]] = []
     for inp in inputs:

@@ -26,6 +26,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..autodiff import Tensor
 from ..data.dataset import FederatedDataset
 from ..federated.node import EdgeNode, build_nodes
 from ..federated.simulation import DeviceProfile
@@ -35,7 +36,7 @@ from ..nn.parameters import Params, add_scaled, detach
 from ..obs.telemetry import Telemetry, resolve
 from ..utils.logging import RunLogger
 from ..utils.serialization import payload_bytes
-from .maml import LossFn, meta_gradient, meta_loss
+from .maml import LossFn, meta_gradient, meta_loss, node_meta_kernel
 
 __all__ = ["AsyncFedMLConfig", "AsyncFedMLResult", "AsyncFedML"]
 
@@ -110,22 +111,38 @@ class AsyncFedML:
 
     # ------------------------------------------------------------------
     def _local_contribution(self, node: EdgeNode, start: Params) -> Params:
-        """Run t0 local meta-steps from ``start``; return the new params."""
+        """Run t0 local meta-steps from ``start``; return the new params.
+
+        The node's sets are fixed for the phase, so one one-node meta
+        kernel serves all ``t0`` steps, asked for the gradient alone;
+        where it declines, each step runs :func:`meta_gradient` (the tape).
+        """
         cfg = self.config
         params = detach(start)
+        built = node_meta_kernel(
+            self.model, params, node.split.train, [node.split.test],
+            cfg.alpha, inner_steps=cfg.inner_steps, loss_fn=self.loss_fn,
+            first_order=cfg.first_order,
+        )
+        if built is None:
+            for _ in range(cfg.t0):
+                gradient, _ = meta_gradient(
+                    self.model, params, node.split, cfg.alpha,
+                    inner_steps=cfg.inner_steps, loss_fn=self.loss_fn,
+                    first_order=cfg.first_order,
+                )
+                params = add_scaled(params, gradient, -cfg.beta)
+                node.record_local_step()
+            return params
+        kernel, theta = built
         for _ in range(cfg.t0):
-            gradient, _ = meta_gradient(
-                self.model,
-                params,
-                node.split,
-                cfg.alpha,
-                inner_steps=cfg.inner_steps,
-                loss_fn=self.loss_fn,
-                first_order=cfg.first_order,
-            )
-            params = add_scaled(params, gradient, -cfg.beta)
+            grads = kernel(theta, gradient=True).gradient
+            # add_scaled's arithmetic, p + (−β)·g, on the one-node stack.
+            theta = {
+                name: theta[name] + (-cfg.beta) * g for name, g in grads.items()
+            }
             node.record_local_step()
-        return params
+        return {name: Tensor(theta[name][0]) for name in params}
 
     def global_meta_loss(self, params: Params, nodes: Sequence[EdgeNode]) -> float:
         total = 0.0

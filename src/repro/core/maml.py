@@ -14,6 +14,8 @@ centralized MAML baseline:
   of the per-node objective.  Exact one-step MAML runs
   :func:`repro.nn.batched.batched_meta_gradient` on a one-node stack while
   the fast path is on; else the generic tape runs;
+* :func:`node_meta_kernel` — that one-node kernel, for a caller that steps
+  the same sets several times (``AsyncFedML``'s local phase);
 * :class:`MAML` — a centralized trainer used as a reference baseline.
 """
 
@@ -26,13 +28,18 @@ import numpy as np
 
 from ..autodiff import Tensor, grad
 from ..data.dataset import Dataset, NodeSplit
-from ..nn.batched import _param_shapes, batched_meta_gradient, node_loss_gradient
+from ..nn.batched import (
+    Arrays, Kernel, _param_shapes, batched_meta_gradient, node_loss_gradient,
+)
 from ..nn.fused import fused_model_loss
 from ..nn.losses import cross_entropy
 from ..nn.modules import Model
 from ..nn.parameters import Params, require_grad
 
-__all__ = ["LossFn", "inner_adapt", "meta_loss", "meta_gradient", "MAML"]
+__all__ = [
+    "LossFn", "inner_adapt", "meta_loss", "node_meta_kernel", "meta_gradient",
+    "MAML",
+]
 
 #: maps model outputs and integer labels to a scalar loss tensor
 LossFn = Callable[[Tensor, np.ndarray], Tensor]
@@ -126,6 +133,35 @@ def meta_loss(
     return fused_model_loss(model, phi, split.test.x, split.test.y, loss_fn).item()
 
 
+def node_meta_kernel(
+    model: Model,
+    params: Params,
+    train: Dataset,
+    tests: Sequence[Dataset],
+    alpha: float,
+    inner_steps: int = 1,
+    loss_fn: LossFn = cross_entropy,
+    first_order: bool = False,
+) -> Optional[Tuple[Kernel, Arrays]]:
+    """:func:`repro.nn.batched.batched_meta_gradient` on one node's
+    ``train`` and outer ``tests`` sets, with ``params`` as its one-node
+    stack of raw arrays; ``None`` where the kernel declines or the tree's
+    names or shapes are not the model's (the tape runs those)."""
+    # The kernel takes stacked batches: a one-node stack has a leading 1.
+    stacks = [
+        (np.asarray(d.x)[None], np.asarray(d.y)[None]) for d in (train, *tests)
+    ]
+    kernel = batched_meta_gradient(
+        model, stacks[0], stacks[1:], alpha, loss_fn,
+        inner_steps=inner_steps, first_order=first_order,
+    )
+    if kernel is None or (
+        {name: t.shape for name, t in params.items()} != _param_shapes(model)
+    ):
+        return None
+    return kernel, {name: t.data[None] for name, t in params.items()}
+
+
 def meta_gradient(
     model: Model,
     params: Params,
@@ -151,22 +187,13 @@ def meta_gradient(
     """
     test = split.test
     extras = [d for d in extra_test_sets or () if len(d) > 0]
-    # The kernel takes stacked batches: a one-node stack has a leading 1.
-    stacks = [
-        (np.asarray(d.x)[None], np.asarray(d.y)[None])
-        for d in (split.train, test, *extras)
-    ]
-    kernel = batched_meta_gradient(
-        model, stacks[0], stacks[1:], alpha, loss_fn,
-        inner_steps=inner_steps, first_order=first_order,
+    built = node_meta_kernel(
+        model, params, split.train, [test, *extras], alpha,
+        inner_steps=inner_steps, loss_fn=loss_fn, first_order=first_order,
     )
-    if kernel is not None and (
-        {name: t.shape for name, t in params.items()} == _param_shapes(model)
-    ):
-        out = kernel(
-            {name: t.data[None] for name, t in params.items()},
-            gradient=True, losses=True,
-        )
+    if built is not None:
+        kernel, stacked = built
+        out = kernel(stacked, gradient=True, losses=True)
         unstacked = {name: Tensor(g[0]) for name, g in out.gradient.items()}
         return unstacked, float(out.losses[0])
     theta = require_grad(params)

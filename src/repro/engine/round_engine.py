@@ -152,6 +152,20 @@ class RoundEngine:
         run restarts from the last saved aggregation boundary instead of
         θ⁰ and produces a result bit-identical to an uninterrupted run.
         """
+        try:
+            return self._fit(federated, source_ids, init_params, verbose, resume)
+        finally:
+            # Per-fit strategy state ends with the fit, finished or not.
+            self.strategy.end_fit()
+
+    def _fit(
+        self,
+        federated: FederatedDataset,
+        source_ids: Sequence[int],
+        init_params: Optional[Params],
+        verbose: bool,
+        resume: bool,
+    ) -> EngineResult:
         strategy = self.strategy
         cfg = strategy.config
         name = strategy.name

@@ -10,8 +10,10 @@ telemetry, history — is the engine's job and identical for every algorithm.
 
 Strategies are deliberately *plain data + functions*: they hold the model,
 a frozen config, and the loss function.  Mutable per-fit state (the FedProx
-anchor, Robust FedML's generation counters) is rebuilt by ``begin_fit``
-each run; per-node caches are dropped in ``release_node``.
+anchor, Robust FedML's generation counters, the meta block's prepared
+kernels) is rebuilt by ``begin_fit`` each run, and what would outlive the
+fit (the kernels) is dropped by ``end_fit``; per-node caches are dropped
+in ``release_node``.
 
 FedAvg, FedProx, FedML and Robust FedML each have one step on a stack of
 nodes, ``local_block_vectorized``, which every node the closed-form
@@ -47,6 +49,7 @@ from ..attacks.wasserstein import wasserstein_ascent
 from ..data.dataset import Dataset, FederatedDataset, NodeSplit
 from ..federated.node import EdgeNode, build_nodes
 from ..nn.batched import (
+    Kernel,
     _param_shapes,
     batch_key,
     batched_loss_gradient,
@@ -130,6 +133,10 @@ class LocalStrategy:
 
     def begin_fit(self, params: Params, nodes: Sequence[EdgeNode]) -> None:
         """Reset per-fit strategy state after the initial broadcast."""
+
+    def end_fit(self) -> None:
+        """Drop per-fit state the fit no longer needs, once it returns or
+        raises (default: nothing)."""
 
     # -- the local update ----------------------------------------------
     def local_step(self, node: EdgeNode) -> float:
@@ -381,11 +388,75 @@ class ProxStrategy(SgdStrategy):
 # ----------------------------------------------------------------------
 # Meta-learning strategies
 # ----------------------------------------------------------------------
+class _PreparedKernels:
+    """Each stacked group's prepared meta kernel, kept for one fit.
+
+    A kernel holds its group's stacked sets, embedded features, one-hot
+    labels, ``[X_out; X_in]`` and Gram block, all fixed while the nodes
+    keep their splits, so a later block of the group only stacks θ and
+    steps it.  An entry is keyed on the group's node ids, in order, and
+    serves only while every node still holds the very ``NodeSplit`` it
+    was built from.  Storing an entry drops every entry that shares a
+    node with it, so a node is in at most one entry however group
+    membership changes between blocks.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[Tuple[int, ...], Tuple[Tuple[NodeSplit, ...], Kernel]] = {}
+        self._key_of: Dict[int, Tuple[int, ...]] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, nodes: Sequence[EdgeNode]) -> Optional[Kernel]:
+        """The group's kernel, or ``None`` if it has none or it is stale."""
+        entry = self._entries.get(tuple(node.node_id for node in nodes))
+        if entry is None:
+            return None
+        splits, kernel = entry
+        if all(node.split is split for node, split in zip(nodes, splits)):
+            return kernel
+        return None
+
+    def put(self, nodes: Sequence[EdgeNode], kernel: Kernel) -> None:
+        self.drop(nodes)
+        key = tuple(node.node_id for node in nodes)
+        self._entries[key] = (tuple(node.split for node in nodes), kernel)
+        for node_id in key:
+            self._key_of[node_id] = key
+
+    def drop(self, nodes: Sequence[EdgeNode]) -> None:
+        """Drop every entry that holds one of ``nodes``."""
+        for node in nodes:
+            key = self._key_of.get(node.node_id)
+            if key is not None:
+                del self._entries[key]
+                for node_id in key:
+                    del self._key_of[node_id]
+
+
 class MetaStrategy(LocalStrategy):
     """FedML / Algorithm 1: one MAML meta-step per local iteration."""
 
     name = "fedml"
     log_uplink = True
+
+    def __init__(
+        self, model: Model, config: Any, loss_fn: LossFn = cross_entropy
+    ) -> None:
+        super().__init__(model, config, loss_fn)
+        self._kernels = _PreparedKernels()
+
+    def begin_fit(self, params: Params, nodes: Sequence[EdgeNode]) -> None:
+        """A fit, resumed or not, prepares its groups' kernels afresh."""
+        self._kernels = _PreparedKernels()
+
+    def end_fit(self) -> None:
+        """The kernels are the fit's: none outlives it."""
+        self._kernels = _PreparedKernels()
+
+    def release_node(self, node: EdgeNode) -> None:
+        self._kernels.drop([node])
 
     def _extra_test_sets(self, node: EdgeNode) -> List[Dataset]:
         """Outer-loss sets beyond the node's test set (default: none)."""
@@ -437,6 +508,41 @@ class MetaStrategy(LocalStrategy):
         rngs: Sequence[np.random.Generator],
     ) -> None:
         cfg = self.config
+        kernel = self._group_kernel(nodes)
+        stacked = stack_params([node.params for node in nodes])
+        # The block owns the stack's arrays, so each step updates them in
+        # place: g ← −β·g, θ ← θ + g is θ + (−β)·g, bit for bit.
+        theta = {name: t.data for name, t in stacked.items()}
+        for _ in range(steps):
+            for name, g in kernel(theta, gradient=True).gradient.items():
+                g *= -cfg.beta
+                theta[name] += g
+        evals = 1 + len(self._outer_sets(nodes[0]))
+        for node, tree in zip(nodes, unstack_params(stacked, len(nodes))):
+            # Intentional per-node loop: state fan-out and step accounting.
+            node.params = tree
+            for _ in range(steps):
+                node.record_local_step(gradient_evals=evals)
+
+    def _group_kernel(self, nodes: Sequence[EdgeNode]) -> Kernel:
+        """The group's closed-form kernel, prepared once per fit.
+
+        A group whose outer sets are the nodes' own test sets keeps its
+        kernel from the block that builds it to the end of the fit, when
+        ``end_fit`` drops it (or until a node's split changes, or
+        ``release_node`` evicts one).  A group with extra outer sets
+        (Robust FedML's ``D^adv``) builds its kernel every block and
+        drops its nodes' entries, so a node that gains ``D^adv`` never
+        runs its earlier kernel again.
+        """
+        own = not any(self._extra_test_sets(node) for node in nodes)
+        if own:
+            kernel = self._kernels.get(nodes)
+            if kernel is not None:
+                return kernel
+        else:
+            self._kernels.drop(nodes)
+        cfg = self.config
         train = _stacked([node.split.train for node in nodes])
         # Each outer set stacked across the group; equal signatures give
         # every node the same number of sets of the same shapes.
@@ -444,26 +550,15 @@ class MetaStrategy(LocalStrategy):
             _stacked(sets)
             for sets in zip(*(self._outer_sets(node) for node in nodes))
         ]
-        stacked = stack_params([node.params for node in nodes])
-        # The block owns the stack's arrays, so each step updates them in
-        # place: g ← −β·g, θ ← θ + g is θ + (−β)·g, bit for bit.
-        theta = {name: t.data for name, t in stacked.items()}
-        # The closed-form kernel, its inputs hoisted out of the T0 loop.
         kernel = _accepted(
             batched_meta_gradient(
                 self.model, train, tests, cfg.alpha, self.loss_fn,
                 inner_steps=cfg.inner_steps, first_order=cfg.first_order,
             )
         )
-        for _ in range(steps):
-            for name, g in kernel(theta, gradient=True).gradient.items():
-                g *= -cfg.beta
-                theta[name] += g
-        for node, tree in zip(nodes, unstack_params(stacked, len(nodes))):
-            # Intentional per-node loop: state fan-out and step accounting.
-            node.params = tree
-            for _ in range(steps):
-                node.record_local_step(gradient_evals=1 + len(tests))
+        if own:
+            self._kernels.put(nodes, kernel)
+        return kernel
 
     def global_meta_loss(
         self, params: Params, nodes: Sequence[EdgeNode]
@@ -822,6 +917,7 @@ class AdversarialStrategy(MetaStrategy):
         return Dataset(x=features, y=data.y)
 
     def begin_fit(self, params: Params, nodes: Sequence[EdgeNode]) -> None:
+        super().begin_fit(params, nodes)
         self._generation_rounds = {node.node_id: 0 for node in nodes}
 
     def _extra_test_sets(self, node: EdgeNode) -> List[Dataset]:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import GradientError, Tensor, grad, ops, tensor
+from repro.autodiff import GradientError, Tensor, fastpath, grad, ops, tensor
+from repro.autodiff.profile import profile_ops
 
 
 class TestTensorBasics:
@@ -158,6 +159,52 @@ class TestGradAPI:
     def test_non_tensor_output_raises(self):
         with pytest.raises(TypeError):
             grad(3.0, [tensor([1.0], requires_grad=True)])
+
+
+class TestReferenceBackwardRecording:
+    """The reference backward (the fast path off) runs differentiable VJPs;
+    with ``create_graph=False`` their graph is never read, so it records
+    none, and ``create_graph=True`` still records all of it."""
+
+    @staticmethod
+    def loss():
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        return ops.sum_(ops.tanh(ops.matmul(x, w)) * ops.exp(w[0])), [x, w]
+
+    def test_first_order_grad_records_no_tape_node(self):
+        loss, leaves = self.loss()
+        with fastpath.disabled(), profile_ops() as prof:
+            grads = grad(loss, leaves)
+        assert prof.total_ops > 0  # the VJPs ran their ops
+        assert prof.tape_length == 0
+        assert all(g.is_leaf() and not g.requires_grad for g in grads)
+        with fastpath.disabled():
+            graphed = grad(loss, leaves, create_graph=True)
+        for g, want in zip(grads, graphed):
+            assert g.data.tobytes() == want.data.tobytes()
+
+    def test_create_graph_still_records_its_graph(self):
+        loss, leaves = self.loss()
+        with fastpath.disabled(), profile_ops() as prof:
+            grads = grad(loss, leaves, create_graph=True)
+        assert prof.tape_length > 0
+        assert all(g.requires_grad for g in grads)
+        (second,) = grad(ops.sum_(grads[1]), [leaves[0]])
+        assert second.shape == leaves[0].shape
+
+    def test_a_raising_vjp_leaves_recording_on(self):
+        x = tensor([1.0, 2.0], requires_grad=True)
+
+        def boom(g):
+            raise ArithmeticError("vjp failed")
+
+        y = ops._make(x.data * 2.0, (x,), (boom,), "boom")
+        with fastpath.disabled(), pytest.raises(ArithmeticError):
+            grad(ops.sum_(y), [x])
+        assert ops._GRAD_ENABLED
+        assert (x * x).requires_grad
 
 
 class TestBackward:

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import AsyncFedML, AsyncFedMLConfig
+from repro.core import AsyncFedML, AsyncFedMLConfig, async_fedml, meta_gradient
 from repro.data import SyntheticConfig, generate_synthetic
 from repro.federated import DeviceProfile, LinkModel, sample_fleet
 from repro.nn import LogisticRegression
-from repro.nn.parameters import to_vector
+from repro.nn.parameters import add_scaled, detach, to_vector
 
 MODEL = LogisticRegression(60, 10)
 LINK = LinkModel()
@@ -126,3 +126,59 @@ class TestAsyncFedML:
             discounted.global_meta_losses[-1]
             <= undamped.global_meta_losses[-1] * 1.25
         )
+
+
+def per_step_contribution(self, node, start):
+    """The local phase as it ran before the kernel was held for the phase:
+    one ``meta_gradient`` (gradient and loss) per step, then
+    ``add_scaled``.  The reference the held kernel must match bit for bit."""
+    cfg = self.config
+    params = detach(start)
+    for _ in range(cfg.t0):
+        gradient, _ = meta_gradient(
+            self.model, params, node.split, cfg.alpha,
+            inner_steps=cfg.inner_steps, loss_fn=self.loss_fn,
+            first_order=cfg.first_order,
+        )
+        params = add_scaled(params, gradient, -cfg.beta)
+        node.record_local_step()
+    return params
+
+
+class TestHeldKernel:
+    """A local phase builds its one-node meta kernel once and asks it for
+    the gradient alone; where the kernel declines (FOMAML here) every step
+    runs ``meta_gradient``.  Either way the run is the per-step loop's."""
+
+    @pytest.mark.parametrize("first_order", [False, True])
+    def test_matches_the_per_step_loop(self, workload, monkeypatch, first_order):
+        fed, sources = workload
+        config = AsyncFedMLConfig(
+            alpha=0.05, beta=0.05, t0=3, total_uploads=24, k=5,
+            eval_every=6, seed=0, first_order=first_order,
+        )
+        fleet = [
+            DeviceProfile(i, 0.01 * (1 + i % 3), LINK)
+            for i in range(len(sources))
+        ]
+        built = []
+        real = async_fedml.node_meta_kernel
+
+        def counted(*args, **kwargs):
+            kernel = real(*args, **kwargs)
+            built.append(kernel is not None)
+            return kernel
+
+        monkeypatch.setattr(async_fedml, "node_meta_kernel", counted)
+        held = AsyncFedML(MODEL, config).fit(fed, sources, fleet)
+        # One build per contribution; the exact kernel serves every one.
+        assert built == [not first_order] * 24
+        monkeypatch.setattr(
+            AsyncFedML, "_local_contribution", per_step_contribution
+        )
+        reference = AsyncFedML(MODEL, config).fit(fed, sources, fleet)
+        assert np.array_equal(to_vector(held.params), to_vector(reference.params))
+        assert held.history.records == reference.history.records
+        assert [n.local_steps for n in held.nodes] == [
+            n.local_steps for n in reference.nodes
+        ]

@@ -391,11 +391,12 @@ class TestSent140Model:
         seen = self._spy(monkeypatch)
         serial = _fit(sent140, FedML, self.CONFIG, SerialExecutor())
         vectorized = _fit(sent140, FedML, self.CONFIG, VectorizedExecutor())
-        # Training, 2 blocks of 3 steps: one kernel per node and block on
-        # the serial executor, one per block on the vectorized one.
+        # Training, 2 blocks of 3 steps: each group's kernel is prepared
+        # once per fit, one per node on the serial executor and one for the
+        # whole stack on the vectorized one, and called once per step.
         # Evaluation, on both: 3 per fit (θ⁰ and 2 rounds), one group each.
         assert seen == {
-            "accepted": 12 + 2 + 6,
+            "accepted": 6 + 1 + 6,
             "declined": 0,
             "calls": 36 + 6 + 6,
         }

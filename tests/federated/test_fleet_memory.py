@@ -9,7 +9,8 @@ that catches it, long before anyone profiles RSS at a million nodes.
 """
 
 from repro.core.fedavg import FedAvgConfig
-from repro.engine.strategies import SgdStrategy
+from repro.core.fedml import FedMLConfig
+from repro.engine.strategies import MetaStrategy, SgdStrategy
 from repro.federated.fleet import (
     FleetConfig,
     FleetSimulator,
@@ -71,3 +72,43 @@ def test_100k_fleet_residency_bounded_by_sampled_plus_buffer():
     # release_node hook): SgdStrategy memoizes training data per node_id.
     cache = strategy.__dict__.get("_data_cache", {})
     assert len(cache) == 0
+
+
+class _CountingMeta(MetaStrategy):
+    """FedML noting how many prepared kernels it held at each eviction."""
+
+    held_at_release = 0
+
+    def release_node(self, node):
+        self.held_at_release = max(self.held_at_release, len(self._kernels))
+        super().release_node(node)
+
+
+def test_fedml_fleet_releases_every_prepared_kernel():
+    """The meta block keeps each stacked group's kernel for later blocks;
+    eviction (``release_node``) drops it, so a FedML fleet run ends holding
+    none, however many waves prepared one."""
+    shards = SyntheticShardFactory(seed=0)
+    model = LogisticRegression(shards.input_dim, shards.num_classes)
+    strategy = _CountingMeta(
+        model,
+        FedMLConfig(
+            alpha=0.05, beta=0.05, t0=2, total_iterations=10, k=shards.k,
+            eval_every=5, seed=0,
+        ),
+    )
+    config = FleetConfig(
+        fleet_size=10_000,
+        sampled_per_round=32,
+        rounds=5,
+        local_steps=2,
+        buffer_size=BUFFER,
+        seed=0,
+        eval_every=5,
+        eval_sample=16,
+    )
+    sim = FleetSimulator(strategy, config, shards=shards)
+    sim.run()
+    assert strategy.held_at_release > 0
+    assert len(strategy._kernels) == 0
+    assert sim.registry.resident_count == 0

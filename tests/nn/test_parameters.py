@@ -118,6 +118,38 @@ class TestAveraging:
         assert np.all(avg["W"].data >= stacked.min(axis=0) - 1e-12)
 
 
+class TestStackParams:
+    """``stack_params`` builds its arrays with ``np.array``; the stack is
+    ``np.stack``'s and it still rejects trees that do not line up."""
+
+    def test_stack_is_np_stack_and_owns_its_arrays(self):
+        trees = [make_params(s) for s in range(3)]
+        stacked = stack_params(trees)
+        for name in ("W", "b"):
+            want = np.stack([t[name].data for t in trees])
+            assert stacked[name].data.tobytes() == want.tobytes()
+            assert stacked[name].data.shape == want.shape
+            assert stacked[name].data.flags.writeable
+            assert not np.shares_memory(stacked[name].data, trees[0][name].data)
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 3), (3,), (3, 2, 1), (4, 2), ()]
+    )
+    def test_per_name_shape_mismatch_raises(self, shape):
+        other = make_params(1)
+        other["W"] = Tensor(np.zeros(shape))
+        with pytest.raises(ValueError):
+            stack_params([make_params(0), other])
+
+    def test_name_mismatch_and_no_trees_raise(self):
+        other = make_params(1)
+        other["c"] = other.pop("b")
+        with pytest.raises(ValueError, match="disagree on names"):
+            stack_params([make_params(0), other])
+        with pytest.raises(ValueError, match="at least one"):
+            stack_params([])
+
+
 class TestArithmetic:
     def test_add_scaled(self):
         p = make_params(0)

@@ -8,7 +8,8 @@ serial executor does: both kernels take a one-node stack there.  So
 slice ``i`` of a stacked ``batched_loss_gradient`` or
 ``batched_meta_gradient`` call must be ``np.array_equal`` to the call on
 node ``i``'s one-node stack — every gradient, the meta kernel's losses
-and the first-order kernel's input gradient.
+and the first-order kernel's input gradient, on the built batch and on
+new first-layer inputs alike.
 
 Each call site asks only for the outputs it reads (the training step for
 the gradient, evaluation for the losses, an attack for the input
@@ -84,6 +85,35 @@ def test_loss_gradient_slice_equals_one_node_call(
     for i in range(nodes):
         kernel = batched_loss_gradient(model, one_node(batch, i))
         node = kernel(raw(stacked, slice(i, i + 1)), **asked(LOSS_OUTPUTS))
+        assert_slices_equal(full.gradient, node.gradient, i)
+        assert np.array_equal(full.input_gradient[i], node.input_gradient[0])
+
+
+@given(
+    model_args=MODELS,
+    nodes=st.integers(min_value=2, max_value=6),
+    n=st.integers(min_value=1, max_value=8),
+    token_ids=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@SETTINGS
+def test_new_input_call_slice_equals_one_node_call(
+    model_args, nodes, n, token_ids, seed
+):
+    """``kernel(theta, x, …)``, the Wasserstein ascent's form: new
+    first-layer inputs against the built batch's labels."""
+    model = build_model(*model_args)
+    token_ids = token_ids and model_args[0] == "embedding"
+    stacked, batch, _ = problem(model, nodes, n, [], seed, token_ids)
+    x = np.random.default_rng(seed).normal(size=(nodes, n, 12))
+    full = batched_loss_gradient(model, batch)(
+        raw(stacked), x, **asked(LOSS_OUTPUTS)
+    )
+    for i in range(nodes):
+        kernel = batched_loss_gradient(model, one_node(batch, i))
+        node = kernel(
+            raw(stacked, slice(i, i + 1)), x[i:i + 1], **asked(LOSS_OUTPUTS)
+        )
         assert_slices_equal(full.gradient, node.gradient, i)
         assert np.array_equal(full.input_gradient[i], node.input_gradient[0])
 
