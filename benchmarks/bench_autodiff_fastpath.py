@@ -1,12 +1,12 @@
-"""Ablation — autodiff fast path: graph-free backward over cached plans.
+"""Ablation — autodiff fast path: closed-form kernels against the tape.
 
-``grad(..., create_graph=False)`` dispatches to :mod:`repro.autodiff.fastpath`:
-VJPs run on raw ndarrays (no cotangent graph is built), the traversal plan
-(toposort, on-path set, accumulation buffers) is cached by graph structure,
-and the logistic-regression hot path uses the fused
-``linear_softmax_xent`` composite.  The workload is the one the paper's
-FedML algorithm runs — the per-node exact meta-gradient — timed with the
-fast path on vs. fully disabled.  With the fast path on, each call builds and
+:mod:`repro.autodiff.fastpath` is the switch between the closed-form
+kernels of :mod:`repro.nn.batched` (with the fused cross-entropy ops) and
+the generic tape, whose one reference backward serves every ``grad`` call.
+The workload is the one the paper's FedML algorithm runs — the per-node
+exact meta-gradient — timed with the fast path on vs. fully disabled (the
+``--no-fastpath`` tape: the exact inner step with ``create_graph=True``,
+then the outer backward).  With the fast path on, each call builds and
 runs ``repro.nn.batched.batched_meta_gradient`` on a one-node stack.
 
 Correctness is part of the record: every per-node gradient tensor must be
@@ -263,9 +263,8 @@ def run_comparison(nodes=8, k=5, repeats=30, alpha=0.01):
     model, splits, params = build_workload(nodes=nodes, k=k)
     calls = repeats * nodes
 
-    # Warm-up outside the timed region: first call per structure pays the
-    # plan build; steady-state cost is what the training loop sees.
-    fastpath.clear_cache()
+    # Warm-up outside the timed region: steady-state cost is what the
+    # training loop sees.
     fastpath.reset_stats()
     fast_warm, _ = sweep(model, splits, params, alpha, 1)
     fast_s, fast_grads = sweep(model, splits, params, alpha, repeats)

@@ -137,9 +137,9 @@ def timed_blocks(executor, strategy, fed, init, blocks, t0):
 def run_scale_comparison(nodes=50, blocks=8, t0=5):
     """Serial vs stacked ``run_block`` at fleet scale, uniform node data.
 
-    One warmup block per run first (fastpath plan build), then ``blocks``
-    timed blocks.  The serial executor calls the first-order kernel once
-    per node per local step; the stacked path once per local step.
+    One warmup block per run first, then ``blocks`` timed blocks.  The
+    serial executor calls the first-order kernel once per node per local
+    step; the stacked path once per local step.
     """
     from repro.core import FedAvgConfig
     from repro.engine import SgdStrategy

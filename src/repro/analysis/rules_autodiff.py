@@ -123,8 +123,8 @@ class TensorInplaceMutationRule(LintRule):
                 and base.func.attr == "numpy"
             ):
                 # ``t.numpy()[...] = x`` — the result is a view of tensor
-                # storage (read-only at runtime since the fast path landed,
-                # but flag it statically regardless).
+                # storage (read-only at runtime, but flag it statically
+                # regardless).
                 kind = "augmented assignment into" if aug else "assignment into"
                 yield self.finding(
                     ctx,

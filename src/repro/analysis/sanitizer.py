@@ -81,11 +81,9 @@ _M = np.array([[0.31, -0.72], [1.21, 0.93], [-0.44, 0.57]])  # (3, 2)
 _ROW = np.array([[0.4, -0.6, 1.1]])  # (1, 3)
 _COND = np.array([[True, False, True], [False, True, False]])
 _INDEX = (np.array([0, 1, 1]),)  # duplicate rows: exercises scatter-add
-_BVEC = np.array([0.25, -0.35])  # (2,) bias for the fused linear composite
-# Soft (non-one-hot) target weightings so the fused cross-entropy ops get a
+# A soft (non-one-hot) target weighting so the fused cross-entropy op gets a
 # non-degenerate targets gradient in the audit.
 _T3 = np.array([[0.2, 0.5, 0.3], [0.7, 0.1, 0.2]])  # (2, 3)
-_T2 = np.array([[0.6, 0.4], [0.1, 0.9]])  # (2, 2)
 
 
 def _specs() -> Dict[str, OpSpec]:
@@ -126,11 +124,6 @@ def _specs() -> Dict[str, OpSpec]:
         OpSpec("log_softmax", lambda a: ops.log_softmax(a, axis=-1), (_A,)),
         OpSpec("softmax", lambda a: ops.softmax(a, axis=-1), (_A,)),
         OpSpec("softmax_xent", ops.softmax_xent, (_A, _T3)),
-        OpSpec(
-            "linear_softmax_xent",
-            ops.linear_softmax_xent,
-            (_A, _M, _BVEC, _T2),
-        ),
         OpSpec("norm_sq", ops.norm_sq, (_A,)),
     ]
     return {spec.name: spec for spec in entries}

@@ -14,9 +14,9 @@ Public surface
 ``ops``
     Differentiable primitive operations (also exposed as methods/operators).
 ``fastpath``
-    First-order backward accelerator: raw-ndarray VJP execution with a
-    structure-keyed plan cache (see docs/AUTODIFF.md).  Enabled by default;
-    ``fastpath.disabled()`` restores the reference backward.
+    The switch for the fused cross-entropy ops and the closed-form kernels
+    (see docs/AUTODIFF.md).  Enabled by default; ``fastpath.disabled()``
+    runs the generic tape everywhere.
 """
 
 from . import fastpath, ops
@@ -32,7 +32,6 @@ from .ops import (
     div,
     exp,
     getitem,
-    linear_softmax_xent,
     log,
     log_softmax,
     logsumexp,
@@ -84,7 +83,6 @@ __all__ = [
     "div",
     "exp",
     "getitem",
-    "linear_softmax_xent",
     "log",
     "log_softmax",
     "logsumexp",

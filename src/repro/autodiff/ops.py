@@ -21,7 +21,6 @@ from .tensor import Tensor, _Context
 
 Axis = Union[None, int, Tuple[int, ...]]
 Vjp = Callable[[Tensor], Tensor]
-RawVjp = Callable[[np.ndarray], np.ndarray]
 
 __all__ = [
     "as_tensor",
@@ -55,7 +54,6 @@ __all__ = [
     "softmax",
     "logsumexp",
     "softmax_xent",
-    "linear_softmax_xent",
     "norm_sq",
     "zeros_like",
     "ones_like",
@@ -74,18 +72,10 @@ def as_tensor(value: object) -> Tensor:
 # single module-level slot so the disabled path costs one None check.
 _PROFILE_HOOK: Optional[Callable[[str, int, bool], None]] = None
 
-# Graph recording switch.  The first-order fast path flips this off while it
-# executes VJP closures, so the exact same numpy arithmetic runs but no
-# contexts, closures, or tape nodes are constructed for the cotangents.
+# Graph recording switch.  ``grad(..., create_graph=False)`` flips this off
+# while it runs the VJP closures, so the exact same numpy arithmetic runs but
+# no contexts, closures or tape nodes are built for the cotangents.
 _GRAD_ENABLED = True
-
-
-# Monotonic backward-pass counter, bumped by fastpath.backward() before each
-# run.  Raw-VJP memos (which share one cotangent-of-logits computation across
-# a fused op's parents) key on (cotangent identity, epoch): the fast path
-# reuses accumulation buffers across calls, so object identity alone could
-# confuse a fresh cotangent with a stale one from the previous backward.
-_BACKWARD_EPOCH = 0
 
 
 def _set_grad_enabled(value: bool) -> bool:
@@ -101,7 +91,6 @@ def _make(
     parents: Sequence[Tensor],
     vjps: Sequence[Optional[Vjp]],
     op_name: str,
-    raw_vjps: Optional[Sequence[Optional[RawVjp]]] = None,
 ) -> Tensor:
     """Build an op output, pruning the graph when no parent requires grad."""
     requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
@@ -110,16 +99,8 @@ def _make(
     if not requires:
         return Tensor(data)
     pruned = [v if p.requires_grad else None for p, v in zip(parents, vjps)]
-    pruned_raw = None
-    if raw_vjps is not None:
-        pruned_raw = [
-            v if p.requires_grad else None
-            for p, v in zip(parents, raw_vjps)
-        ]
     return Tensor(
-        data,
-        requires_grad=True,
-        _ctx=_Context(parents, pruned, op_name, raw_vjps=pruned_raw),
+        data, requires_grad=True, _ctx=_Context(parents, pruned, op_name)
     )
 
 
@@ -150,38 +131,10 @@ def _unbroadcast(g: Tensor, target_shape: tuple) -> Tensor:
     return g
 
 
-def _unbroadcast_raw(g: np.ndarray, target_shape: tuple) -> np.ndarray:
-    """Raw-ndarray twin of :func:`_unbroadcast`.
-
-    Performs the identical float-op sequence (same reductions in the same
-    order) so the fast path stays bit-identical to the closure path.
-    """
-    if g.shape == target_shape:
-        return g
-    extra = g.ndim - len(target_shape)
-    if extra > 0:
-        g = np.sum(g, axis=tuple(range(extra)))
-    axes = tuple(
-        i for i, dim in enumerate(target_shape) if dim == 1 and g.shape[i] != 1
-    )
-    if axes:
-        g = np.sum(g, axis=axes, keepdims=True)
-    if g.shape != target_shape:
-        g = g.reshape(target_shape)
-    return g
-
-
 # ----------------------------------------------------------------------
 # Arithmetic
 # ----------------------------------------------------------------------
 def add(a: Tensor, b: Tensor) -> Tensor:
-    def _raw_a(g: np.ndarray) -> np.ndarray:
-        return _unbroadcast_raw(g, a.shape)
-
-    def _raw_b(g: np.ndarray) -> np.ndarray:
-        return _unbroadcast_raw(g, b.shape)
-
-    raws = (_raw_a, _raw_b)
     return _make(
         a.data + b.data,
         (a, b),
@@ -190,18 +143,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             lambda g: _unbroadcast(g, b.shape),
         ),
         "add",
-        raw_vjps=raws,
     )
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    def _raw_a(g: np.ndarray) -> np.ndarray:
-        return _unbroadcast_raw(g, a.shape)
-
-    def _raw_b(g: np.ndarray) -> np.ndarray:
-        return _unbroadcast_raw(-g, b.shape)
-
-    raws = (_raw_a, _raw_b)
     return _make(
         a.data - b.data,
         (a, b),
@@ -210,18 +155,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
             lambda g: _unbroadcast(neg(g), b.shape),
         ),
         "sub",
-        raw_vjps=raws,
     )
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    def _raw_a(g: np.ndarray) -> np.ndarray:
-        return _unbroadcast_raw(g * b.data, a.shape)
-
-    def _raw_b(g: np.ndarray) -> np.ndarray:
-        return _unbroadcast_raw(g * a.data, b.shape)
-
-    raws = (_raw_a, _raw_b)
     return _make(
         a.data * b.data,
         (a, b),
@@ -230,18 +167,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             lambda g: _unbroadcast(mul(g, a), b.shape),
         ),
         "mul",
-        raw_vjps=raws,
     )
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    def _raw_a(g: np.ndarray) -> np.ndarray:
-        return _unbroadcast_raw(g / b.data, a.shape)
-
-    def _raw_b(g: np.ndarray) -> np.ndarray:
-        return _unbroadcast_raw(-((g * a.data) / (b.data * b.data)), b.shape)
-
-    raws = (_raw_a, _raw_b)
     return _make(
         a.data / b.data,
         (a, b),
@@ -250,62 +179,33 @@ def div(a: Tensor, b: Tensor) -> Tensor:
             lambda g: _unbroadcast(neg(div(mul(g, a), mul(b, b))), b.shape),
         ),
         "div",
-        raw_vjps=raws,
     )
 
 
 def neg(a: Tensor) -> Tensor:
-    def _raw(g: np.ndarray) -> np.ndarray:
-        return -g
-
-    raws = (_raw,)
-    return _make(-a.data, (a,), (lambda g: neg(g),), "neg", raw_vjps=raws)
+    return _make(-a.data, (a,), (lambda g: neg(g),), "neg")
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
     """Elementwise ``a ** exponent`` for a constant (non-tensor) exponent."""
     exponent = float(exponent)
-
-    def _raw(g: np.ndarray) -> np.ndarray:
-        # Same float sequence as the closure: a**(e-1), scale by e, then g.
-        return g * (
-            np.asarray(exponent, dtype=np.float64)
-            * a.data ** (exponent - 1.0)
-        )
-
-    raws = (_raw,)
     return _make(
         a.data**exponent,
         (a,),
         (lambda g: mul(g, mul(as_tensor(exponent), power(a, exponent - 1.0))),),
         "power",
-        raw_vjps=raws,
     )
 
 
 def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-    out = _make(out_data, (a,), (None,), "exp")
+    out = _make(np.exp(a.data), (a,), (None,), "exp")
     if out._ctx is not None:
-
-        def _raw(g: np.ndarray) -> np.ndarray:
-            return g * out_data
-
-        raws = (_raw,)
-        out._ctx = _Context(
-            (a,), (lambda g: mul(g, out),), "exp", raw_vjps=raws
-        )
+        out._ctx = _Context((a,), (lambda g: mul(g, out),), "exp")
     return out
 
 
 def log(a: Tensor) -> Tensor:
-    def _raw(g: np.ndarray) -> np.ndarray:
-        return g / a.data
-
-    raws = (_raw,)
-    return _make(
-        np.log(a.data), (a,), (lambda g: div(g, a),), "log", raw_vjps=raws
-    )
+    return _make(np.log(a.data), (a,), (lambda g: div(g, a),), "log")
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -313,51 +213,28 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-    out = _make(out_data, (a,), (None,), "tanh")
+    out = _make(np.tanh(a.data), (a,), (None,), "tanh")
     if out._ctx is not None:
         one = Tensor(np.array(1.0))
-
-        def _raw(g: np.ndarray) -> np.ndarray:
-            # Mirrors mul(g, sub(one, mul(out, out))) float-op for float-op.
-            return g * (np.array(1.0) - out_data * out_data)
-
         out._ctx = _Context(
-            (a,), (lambda g: mul(g, sub(one, mul(out, out))),), "tanh",
-            raw_vjps=(_raw,),
+            (a,), (lambda g: mul(g, sub(one, mul(out, out))),), "tanh"
         )
     return out
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
-    out = _make(out_data, (a,), (None,), "sigmoid")
+    out = _make(1.0 / (1.0 + np.exp(-a.data)), (a,), (None,), "sigmoid")
     if out._ctx is not None:
         one = Tensor(np.array(1.0))
-
-        def _raw(g: np.ndarray) -> np.ndarray:
-            # Mirrors mul(g, mul(out, sub(one, out))) float-op for float-op.
-            return g * (out_data * (np.array(1.0) - out_data))
-
         out._ctx = _Context(
-            (a,), (lambda g: mul(g, mul(out, sub(one, out))),), "sigmoid",
-            raw_vjps=(_raw,),
+            (a,), (lambda g: mul(g, mul(out, sub(one, out))),), "sigmoid"
         )
     return out
 
 
 def relu(a: Tensor) -> Tensor:
     mask = Tensor((a.data > 0).astype(np.float64))
-    mask_data = mask.data
-
-    def _raw(g: np.ndarray) -> np.ndarray:
-        return g * mask_data
-
-    raws = (_raw,)
-    return _make(
-        a.data * mask.data, (a,), (lambda g: mul(g, mask),), "relu",
-        raw_vjps=raws,
-    )
+    return _make(a.data * mask.data, (a,), (lambda g: mul(g, mask),), "relu")
 
 
 def abs_(a: Tensor) -> Tensor:
@@ -368,15 +245,8 @@ def abs_(a: Tensor) -> Tensor:
 def clip(a: Tensor, low: float, high: float) -> Tensor:
     """Clamp values to ``[low, high]``; gradient is zero outside the range."""
     mask = Tensor(((a.data >= low) & (a.data <= high)).astype(np.float64))
-    mask_data = mask.data
-
-    def _raw(g: np.ndarray) -> np.ndarray:
-        return g * mask_data
-
-    raws = (_raw,)
     return _make(
-        np.clip(a.data, low, high), (a,), (lambda g: mul(g, mask),), "clip",
-        raw_vjps=raws,
+        np.clip(a.data, low, high), (a,), (lambda g: mul(g, mask),), "clip"
     )
 
 
@@ -389,14 +259,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul expects 2-D operands, got {a.shape} @ {b.shape}; "
             "reshape other inputs first"
         )
-
-    def _raw_a(g: np.ndarray) -> np.ndarray:
-        return g @ np.transpose(b.data)
-
-    def _raw_b(g: np.ndarray) -> np.ndarray:
-        return np.transpose(a.data) @ g
-
-    raws = (_raw_a, _raw_b)
     return _make(
         a.data @ b.data,
         (a, b),
@@ -405,7 +267,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             lambda g: matmul(transpose(a), g),
         ),
         "matmul",
-        raw_vjps=raws,
     )
 
 
@@ -428,15 +289,7 @@ def sum_(a: Tensor, axis: Axis = None, keepdims: bool = False) -> Tensor:
             g = reshape(g, kept_shape)
         return broadcast_to(g, a.shape)
 
-    def _raw(g: np.ndarray) -> np.ndarray:
-        if kept_shape is not None:
-            g = g.reshape(kept_shape)
-        # .copy() mirrors broadcast_to's forward: same bits, and the
-        # contiguous buffer keeps downstream matmuls off the slow path.
-        return np.broadcast_to(g, a.shape).copy()
-
-    raws = (_raw,)
-    return _make(out_data, (a,), (vjp,), "sum", raw_vjps=raws)
+    return _make(out_data, (a,), (vjp,), "sum")
 
 
 def mean(a: Tensor, axis: Axis = None, keepdims: bool = False) -> Tensor:
@@ -450,14 +303,9 @@ def mean(a: Tensor, axis: Axis = None, keepdims: bool = False) -> Tensor:
 
 def reshape(a: Tensor, shape: Tuple[int, ...]) -> Tensor:
     original = a.shape
-
-    def _raw(g: np.ndarray) -> np.ndarray:
-        return g.reshape(original)
-
-    raws = (_raw,)
     return _make(
         a.data.reshape(shape), (a,), (lambda g: reshape(g, original),),
-        "reshape", raw_vjps=raws,
+        "reshape",
     )
 
 
@@ -466,31 +314,20 @@ def transpose(a: Tensor, axes: Optional[Tuple[int, ...]] = None) -> Tensor:
         inverse = None
     else:
         inverse = tuple(np.argsort(axes))
-
-    def _raw(g: np.ndarray) -> np.ndarray:
-        return np.transpose(g, inverse)
-
-    raws = (_raw,)
     return _make(
         np.transpose(a.data, axes),
         (a,),
         (lambda g: transpose(g, inverse),),
         "transpose",
-        raw_vjps=raws,
     )
 
 
 def broadcast_to(a: Tensor, shape: Tuple[int, ...]) -> Tensor:
-    def _raw(g: np.ndarray) -> np.ndarray:
-        return _unbroadcast_raw(g, a.shape)
-
-    raws = (_raw,)
     return _make(
         np.broadcast_to(a.data, shape).copy(),
         (a,),
         (lambda g: _unbroadcast(g, a.shape),),
         "broadcast_to",
-        raw_vjps=raws,
     )
 
 
@@ -500,16 +337,9 @@ def getitem(a: Tensor, index: object) -> Tensor:
     The backward pass scatter-adds the cotangent into the indexed positions,
     correctly accumulating duplicates (needed for embedding lookups).
     """
-
-    def _raw(g: np.ndarray) -> np.ndarray:
-        out = np.zeros(a.shape, dtype=np.float64)
-        np.add.at(out, index, g)
-        return out
-
-    raws = (_raw,)
     return _make(
         a.data[index], (a,), (lambda g: _scatter(g, index, a.shape),),
-        "getitem", raw_vjps=raws,
+        "getitem",
     )
 
 
@@ -633,21 +463,16 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 # The logistic-regression hot path (linear -> log_softmax -> nll) dominates
 # every FedML meta-step.  These fused ops compute the identical float
 # operation sequence the unfused composite would (forward AND backward), so
-# values and gradients are bit-for-bit equal, while recording a single tape
-# node instead of ~15.  They carry two backward forms:
-#
-# * differentiable ``vjp_*`` closures (pure ops primitives, so
-#   ``create_graph=True`` double backward works and the AD210-212 audit
-#   passes), and
-# * raw ndarray ``_raw_*`` VJPs consumed by the ``create_graph=False`` fast
-#   path in :mod:`repro.autodiff.fastpath`, which skips cotangent graph
-#   construction entirely.
+# values and gradients are bit-for-bit equal, while recording one
+# softmax-xent node instead of ~15.  Its VJPs are written with ops
+# primitives, so ``create_graph=True`` double backward works and the
+# AD210-212 audit passes.
 
 
 def _xent_forward(
     logits_data: np.ndarray, targets_data: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Shared fused forward; mirrors the composite's arithmetic exactly."""
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """The fused forward; mirrors the composite's arithmetic exactly."""
     shift = np.max(logits_data, axis=1, keepdims=True)
     e = np.exp(logits_data - shift)
     s = np.sum(e, axis=(1,), keepdims=True)
@@ -655,36 +480,13 @@ def _xent_forward(
     inv_n = 1.0 / logits_data.shape[0]
     per = np.sum(logp * targets_data, axis=(1,))
     out = np.asarray(-(np.sum(per, axis=None) * np.asarray(inv_n)))
-    return out, shift, e, s, inv_n
-
-
-def _xent_outer_raw(
-    g: np.ndarray, n: int, inv_n: float, shape: Tuple[int, ...]
-) -> np.ndarray:
-    """Cotangent of the per-example nll vector: neg -> mean -> sum chain."""
-    g3 = np.broadcast_to(-g * np.asarray(inv_n), (n,)).copy()
-    return np.broadcast_to(g3.reshape((n, 1)), shape).copy()
-
-
-def _xent_dlogits_raw(
-    g: np.ndarray,
-    e: np.ndarray,
-    s: np.ndarray,
-    targets_data: np.ndarray,
-    inv_n: float,
-) -> np.ndarray:
-    """Raw cotangent of the logits; step-for-step the composite's backward."""
-    shape = e.shape
-    g5 = _xent_outer_raw(g, shape[0], inv_n, shape) * targets_data
-    g6 = np.sum(-g5, axis=(1,), keepdims=True)
-    g8 = np.broadcast_to(g6 / s, shape).copy()
-    return g5 + g8 * e
+    return out, shift, inv_n
 
 
 def _xent_outer(
     g: Tensor, n: int, inv_t: Tensor, shape: Tuple[int, ...]
 ) -> Tensor:
-    """Differentiable twin of :func:`_xent_outer_raw`."""
+    """Cotangent of the per-example nll vector: neg -> mean -> sum chain."""
     g3 = broadcast_to(mul(neg(g), inv_t), (n,))
     return broadcast_to(reshape(g3, (n, 1)), shape)
 
@@ -692,7 +494,7 @@ def _xent_outer(
 def _xent_dlogits(
     g: Tensor, logits_t: Tensor, targets: Tensor, shift_t: Tensor, inv_t: Tensor
 ) -> Tensor:
-    """Differentiable twin of :func:`_xent_dlogits_raw` (recomputes e, s)."""
+    """Cotangent of the logits; step-for-step the composite's backward."""
     shape = logits_t.shape
     e_t = exp(sub(logits_t, shift_t))
     s_t = sum_(e_t, axis=1, keepdims=True)
@@ -724,8 +526,7 @@ def softmax_xent(logits: Tensor, targets: Tensor) -> Tensor:
             f"targets shape {targets.shape} does not match logits "
             f"{logits.shape}"
         )
-    t_data = targets.data
-    out, shift, e, s, inv_n = _xent_forward(logits.data, t_data)
+    out, shift, inv_n = _xent_forward(logits.data, targets.data)
     shift_t = Tensor(shift)
     inv_t = Tensor(np.asarray(inv_n))
     shape = logits.shape
@@ -738,92 +539,8 @@ def softmax_xent(logits: Tensor, targets: Tensor) -> Tensor:
             _xent_outer(g, shape[0], inv_t, shape), _xent_logp(logits, shift_t)
         )
 
-    def _raw_logits(g: np.ndarray) -> np.ndarray:
-        return _xent_dlogits_raw(g, e, s, t_data, inv_n)
-
-    def _raw_targets(g: np.ndarray) -> np.ndarray:
-        logp = logits.data - (np.log(s) + shift)
-        return _xent_outer_raw(g, shape[0], inv_n, shape) * logp
-
-    vjps: Tuple[Optional[Vjp], ...] = (vjp_logits, vjp_targets)
-    raws: Tuple[Optional[RawVjp], ...] = (_raw_logits, _raw_targets)
-    return _make(out, (logits, targets), vjps, "softmax_xent", raw_vjps=raws)
-
-
-def linear_softmax_xent(
-    x: Tensor, w: Tensor, b: Tensor, targets: Tensor
-) -> Tensor:
-    """Fused ``softmax_xent(x @ w + b, targets)`` — the full FedML hot path.
-
-    The backward shares one cotangent-of-logits computation across the
-    ``x``/``w``/``b`` VJPs (memoized per seed on the raw path).
-    """
-    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
-        raise ValueError(
-            "linear_softmax_xent expects x:(batch,features) w:(features,"
-            f"classes) b:(classes,), got {x.shape} {w.shape} {b.shape}"
-        )
-    logits_data = x.data @ w.data + b.data
-    if targets.shape != logits_data.shape:
-        raise ValueError(
-            f"targets shape {targets.shape} does not match logits "
-            f"{logits_data.shape}"
-        )
-    t_data = targets.data
-    out, shift, e, s, inv_n = _xent_forward(logits_data, t_data)
-    shift_t = Tensor(shift)
-    inv_t = Tensor(np.asarray(inv_n))
-    shape = logits_data.shape
-
-    def logits_t() -> Tensor:
-        return add(matmul(x, w), b)
-
-    def vjp_x(g: Tensor) -> Tensor:
-        return matmul(_xent_dlogits(g, logits_t(), targets, shift_t, inv_t),
-                      transpose(w))
-
-    def vjp_w(g: Tensor) -> Tensor:
-        return matmul(transpose(x),
-                      _xent_dlogits(g, logits_t(), targets, shift_t, inv_t))
-
-    def vjp_b(g: Tensor) -> Tensor:
-        return sum_(_xent_dlogits(g, logits_t(), targets, shift_t, inv_t),
-                    axis=0)
-
-    def vjp_targets(g: Tensor) -> Tensor:
-        return mul(
-            _xent_outer(g, shape[0], inv_t, shape),
-            _xent_logp(logits_t(), shift_t),
-        )
-
-    seen: Tuple[Optional[np.ndarray], int] = (None, -1)
-    cached: Optional[np.ndarray] = None
-
-    def _dl(g: np.ndarray) -> np.ndarray:
-        nonlocal seen, cached
-        if seen[0] is not g or seen[1] != _BACKWARD_EPOCH:
-            seen = (g, _BACKWARD_EPOCH)
-            cached = _xent_dlogits_raw(g, e, s, t_data, inv_n)
-        assert cached is not None
-        return cached
-
-    def _raw_x(g: np.ndarray) -> np.ndarray:
-        return _dl(g) @ np.transpose(w.data)
-
-    def _raw_w(g: np.ndarray) -> np.ndarray:
-        return np.transpose(x.data) @ _dl(g)
-
-    def _raw_b(g: np.ndarray) -> np.ndarray:
-        return np.sum(_dl(g), axis=(0,))
-
-    def _raw_targets(g: np.ndarray) -> np.ndarray:
-        logp = logits_data - (np.log(s) + shift)
-        return _xent_outer_raw(g, shape[0], inv_n, shape) * logp
-
-    vjps: Tuple[Optional[Vjp], ...] = (vjp_x, vjp_w, vjp_b, vjp_targets)
-    raws: Tuple[Optional[RawVjp], ...] = (_raw_x, _raw_w, _raw_b, _raw_targets)
     return _make(
-        out, (x, w, b, targets), vjps, "linear_softmax_xent", raw_vjps=raws
+        out, (logits, targets), (vjp_logits, vjp_targets), "softmax_xent"
     )
 
 

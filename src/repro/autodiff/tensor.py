@@ -49,28 +49,19 @@ class _Context:
         do not require grad.
     op_name:
         Human-readable operation name, used in error messages.
-    raw_vjps:
-        Optional ndarray-level VJPs (one per parent, or ``None``) used by the
-        first-order fast path in :mod:`repro.autodiff.fastpath`.  Fused ops
-        provide these so ``create_graph=False`` backward never has to build
-        cotangent graph nodes for them.
     """
 
-    __slots__ = ("parents", "vjps", "op_name", "raw_vjps")
+    __slots__ = ("parents", "vjps", "op_name")
 
     def __init__(
         self,
         parents: Sequence["Tensor"],
         vjps: Sequence[Optional[Callable[["Tensor"], "Tensor"]]],
         op_name: str,
-        raw_vjps: Optional[
-            Sequence[Optional[Callable[[np.ndarray], np.ndarray]]]
-        ] = None,
     ) -> None:
         self.parents = tuple(parents)
         self.vjps = tuple(vjps)
         self.op_name = op_name
-        self.raw_vjps = None if raw_vjps is None else tuple(raw_vjps)
 
 
 class Tensor:
@@ -368,10 +359,8 @@ def grad(
     create_graph:
         If ``True`` the returned gradients are themselves differentiable
         graph nodes (enables second-order gradients).  If ``False`` the
-        gradients are detached leaves, and the backward pass runs on the
-        raw-ndarray fast path of :mod:`repro.autodiff.fastpath` (when
-        enabled; bit-identical to the reference path), or else on the
-        reference path with graph recording off.
+        same backward runs with graph recording off, and its gradients are
+        returned as detached leaves.
     allow_unused:
         If ``True``, inputs not reachable from ``output`` yield ``None``;
         otherwise a :class:`GradientError` is raised.
@@ -403,25 +392,10 @@ def grad(
     if create_graph:
         cotangents = _cotangents(order, output, inputs, grad_output)
     else:
-        from . import fastpath, ops
+        from . import ops
 
-        if fastpath.enabled():
-            raw = fastpath.backward(output, inputs, order, grad_output.data)
-            fast_results: List[Optional[Tensor]] = []
-            for arr in raw:
-                if arr is None:
-                    if not allow_unused:
-                        raise GradientError(
-                            "an input is unused in the graph; pass "
-                            "allow_unused=True to receive None for it"
-                        )
-                    fast_results.append(None)
-                else:
-                    fast_results.append(Tensor(arr))
-            return fast_results
         # The result is detached, so nothing reads the graph the VJPs'
-        # differentiable ops would record: run them with recording off,
-        # as the fast path's closure fallback does.
+        # differentiable ops would record: run them with recording off.
         previous = ops._set_grad_enabled(False)
         try:
             cotangents = _cotangents(order, output, inputs, grad_output)

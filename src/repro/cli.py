@@ -908,7 +908,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument(
         "--no-fastpath", action="store_true",
         help="run every gradient on the autodiff tape, through training "
-        "and the adaptation table: no raw-VJP backward, no closed-form "
+        "and the adaptation table: no fused ops, no closed-form "
         "kernels; the kernels agree with the tape within 1e-12 relative, so "
         "printed values agree and final parameters differ in the last bits",
     )

@@ -114,8 +114,9 @@ class AsyncFedML:
         """Run t0 local meta-steps from ``start``; return the new params.
 
         The node's sets are fixed for the phase, so one one-node meta
-        kernel serves all ``t0`` steps, asked for the gradient alone;
-        where it declines, each step runs :func:`meta_gradient` (the tape).
+        kernel (exact or first-order) serves all ``t0`` steps, asked for
+        the gradient alone; where it declines, each step runs
+        :func:`meta_gradient` (the tape).
         """
         cfg = self.config
         params = detach(start)

@@ -11,7 +11,7 @@ centralized MAML baseline:
 * :func:`meta_loss` — ``L(phi(theta), D_test)``, the per-node objective
   ``G_i(theta)`` of Section IV;
 * :func:`meta_gradient` — exact (second-order) or first-order meta-gradient
-  of the per-node objective.  Exact one-step MAML runs
+  of the per-node objective.  One-step MAML, exact or first-order, runs
   :func:`repro.nn.batched.batched_meta_gradient` on a one-node stack while
   the fast path is on; else the generic tape runs;
 * :func:`node_meta_kernel` — that one-node kernel, for a caller that steps
@@ -66,8 +66,8 @@ def inner_adapt(
     are treated as constants (first-order approximation).  A tree of plain
     leaves (eq. 6, :func:`meta_loss`, Robust FedML's φ) then takes its
     gradients from the first-order kernel wherever it applies; a leaf that
-    requires grad (the FOMAML meta-gradient) keeps ``phi = theta - alpha *
-    g`` on the tape.
+    requires grad (the FOMAML meta-gradient where the meta kernel
+    declines) keeps ``phi = theta - alpha * g`` on the tape.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")

@@ -63,10 +63,6 @@ from ..utils.serialization import params_fingerprint
 
 __all__ = ["Executor", "ExecutorError", "SerialExecutor", "VectorizedExecutor"]
 
-#: fast-path counter keys surfaced on the per-block ``cache_hit`` event
-_CACHE_EVENT_KEYS = (
-    "backwards", "plan_hits", "plan_misses", "raw_vjp_calls", "fused_dispatches",
-)
 #: a block's groups: whether each runs stacked, and its nodes
 Groups = List[Tuple[bool, List[EdgeNode]]]
 
@@ -232,7 +228,7 @@ class _GroupingExecutor:
     ) -> None:
         tel = resolve(telemetry)
         traced = tel.enabled
-        fastpath_base = fastpath.stats().as_dict() if traced else {}
+        fused_base = fastpath.stats().fused_dispatches if traced else 0
         groups = self._groups(strategy, nodes)
         for stacked, group in groups:
             if traced:
@@ -275,7 +271,7 @@ class _GroupingExecutor:
         if traced:
             _emit_block_events(
                 tel, groups, block_index,
-                fastpath.stats().delta_since(fastpath_base),
+                fastpath.stats().fused_dispatches - fused_base,
             )
 
 
@@ -316,13 +312,12 @@ def _emit_node_results(
 
 
 def _emit_block_events(
-    tel: Any, groups: Groups, block_index: int, delta: Dict[str, int]
+    tel: Any, groups: Groups, block_index: int, fused_dispatches: int
 ) -> None:
     """The block's stacking summary and its ``cache_hit`` event.
 
-    ``cache_hit`` summarises fast-path activity.  A block whose every step
-    took a fused kernel runs no backward at all, so fused dispatches alone
-    also count as activity.
+    ``cache_hit`` counts the block's dispatches to fused ops and kernels;
+    a block with none emits no ``cache_hit``.
     """
     stacked_groups = [group for stacked, group in groups if stacked]
     stacked_nodes = sum(len(group) for group in stacked_groups)
@@ -334,9 +329,7 @@ def _emit_block_events(
     )
     tel.counter("fl_vectorized_nodes_total").inc(stacked_nodes)
     tel.counter("fl_vectorized_fallback_total").inc(fallback_nodes)
-    if delta.get("backwards", 0) or delta.get("fused_dispatches", 0):
+    if fused_dispatches:
         tel.events.emit(
-            "cache_hit",
-            block=block_index,
-            **{k: delta.get(k, 0) for k in _CACHE_EVENT_KEYS},
+            "cache_hit", block=block_index, fused_dispatches=fused_dispatches
         )

@@ -15,10 +15,10 @@ kernels) is rebuilt by ``begin_fit`` each run, and what would outlive the
 fit (the kernels) is dropped by ``end_fit``; per-node caches are dropped
 in ``release_node``.
 
-FedAvg, FedProx, FedML and Robust FedML each have one step on a stack of
-nodes, ``local_block_vectorized``, which every node the closed-form
-kernels serve runs under either executor (a serial node is a stack of
-one).  ``local_step`` is the per-node reference path for the rest: a
+FedAvg, FedProx, FedML (exact or FOMAML), Robust FedML and Meta-SGD
+each have one step on a stack of nodes, ``local_block_vectorized``,
+which every node the closed-form kernels serve runs under either
+executor (a serial node is a stack of one).  ``local_step`` is the per-node reference path for the rest: a
 node ``vectorized_signature`` returns ``None`` for, and every node of a
 strategy without ``supports_vectorized``.
 
@@ -39,7 +39,7 @@ Strategy               Algorithm
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -49,11 +49,13 @@ from ..attacks.wasserstein import wasserstein_ascent
 from ..data.dataset import Dataset, FederatedDataset, NodeSplit
 from ..federated.node import EdgeNode, build_nodes
 from ..nn.batched import (
+    Arrays,
     Kernel,
     _param_shapes,
     batch_key,
     batched_loss_gradient,
     batched_meta_gradient,
+    node_loss_gradient,
     stack_params,
     supports_batched_loss,
     unstack_params,
@@ -64,6 +66,9 @@ from ..nn.modules import Model
 from ..nn.parameters import Params, add_scaled, detach, require_grad
 from ..core.maml import LossFn, inner_adapt, meta_gradient, meta_loss
 from .evaluation import loss_gradient, node_training_data, weighted_node_average
+
+#: a parameter tree's leaf: a tensor, or a stack's raw array
+_Leaf = TypeVar("_Leaf")
 
 __all__ = [
     "LocalStrategy",
@@ -484,13 +489,11 @@ class MetaStrategy(LocalStrategy):
 
     def vectorized_signature(self, node: EdgeNode) -> Optional[Tuple]:
         """The shapes of the node's train and outer sets, or ``None``
-        where the exact kernel declines: the fast path off,
-        ``first_order``, ``inner_steps != 1``, a model or loss it does
-        not take, or a batch it rejects."""
-        cfg = self.config
+        where the meta kernel declines: the fast path off,
+        ``inner_steps != 1``, a model or loss it does not take, or a
+        batch it rejects."""
         if (
-            cfg.first_order
-            or cfg.inner_steps != 1
+            getattr(self.config, "inner_steps", 1) != 1
             or not fastpath.enabled()
             or not supports_batched_loss(self.model, self.loss_fn)
         ):
@@ -507,22 +510,38 @@ class MetaStrategy(LocalStrategy):
         steps: int,
         rngs: Sequence[np.random.Generator],
     ) -> None:
-        cfg = self.config
         kernel = self._group_kernel(nodes)
         stacked = stack_params([node.params for node in nodes])
         # The block owns the stack's arrays, so each step updates them in
-        # place: g ← −β·g, θ ← θ + g is θ + (−β)·g, bit for bit.
-        theta = {name: t.data for name, t in stacked.items()}
+        # place.
+        arrays = {name: t.data for name, t in stacked.items()}
         for _ in range(steps):
-            for name, g in kernel(theta, gradient=True).gradient.items():
-                g *= -cfg.beta
-                theta[name] += g
+            self._step(kernel, arrays)
         evals = 1 + len(self._outer_sets(nodes[0]))
         for node, tree in zip(nodes, unstack_params(stacked, len(nodes))):
             # Intentional per-node loop: state fan-out and step accounting.
             node.params = tree
             for _ in range(steps):
                 node.record_local_step(gradient_evals=evals)
+
+    def _step(self, kernel: Kernel, arrays: Arrays) -> None:
+        """One meta-step of the stack, in place: g ← −β·g, θ ← θ + g is
+        θ + (−β)·g, bit for bit."""
+        for name, g in kernel(arrays, gradient=True).gradient.items():
+            g *= -self.config.beta
+            arrays[name] += g
+
+    def _build_kernel(
+        self,
+        train: Tuple[np.ndarray, np.ndarray],
+        tests: Sequence[Tuple[np.ndarray, np.ndarray]],
+    ) -> Optional[Kernel]:
+        """The config's meta kernel over stacked sets."""
+        cfg = self.config
+        return batched_meta_gradient(
+            self.model, train, tests, cfg.alpha, self.loss_fn,
+            inner_steps=cfg.inner_steps, first_order=cfg.first_order,
+        )
 
     def _group_kernel(self, nodes: Sequence[EdgeNode]) -> Kernel:
         """The group's closed-form kernel, prepared once per fit.
@@ -542,7 +561,6 @@ class MetaStrategy(LocalStrategy):
                 return kernel
         else:
             self._kernels.drop(nodes)
-        cfg = self.config
         train = _stacked([node.split.train for node in nodes])
         # Each outer set stacked across the group; equal signatures give
         # every node the same number of sets of the same shapes.
@@ -550,12 +568,7 @@ class MetaStrategy(LocalStrategy):
             _stacked(sets)
             for sets in zip(*(self._outer_sets(node) for node in nodes))
         ]
-        kernel = _accepted(
-            batched_meta_gradient(
-                self.model, train, tests, cfg.alpha, self.loss_fn,
-                inner_steps=cfg.inner_steps, first_order=cfg.first_order,
-            )
-        )
+        kernel = _accepted(self._build_kernel(train, tests))
         if own:
             self._kernels.put(nodes, kernel)
         return kernel
@@ -664,8 +677,11 @@ def merge_meta_sgd_trees(params: Params, log_alpha: Params) -> Params:
     return merged
 
 
-def split_meta_sgd_trees(merged: Params) -> Tuple[Params, Params]:
-    """Inverse of :func:`merge_meta_sgd_trees`."""
+def split_meta_sgd_trees(
+    merged: Dict[str, _Leaf]
+) -> Tuple[Dict[str, _Leaf], Dict[str, _Leaf]]:
+    """Inverse of :func:`merge_meta_sgd_trees`; a stack's raw arrays
+    split the same way."""
     params = {
         n[len("theta::"):]: t for n, t in merged.items() if n.startswith("theta::")
     }
@@ -677,14 +693,19 @@ def split_meta_sgd_trees(merged: Params) -> Tuple[Params, Params]:
     return params, log_alpha
 
 
-class MetaSgdStrategy(LocalStrategy):
+class MetaSgdStrategy(MetaStrategy):
     """Meta-SGD: learnable per-parameter inner rates, trained federatedly.
 
     Node parameter trees hold both θ and the log-rates; aggregation
     averages both (the platform is agnostic to what the tree contains).
+    The stacked block is :class:`MetaStrategy`'s, grouped by its
+    signature, with a step that passes each node's rates to the meta
+    kernel; ``local_step`` is the tape's learned-rate step for the nodes
+    without a signature.
     """
 
     name = "meta-sgd"
+    log_uplink = False
 
     def initial_params(
         self, rng: np.random.Generator, init_params: Optional[Params]
@@ -697,24 +718,57 @@ class MetaSgdStrategy(LocalStrategy):
         }
         return merge_meta_sgd_trees(params, log_alpha)
 
+    def _build_kernel(
+        self,
+        train: Tuple[np.ndarray, np.ndarray],
+        tests: Sequence[Tuple[np.ndarray, np.ndarray]],
+    ) -> Optional[Kernel]:
+        # Every call passes the nodes' rates, so the scalar α is unread.
+        return batched_meta_gradient(
+            self.model, train, tests, self.config.alpha_init, self.loss_fn
+        )
+
+    def _step(self, kernel: Kernel, arrays: Arrays) -> None:
+        """One learned-rate meta-step of the merged stack, in place on
+        θ and the log-rates."""
+        theta, log_alpha = split_meta_sgd_trees(arrays)
+        rates = {name: np.exp(a) for name, a in log_alpha.items()}
+        out = kernel(theta, rates, gradient=True, rate_gradient=True)
+        for tree, grads in (
+            (theta, out.gradient), (log_alpha, out.rate_gradient)
+        ):
+            for name, g in grads.items():
+                g *= -self.config.beta
+                tree[name] += g
+
     def adapt(
         self, params: Params, log_alpha: Params, split: NodeSplit
     ) -> Params:
-        """One learned-rate inner step (detached, for evaluation)."""
-        theta = require_grad(params)
-        loss = fused_model_loss(
-            self.model, theta, split.train.x, split.train.y, self.loss_fn
+        """One learned-rate inner step (detached, for evaluation); the
+        first-order kernel forms ``∇L`` where it applies, else the tape."""
+        train = split.train
+        built = node_loss_gradient(
+            self.model, params, train.x, train.y, self.loss_fn
         )
-        names = sorted(theta)
-        grads = grad(loss, [theta[n] for n in names], allow_unused=True)
-        phi: Params = {}
-        for name, g in zip(names, grads):
-            rate = np.exp(log_alpha[name].data)
-            if g is None:
-                phi[name] = Tensor(theta[name].data.copy())
-            else:
-                phi[name] = Tensor(theta[name].data - rate * g.data)
-        return phi
+        if built is not None:
+            kernel, stacked = built
+            grads = {
+                name: g[0]
+                for name, g in kernel(stacked, gradient=True).gradient.items()
+            }
+        else:
+            theta = require_grad(params)
+            loss = fused_model_loss(
+                self.model, theta, train.x, train.y, self.loss_fn
+            )
+            names = sorted(theta)
+            taped = grad(loss, [theta[n] for n in names], allow_unused=True)
+            grads = {n: g.data for n, g in zip(names, taped) if g is not None}
+        return {
+            name: Tensor(t.data - np.exp(log_alpha[name].data) * grads[name])
+            if name in grads else Tensor(t.data.copy())
+            for name, t in params.items()
+        }
 
     def meta_loss(
         self, params: Params, log_alpha: Params, split: NodeSplit
@@ -781,11 +835,6 @@ class MetaSgdStrategy(LocalStrategy):
             nodes,
             lambda node: self.meta_loss(params, log_alpha, node.split),
         )
-
-    def evaluate(
-        self, params: Params, nodes: Sequence[EdgeNode]
-    ) -> Dict[str, float]:
-        return {"global_meta_loss": self.global_meta_loss(params, nodes)}
 
 
 class ReptileStrategy(LocalStrategy):

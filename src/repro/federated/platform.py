@@ -71,8 +71,12 @@ class Platform:
             self.aggregator = weighted_mean
 
     def initialize(self, params: Params, nodes: Sequence[EdgeNode]) -> None:
-        """Install θ⁰ and broadcast it to all source nodes (Algorithm 1, line 3)."""
+        """Install θ⁰ and broadcast it to all source nodes (Algorithm 1,
+        line 3).  A fit starts from no rounds and an empty log, so a
+        platform that fits again reports that fit's rounds and bytes."""
         self.global_params = params
+        self.rounds_completed = 0
+        self.comm_log = CommunicationLog(link=self.link)
         self._broadcast(nodes, round_index=0)
 
     def restore(
@@ -88,12 +92,15 @@ class Platform:
         The checkpoint was written at an aggregation boundary, where every
         node already held the broadcast global model — so installing the
         parameters here moves no bytes; the totals the interrupted run had
-        accumulated are carried over as offsets on the communication log.
+        accumulated are carried over as offsets on a fresh communication
+        log, so records a killed fit left on this platform are not counted
+        twice.
         """
         if rounds_completed < 0:
             raise ValueError("rounds_completed must be non-negative")
         self.global_params = params
         self.rounds_completed = rounds_completed
+        self.comm_log = CommunicationLog(link=self.link)
         self.comm_log.restore_totals(uplink_bytes, downlink_bytes)
         for node in nodes:
             node.params = {name: t.detach() for name, t in params.items()}

@@ -12,15 +12,17 @@ so grouping nodes changes no result.
 parameter trees and one stacked tree; ``supports_batched_loss`` and
 ``batch_key`` are the capability probes strategies group nodes by.
 
-``batched_meta_gradient`` removes the exact-MAML tape (an inner
+``batched_meta_gradient`` removes the MAML tape (an inner
 ``create_graph=True`` graph walked again by the outer backward) for every
 model ``supports_batched_loss`` accepts.  Its per-block kernel maps
 stacked θ to the exact one-step meta-gradient ``v − α·H v`` and the outer
 losses, with ``H v`` taken forward-over-reverse (Pearlmutter's R-op)
 through the dense layers, batch norm, the activation and softmax-xent on
-raw arrays.  The result is tolerance-equal to the tape, per node relative
-to that node's largest reference gradient entry; the bound and its
-measurements are in the "Exact meta-gradient kernel" section of
+raw arrays.  Its first-order leg (FOMAML) is ``v`` alone, and a call that
+passes per-parameter rates (Meta-SGD) takes ``v − H(α ⊙ v)`` and the
+log-rates' gradient.  The result is tolerance-equal to the tape, per node
+relative to that node's largest reference gradient entry; the bounds and
+their measurements are in the "Exact meta-gradient kernel" section of
 docs/AUTODIFF.md.
 
 ``batched_loss_gradient`` is the first-order half of the same arithmetic:
@@ -68,9 +70,11 @@ class KernelOutputs(NamedTuple):
     gradient: Optional[Arrays] = None  # stacked, by sorted name
     losses: Optional[np.ndarray] = None  # (N,); meta kernel only
     input_gradient: Optional[np.ndarray] = None  # first-order kernel only
+    rate_gradient: Optional[Arrays] = None  # meta kernel, log-rates only
 
 
-#: stacked θ arrays (first-order: and new inputs) -> the outputs asked for
+#: stacked θ arrays (meta: and rates; first-order: and new inputs) -> the
+#: outputs asked for
 Kernel = Callable[..., KernelOutputs]
 
 
@@ -486,7 +490,7 @@ def batched_meta_gradient(
     inner_steps: int = 1,
     first_order: bool = False,
 ) -> Optional[Kernel]:
-    """The block's exact one-step MAML meta-gradient kernel, or ``None``.
+    """The block's one-step MAML meta-gradient kernel, or ``None``.
 
     ``train`` and each of ``tests`` are stacked ``(x, y)`` batches, fixed
     for the block's ``T0`` steps.  ``kernel(theta, gradient=…, losses=…)``
@@ -494,30 +498,38 @@ def batched_meta_gradient(
     L(φ; test_k)``, ``φ = θ − α·∇L(θ; train)``, by sorted name, and the
     ``(N,)`` losses ``Σ_k L(φ_i; test_ik)``, as it asks.  The gradient is
     ``v − α·H v``, ``v`` the outer gradient at ``φ`` and ``H v`` the R-op
-    of the inner gradient along ``v``, all on raw arrays; the losses alone
-    need only the inner step and the outer forwards.  Each outer set runs
-    its own forward: batch norm uses each batch's own statistics.
+    of the inner gradient along ``v``, all on raw arrays; with
+    ``first_order`` (FOMAML) it is ``v`` and no ``H v`` is formed.  The
+    losses alone need only the inner step and the outer forwards.  Each
+    outer set runs its own forward: batch norm uses each batch's own
+    statistics.
+
+    ``kernel(theta, rates, …)`` takes stacked per-parameter inner rates
+    ``α`` by name in place of the scalar (Meta-SGD's ``exp(log α)``):
+    ``φ = θ − α ⊙ ∇L(θ; train)``, the gradient is ``v − H(α ⊙ v)`` (or
+    ``v``), and ``rate_gradient=True`` asks for the log-rates' gradient
+    ``−α ⊙ ∇L(θ; train) ⊙ v``.
 
     Hoisted out of the calls, once per build (a stacked meta block keeps
     its group's kernel for the fit): the embedded features, the
     one-hot labels and the first-layer Gram block ``X_out X_inᵀ``, where
     ``X_out`` stacks every outer set's rows.  The first layer is linear in
-    fixed inputs, so no ``W0``-sized temporary is formed: the outer
-    first-layer pre-activation is ``X_out θ_W0 − α (X_out X_inᵀ) δz_0``,
-    the first-layer tangent ``(X_in X_outᵀ) δz_0^out + v_b0``, and
+    fixed inputs, so a scalar-α call forms no ``W0``-sized temporary: the
+    outer first-layer pre-activation is ``X_out θ_W0 − α (X_out X_inᵀ)
+    δz_0``, the first-layer tangent ``(X_in X_outᵀ) δz_0^out + v_b0``, and
     ``W0``'s meta-gradient the single matmul ``[X_out; X_in]ᵀ [δz_0^out;
-    −α δż_0]``.
+    −α δż_0]`` (``X_outᵀ δz_0^out`` first-order).  A call with rates forms
+    ``W0``'s inner gradient and ``α ⊙ v`` for ``W0`` instead.
 
     Returns ``None`` — the caller runs the tape — for a loss other than
-    ``cross_entropy``, ``inner_steps != 1``, ``first_order``, a disabled
-    fast path, a model :func:`supports_batched_loss` rejects, no outer
-    set, or inputs the tape should report: mismatched shapes, an empty
-    batch, labels that are not integers or lie outside the classes.  Each
-    kernel call counts one ``fused_dispatches``.
+    ``cross_entropy``, ``inner_steps != 1``, a disabled fast path, a
+    model :func:`supports_batched_loss` rejects, no outer set, or inputs
+    the tape should report: mismatched shapes, an empty batch, labels
+    that are not integers or lie outside the classes.  Each kernel call
+    counts one ``fused_dispatches``.
     """
     if (
         inner_steps != 1
-        or first_order
         or not fastpath.enabled()
         or not supports_batched_loss(model, loss_fn)
         or not tests
@@ -540,27 +552,48 @@ def batched_meta_gradient(
     w0, b0 = layers[0].w, layers[0].b
     inputs = np.concatenate([x_out, x_in], axis=1)  # [X_out; X_in]
     gram = np.matmul(x_out, np.swapaxes(x_in, 1, 2))  # X_out X_inᵀ
+    # Calls with rates read X_out and X_in as views of [X_out; X_in], so a
+    # held kernel keeps one copy of the features.
+    x_out, x_in = inputs[:, :n_out], inputs[:, n_out:]
 
     def kernel(
-        theta: Arrays, *, gradient: bool = False, losses: bool = False
+        theta: Arrays, rates: Optional[Arrays] = None, *,
+        gradient: bool = False, losses: bool = False,
+        rate_gradient: bool = False,
     ) -> KernelOutputs:
-        _asked(gradient, losses)
-        z0 = np.matmul(inputs, theta[w0])  # [X_out θ_W0; X_in θ_W0]
-        # Inner step at θ (eq. 3): φ for every parameter but W0.
+        _asked(gradient, losses, rate_gradient)
+        if rate_gradient and rates is None:
+            raise ValueError("rate_gradient needs the call's rates")
+        if rates is None:
+            z0 = np.matmul(inputs, theta[w0])  # [X_out θ_W0; X_in θ_W0]
+            z0_in = z0[:, n_out:]
+        else:
+            z0_in = np.matmul(x_in, theta[w0])
+        # Inner step at θ (eq. 3): φ for every parameter but W0 (and W0
+        # too with rates, which the Gram hoist cannot scale).
         hidden, logits = _forward(
-            theta, layers, activation, z0[:, n_out:] + theta[b0][:, None]
+            theta, layers, activation, z0_in + theta[b0][:, None]
         )
         probs = _softmax(logits)
         grads, dzs, backs = _backward(
             theta, layers, hidden, (probs - targets_in) / n_in
         )
-        phi = {name: theta[name] - alpha * g for name, g in grads.items()}
+        if rates is None:
+            phi = {name: theta[name] - alpha * g for name, g in grads.items()}
+            z0_out = (
+                z0[:, :n_out] - alpha * np.matmul(gram, dzs[0])
+                + phi[b0][:, None]
+            )
+        else:
+            grads[w0] = _tmatmul(x_in, dzs[0])
+            phi = {
+                name: theta[name] - rates[name] * g
+                for name, g in grads.items()
+            }
+            z0_out = np.matmul(x_out, phi[w0]) + phi[b0][:, None]
         # Outer gradient v at φ, summed over the outer sets.
-        z0_out = (
-            z0[:, :n_out] - alpha * np.matmul(gram, dzs[0]) + phi[b0][:, None]
-        )
         v: Arrays = {}
-        total = np.zeros(len(z0))
+        total = np.zeros(len(z0_out))
         dz0_out = []
         for start, end, targets in sets:
             hidden_out, logits_out = _forward(
@@ -569,23 +602,42 @@ def batched_meta_gradient(
             shift, e, s = _exp_shifted(logits_out)
             if losses:
                 total = total + _xent(logits_out, targets, shift, s)
-            if gradient:
+            if gradient or rate_gradient:
                 g, dzs_out, _ = _backward(
                     phi, layers, hidden_out, (e / s - targets) / (end - start)
                 )
                 v = {name: v[name] + g[name] for name in g} if v else g
                 dz0_out.append(dzs_out[0])
-        if not gradient:
+        if not (gradient or rate_gradient):
             return KernelOutputs(losses=total)
         dz0 = dz0_out[0] if len(dz0_out) == 1 else np.concatenate(dz0_out, 1)
-        hv, dz0_dot = _hessian_vector(
-            theta, v, layers, hidden, probs, dzs, backs,
-            _tmatmul(gram, dz0) + v[b0][:, None],
-        )
-        meta = {name: v[name] - alpha * hv[name] for name in hv}
-        meta[w0] = _tmatmul(inputs, np.concatenate([dz0, -alpha * dz0_dot], 1))
+        if first_order or rates is not None:
+            v[w0] = _tmatmul(x_out, dz0)
+        if first_order or not gradient:
+            meta = v
+        elif rates is not None:  # v − H(α ⊙ v)
+            u = {name: rates[name] * v[name] for name in names}
+            hv, dz0_dot = _hessian_vector(
+                theta, u, layers, hidden, probs, dzs, backs,
+                np.matmul(x_in, u[w0]) + u[b0][:, None],
+            )
+            hv[w0] = _tmatmul(x_in, dz0_dot)
+            meta = {name: v[name] - hv[name] for name in names}
+        else:
+            hv, dz0_dot = _hessian_vector(
+                theta, v, layers, hidden, probs, dzs, backs,
+                _tmatmul(gram, dz0) + v[b0][:, None],
+            )
+            meta = {name: v[name] - alpha * hv[name] for name in hv}
+            meta[w0] = _tmatmul(
+                inputs, np.concatenate([dz0, -alpha * dz0_dot], 1)
+            )
         return KernelOutputs(
-            {name: meta[name] for name in names}, total if losses else None
+            {name: meta[name] for name in names} if gradient else None,
+            total if losses else None,
+            rate_gradient={
+                name: -rates[name] * grads[name] * v[name] for name in names
+            } if rate_gradient else None,
         )
 
     return kernel

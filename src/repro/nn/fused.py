@@ -1,12 +1,11 @@
 """Fused model+loss dispatch for the cross-entropy hot path.
 
-Every FedML local step evaluates ``cross_entropy(model.apply(params, x), y)``
-— a ~15-node autodiff subgraph (linear, log-softmax, nll) rebuilt thousands
-of times per run.  :func:`fused_model_loss` routes that exact composition to
-the fused ops of :mod:`repro.autodiff.ops` (``linear_softmax_xent`` for
-logistic regression, ``softmax_xent`` for any 2-D-logits model), which
-record a single tape node carrying raw-ndarray VJPs for the first-order
-fast path.
+Every tape loss evaluates ``cross_entropy(model.apply(params, x), y)`` —
+a ~15-node autodiff subgraph (log-softmax, nll) after the model's logits.
+:func:`fused_model_loss` routes that exact composition to the fused
+``softmax_xent`` op of :mod:`repro.autodiff.ops` for any 2-D-logits
+model, which records one node after the logits instead of the
+composite's ~15.
 
 The fusion is **semantics-preserving by construction**: forward values and
 gradients are bit-identical to the unfused composite (same float operation
@@ -17,10 +16,11 @@ models, and ``fastpath.disabled()`` A/B runs behave exactly as before.
 
 Call sites that need ``create_graph=True`` *through this loss* (the exact
 MAML inner step) must keep using the unfused path; see
-``repro.core.maml.inner_adapt``.  Exact one-step MAML skips that tape
-altogether while the fast path is on: the closed-form kernel
-:func:`repro.nn.batched.batched_meta_gradient` serves the serial and the
-stacked path (docs/AUTODIFF.md, "Exact meta-gradient kernel").
+``repro.core.maml.inner_adapt``.  One-step MAML, exact or first-order,
+and Meta-SGD skip that tape altogether while the fast path is on: the
+closed-form kernel :func:`repro.nn.batched.batched_meta_gradient` serves
+the serial and the stacked path (docs/AUTODIFF.md, "Exact meta-gradient
+kernel").
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from ..autodiff import Tensor, fastpath, ops
 from .losses import cross_entropy, one_hot
-from .modules import InputArray, LogisticRegression, Model, _as_input_tensor
+from .modules import InputArray, Model
 from .parameters import Params
 
 __all__ = ["fused_model_loss"]
@@ -54,14 +54,6 @@ def fused_model_loss(
     """
     if loss_fn is not cross_entropy or not fastpath.enabled():
         return loss_fn(model.apply(params, x), y)
-    if isinstance(model, LogisticRegression):
-        xt = _as_input_tensor(x)
-        if xt.ndim != 2 or xt.shape[1] != model.input_dim:
-            # Let model.apply raise its own (identical) shape error.
-            return loss_fn(model.apply(params, x), y)
-        targets = Tensor(one_hot(np.asarray(y), model.num_classes))
-        fastpath.note_fused_dispatch()
-        return ops.linear_softmax_xent(xt, params["W"], params["b"], targets)
     logits = model.apply(params, x)
     if logits.ndim != 2:
         return loss_fn(logits, y)

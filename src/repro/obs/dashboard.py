@@ -9,9 +9,9 @@ still gets a useful page.
 
 Sections (data permitting):
 
-* a KPI row — rounds, rounds/sec, communication totals, fast-path hit
-  rate, fault/retry totals, with a visible warning when spans were dropped
-  from the trace ring buffer;
+* a KPI row — rounds, rounds/sec, communication totals, fault/retry
+  totals, with a visible warning when spans were dropped from the trace
+  ring buffer;
 * loss / accuracy / uplink curves from the run's logged series;
 * a node × block duration heatmap built from ``node_result`` events;
 * a fault & lifecycle timeline (fault kinds, retries, quarantines,
@@ -429,16 +429,6 @@ def _kpi_row(run: RunRecord) -> str:
             _stat_tile(
                 "Downlink",
                 _compact(run_end[-1].get("downlink_bytes", 0)) + "B",
-            )
-        )
-    hits = sum(e.get("plan_hits", 0) for e in run.events_of("cache_hit"))
-    misses = sum(e.get("plan_misses", 0) for e in run.events_of("cache_hit"))
-    if hits + misses:
-        tiles.append(
-            _stat_tile(
-                "Fastpath hit rate",
-                f"{hits / (hits + misses) * 100.0:.0f}%",
-                f"{_compact(hits)} hits / {_compact(misses)} misses",
             )
         )
     faults = _sum_counter(run, "fl_faults_total")

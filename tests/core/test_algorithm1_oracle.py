@@ -14,6 +14,8 @@ Per node, with ``L(θ; X, y) = ‖Xθ − y‖² / n``, ``∇L = A θ − b`` fo
 
 * exact FedML's meta-step (eq. 3 and 4) has ``M = I − α A_train``,
   ``P = I − β M A_test M`` and ``q = −β M (α A_test b_train − b_test)``;
+* FOMAML's drops the inner step's Jacobian, the leading ``M``:
+  ``P = I − β A_test M`` and ``q = −β (α A_test b_train − b_test)``;
 * FedAvg's step on all local data has ``P = I − η A`` and ``q = η b``;
 * FedProx's adds ``μ (θ_i − θ)``: ``P = I − η (A + μI)``, ``R = η μ I``
   and ``q = η b``;
@@ -110,6 +112,17 @@ def fedml_map(node):
     )
 
 
+def fomaml_map(node):
+    a_train, b_train = quadratic(node.split.train)
+    a_test, b_test = quadratic(node.split.test)
+    m = IDENTITY - ALPHA * a_train
+    return (
+        IDENTITY - BETA * a_test @ m,
+        NO_ANCHOR,
+        -BETA * (ALPHA * a_test @ b_train - b_test),
+    )
+
+
 def fedavg_map(node):
     a, b = full_quadratic(node)
     return IDENTITY - BETA * a, NO_ANCHOR, BETA * b
@@ -147,6 +160,10 @@ def oracle(nodes, step_map, theta, t0):
 
 RUNNERS = {
     "fedml": (FedML, FedMLConfig, dict(alpha=ALPHA, beta=BETA, k=K), fedml_map),
+    "fomaml": (
+        FedML, FedMLConfig,
+        dict(alpha=ALPHA, beta=BETA, k=K, first_order=True), fomaml_map,
+    ),
     "fedavg": (FedAvg, FedAvgConfig, dict(learning_rate=BETA), fedavg_map),
     "fedprox": (
         FedProx, FedProxConfig, dict(learning_rate=BETA, mu_prox=MU),

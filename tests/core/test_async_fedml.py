@@ -147,8 +147,8 @@ def per_step_contribution(self, node, start):
 
 class TestHeldKernel:
     """A local phase builds its one-node meta kernel once and asks it for
-    the gradient alone; where the kernel declines (FOMAML here) every step
-    runs ``meta_gradient``.  Either way the run is the per-step loop's."""
+    the gradient alone, exact or first-order; the run is the per-step
+    loop's."""
 
     @pytest.mark.parametrize("first_order", [False, True])
     def test_matches_the_per_step_loop(self, workload, monkeypatch, first_order):
@@ -171,8 +171,8 @@ class TestHeldKernel:
 
         monkeypatch.setattr(async_fedml, "node_meta_kernel", counted)
         held = AsyncFedML(MODEL, config).fit(fed, sources, fleet)
-        # One build per contribution; the exact kernel serves every one.
-        assert built == [not first_order] * 24
+        # One build per contribution; the kernel serves every one.
+        assert built == [True] * 24
         monkeypatch.setattr(
             AsyncFedML, "_local_contribution", per_step_contribution
         )

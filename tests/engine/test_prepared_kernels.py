@@ -134,11 +134,8 @@ def test_a_node_that_gains_adversarial_data_never_runs_its_old_kernel(
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_a_second_fit_equals_a_fresh_runners(executor):
     """Fitting again with the same node ids on other data starts from no
-    entries: the second fit trains as the fresh runner does, bit for bit.
-
-    The runner's platform keeps counting rounds and bytes across fits, so
-    the history's ``uplink_bytes`` are not compared; θ, the meta-losses
-    and the node counters are."""
+    entries, and the platform from no rounds and no bytes: the second fit
+    trains and reports as the fresh runner does, bit for bit."""
     config = FedMLConfig(
         alpha=0.05, beta=0.05, t0=3, total_iterations=9, k=3, seed=0
     )
@@ -150,9 +147,8 @@ def test_a_second_fit_equals_a_fresh_runners(executor):
     fresh = RecordingFedML(model, config, executor=executor())
     want = fresh.fit(second, sources)
     assert np.array_equal(to_vector(again.params), to_vector(want.params))
-    assert again.history.series("global_meta_loss") == want.history.series(
-        "global_meta_loss"
-    )
+    assert again.history.records == want.history.records
+    assert again.platform.rounds_completed == want.platform.rounds_completed
     assert [n.local_steps for n in again.nodes] == [
         n.local_steps for n in want.nodes
     ]

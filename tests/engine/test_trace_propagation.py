@@ -135,11 +135,11 @@ class TestEventStream:
         cache_events = run.events_of("cache_hit")
         assert len(cache_events) == 4  # one per block
         # Exact FedML on logistic regression takes the closed-form
-        # meta-gradient kernel: every local step is one fused dispatch and
-        # no backward.  The run's stats also count evaluate-time work.
+        # meta-gradient kernel: every local step is one fused dispatch.
+        # The run's stats also count evaluate-time work.
         per_block = len(workload[1]) * 3  # sampled nodes x t0 local steps
+        assert [e["block"] for e in cache_events] == [0, 1, 2, 3]
         assert all(e["fused_dispatches"] == per_block for e in cache_events)
-        assert all(e["backwards"] == 0 for e in cache_events)
         total_fused = sum(e["fused_dispatches"] for e in cache_events)
         assert 0 < total_fused <= fastpath.stats().fused_dispatches
 

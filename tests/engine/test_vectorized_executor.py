@@ -343,8 +343,9 @@ class TestEmbeddedFeatures:
 
 class TestSent140Model:
     """FedML on the benchmark's Sent140 model: every node takes the
-    closed-form kernel unless the fast path is off or the config asks for
-    FOMAML, and then each node runs its own steps on the tape."""
+    closed-form kernel, exact or first-order, unless the fast path is off
+    or the config asks for more than one inner step, and then each node
+    runs its own steps on the tape."""
 
     CONFIG = FedMLConfig(
         alpha=0.05, beta=0.05, t0=3, total_iterations=6, k=5, seed=0
@@ -411,14 +412,31 @@ class TestSent140Model:
         )
         assert first.history.records == second.history.records
 
-    @pytest.mark.parametrize("setup", ["fast path off", "first order"])
+    def test_first_order_serial_and_vectorized_agree(self, sent140, monkeypatch):
+        """FOMAML takes the kernel's first-order leg under both executors,
+        with the exact kernel's counts."""
+        config = FedMLConfig(
+            alpha=0.05, beta=0.05, t0=3, total_iterations=6, k=5, seed=0,
+            first_order=True,
+        )
+        seen = self._spy(monkeypatch)
+        serial = _fit(sent140, FedML, config, SerialExecutor())
+        vectorized = _fit(sent140, FedML, config, VectorizedExecutor())
+        assert seen == {
+            "accepted": 6 + 1 + 6,
+            "declined": 0,
+            "calls": 36 + 6 + 6,
+        }
+        assert_same_run(serial, vectorized)
+
+    @pytest.mark.parametrize("setup", ["fast path off", "two inner steps"])
     def test_tape_runs_equal_serial(self, sent140, monkeypatch, setup):
         config = self.CONFIG
         switch = fastpath.disabled()
-        if setup == "first order":
+        if setup == "two inner steps":
             config = FedMLConfig(
                 alpha=0.05, beta=0.05, t0=3, total_iterations=6, k=5, seed=0,
-                first_order=True,
+                inner_steps=2,
             )
             switch = nullcontext()
         seen = self._spy(monkeypatch)
@@ -426,10 +444,6 @@ class TestSent140Model:
             serial = _fit(sent140, FedML, config, SerialExecutor())
             vectorized = _fit(sent140, FedML, config, VectorizedExecutor())
         # No node has a signature, so training builds no kernel; each fit
-        # evaluates 3 times, and the exact kernel serves those unless the
-        # fast path is off.
-        if setup == "fast path off":
-            assert seen == {"accepted": 0, "declined": 6, "calls": 0}
-        else:
-            assert seen == {"accepted": 6, "declined": 0, "calls": 6}
+        # evaluates 3 times, and the kernel declines those too.
+        assert seen == {"accepted": 0, "declined": 6, "calls": 0}
         assert_same_run(serial, vectorized)

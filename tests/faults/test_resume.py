@@ -31,6 +31,18 @@ GOLDEN = json.loads(
 )
 
 
+def build_runner(name, model, **kwargs):
+    """A golden facade, or FOMAML (``"fomaml"``: FedML with
+    ``first_order``) at the same configuration."""
+    if name == "fomaml":
+        config = FedMLConfig(
+            alpha=0.05, beta=0.05, k=3, t0=3, total_iterations=12, seed=0,
+            first_order=True,
+        )
+        return FedML(model, config, **kwargs)
+    return build_runners(model, **kwargs)[name]
+
+
 def run(name, options=None, resume=False, telemetry=None, executor=None):
     fed, sources, model = build_workload()
     kwargs = {}
@@ -40,7 +52,7 @@ def run(name, options=None, resume=False, telemetry=None, executor=None):
         kwargs["telemetry"] = telemetry
     if executor is not None:
         kwargs["executor"] = executor
-    runner = build_runners(model, **kwargs)[name]
+    runner = build_runner(name, model, **kwargs)
     return runner.fit(fed, sources, resume=resume)
 
 
@@ -48,6 +60,10 @@ def assert_same_run(result, baseline):
     np.testing.assert_array_equal(
         to_vector(result.params), to_vector(baseline.params)
     )
+    if hasattr(baseline, "log_alpha"):  # Meta-SGD's learned log-rates
+        np.testing.assert_array_equal(
+            to_vector(result.log_alpha), to_vector(baseline.log_alpha)
+        )
     assert result.history.records == baseline.history.records
     assert (
         result.platform.comm_log.uplink_bytes
@@ -58,8 +74,12 @@ def assert_same_run(result, baseline):
     ]
 
 
+#: the runs the meta kernel serves: exact, first-order, D^adv, learned rates
+KERNEL_RUNS = ["fedml", "robust-fedml", "fomaml", "meta-sgd"]
+
+
 class TestKillAndResume:
-    @pytest.mark.parametrize("name", ["fedml", "robust-fedml"])
+    @pytest.mark.parametrize("name", KERNEL_RUNS)
     def test_resume_matches_uninterrupted_run(self, name, tmp_path):
         """robust-fedml also exercises checkpointed strategy extras (the
         adversarial datasets) and checkpointed strategy state."""
@@ -77,7 +97,7 @@ class TestKillAndResume:
         baseline = run(name)
         assert_same_run(resumed, baseline)
 
-    @pytest.mark.parametrize("name", ["fedml", "robust-fedml"])
+    @pytest.mark.parametrize("name", KERNEL_RUNS)
     def test_vectorized_resume_matches_uninterrupted_serial_run(
         self, name, tmp_path
     ):
@@ -95,12 +115,28 @@ class TestKillAndResume:
         resumed = run(name, options, resume=True, executor=VectorizedExecutor())
         assert_same_run(resumed, run(name))
         fed, sources, model = build_workload()
-        strategy = build_runners(model)[name].strategy
+        strategy = build_runner(name, model).strategy
         groups = VectorizedExecutor()._groups(strategy, resumed.nodes)
         assert [n.node_id for _, group in groups if len(group) > 1
                 for n in group] == [1, 2]
         if name == "robust-fedml":
             assert all(n.adversarial is not None for n in resumed.nodes)
+
+    def test_same_runner_resume_matches_uninterrupted_run(self, tmp_path):
+        """The runner whose fit was killed resumes it itself: its platform
+        starts the resumed fit from the checkpoint's totals, not on top of
+        the killed fit's records."""
+        ckpt = str(tmp_path / "run.ckpt")
+        options = EngineOptions(
+            faults=FaultPlan([KillSchedule(block=1)]),
+            checkpoint_path=ckpt,
+        )
+        fed, sources, model = build_workload()
+        runner = build_runner("fedml", model, engine_options=options)
+        with pytest.raises(RunInterrupted):
+            runner.fit(fed, sources)
+        resumed = runner.fit(fed, sources, resume=True)
+        assert_same_run(resumed, run("fedml"))
 
     def test_resume_matches_under_concurrent_faults(self, tmp_path):
         """Kill mid-way through a crash-faulted run: the resumed half must

@@ -1,4 +1,4 @@
-"""The stacked exact meta-gradient kernel against the per-node tape.
+"""The stacked meta-gradient kernel against the per-node tape.
 
 ``batched_meta_gradient`` replaces the exact one-step MAML tape for every
 model ``supports_batched_loss`` accepts, on a stack of any size: a group
@@ -11,6 +11,12 @@ outer loss is within ``1e-12`` relative.  Over random problems the kernel
 and the tape are each held to an extended-precision evaluation, since
 their gap can be the sum of two such losses.  Every case it declines
 returns ``None`` so the tape runs unchanged.
+
+The kernel's first-order leg (FOMAML, one or two outer sets) and its rate
+tree (Meta-SGD's per-parameter rates, with the log-rates' gradient) are
+held to the per-node tape directly: within ``1e-12`` of each node's
+largest tape entry, ``1e-11`` where batch norm runs over fewer than three
+samples.
 """
 
 import numpy as np
@@ -18,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.autodiff import Tensor, fastpath
+from repro.autodiff import Tensor, fastpath, grad, ops
 from repro.core import meta_gradient, meta_loss
 from repro.data.dataset import Dataset, NodeSplit
 from repro.nn import MLP, EmbeddingClassifier, LogisticRegression, cross_entropy
@@ -99,7 +105,7 @@ def node_split(train, test, i):
     )
 
 
-def tape_gradient(model, stacked, train, tests, alpha):
+def tape_gradient(model, stacked, train, tests, alpha, first_order=False):
     """Each node's gradient of its summed outer losses from the per-node
     tape (the kernel switched off), stacked: one outer forward per set,
     since each set is its own batch-norm batch."""
@@ -112,6 +118,7 @@ def tape_gradient(model, stacked, train, tests, alpha):
                 node_split(train, tests[0], i),
                 alpha,
                 extra_test_sets=[Dataset(x[i], y[i]) for x, y in tests[1:]],
+                first_order=first_order,
             )
             grads.append(gradient)
     return {
@@ -244,6 +251,156 @@ def test_sent140_model_within_tolerance():
     )
 
 
+def tape_rate_tree(model, stacked, log_rates, train, tests):
+    """Per node, Meta-SGD's θ and log-rate gradients from the tape: the
+    learned-rate step ``φ = θ − exp(log α) ⊙ ∇L(θ; train)`` differentiated
+    through, as ``MetaSgdStrategy.local_step`` does, with the outer
+    losses summed over ``tests``; each a stacked tree."""
+    theta_grads, rate_grads = [], []
+    with fastpath.disabled():
+        for i in range(len(train[1])):
+            theta = {
+                name: Tensor(t.data[i], requires_grad=True)
+                for name, t in stacked.items()
+            }
+            log_a = {
+                name: Tensor(a[i], requires_grad=True)
+                for name, a in log_rates.items()
+            }
+            names = sorted(theta)
+            inner = cross_entropy(model.apply(theta, train[0][i]), train[1][i])
+            inner_grads = grad(
+                inner, [theta[n] for n in names], create_graph=True
+            )
+            phi = {
+                n: theta[n] - ops.exp(log_a[n]) * g
+                for n, g in zip(names, inner_grads)
+            }
+            outer = None
+            for x, y in tests:
+                loss = cross_entropy(model.apply(phi, x[i]), y[i])
+                outer = loss if outer is None else outer + loss
+            both = grad(outer, [theta[n] for n in names] + [log_a[n] for n in names])
+            theta_grads.append(dict(zip(names, both[: len(names)])))
+            rate_grads.append(dict(zip(names, both[len(names):])))
+
+    def stack(trees):
+        return {
+            name: Tensor(np.stack([tree[name].data for tree in trees]))
+            for name in trees[0]
+        }
+
+    return stack(theta_grads), stack(rate_grads)
+
+
+def leg_tolerance(model, train, tests):
+    """``REL_TOL``, or ``PROPERTY_TOL`` where batch norm runs over fewer
+    than three samples and loses digits in the tape and the kernel alike."""
+    hidden_bn = getattr(getattr(model, "head", model), "batch_norm", False)
+    smallest = min(y.shape[1] for _, y in (train, *tests))
+    return PROPERTY_TOL if hidden_bn and smallest < 3 else REL_TOL
+
+
+@given(
+    model_args=st.sampled_from(
+        [
+            ("logreg", (), False, "relu"),
+            ("mlp", (5,), False, "tanh"),
+            ("mlp", (4, 3), True, "relu"),
+            ("embedding", (5,), True, "relu"),
+            ("embedding", (4, 3), False, "relu"),
+        ]
+    ),
+    nodes=st.integers(min_value=1, max_value=3),
+    n_train=st.integers(min_value=1, max_value=6),
+    n_tests=st.lists(
+        st.integers(min_value=1, max_value=6), min_size=1, max_size=2
+    ),
+    alpha=st.floats(min_value=1e-3, max_value=0.5),
+    token_ids=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_property_first_order_leg_matches_the_tape(
+    model_args, nodes, n_train, n_tests, alpha, token_ids, seed
+):
+    """FOMAML with one outer set and with two (Robust FedML's ``D^adv``):
+    the gradient ``v`` and the losses against the per-node FOMAML tape."""
+    model = build_model(*model_args)
+    token_ids = token_ids and model_args[0] == "embedding"
+    stacked, train, tests = problem(
+        model, nodes, n_train, n_tests, seed, token_ids
+    )
+    kernel = batched_meta_gradient(model, train, tests, alpha, first_order=True)
+    got, losses = kernel_call(kernel, stacked)
+    assert_within_tolerance(
+        got,
+        tape_gradient(model, stacked, train, tests, alpha, first_order=True),
+        leg_tolerance(model, train, tests),
+    )
+    assert_losses_within_tolerance(
+        losses, tape_losses(model, stacked, train, tests, alpha)
+    )
+
+
+@given(
+    model_args=st.sampled_from(
+        [
+            ("logreg", (), False, "relu"),
+            ("mlp", (5,), False, "relu"),
+            ("mlp", (4, 3), False, "tanh"),
+            ("embedding", (5,), True, "relu"),
+            ("embedding", (4, 3), True, "relu"),
+        ]
+    ),
+    nodes=st.integers(min_value=1, max_value=3),
+    n_train=st.integers(min_value=1, max_value=6),
+    n_tests=st.lists(
+        st.integers(min_value=1, max_value=6), min_size=1, max_size=2
+    ),
+    token_ids=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_property_rate_tree_matches_the_tape(
+    model_args, nodes, n_train, n_tests, token_ids, seed
+):
+    """Meta-SGD on LogReg, the MLP and the batch-norm embedding model:
+    per-parameter rates ``α = exp(log α)`` drawn per entry, the gradient
+    ``v − H(α ⊙ v)`` and the log-rates' ``−α ⊙ ∇L(θ; train) ⊙ v``
+    against the per-node tape."""
+    model = build_model(*model_args)
+    token_ids = token_ids and model_args[0] == "embedding"
+    stacked, train, tests = problem(
+        model, nodes, n_train, n_tests, seed, token_ids
+    )
+    rng = np.random.default_rng(seed)
+    log_rates = {
+        name: np.log(rng.uniform(1e-3, 0.5, size=t.shape))
+        for name, t in stacked.items()
+    }
+    kernel = batched_meta_gradient(model, train, tests, 0.0)
+    out = kernel(
+        {name: t.data for name, t in stacked.items()},
+        {name: np.exp(a) for name, a in log_rates.items()},
+        gradient=True, rate_gradient=True,
+    )
+    theta_ref, rate_ref = tape_rate_tree(model, stacked, log_rates, train, tests)
+    tol = leg_tolerance(model, train, tests)
+    for got, ref in ((out.gradient, theta_ref), (out.rate_gradient, rate_ref)):
+        assert_within_tolerance(
+            {name: Tensor(g) for name, g in got.items()}, ref, tol
+        )
+
+
+def test_rate_gradient_needs_rates():
+    model = build_model("mlp", (5,), True, "relu")
+    stacked, train, tests = problem(model, 2, 3, [4], 0, token_ids=False)
+    kernel = batched_meta_gradient(model, train, tests, 0.1)
+    with pytest.raises(ValueError, match="rates"):
+        kernel({name: t.data for name, t in stacked.items()}, rate_gradient=True)
+
+
 def test_kernel_is_deterministic():
     model = build_model("embedding", (5, 4), True, "relu")
     stacked, train, tests = problem(model, 3, 4, [5, 2], 1, token_ids=True)
@@ -258,9 +415,7 @@ def test_kernel_is_deterministic():
         assert first[name].data.tobytes() == second[name].data.tobytes()
 
 
-@pytest.mark.parametrize(
-    "case", ["custom_loss", "disabled", "inner_steps", "first_order"]
-)
+@pytest.mark.parametrize("case", ["custom_loss", "disabled", "inner_steps"])
 def test_declined_cases_return_none(case):
     model = build_model("embedding", (5,), True, "relu")
     _, train, tests = problem(model, 2, 3, [4], 0, token_ids=True)
@@ -269,8 +424,6 @@ def test_declined_cases_return_none(case):
         kwargs["loss_fn"] = lambda logits, y: cross_entropy(logits, y)
     elif case == "inner_steps":
         kwargs["inner_steps"] = 2
-    elif case == "first_order":
-        kwargs["first_order"] = True
     if case == "disabled":
         with fastpath.disabled():
             assert batched_meta_gradient(model, train, tests, 0.1) is None

@@ -9,7 +9,8 @@ slice ``i`` of a stacked ``batched_loss_gradient`` or
 ``batched_meta_gradient`` call must be ``np.array_equal`` to the call on
 node ``i``'s one-node stack — every gradient, the meta kernel's losses
 and the first-order kernel's input gradient, on the built batch and on
-new first-layer inputs alike.
+new first-layer inputs alike; the meta kernel's first-order leg and its
+rate tree (with the log-rates' gradient) too.
 
 Each call site asks only for the outputs it reads (the training step for
 the gradient, evaluation for the losses, an attack for the input
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autodiff import fastpath
+from repro.autodiff import Tensor, fastpath
 from repro.nn.batched import batched_loss_gradient, batched_meta_gradient
 
 from .test_batched_meta_gradient import build_model, problem
@@ -44,6 +45,7 @@ MODELS = st.sampled_from(
 SETTINGS = settings(max_examples=150, deadline=None)
 #: each kernel's outputs, as its keyword flags name them
 META_OUTPUTS = ("gradient", "losses")
+RATE_OUTPUTS = ("gradient", "losses", "rate_gradient")
 LOSS_OUTPUTS = ("gradient", "input_gradient")
 
 
@@ -118,7 +120,16 @@ def test_new_input_call_slice_equals_one_node_call(
         assert np.array_equal(full.input_gradient[i], node.input_gradient[0])
 
 
-@given(
+def rates_for(stacked, seed):
+    """Per-parameter inner rates, one draw per entry."""
+    rng = np.random.default_rng(seed)
+    return {
+        name: rng.uniform(1e-3, 0.5, size=t.shape)
+        for name, t in stacked.items()
+    }
+
+
+META_DRAWS = dict(
     model_args=MODELS,
     nodes=st.integers(min_value=2, max_value=6),
     n_train=st.integers(min_value=1, max_value=6),
@@ -129,42 +140,86 @@ def test_new_input_call_slice_equals_one_node_call(
     token_ids=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-@SETTINGS
-def test_meta_gradient_slice_equals_one_node_call(
-    model_args, nodes, n_train, n_tests, alpha, token_ids, seed
+
+
+def assert_meta_slices_equal(
+    model_args, nodes, n_train, n_tests, alpha, token_ids, seed,
+    first_order=False, with_rates=False,
 ):
     model = build_model(*model_args)
     token_ids = token_ids and model_args[0] == "embedding"
     stacked, train, tests = problem(
         model, nodes, n_train, n_tests, seed, token_ids
     )
-    full = batched_meta_gradient(model, train, tests, alpha)(
-        raw(stacked), **asked(META_OUTPUTS)
-    )
+    rates = rates_for(stacked, seed) if with_rates else None
+    outputs = RATE_OUTPUTS if with_rates else META_OUTPUTS
+    full = batched_meta_gradient(
+        model, train, tests, alpha, first_order=first_order
+    )(raw(stacked), rates, **asked(outputs))
     for i in range(nodes):
         kernel = batched_meta_gradient(
-            model, one_node(train, i), [one_node(t, i) for t in tests], alpha
+            model, one_node(train, i), [one_node(t, i) for t in tests], alpha,
+            first_order=first_order,
         )
-        node = kernel(raw(stacked, slice(i, i + 1)), **asked(META_OUTPUTS))
+        node_rates = None if rates is None else {
+            name: r[i:i + 1] for name, r in rates.items()
+        }
+        node = kernel(
+            raw(stacked, slice(i, i + 1)), node_rates, **asked(outputs)
+        )
         assert np.array_equal(full.losses[i], node.losses[0])
         assert_slices_equal(full.gradient, node.gradient, i)
+        if with_rates:
+            assert_slices_equal(full.rate_gradient, node.rate_gradient, i)
 
 
-def assert_narrowed_calls_match(kernel, theta, outputs):
+@given(**META_DRAWS)
+@SETTINGS
+def test_meta_gradient_slice_equals_one_node_call(
+    model_args, nodes, n_train, n_tests, alpha, token_ids, seed
+):
+    assert_meta_slices_equal(
+        model_args, nodes, n_train, n_tests, alpha, token_ids, seed
+    )
+
+
+@given(**META_DRAWS)
+@SETTINGS
+def test_first_order_slice_equals_one_node_call(
+    model_args, nodes, n_train, n_tests, alpha, token_ids, seed
+):
+    assert_meta_slices_equal(
+        model_args, nodes, n_train, n_tests, alpha, token_ids, seed,
+        first_order=True,
+    )
+
+
+@given(**META_DRAWS, first_order=st.booleans())
+@SETTINGS
+def test_rate_tree_slice_equals_one_node_call(
+    model_args, nodes, n_train, n_tests, alpha, token_ids, seed, first_order
+):
+    assert_meta_slices_equal(
+        model_args, nodes, n_train, n_tests, alpha, token_ids, seed,
+        first_order=first_order, with_rates=True,
+    )
+
+
+def assert_narrowed_calls_match(kernel, theta, outputs, *args):
     """Every non-empty subset of ``outputs`` returns the full call's
     arrays for the outputs it names, ``None`` for the rest, and counts
-    one fused dispatch."""
-    full = kernel(theta, **asked(outputs))
+    one fused dispatch.  ``args`` follow ``theta`` in every call."""
+    full = kernel(theta, *args, **asked(outputs))
     for size in range(1, len(outputs) + 1):
         for subset in combinations(outputs, size):
             before = fastpath.stats().fused_dispatches
-            got = kernel(theta, **asked(subset))
+            got = kernel(theta, *args, **asked(subset))
             assert fastpath.stats().fused_dispatches == before + 1
             for name in outputs:
                 value, want = getattr(got, name), getattr(full, name)
                 if name not in subset:
                     assert value is None, (subset, name)
-                elif name == "gradient":
+                elif name in ("gradient", "rate_gradient"):
                     assert list(value) == list(want)
                     for key, array in want.items():
                         assert np.array_equal(value[key], array), (subset, key)
@@ -187,7 +242,8 @@ def assert_narrowed_calls_match(kernel, theta, outputs):
 def test_narrowed_calls_return_the_full_calls_bits(
     model_args, nodes, n_train, n_tests, alpha, token_ids, seed
 ):
-    """On the stack and on node 0's one-node stack, for both kernels."""
+    """On the stack and on node 0's one-node stack, for both kernels and
+    the meta kernel's first-order leg and rate tree."""
     model = build_model(*model_args)
     token_ids = token_ids and model_args[0] == "embedding"
     stacked, train, tests = problem(
@@ -202,6 +258,10 @@ def test_narrowed_calls_return_the_full_calls_bits(
     ):
         meta = batched_meta_gradient(model, *batches, alpha)
         assert_narrowed_calls_match(meta, theta, META_OUTPUTS)
+        rates = rates_for({n: Tensor(a) for n, a in theta.items()}, seed)
+        assert_narrowed_calls_match(meta, theta, RATE_OUTPUTS, rates)
+        first = batched_meta_gradient(model, *batches, alpha, first_order=True)
+        assert_narrowed_calls_match(first, theta, META_OUTPUTS)
         first_order = batched_loss_gradient(model, batches[0])
         assert_narrowed_calls_match(first_order, theta, LOSS_OUTPUTS)
 
