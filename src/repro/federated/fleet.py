@@ -73,7 +73,7 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,7 +87,7 @@ from ..nn.parameters import Params, detach
 from ..obs.telemetry import Telemetry, resolve
 from ..utils.checkpoint import load_checkpoint, save_checkpoint
 from ..utils.logging import RunLogger
-from ..utils.rng import spawn
+from ..utils.rng import RngFactory, spawn
 from ..utils.serialization import payload_bytes
 from .aggregation import normalized_weights, weighted_mean
 from .network import CommunicationLog, LinkModel
@@ -182,16 +182,29 @@ class SyntheticShardFactory(ShardFactory):
         return int(rng.integers(self.min_samples, self.max_samples + 1))
 
     def make(self, node_id: int) -> Dataset:
+        """The shard, drawn as ``u ~ N(0, α)``, ``W, b ~ N(u, 1)``,
+        ``B ~ N(0, β)``, ``v ~ N(B, 1)`` and ``x ~ N(v, diag(j^-1.2))``.
+
+        All of them come from one ``standard_normal`` call, in that order,
+        each formed as ``loc + scale·z``: the arithmetic of NumPy's own
+        ``normal``, so the shard equals the one six ``normal`` calls would
+        draw, bit for bit (``u`` and ``B`` are no draw when α or β is 0).
+        """
         count = self.num_samples(node_id)
-        rng = spawn(self.seed, "fleet-shard", node_id)
-        u = rng.normal(0.0, np.sqrt(self.alpha)) if self.alpha > 0 else 0.0
-        w = rng.normal(u, 1.0, size=(self.num_classes, self.input_dim))
-        b = rng.normal(u, 1.0, size=self.num_classes)
-        big_b = rng.normal(0.0, np.sqrt(self.beta)) if self.beta > 0 else 0.0
-        v = rng.normal(big_b, 1.0, size=self.input_dim)
-        x = rng.normal(
-            v, _feature_scale(self.input_dim), size=(count, self.input_dim)
+        classes, dim = self.num_classes, self.input_dim
+        draw_u, draw_big_b = int(self.alpha > 0), int(self.beta > 0)
+        z = spawn(self.seed, "fleet-shard", node_id).standard_normal(
+            draw_u + classes * dim + classes + draw_big_b + dim + count * dim
         )
+        u = 0.0 + np.sqrt(self.alpha) * z[0] if draw_u else 0.0
+        at = draw_u + classes * dim
+        w = u + z[draw_u:at].reshape(classes, dim)
+        b = u + z[at : at + classes]
+        at += classes
+        big_b = 0.0 + np.sqrt(self.beta) * z[at] if draw_big_b else 0.0
+        at += draw_big_b
+        v = big_b + z[at : at + dim]
+        x = v + _feature_scale(dim) * z[at + dim :].reshape(count, dim)
         y = np.argmax(x @ w.T + b, axis=1)
         return Dataset(x=x, y=y.astype(np.int64))
 
@@ -575,6 +588,7 @@ class FleetSimulator:
         )
         self._versions = _VersionStore()
         self._executor = VectorizedExecutor()
+        self._rngs = RngFactory(config.seed)
         self.params: Optional[Params] = None
         self.server_version = 0
         self.sim_clock_s = 0.0
@@ -589,17 +603,18 @@ class FleetSimulator:
         self._eval_ids = sample_id_space(
             config.fleet_size,
             min(eval_count, config.fleet_size),
-            spawn(config.seed, "fleet-eval"),
+            self._rngs.stream("fleet-eval"),
         )
 
     # -- timing ---------------------------------------------------------
-    def _seconds_per_step(self, node_id: int) -> float:
-        """Lognormal device speed, a fixed deterministic trait per node."""
+    def _seconds_per_step(self, ids: Sequence[int]) -> Iterator[float]:
+        """Each node's lognormal device speed, a fixed deterministic trait
+        drawn from its ``(seed, "fleet-speed", node)`` stream; the streams
+        of ``ids`` are seeded in one pass and built one at a time."""
         cfg = self.config
-        draw = spawn(cfg.seed, "fleet-speed", node_id).normal(
-            0.0, cfg.heterogeneity
-        )
-        return float(cfg.median_seconds_per_step * np.exp(draw))
+        for rng in self._rngs.streams("fleet-speed", ids=ids):
+            draw = rng.normal(0.0, cfg.heterogeneity)
+            yield float(cfg.median_seconds_per_step * np.exp(draw))
 
     # -- the run --------------------------------------------------------
     def run(self, resume: bool = False) -> FleetResult:
@@ -711,7 +726,9 @@ class FleetSimulator:
         heap: List[Tuple[float, int, int, Dict[str, Any]]] = []
         faults = self.faults
         wave: List[int] = []  # dispatched nodes whose completion delivers
-        for node_id in ids:
+        for node_id, seconds_per_step in zip(
+            ids, self._seconds_per_step(ids)
+        ):
             if faults.crashed(round_index, node_id):
                 record_fault(tel, "crash", round_index, node_id)
                 continue  # unreachable: no sync, no dispatch, no bytes
@@ -720,7 +737,7 @@ class FleetSimulator:
             if delay > 0.0:
                 record_fault(tel, "delay", round_index, node_id)
             duration = (
-                cfg.local_steps * self._seconds_per_step(node_id)
+                cfg.local_steps * seconds_per_step
                 + cfg.link.upload_time(payload)
                 + delay
             )

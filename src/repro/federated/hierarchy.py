@@ -64,7 +64,8 @@ class HierarchicalPlatform:
     """Two-tier aggregation with per-tier communication accounting.
 
     Drop-in for :class:`~repro.federated.platform.Platform` in the trainers
-    (same ``initialize`` / ``aggregate`` / ``global_params`` surface).
+    (same ``initialize`` / ``restore`` / ``aggregate`` / ``global_params``
+    surface).
     """
 
     assignment: GatewayAssignment
@@ -81,6 +82,9 @@ class HierarchicalPlatform:
     rounds_completed: int = 0
 
     def __post_init__(self) -> None:
+        self._fresh_ledgers()
+
+    def _fresh_ledgers(self) -> None:
         self.lan_log = CommunicationLog(link=self.lan_link)
         self.wan_log = CommunicationLog(link=self.wan_link)
 
@@ -92,12 +96,43 @@ class HierarchicalPlatform:
         return self.wan_log
 
     def initialize(self, params: Params, nodes: Sequence[EdgeNode]) -> None:
+        """Install θ⁰ and broadcast it over both tiers.  A fit starts from
+        no rounds and empty ledgers, so a platform that fits again reports
+        that fit's rounds and bytes."""
         self.global_params = params
+        self.rounds_completed = 0
+        self._fresh_ledgers()
         size = payload_bytes(params)
         for gateway in range(self.assignment.num_gateways):
             self.wan_log.charge_download(0, gateway, size)
         for node in nodes:
             self.lan_log.charge_download(0, node.node_id, size)
+            node.params = detach(params)
+
+    def restore(
+        self,
+        params: Params,
+        nodes: Sequence[EdgeNode],
+        rounds_completed: int,
+        uplink_bytes: int = 0,
+        downlink_bytes: int = 0,
+    ) -> None:
+        """Reinstate a checkpointed run's platform state without charging.
+
+        As in ``Platform.restore``, the checkpoint was written at an
+        aggregation boundary, so installing θ moves no bytes.  The byte
+        totals a checkpoint holds are :attr:`comm_log`'s, the WAN
+        ledger's, and carry over as its offsets.  The LAN ledger restarts
+        empty: a resumed fit's LAN log holds only the rounds it ran
+        itself.
+        """
+        if rounds_completed < 0:
+            raise ValueError("rounds_completed must be non-negative")
+        self.global_params = params
+        self.rounds_completed = rounds_completed
+        self._fresh_ledgers()
+        self.wan_log.restore_totals(uplink_bytes, downlink_bytes)
+        for node in nodes:
             node.params = detach(params)
 
     def aggregate(self, nodes: Sequence[EdgeNode]) -> Params:

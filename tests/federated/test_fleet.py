@@ -11,6 +11,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.determinism import install_ledger, uninstall_ledger
 from repro.core import FedAvgConfig, FedMLConfig, FedProxConfig
@@ -38,7 +40,7 @@ from repro.federated.sampling import (
 )
 from repro.nn import LogisticRegression
 from repro.utils.checkpoint import load_checkpoint, save_checkpoint
-from repro.utils.rng import instrument_node_rng
+from repro.utils.rng import instrument_node_rng, spawn
 from repro.utils.serialization import payload_bytes
 
 from .test_aggregation import reference_weighted_mean
@@ -132,6 +134,86 @@ class TestSyntheticShardFactory:
         factory = SyntheticShardFactory(min_samples=2, max_samples=2)
         node = FleetRegistry(10, factory).materialize(3)
         assert (len(node.split.train), len(node.split.test)) == (1, 1)
+
+
+def six_call_shard(factory, node_id):
+    """The shard as ``make`` drew it with six ``normal`` calls: the
+    reference its one ``standard_normal`` draw must equal bit for bit."""
+    count = int(
+        spawn(factory.seed, "fleet-size", node_id).integers(
+            factory.min_samples, factory.max_samples + 1
+        )
+    )
+    dim, classes = factory.input_dim, factory.num_classes
+    rng = spawn(factory.seed, "fleet-shard", node_id)
+    u = rng.normal(0.0, np.sqrt(factory.alpha)) if factory.alpha > 0 else 0.0
+    w = rng.normal(u, 1.0, size=(classes, dim))
+    b = rng.normal(u, 1.0, size=classes)
+    big_b = rng.normal(0.0, np.sqrt(factory.beta)) if factory.beta > 0 else 0.0
+    v = rng.normal(big_b, 1.0, size=dim)
+    std = np.sqrt(np.arange(1, dim + 1, dtype=np.float64) ** (-1.2))
+    x = rng.normal(v, std, size=(count, dim))
+    return x, np.argmax(x @ w.T + b, axis=1).astype(np.int64)
+
+
+class TestDrawReference:
+    """Shards and device speeds cost fewer calls, and draw the same bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        input_dim=st.integers(1, 24),
+        num_classes=st.integers(1, 6),
+        min_samples=st.integers(2, 12),
+        extra_samples=st.integers(0, 16),
+        alpha=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+        beta=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+        seed=st.integers(0, 2**40),
+        node_id=st.integers(0, 2**40),
+    )
+    @example(
+        input_dim=1, num_classes=1, min_samples=2, extra_samples=0,
+        alpha=0.0, beta=0.0, seed=0, node_id=0,
+    )
+    @example(
+        input_dim=16, num_classes=4, min_samples=12, extra_samples=16,
+        alpha=0.5, beta=0.5, seed=0, node_id=999_999,
+    )
+    def test_one_draw_make_equals_six_calls(
+        self, input_dim, num_classes, min_samples, extra_samples, alpha,
+        beta, seed, node_id,
+    ):
+        factory = SyntheticShardFactory(
+            input_dim=input_dim, num_classes=num_classes,
+            min_samples=min_samples, max_samples=min_samples + extra_samples,
+            alpha=alpha, beta=beta, seed=seed,
+        )
+        shard = factory.make(node_id)
+        x, y = six_call_shard(factory, node_id)
+        assert shard.x.shape == x.shape
+        assert shard.x.tobytes() == x.tobytes()
+        assert np.array_equal(shard.y, y)
+
+    @pytest.mark.parametrize("heterogeneity", [0.0, 0.5, 1.7])
+    @pytest.mark.parametrize("seed", [0, 2**40 + 3])
+    def test_wave_speeds_are_the_per_node_streams(self, seed, heterogeneity):
+        config = FleetConfig(
+            fleet_size=1000, sampled_per_round=16, rounds=1, seed=seed,
+            heterogeneity=heterogeneity,
+        )
+        sim = FleetSimulator(make_strategy(seed=seed), config)
+        ids = sim.sampler.select_ids(config.fleet_size, 0) + [0, 999, 0]
+        want = [
+            float(
+                config.median_seconds_per_step
+                * np.exp(
+                    spawn(seed, "fleet-speed", node_id).normal(
+                        0.0, heterogeneity
+                    )
+                )
+            )
+            for node_id in ids
+        ]
+        assert list(sim._seconds_per_step(ids)) == want
 
 
 class TestFleetRegistry:

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Tensor
-from repro.data import Dataset
+from repro.core import FedML, FedMLConfig
+from repro.data import Dataset, SyntheticConfig, generate_synthetic
+from repro.engine import EngineOptions
+from repro.faults import FaultPlan, KillSchedule, RunInterrupted
 from repro.federated import Platform, build_nodes
 from repro.federated.hierarchy import GatewayAssignment, HierarchicalPlatform
+from repro.nn import LogisticRegression
 from repro.nn.parameters import to_vector
 
 RNG = np.random.default_rng(0)
@@ -126,14 +130,9 @@ class TestHierarchicalPlatform:
             hier.aggregate(nodes)
 
     def test_trains_fedml_end_to_end(self):
-        from repro.core import FedML, FedMLConfig
-        from repro.data import SyntheticConfig, generate_synthetic
-
         fed = generate_synthetic(
             SyntheticConfig(alpha=0.5, beta=0.5, num_nodes=8, mean_samples=18, seed=2)
         )
-        from repro.nn import LogisticRegression
-
         model = LogisticRegression(60, 10)
         sources = list(range(8))
         assignment = GatewayAssignment.round_robin(sources, 2)
@@ -152,3 +151,72 @@ class TestHierarchicalPlatform:
         )
         with pytest.raises(RuntimeError):
             hier.transfer_to_target()
+
+
+class TestHierarchicalFits:
+    """A runner on a hierarchical platform: each fit starts from no rounds
+    and empty ledgers, and a killed fit resumes bit-equal."""
+
+    SOURCES = list(range(8))
+
+    def _fed(self):
+        return generate_synthetic(
+            SyntheticConfig(
+                alpha=0.5, beta=0.5, num_nodes=8, mean_samples=18, seed=2
+            )
+        )
+
+    def _runner(self, **kwargs):
+        assignment = GatewayAssignment.round_robin(self.SOURCES, 2)
+        return FedML(
+            LogisticRegression(60, 10),
+            FedMLConfig(alpha=0.05, beta=0.05, t0=2, total_iterations=6, k=5),
+            platform=HierarchicalPlatform(assignment=assignment),
+            **kwargs,
+        )
+
+    def test_a_second_fit_equals_a_fresh_runners(self):
+        fed = self._fed()
+        runner = self._runner()
+        runner.fit(fed, self.SOURCES)
+        again = runner.fit(fed, self.SOURCES)
+        want = self._runner().fit(fed, self.SOURCES)
+        assert np.array_equal(to_vector(again.params), to_vector(want.params))
+        assert again.history.records == want.history.records
+        assert again.platform.rounds_completed == 3
+        assert want.platform.rounds_completed == 3
+        for ledger in ("wan_log", "lan_log"):
+            got = getattr(again.platform, ledger)
+            expected = getattr(want.platform, ledger)
+            assert got.records == expected.records
+            assert got.uplink_bytes == expected.uplink_bytes
+            assert got.downlink_bytes == expected.downlink_bytes
+
+    def test_killed_fit_resumes_bit_equal(self, tmp_path):
+        fed = self._fed()
+        options = EngineOptions(
+            faults=FaultPlan([KillSchedule(block=1)]),
+            checkpoint_path=str(tmp_path / "run.ckpt"),
+        )
+        with pytest.raises(RunInterrupted):
+            self._runner(engine_options=options).fit(fed, self.SOURCES)
+        resumed = self._runner(engine_options=options).fit(
+            fed, self.SOURCES, resume=True
+        )
+        want = self._runner().fit(fed, self.SOURCES)
+        assert np.array_equal(
+            to_vector(resumed.params), to_vector(want.params)
+        )
+        assert resumed.history.records == want.history.records
+        assert resumed.platform.rounds_completed == 3
+        assert want.platform.rounds_completed == 3
+        assert resumed.platform.wan_log.uplink_bytes == (
+            want.platform.wan_log.uplink_bytes
+        )
+        assert resumed.platform.wan_log.downlink_bytes == (
+            want.platform.wan_log.downlink_bytes
+        )
+        # The LAN ledger restarts empty: it holds the resumed round alone.
+        assert resumed.platform.lan_log.records == [
+            r for r in want.platform.lan_log.records if r.round_index == 3
+        ]

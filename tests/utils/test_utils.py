@@ -32,6 +32,14 @@ NAMES = st.lists(
     ),
     max_size=5,
 )
+IDS = st.lists(
+    st.one_of(
+        st.integers(0, 2**32 - 1),
+        st.integers(2**32, 2**80),
+        st.integers(-(2**40), -1),
+    ),
+    max_size=6,
+)
 
 
 class TestRngFactory:
@@ -82,6 +90,28 @@ class TestRngFactory:
     def test_negative_seed_raises(self, seed, names):
         with pytest.raises(ValueError):
             spawn(seed, *names)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=SEEDS, names=NAMES, ids=IDS)
+    @example(seed=0, names=["fleet-speed"], ids=[])
+    @example(seed=0, names=[], ids=[0, 2**32, -1])
+    @example(seed=2**64 + 7, names=["fleet-speed"], ids=[3, 2**40 + 3])
+    @example(
+        seed=2**100, names=["fleet-fault", 0, "crash", 3], ids=[12345, 0]
+    )
+    def test_streams_are_the_per_id_streams(self, seed, names, ids):
+        """``streams`` gives ``stream(*names, i)`` for each id: keys of
+        one word to more than the four of ``SeedSequence``'s pool."""
+        factory = RngFactory(seed)
+        got = list(factory.streams(*names, ids=ids))
+        want = [factory.stream(*names, i) for i in ids]
+        assert len(got) == len(want)
+        for rng, expected in zip(got, want):
+            assert rng.bit_generator.state == expected.bit_generator.state
+            np.testing.assert_array_equal(
+                rng.normal(size=3), expected.normal(size=3)
+            )
+            assert rng.integers(2**63) == expected.integers(2**63)
 
 
 class TestSerialization:
