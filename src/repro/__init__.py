@@ -24,20 +24,54 @@ Subpackages
 ``repro.faults``
     Deterministic fault injection (crash/drop/corrupt/delay/flaky/kill
     plans) and the resilience policy the round engine degrades with.
+``repro.engine``
+    The round engine every algorithm runs on, its strategies and executors.
+``repro.obs``
+    Telemetry: spans, metrics, the JSONL event stream and run reports.
+
+Subpackages, and the names each exports, are imported on first use
+(:mod:`repro._lazy`), so ``import repro`` loads none of them.
 """
 
-from . import (
-    attacks,
-    autodiff,
-    core,
-    data,
-    faults,
-    federated,
-    metrics,
-    nn,
-    theory,
-    utils,
-)
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from . import (
+        attacks,
+        autodiff,
+        core,
+        data,
+        engine,
+        faults,
+        federated,
+        metrics,
+        nn,
+        obs,
+        theory,
+        utils,
+    )
+else:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            ".": (
+                "attacks",
+                "autodiff",
+                "core",
+                "data",
+                "engine",
+                "faults",
+                "federated",
+                "metrics",
+                "nn",
+                "obs",
+                "theory",
+                "utils",
+            ),
+        },
+    )
 
 __version__ = "1.0.0"
 
@@ -46,10 +80,12 @@ __all__ = [
     "autodiff",
     "core",
     "data",
+    "engine",
     "faults",
     "federated",
     "metrics",
     "nn",
+    "obs",
     "theory",
     "utils",
     "__version__",

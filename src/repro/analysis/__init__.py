@@ -25,24 +25,65 @@ All surface through the CLI (``repro lint``, ``repro check-graph``,
 lives in ``docs/STATIC_ANALYSIS.md``.
 """
 
-from .baseline import Baseline, BaselineEntry, load_baseline, write_baseline
-from .dataflow import ModuleDataflow, Taint
-from .determinism import RngLedger, install_ledger, uninstall_ledger
-from .divergence import DivergencePoint, RunFingerprint, compare_runs
-from .engine import LintReport, iter_python_files, lint_paths, lint_source
-from .findings import Finding, Severity, Suppressions, parse_suppressions
-from .rules import REGISTRY, FileContext, LintRule, default_rules, register
-from .sanitizer import (
-    CONSTANT_OPS,
-    OP_SPECS,
-    GraphReport,
-    OpSpec,
-    audit_double_backward,
-    audited_op_names,
-    detect_retained_graphs,
-    replay_graph,
-    run_graph_checks,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .baseline import (
+        Baseline,
+        BaselineEntry,
+        load_baseline,
+        write_baseline,
+    )
+    from .dataflow import ModuleDataflow, Taint
+    from .determinism import RngLedger, install_ledger, uninstall_ledger
+    from .divergence import DivergencePoint, RunFingerprint, compare_runs
+    from .engine import LintReport, iter_python_files, lint_paths, lint_source
+    from .findings import Finding, Severity, Suppressions, parse_suppressions
+    from .rules import REGISTRY, FileContext, LintRule, default_rules, register
+    from .sanitizer import (
+        CONSTANT_OPS,
+        OP_SPECS,
+        GraphReport,
+        OpSpec,
+        audit_double_backward,
+        audited_op_names,
+        detect_retained_graphs,
+        replay_graph,
+        run_graph_checks,
+    )
+else:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            ".baseline": (
+                "Baseline", "BaselineEntry", "load_baseline", "write_baseline",
+            ),
+            ".dataflow": ("ModuleDataflow", "Taint"),
+            ".determinism": (
+                "RngLedger", "install_ledger", "uninstall_ledger",
+            ),
+            ".divergence": (
+                "DivergencePoint", "RunFingerprint", "compare_runs",
+            ),
+            ".engine": (
+                "LintReport", "iter_python_files", "lint_paths", "lint_source",
+            ),
+            ".findings": (
+                "Finding", "Severity", "Suppressions", "parse_suppressions",
+            ),
+            ".rules": (
+                "REGISTRY", "FileContext", "LintRule", "default_rules",
+                "register",
+            ),
+            ".sanitizer": (
+                "CONSTANT_OPS", "OP_SPECS", "GraphReport", "OpSpec",
+                "audit_double_backward", "audited_op_names",
+                "detect_retained_graphs", "replay_graph", "run_graph_checks",
+            ),
+        },
+    )
 
 __all__ = [
     "Finding",

@@ -20,7 +20,12 @@ Public surface
 """
 
 from . import fastpath, ops
-from .check import check_gradients, check_second_order, numerical_gradient
+from .check import (
+    check_double_backward,
+    check_gradients,
+    check_second_order,
+    numerical_gradient,
+)
 from .profile import TapeProfiler, profile_ops
 from .ops import (
     abs_,
@@ -69,6 +74,7 @@ __all__ = [
     "GradientError",
     "ops",
     "fastpath",
+    "check_double_backward",
     "check_gradients",
     "check_second_order",
     "numerical_gradient",

@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from . import ops
 from . import tensor as tensor_mod
@@ -139,18 +139,37 @@ class TapeProfiler:
         registry.counter(f"{prefix}graph_walks_total").inc(self.graph_walks)
 
 
-def _timed(
-    name: str, fn: Callable[..., Any], profiler: TapeProfiler
-) -> Callable[..., Any]:
+#: The profiler the timing wrappers report to while ``profile_ops`` is on.
+_ACTIVE: Optional[TapeProfiler] = None
+
+
+def _timed(name: str, fn: Callable[..., Any]) -> Callable[..., Any]:
+    # ops use trailing-underscore function names for builtins shadowing
+    # (sum_, max_, ...) but plain names on the tape; key stats by the tape
+    # name so counts and times land in the same bucket.
+    tape_name = name.rstrip("_")
+
     def wrapper(*args: Any, **kwargs: Any) -> Any:
         start = time.perf_counter()
         try:
             return fn(*args, **kwargs)
         finally:
-            profiler.record_time(name, time.perf_counter() - start)
+            active = _ACTIVE
+            if active is not None:
+                active.record_time(tape_name, time.perf_counter() - start)
 
     wrapper.__wrapped__ = fn  # type: ignore[attr-defined]
     return wrapper
+
+
+#: ``(op, its timing wrapper)`` per op name, built once: entering
+#: ``profile_ops`` then allocates almost nothing, so its set-up takes a few
+#: microseconds and rarely lands a garbage collection in the caller's
+#: timed region.
+_WRAPPERS: Dict[str, Tuple[Callable[..., Any], Callable[..., Any]]] = {
+    name: (getattr(ops, name), _timed(name, getattr(ops, name)))
+    for name in _TIMED_OPS
+}
 
 
 @contextmanager
@@ -158,23 +177,25 @@ def profile_ops(
     profiler: Optional[TapeProfiler] = None,
 ) -> Iterator[TapeProfiler]:
     """Profile every autodiff op executed inside the ``with`` block."""
+    global _ACTIVE
     if ops._PROFILE_HOOK is not None:
         raise RuntimeError("profile_ops() is already active")
     prof = profiler if profiler is not None else TapeProfiler()
-    originals: List[Tuple[str, Callable[..., Any]]] = [
-        (name, getattr(ops, name)) for name in _TIMED_OPS
-    ]
+    _ACTIVE = prof
     ops._PROFILE_HOOK = prof.record_creation
     tensor_mod._WALK_HOOK = prof.record_walk
-    for name, fn in originals:
-        # ops use trailing-underscore function names for builtins shadowing
-        # (sum_, max_, ...) but plain names on the tape; key stats by the
-        # tape name so counts and times land in the same bucket.
-        setattr(ops, name, _timed(name.rstrip("_"), fn, prof))
+    for name in _TIMED_OPS:
+        fn = getattr(ops, name)
+        if fn is not _WRAPPERS[name][0]:
+            # Replaced since import (a test's monkeypatch): time what is
+            # installed now.
+            _WRAPPERS[name] = (fn, _timed(name, fn))
+        setattr(ops, name, _WRAPPERS[name][1])
     try:
         yield prof
     finally:
         ops._PROFILE_HOOK = None
         tensor_mod._WALK_HOOK = None
-        for name, fn in originals:
-            setattr(ops, name, fn)
+        for name in _TIMED_OPS:
+            setattr(ops, name, _WRAPPERS[name][0])
+        _ACTIVE = None

@@ -51,54 +51,25 @@ import json
 import sys
 import time
 from contextlib import nullcontext
-from typing import Any, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple, Type
 
-import numpy as np
-
-from .core import (
-    ADMLConfig,
-    FedAvg,
-    FedAvgConfig,
-    FederatedADML,
-    FederatedMetaSGD,
-    FederatedReptile,
-    FederatedRunner,
-    FedML,
-    FedMLConfig,
-    MetaSGDConfig,
-    ReptileConfig,
-    RobustFedML,
-    RobustFedMLConfig,
-    evaluate_adaptation,
-)
-from .core.fedprox import FedProx, FedProxConfig
-from .engine import EngineOptions, Executor, VectorizedExecutor
-from .faults import FaultPlan, ResiliencePolicy, RunInterrupted
-from .data import (
-    FederatedDataset,
-    MnistLikeConfig,
-    Sent140LikeConfig,
-    SyntheticConfig,
-    generate_mnist_like,
-    generate_sent140_like,
-    generate_synthetic,
-)
-from .metrics import format_table, target_splits
-from .nn import EmbeddingClassifier, LogisticRegression, Model
-from .obs import (
-    JsonlFileSink,
-    StdoutSink,
-    Telemetry,
-    load_records,
-    render_report,
-    summarize,
-)
+# Each command imports what it runs, so ``report`` and ``lint`` start
+# without NumPy and ``train`` loads only the chosen algorithm.
+if TYPE_CHECKING:
+    from .core import FederatedRunner
+    from .data import FederatedDataset
+    from .engine import EngineOptions, Executor
+    from .faults import FaultPlan
+    from .nn import Model
+    from .obs import Telemetry
 
 __all__ = ["main", "build_parser"]
 
 
 def _build_dataset(args: argparse.Namespace) -> FederatedDataset:
     if args.dataset == "synthetic":
+        from .data import SyntheticConfig, generate_synthetic
+
         return generate_synthetic(
             SyntheticConfig(
                 alpha=args.synthetic_alpha,
@@ -108,10 +79,14 @@ def _build_dataset(args: argparse.Namespace) -> FederatedDataset:
             )
         )
     if args.dataset == "mnist":
+        from .data import MnistLikeConfig, generate_mnist_like
+
         return generate_mnist_like(
             MnistLikeConfig(num_nodes=args.nodes, seed=args.data_seed)
         )
     if args.dataset == "sent140":
+        from .data import Sent140LikeConfig, generate_sent140_like
+
         return generate_sent140_like(
             Sent140LikeConfig(num_nodes=args.nodes, seed=args.data_seed)
         )
@@ -119,6 +94,8 @@ def _build_dataset(args: argparse.Namespace) -> FederatedDataset:
 
 
 def _build_model(args: argparse.Namespace, federated: FederatedDataset) -> Model:
+    from .nn import EmbeddingClassifier, LogisticRegression
+
     if args.dataset == "synthetic":
         return LogisticRegression(60, 10)
     if args.dataset == "mnist":
@@ -139,6 +116,8 @@ def _build_telemetry(args: argparse.Namespace) -> Optional[Telemetry]:
     path = getattr(args, "telemetry_out", None)
     if not path:
         return None
+    from .obs import JsonlFileSink, StdoutSink, Telemetry
+
     sink = StdoutSink() if path == "-" else JsonlFileSink(path)
     telemetry = Telemetry(sink=sink)
     config = {
@@ -152,6 +131,8 @@ def _build_telemetry(args: argparse.Namespace) -> Optional[Telemetry]:
 
 def _build_executor(kind: str) -> Optional[Executor]:
     """Map an ``--executor`` choice to an engine executor (default serial)."""
+    from .engine import VectorizedExecutor
+
     return VectorizedExecutor() if kind == "vectorized" else None
 
 
@@ -160,6 +141,8 @@ def _build_fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
     spec = getattr(args, "faults", None)
     if spec is None:
         return None
+    from .faults import FaultPlan
+
     return FaultPlan.from_spec(spec, seed=getattr(args, "faults_seed", 0))
 
 
@@ -172,9 +155,13 @@ def _build_engine_options(
     resume = getattr(args, "resume", False)
     if faults_spec is None and checkpoint is None and not resume:
         return None
+    from .engine import EngineOptions
+
     plan = _build_fault_plan(args)
     resilience = None
     if plan is not None:
+        from .faults import ResiliencePolicy
+
         resilience = ResiliencePolicy(
             round_timeout_s=getattr(args, "round_timeout", None),
             min_participants=getattr(args, "min_participants", 1),
@@ -205,6 +192,8 @@ def _algorithm_config(
             f"{', '.join(_FIRST_ORDER_ALGORITHMS)})"
         )
     if args.algorithm == "fedml":
+        from .core import FedML, FedMLConfig
+
         return FedML, FedMLConfig(
             alpha=args.alpha, beta=args.beta, t0=args.t0,
             total_iterations=args.iterations, k=args.k,
@@ -212,6 +201,8 @@ def _algorithm_config(
             seed=args.seed,
         )
     if args.algorithm == "robust-fedml":
+        from .core import RobustFedML, RobustFedMLConfig
+
         return RobustFedML, RobustFedMLConfig(
             alpha=args.alpha, beta=args.beta, t0=args.t0,
             total_iterations=args.iterations, k=args.k,
@@ -220,30 +211,40 @@ def _algorithm_config(
             eval_every=args.eval_every, seed=args.seed,
         )
     if args.algorithm == "fedavg":
+        from .core import FedAvg, FedAvgConfig
+
         return FedAvg, FedAvgConfig(
             learning_rate=args.beta, t0=args.t0,
             total_iterations=args.iterations, eval_every=args.eval_every,
             seed=args.seed,
         )
     if args.algorithm == "fedprox":
+        from .core import FedProx, FedProxConfig
+
         return FedProx, FedProxConfig(
             learning_rate=args.beta, mu_prox=args.mu_prox, t0=args.t0,
             total_iterations=args.iterations, eval_every=args.eval_every,
             seed=args.seed,
         )
     if args.algorithm == "reptile":
+        from .core import FederatedReptile, ReptileConfig
+
         return FederatedReptile, ReptileConfig(
             inner_lr=args.alpha, outer_lr=args.beta, t0=args.t0,
             total_iterations=args.iterations, k=args.k,
             eval_every=args.eval_every, seed=args.seed,
         )
     if args.algorithm == "meta-sgd":
+        from .core import FederatedMetaSGD, MetaSGDConfig
+
         return FederatedMetaSGD, MetaSGDConfig(
             alpha_init=args.alpha, beta=args.beta, t0=args.t0,
             total_iterations=args.iterations, k=args.k,
             eval_every=args.eval_every, seed=args.seed,
         )
     if args.algorithm == "adml":
+        from .core import ADMLConfig, FederatedADML
+
         return FederatedADML, ADMLConfig(
             alpha=args.alpha, beta=args.beta, t0=args.t0,
             total_iterations=args.iterations, k=args.k,
@@ -259,6 +260,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps({"name": federated.name, **stats}))
     else:
+        from .metrics import format_table
+
         print(
             format_table(
                 ["Dataset", "Nodes", "Samples mean", "Samples std"],
@@ -282,6 +285,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    import numpy as np
+
+    from .autodiff import fastpath
+    from .core import evaluate_adaptation
+    from .faults import RunInterrupted
+    from .metrics import format_table, target_splits
+
     federated = _build_dataset(args)
     model = _build_model(args, federated)
     sources, targets = federated.split_sources_targets(
@@ -292,8 +302,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         model, config, telemetry=telemetry,
         executor=_build_executor(args.executor), engine_options=engine_options,
     )
-
-    from .autodiff import fastpath
 
     # --no-fastpath holds through fit() and the adaptation table alike.
     switch = fastpath.disabled() if args.no_fastpath else nullcontext()
@@ -379,6 +387,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_fleet_sim(args: argparse.Namespace) -> int:
     """Event-driven fleet run: lazy registry + buffered aggregation."""
     from .engine.strategies import MetaStrategy, SgdStrategy
+    from .faults import RunInterrupted
     from .federated.fleet import (
         FleetConfig,
         FleetSimulator,
@@ -404,6 +413,8 @@ def _cmd_fleet_sim(args: argparse.Namespace) -> int:
         shards = SyntheticShardFactory(seed=args.seed)
         model = LogisticRegression(shards.input_dim, shards.num_classes)
         if args.algorithm == "fedavg":
+            from .core import FedAvgConfig
+
             strategy = SgdStrategy(
                 model,
                 FedAvgConfig(
@@ -413,6 +424,8 @@ def _cmd_fleet_sim(args: argparse.Namespace) -> int:
                 ),
             )
         else:
+            from .core import FedMLConfig
+
             strategy = MetaStrategy(
                 model,
                 FedMLConfig(
@@ -558,6 +571,8 @@ def _cmd_check_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .obs import load_records, render_report, summarize
+
     try:
         records = load_records(args.path)
     except (OSError, ValueError) as exc:
@@ -629,6 +644,8 @@ def _determinism_run(
     plant: "Optional[tuple[int, int]]" = None,
 ):
     """One instrumented training run; returns its RunFingerprint + ledger."""
+    import numpy as np
+
     from .analysis.determinism import (
         EntropyPlanter,
         install_ledger,
@@ -636,6 +653,7 @@ def _determinism_run(
     )
     from .analysis.divergence import RunFingerprint
     from .obs.sink import MemorySink
+    from .obs.telemetry import Telemetry
     from .utils.serialization import params_fingerprint
 
     run_args = argparse.Namespace(**vars(args))

@@ -8,26 +8,55 @@ classes in :mod:`repro.core` run on it through one
 ``docs/ENGINE.md`` for the layer diagram and extension guide.
 """
 
-from .evaluation import loss_gradient, node_training_data, weighted_node_average
-from .executors import (
-    Executor,
-    ExecutorError,
-    SerialExecutor,
-    VectorizedExecutor,
-)
-from .round_engine import EngineOptions, EngineResult, RoundEngine
-from .strategies import (
-    AdmlStrategy,
-    AdversarialStrategy,
-    LocalStrategy,
-    MetaSgdStrategy,
-    MetaStrategy,
-    ProxStrategy,
-    ReptileStrategy,
-    SgdStrategy,
-    merge_meta_sgd_trees,
-    split_meta_sgd_trees,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .evaluation import (
+        loss_gradient,
+        node_training_data,
+        weighted_node_average,
+    )
+    from .executors import (
+        Executor,
+        ExecutorError,
+        SerialExecutor,
+        VectorizedExecutor,
+    )
+    from .round_engine import EngineOptions, EngineResult, RoundEngine
+    from .strategies import (
+        AdmlStrategy,
+        AdversarialStrategy,
+        LocalStrategy,
+        MetaSgdStrategy,
+        MetaStrategy,
+        ProxStrategy,
+        ReptileStrategy,
+        SgdStrategy,
+        merge_meta_sgd_trees,
+        split_meta_sgd_trees,
+    )
+else:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            ".evaluation": (
+                "loss_gradient", "node_training_data", "weighted_node_average",
+            ),
+            ".executors": (
+                "Executor", "ExecutorError", "SerialExecutor",
+                "VectorizedExecutor",
+            ),
+            ".round_engine": ("EngineOptions", "EngineResult", "RoundEngine"),
+            ".strategies": (
+                "AdmlStrategy", "AdversarialStrategy", "LocalStrategy",
+                "MetaSgdStrategy", "MetaStrategy", "ProxStrategy",
+                "ReptileStrategy", "SgdStrategy", "merge_meta_sgd_trees",
+                "split_meta_sgd_trees",
+            ),
+        },
+    )
 
 __all__ = [
     "RoundEngine",

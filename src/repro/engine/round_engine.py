@@ -40,22 +40,32 @@ saved boundary and finishes bit-identically to an uninterrupted run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
 from ..data.dataset import FederatedDataset
-from ..faults.injector import FaultInjector, RunInterrupted
-from ..faults.plan import FaultPlan
+from ..faults.plan import FaultPlan, RunInterrupted
 from ..faults.policy import ResiliencePolicy
 from ..federated.node import EdgeNode
 from ..federated.platform import Platform
 from ..federated.sampling import FullParticipation
 from ..nn.parameters import Params, detach
 from ..obs.telemetry import Telemetry, resolve
-from ..utils.checkpoint import load_checkpoint, save_checkpoint
 from ..utils.logging import RunLogger
 from .executors import Executor, ExecutorError, SerialExecutor
+
+if TYPE_CHECKING:
+    from ..faults.injector import FaultInjector
 
 __all__ = ["RoundEngine", "EngineResult", "EngineOptions"]
 
@@ -94,6 +104,13 @@ class EngineOptions:
     def __post_init__(self) -> None:
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
+        # Load the code these options turn on when they are made, so a
+        # faulted or checkpointed run compiles it in its set-up rather
+        # than inside fit(), whose imports then find it loaded.
+        if self.faults is not None or self.resilience is not None:
+            from ..faults import injector  # noqa: F401
+        if self.checkpoint_path is not None:
+            from ..utils import checkpoint  # noqa: F401
 
 
 def _pack_checkpoint_tree(global_params: Params, extras: Params) -> Params:
@@ -178,6 +195,8 @@ class RoundEngine:
         )
         if resilient:
             assert opts is not None
+            from ..faults.injector import FaultInjector
+
             injector = FaultInjector(
                 opts.faults, opts.resilience, self.telemetry
             )
@@ -462,6 +481,8 @@ class RoundEngine:
         t: int,
         aggregations: int,
     ) -> None:
+        from ..utils.checkpoint import save_checkpoint
+
         global_params = self.platform.global_params
         assert global_params is not None  # only called after an aggregation
         tree = _pack_checkpoint_tree(
@@ -502,6 +523,8 @@ class RoundEngine:
         history: RunLogger,
         injector: Optional[FaultInjector],
     ) -> Tuple[int, int]:
+        from ..utils.checkpoint import load_checkpoint
+
         checkpoint = load_checkpoint(path)
         state = checkpoint.state
         if state.get("algorithm") != strategy.name:

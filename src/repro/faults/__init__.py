@@ -15,21 +15,41 @@ across executors and across checkpoint/resume boundaries.  See
 ``docs/ENGINE.md`` (integration) and ``docs/TESTING.md`` (chaos suite).
 """
 
-from .injector import FaultInjector, RunInterrupted
-from .plan import (
-    FAULT_KINDS,
-    CorruptSchedule,
-    CrashSchedule,
-    DelaySchedule,
-    DropSchedule,
-    ExplicitSchedule,
-    FaultEvent,
-    FaultPlan,
-    FaultSchedule,
-    FlakyWorkerSchedule,
-    KillSchedule,
-)
-from .policy import FaultToleranceError, ResiliencePolicy
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .injector import FaultInjector
+    from .plan import (
+        FAULT_KINDS,
+        CorruptSchedule,
+        CrashSchedule,
+        DelaySchedule,
+        DropSchedule,
+        ExplicitSchedule,
+        FaultEvent,
+        FaultPlan,
+        FaultSchedule,
+        FlakyWorkerSchedule,
+        KillSchedule,
+        RunInterrupted,
+    )
+    from .policy import FaultToleranceError, ResiliencePolicy
+else:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            ".injector": ("FaultInjector",),
+            ".plan": (
+                "FAULT_KINDS", "CorruptSchedule", "CrashSchedule",
+                "DelaySchedule", "DropSchedule", "ExplicitSchedule",
+                "FaultEvent", "FaultPlan", "FaultSchedule",
+                "FlakyWorkerSchedule", "KillSchedule", "RunInterrupted",
+            ),
+            ".policy": ("FaultToleranceError", "ResiliencePolicy"),
+        },
+    )
 
 __all__ = [
     "FAULT_KINDS",

@@ -28,47 +28,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..federated.node import EdgeNode
-from ..obs.telemetry import NullTelemetry, Telemetry, resolve
+from ..obs.telemetry import Telemetry, resolve
 from ..utils.serialization import payload_bytes
-from .plan import FaultPlan
+from .plan import FaultPlan, RunInterrupted, record_fault
 from .policy import FaultToleranceError, ResiliencePolicy
 
 __all__ = ["FaultInjector", "RunInterrupted", "record_fault"]
-
-
-def record_fault(
-    telemetry: "Telemetry | NullTelemetry", kind: str, block: int, node: int
-) -> None:
-    """Count one injected fault and log it on the event stream.
-
-    The engine and the fleet both report through here, so one plan leaves
-    the same ``fl_faults_total{kind}`` and ``fault_injected`` trail on
-    either path.
-    """
-    telemetry.counter("fl_faults_total", kind=kind).inc()
-    telemetry.events.emit(
-        "fault_injected", fault=kind, block=block, node=node, count=1
-    )
-
-
-class RunInterrupted(RuntimeError):
-    """A plan-scheduled kill: the run died at a block boundary.
-
-    Carries the iteration the run died at; if the engine was checkpointing,
-    ``fit(..., resume=True)`` restarts from the last saved boundary.
-    """
-
-    def __init__(self, t: int, block: int, checkpoint_path: Optional[str]):
-        self.t = t
-        self.block = block
-        self.checkpoint_path = checkpoint_path
-        where = f"killed at t={t} (block {block})"
-        hint = (
-            f"; resume from {checkpoint_path}"
-            if checkpoint_path
-            else "; no checkpoint configured"
-        )
-        super().__init__(where + hint)
 
 
 class FaultInjector:

@@ -46,7 +46,7 @@ Fault kinds
 ``kill``
     The whole run dies at the end of ``block`` — after the checkpoint for
     that boundary is written — by raising
-    :class:`~repro.faults.injector.RunInterrupted`.  Used to prove
+    :class:`RunInterrupted`.  Used to prove
     kill-and-resume bit-exactness.
 
 Explicit events compose with the stochastic schedules: delays on one cell
@@ -64,6 +64,7 @@ import numpy as np
 
 from ..autodiff import Tensor
 from ..nn.parameters import Params
+from ..obs.telemetry import NullTelemetry, Telemetry
 from ..utils.rng import spawn
 
 __all__ = [
@@ -78,9 +79,48 @@ __all__ = [
     "ExplicitSchedule",
     "FaultPlan",
     "FAULT_KINDS",
+    "RunInterrupted",
+    "record_fault",
 ]
 
 FAULT_KINDS = ("crash", "drop", "corrupt", "delay", "flaky", "kill")
+
+
+def record_fault(
+    telemetry: "Telemetry | NullTelemetry", kind: str, block: int, node: int
+) -> None:
+    """Count one injected fault and log it on the event stream.
+
+    The engine and the fleet both report through here, so one plan leaves
+    the same ``fl_faults_total{kind}`` and ``fault_injected`` trail on
+    either path.
+    """
+    telemetry.counter("fl_faults_total", kind=kind).inc()
+    telemetry.events.emit(
+        "fault_injected", fault=kind, block=block, node=node, count=1
+    )
+
+
+class RunInterrupted(RuntimeError):
+    """A plan-scheduled kill: the run died at a block boundary.
+
+    Carries the iteration the run died at; if the engine was checkpointing,
+    ``fit(..., resume=True)`` restarts from the last saved boundary.
+    """
+
+    def __init__(
+        self, t: int, block: int, checkpoint_path: Optional[str]
+    ) -> None:
+        self.t = t
+        self.block = block
+        self.checkpoint_path = checkpoint_path
+        where = f"killed at t={t} (block {block})"
+        hint = (
+            f"; resume from {checkpoint_path}"
+            if checkpoint_path
+            else "; no checkpoint configured"
+        )
+        super().__init__(where + hint)
 
 
 def _validate(

@@ -80,12 +80,10 @@ import numpy as np
 from ..autodiff import Tensor
 from ..data.dataset import Dataset, NodeSplit
 from ..engine.executors import VectorizedExecutor
-from ..faults.injector import RunInterrupted, record_fault
-from ..faults.plan import FaultPlan
+from ..faults.plan import FaultPlan, RunInterrupted, record_fault
 from ..nn.batched import stack_params
 from ..nn.parameters import Params, detach
 from ..obs.telemetry import Telemetry, resolve
-from ..utils.checkpoint import load_checkpoint, save_checkpoint
 from ..utils.logging import RunLogger
 from ..utils.rng import RngFactory, spawn
 from ..utils.serialization import payload_bytes
@@ -583,6 +581,9 @@ class FleetSimulator:
             )
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = int(checkpoint_every)
+        if checkpoint_path is not None:
+            # Loaded now, so a checkpointed run does not compile it in run().
+            from ..utils import checkpoint  # noqa: F401
         self.buffer = BufferedAggregator(
             config.effective_buffer, config.staleness_alpha
         )
@@ -910,6 +911,8 @@ class FleetSimulator:
     # -- checkpoint / resume -------------------------------------------
     def _save(self, round_index: int, history: RunLogger) -> None:
         """Checkpoint θ + buffer + the base versions it is anchored to."""
+        from ..utils.checkpoint import save_checkpoint
+
         assert self.params is not None
         tree: Params = dict(detach(self.params))
         buffer_meta: List[Dict[str, Any]] = []
@@ -955,6 +958,8 @@ class FleetSimulator:
         )
 
     def _restore(self, history: RunLogger) -> int:
+        from ..utils.checkpoint import load_checkpoint
+
         assert self.checkpoint_path is not None
         checkpoint = load_checkpoint(self.checkpoint_path)
         state = checkpoint.state

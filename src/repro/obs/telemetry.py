@@ -18,7 +18,6 @@ The metric-name/label schema is documented in ``docs/OBSERVABILITY.md``.
 
 from __future__ import annotations
 
-import subprocess
 import time
 from typing import Optional
 
@@ -38,6 +37,8 @@ __all__ = [
 
 def git_sha() -> Optional[str]:
     """Best-effort current commit SHA; ``None`` outside a git checkout."""
+    import subprocess
+
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],

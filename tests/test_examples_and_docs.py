@@ -1,8 +1,10 @@
 """Sanity checks on the examples, docs, and bench scaffolding."""
 
 import ast
+import importlib
 import pathlib
 import py_compile
+import re
 
 import pytest
 
@@ -41,6 +43,48 @@ class TestExamples:
                     parts = node.module.split(".")
                     # allow repro.<pkg> and repro.<pkg>.<public module>
                     assert not any(p.startswith("_") for p in parts)
+
+
+def _documented_symbols():
+    """``(package, name)`` for each Symbol-column entry of docs/API.md."""
+    symbols = []
+    package = None
+    in_table = False
+    text = (REPO / "docs" / "API.md").read_text(encoding="utf-8")
+    for line in text.splitlines():
+        section = re.fullmatch(r"## `(repro(?:\.\w+)*)`", line)
+        if section:
+            package, in_table = section.group(1), False
+        elif line.startswith("| Symbol |"):
+            in_table = package is not None
+        elif not line.startswith("|"):
+            in_table = False
+        elif in_table and not line.startswith("|---"):
+            for span in re.findall(r"`([^`]+)`", line.split("|")[1]):
+                name = span.split("(")[0].removesuffix(".*")
+                symbols.append((package, name))
+    return symbols
+
+
+class TestApiReference:
+    SYMBOLS = _documented_symbols()
+
+    def test_tables_were_found(self):
+        assert len({package for package, _ in self.SYMBOLS}) >= 8
+
+    @pytest.mark.parametrize(
+        "package, name", SYMBOLS, ids=[f"{p}:{n}" for p, n in SYMBOLS]
+    )
+    def test_symbol_resolves_from_its_package(self, package, name):
+        """``from package import head``, then attributes for dotted names."""
+        head, *attrs = name.split(".")
+        module = importlib.import_module(package)
+        try:
+            value = getattr(module, head)
+        except AttributeError:
+            value = importlib.import_module(f"{package}.{head}")
+        for attr in attrs:
+            value = getattr(value, attr)
 
 
 class TestBenchmarks:
