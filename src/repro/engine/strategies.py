@@ -234,9 +234,10 @@ class LocalStrategy:
 
         The fleet registry materializes nodes transiently and calls this on
         eviction; a strategy that memoizes per-``node_id`` state (see
-        :class:`SgdStrategy`) must release it here or the cache grows with
-        every node ever sampled — exactly the O(fleet) residency the lazy
-        registry exists to avoid.  Default: nothing to release.
+        :class:`MetaStrategy`'s prepared kernels) must release it here or
+        the cache grows with every node ever sampled — exactly the O(fleet)
+        residency the lazy registry exists to avoid.  Default: nothing to
+        release.
         """
 
 
@@ -270,18 +271,10 @@ class SgdStrategy(LocalStrategy):
     ) -> List[EdgeNode]:
         return _consensus_nodes(federated, source_ids)
 
-    def _full_data(self, node: EdgeNode) -> Dataset:
-        cache: Dict[int, Dataset] = self.__dict__.setdefault("_data_cache", {})
-        data = cache.get(node.node_id)
-        if data is None:
-            data = node_training_data(node)
-            cache[node.node_id] = data
-        return data
-
     def local_step(self, node: EdgeNode) -> float:
         assert node.params is not None
         gradient = loss_gradient(
-            self.model, node.params, self._full_data(node), self.loss_fn
+            self.model, node.params, node_training_data(node), self.loss_fn
         )
         node.params = self._update(node.params, gradient)
         node.record_local_step(gradient_evals=1)
@@ -291,23 +284,22 @@ class SgdStrategy(LocalStrategy):
         """One SGD step; ``params`` may carry a leading node axis."""
         return add_scaled(params, gradient, -self.config.learning_rate)
 
-    def release_node(self, node: EdgeNode) -> None:
-        cache = self.__dict__.get("_data_cache")
-        if cache is not None:
-            cache.pop(node.node_id, None)
-
     supports_vectorized = True
 
     def vectorized_signature(self, node: EdgeNode) -> Optional[Tuple]:
-        """The full dataset's shapes, or ``None`` where the first-order
+        """The shapes of the node's train and test sets, which the block
+        joins into its full dataset, or ``None`` where the first-order
         kernel declines: the fast path off, a model or loss it does not
         take, or a batch it rejects."""
         if not fastpath.enabled() or not supports_batched_loss(
             self.model, self.loss_fn
         ):
             return None
-        data = self._full_data(node)
-        return batch_key(self.model, data.x, data.y)
+        keys = tuple(
+            batch_key(self.model, d.x, d.y)
+            for d in (node.split.train, node.split.test)
+        )
+        return None if None in keys else keys
 
     def local_block_vectorized(
         self,
@@ -315,7 +307,15 @@ class SgdStrategy(LocalStrategy):
         steps: int,
         rngs: Sequence[np.random.Generator],
     ) -> None:
-        batch = _stacked([self._full_data(node) for node in nodes])
+        # Each node's full dataset: the stacked train and test sets joined
+        # on the sample axis, the arrays stacking each node's
+        # ``D_i^train ∪ D_i^test`` gives.
+        train = _stacked([node.split.train for node in nodes])
+        test = _stacked([node.split.test for node in nodes])
+        batch = (
+            np.concatenate([train[0], test[0]], axis=1),
+            np.concatenate([train[1], test[1]], axis=1),
+        )
         stacked = stack_params([node.params for node in nodes])
         # The first-order kernel, its inputs hoisted out of the steps.
         kernel = _accepted(
@@ -342,7 +342,7 @@ class SgdStrategy(LocalStrategy):
         """Weighted empirical loss ``L_w(theta)`` (eq. 2)."""
 
         def value(node: EdgeNode) -> float:
-            data = self._full_data(node)
+            data = node_training_data(node)
             return fused_model_loss(
                 self.model, params, data.x, data.y, self.loss_fn
             ).item()

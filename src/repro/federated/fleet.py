@@ -31,10 +31,12 @@ hundred participate per round.  This module serves that regime:
     materialize, train same-shaped shards stacked on the node axis (a
     slice equals the one-node step bit for bit) and the rest one by one,
     each on the standard ``[seed, round, node]`` RNG stream, evict.  The
-    completion events then pop in heap order and hand each kept update to
-    the aggregator.  ``begin_fit`` runs at the start of a run and
-    ``on_aggregate`` after every flush, so a FedProx anchor is the
-    version a node was dispatched with.
+    wave's nodes share one read-only θ, detached once per round, and one
+    ``np.isfinite`` pass over the wave's stacked updates finds the
+    non-finite ones.  The completion events then pop in heap order and
+    hand each kept update to the aggregator.  ``begin_fit`` runs at the
+    start of a run and ``on_aggregate`` after every flush, so a FedProx
+    anchor is the version a node was dispatched with.
 
 :class:`BufferedAggregator`
     FedBuff-style buffered aggregation.  Updates accumulate in a
@@ -48,10 +50,12 @@ hundred participate per round.  This module serves that regime:
               = θ_cur + d(τ_i)·(θ_i − θ_base_i)   otherwise
         θ_new = Σ ŵ_i · θ̃_i               (ŵ = renormalized data weights)
 
-    Because zero-staleness entries pass through *without arithmetic*, a
-    buffered run in which every update lands fresh — and the synchronous
-    mode, which is exactly that — reduces **bit-for-bit** to FedAvg's
-    weighted mean over the same sample sequence.
+    A flush stacks the buffer once per parameter and corrects every stale
+    row in one expression, ``θ_cur + d ⊙ (rows − bases)``.  Because
+    zero-staleness entries pass through *without arithmetic*, a buffered
+    run in which every update lands fresh — and the synchronous mode,
+    which is exactly that — reduces **bit-for-bit** to FedAvg's weighted
+    mean over the same sample sequence.
 
 Faults ride along through the same :class:`~repro.faults.plan.FaultPlan`
 methods the engine asks, so one plan yields the same faults on both paths:
@@ -77,7 +81,6 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..autodiff import Tensor
 from ..data.dataset import Dataset, NodeSplit
 from ..engine.executors import VectorizedExecutor
 from ..faults.plan import FaultPlan, RunInterrupted, record_fault
@@ -257,7 +260,12 @@ class FleetRegistry:
     def materialize(
         self, node_id: int, params: Optional[Params] = None
     ) -> EdgeNode:
-        """Build (or fetch) the node's shard + state; install ``params``."""
+        """Build (or fetch) the node's shard + state; install ``params``.
+
+        The node gets its own dict over ``params``' tensors, not a copy:
+        pass a read-only tree (:func:`~repro.nn.parameters.detach`), as a
+        wave does with its round's θ, so a write through the node raises.
+        """
         if not 0 <= node_id < self.fleet_size:
             raise ValueError(
                 f"node {node_id} outside fleet [0, {self.fleet_size})"
@@ -282,7 +290,7 @@ class FleetRegistry:
                 self.resident_peak = count
                 self._tel.gauge("fl_fleet_resident_nodes_peak").set(count)
         if params is not None:
-            node.params = detach(params)
+            node.params = dict(params)
         return node
 
     def evict(
@@ -363,26 +371,15 @@ class BufferedAggregator:
             raise ValueError("cannot flush an empty buffer")
         ordered = sorted(self.entries, key=lambda e: e.node_id)
         weights = normalized_weights([e.weight for e in ordered])
-        corrected: List[Params] = []
+        stale: List[int] = []
+        discounts: List[float] = []
         stats: List[Dict[str, Any]] = []
-        for entry in ordered:
+        for row, entry in enumerate(ordered):
             staleness = version - entry.base_version
             d = self.discount(staleness)
-            if staleness == 0:
-                # Exact pass-through: the zero-staleness flush is
-                # bit-identical to synchronous FedAvg's weighted mean.
-                corrected.append(entry.params)
-            else:
-                base = base_of[entry.base_version]
-                corrected.append(
-                    {
-                        name: Tensor(
-                            current[name].data
-                            + d * (entry.params[name].data - base[name].data)
-                        )
-                        for name in current
-                    }
-                )
+            if staleness != 0:
+                stale.append(row)
+                discounts.append(d)
             stats.append(
                 {
                     "node": entry.node_id,
@@ -391,7 +388,19 @@ class BufferedAggregator:
                     "base_version": entry.base_version,
                 }
             )
-        merged = weighted_mean(stack_params(corrected), weights)
+        stacked = stack_params([entry.params for entry in ordered])
+        if stale:
+            # Every stale row corrected in one expression per parameter,
+            # written over the stack's own copy of it; fresh rows pass
+            # through untouched, so an all-fresh flush is synchronous
+            # FedAvg's weighted mean bit for bit.
+            anchors = [base_of[ordered[row].base_version] for row in stale]
+            for name, tensor in stacked.items():
+                rows = tensor.data
+                bases = np.array([base[name].data for base in anchors])
+                d = np.reshape(discounts, (-1,) + (1,) * (rows.ndim - 1))
+                rows[stale] = current[name].data + d * (rows[stale] - bases)
+        merged = weighted_mean(stacked, weights)
         self.entries = []
         return merged, stats
 
@@ -516,6 +525,18 @@ class FleetConfig:
             if self.buffer_size is None
             else min(self.buffer_size, self.sampled_per_round)
         )
+
+
+def _finite_rows(trees: Sequence[Params]) -> List[bool]:
+    """Whether each tree's values are all finite, from one ``np.isfinite``
+    pass over the trees stacked and flattened per row."""
+    if not trees:
+        return []
+    stacked = stack_params(trees)
+    flat = np.concatenate(
+        [t.data.reshape(len(trees), -1) for t in stacked.values()], axis=1
+    )
+    return np.isfinite(flat).all(axis=1).tolist()
 
 
 @dataclass
@@ -804,12 +825,13 @@ class FleetSimulator:
                 # the update never reaches the buffer.
                 self._versions.release(base_version)
                 continue
-            update, weight = trained.pop(node_id)
+            update, weight, finite = trained.pop(node_id)
             corrupt = faults.corruption(info["round"], node_id)
             if corrupt is not None:
                 update = faults.corrupt_params(
                     update, corrupt, info["round"], node_id
                 )
+                (finite,) = _finite_rows([update])
                 record_fault(tel, "corrupt", info["round"], node_id)
             self.comm_log.charge_upload(
                 info["round"] + 1, node_id, payload_bytes(update)
@@ -822,9 +844,7 @@ class FleetSimulator:
                 staleness=staleness,
                 clock=when,
             )
-            if not all(
-                np.isfinite(t.data).all() for t in update.values()
-            ):
+            if not finite:
                 tel.counter("fl_quarantined_total").inc()
                 events.emit(
                     "quarantine", block=info["round"], node=node_id
@@ -861,19 +881,24 @@ class FleetSimulator:
 
     def _train_wave(
         self, round_index: int, ids: List[int]
-    ) -> Dict[int, Tuple[Params, float]]:
+    ) -> Dict[int, Tuple[Params, float, bool]]:
         """Materialize ``ids`` with the round's θ, train them as one
-        executor block, evict them; returns each node's update and weight
-        ``|D_i|``, read off the shard it just built."""
-        nodes = [self.registry.materialize(nid, self.params) for nid in ids]
+        executor block, evict them; returns each node's update, its weight
+        ``|D_i|``, read off the shard it just built, and whether every
+        value of the update is finite.
+
+        The wave shares one read-only θ, detached once, and each node's
+        update is the tree its block installed."""
+        theta = detach(self.params)
+        nodes = [self.registry.materialize(nid, theta) for nid in ids]
         self._executor.run_block(
             self.strategy, nodes, self.config.local_steps,
             block_index=round_index, base_seed=self.config.seed,
         )
-        trained: Dict[int, Tuple[Params, float]] = {}
-        for node in nodes:
-            assert node.params is not None
-            trained[node.node_id] = (detach(node.params), node.weight)
+        updates = [node.params for node in nodes]
+        trained: Dict[int, Tuple[Params, float, bool]] = {}
+        for node, update, finite in zip(nodes, updates, _finite_rows(updates)):
+            trained[node.node_id] = (update, node.weight, finite)
             self.registry.evict(node.node_id, self.strategy)
         return trained
 

@@ -54,31 +54,43 @@ class TransferRecord:
 class CommunicationLog:
     """Accumulates all transfers of a federated run.
 
-    A resumed run starts with an empty record list but must report the same
-    cumulative byte totals as the uninterrupted run (history records log
-    ``uplink_bytes``); :meth:`restore_totals` installs the byte counts the
-    checkpoint carried as offsets on the ``*_bytes`` properties.  Timing
-    views (:meth:`round_time`, :attr:`total_time`) only cover live records.
+    The byte totals are running sums, seeded from ``records`` when the log
+    is built and grown by :meth:`charge_upload` / :meth:`charge_download`,
+    so reading them costs the same however long the run (charge through
+    those two; a record appended by hand is not counted).  A resumed run
+    starts with an empty record list but must report the same cumulative
+    byte totals as the uninterrupted run (history records log
+    ``uplink_bytes``); :meth:`restore_totals` adds the byte counts the
+    checkpoint carried.  Timing views (:meth:`round_time`,
+    :attr:`total_time`) only cover live records.
     """
 
     link: LinkModel = field(default_factory=LinkModel)
     records: List[TransferRecord] = field(default_factory=list)
-    #: byte totals carried over from a checkpoint (not backed by records)
-    restored_uplink_bytes: int = 0
-    restored_downlink_bytes: int = 0
+    _uplink_bytes: int = field(default=0, init=False, repr=False)
+    _downlink_bytes: int = field(default=0, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._uplink_bytes = sum(
+            r.num_bytes for r in self.records if r.direction == "up"
+        )
+        self._downlink_bytes = sum(
+            r.num_bytes for r in self.records if r.direction == "down"
+        )
 
     def restore_totals(self, uplink_bytes: int, downlink_bytes: int) -> None:
         """Carry a checkpointed run's byte totals into this log."""
         if min(uplink_bytes, downlink_bytes) < 0:
             raise ValueError("restored byte totals must be non-negative")
-        self.restored_uplink_bytes += int(uplink_bytes)
-        self.restored_downlink_bytes += int(downlink_bytes)
+        self._uplink_bytes += int(uplink_bytes)
+        self._downlink_bytes += int(downlink_bytes)
 
     def charge_upload(self, round_index: int, node_id: int, num_bytes: int) -> float:
         seconds = self.link.upload_time(num_bytes)
         self.records.append(
             TransferRecord(round_index, node_id, "up", num_bytes, seconds)
         )
+        self._uplink_bytes += num_bytes
         return seconds
 
     def charge_download(self, round_index: int, node_id: int, num_bytes: int) -> float:
@@ -86,6 +98,7 @@ class CommunicationLog:
         self.records.append(
             TransferRecord(round_index, node_id, "down", num_bytes, seconds)
         )
+        self._downlink_bytes += num_bytes
         return seconds
 
     @property
@@ -94,15 +107,11 @@ class CommunicationLog:
 
     @property
     def uplink_bytes(self) -> int:
-        return self.restored_uplink_bytes + sum(
-            r.num_bytes for r in self.records if r.direction == "up"
-        )
+        return self._uplink_bytes
 
     @property
     def downlink_bytes(self) -> int:
-        return self.restored_downlink_bytes + sum(
-            r.num_bytes for r in self.records if r.direction == "down"
-        )
+        return self._downlink_bytes
 
     def round_time(self, round_index: int) -> float:
         """Wall-clock cost of one aggregation round (slowest node wins)."""

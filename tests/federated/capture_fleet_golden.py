@@ -1,4 +1,5 @@
-"""Capture the fleet golden: buffered FedAvg and FedML under a fault plan.
+"""Capture the fleet golden: buffered FedAvg, FedProx and FedML under a
+fault plan.
 
 Run this against a known-good revision of the fleet simulator to
 (re)generate ``fleet_golden.json``::
@@ -11,7 +12,9 @@ updates, both byte counts, and a few shards built by
 ``SyntheticShardFactory.make``.  The runs exercise every per-node stream
 the fleet derives from its seed: the shard and size streams, the device
 speed, the sampler, the round's fault decisions (crash, drop, delay and
-corruption, with a round timeout so delays bite) and the executor block.
+corruption, with a round timeout so delays bite) and the executor block;
+the FedProx run also pins its anchor, installed by ``begin_fit`` and moved
+by ``on_aggregate`` after every flush.
 5,000 registered nodes, 32 sampled, 4 rounds: the capture and the test
 both run in about a second.
 """
@@ -20,8 +23,8 @@ import hashlib
 import json
 import pathlib
 
-from repro.core import FedAvgConfig, FedMLConfig
-from repro.engine.strategies import MetaStrategy, SgdStrategy
+from repro.core import FedAvgConfig, FedMLConfig, FedProxConfig
+from repro.engine.strategies import MetaStrategy, ProxStrategy, SgdStrategy
 from repro.faults import FaultPlan
 from repro.federated.fleet import (
     FleetConfig,
@@ -48,7 +51,8 @@ def build_shards():
 
 
 def build_simulator(algorithm):
-    """The golden fleet run for ``algorithm`` ("fedavg" or "fedml")."""
+    """The golden fleet run for ``algorithm`` ("fedavg", "fedprox" or
+    "fedml")."""
     shards = build_shards()
     model = LogisticRegression(shards.input_dim, shards.num_classes)
     rounds, local_steps = 4, 2
@@ -59,6 +63,11 @@ def build_simulator(algorithm):
     if algorithm == "fedavg":
         strategy = SgdStrategy(
             model, FedAvgConfig(learning_rate=0.05, **schedule)
+        )
+    elif algorithm == "fedprox":
+        strategy = ProxStrategy(
+            model,
+            FedProxConfig(learning_rate=0.05, mu_prox=0.5, **schedule),
         )
     else:
         strategy = MetaStrategy(
@@ -106,7 +115,7 @@ def shard_digest(shards, node_id):
 
 def capture():
     golden = {"runs": {}, "shards": {}}
-    for algorithm in ("fedavg", "fedml"):
+    for algorithm in ("fedavg", "fedprox", "fedml"):
         golden["runs"][algorithm] = summarize(
             build_simulator(algorithm).run()
         )

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.determinism import install_ledger, uninstall_ledger
+from repro.autodiff import Tensor
 from repro.core import FedAvgConfig, FedMLConfig, FedProxConfig
 from repro.engine.strategies import MetaStrategy, ProxStrategy, SgdStrategy
 from repro.faults import RunInterrupted
@@ -39,6 +40,9 @@ from repro.federated.sampling import (
     sample_id_space,
 )
 from repro.nn import LogisticRegression
+from repro.nn.parameters import detach
+from repro.obs.sink import MemorySink
+from repro.obs.telemetry import Telemetry
 from repro.utils.checkpoint import load_checkpoint, save_checkpoint
 from repro.utils.rng import instrument_node_rng, spawn
 from repro.utils.serialization import payload_bytes
@@ -253,15 +257,23 @@ class TestFleetRegistry:
             registry.materialize(10)
 
     def test_evict_releases_strategy_cache(self):
-        strategy = make_strategy()
-        registry = FleetRegistry(100, SyntheticShardFactory(seed=0))
-        node = registry.materialize(4)
-        node.params = strategy.initial_params(np.random.default_rng(0), None)
-        strategy.bind_node_rng(np.random.default_rng(1))
-        strategy.local_step(node)  # populates the per-node data cache
-        assert 4 in strategy.__dict__["_data_cache"]
+        """Eviction drops what the strategy holds for the node: here the
+        meta block's prepared kernel, kept for the rest of the fit."""
+        shards = SyntheticShardFactory(seed=0)
+        strategy = MetaStrategy(
+            LogisticRegression(shards.input_dim, shards.num_classes),
+            FedMLConfig(
+                alpha=0.05, beta=0.05, t0=1, total_iterations=1, k=shards.k,
+            ),
+        )
+        registry = FleetRegistry(100, shards)
+        theta = strategy.initial_params(np.random.default_rng(0), None)
+        node = registry.materialize(4, detach(theta))
+        strategy.begin_fit(theta, [])
+        strategy.local_block_vectorized([node], 1, [np.random.default_rng(1)])
+        assert len(strategy._kernels) == 1
         registry.evict(4, strategy)
-        assert 4 not in strategy.__dict__["_data_cache"]
+        assert len(strategy._kernels) == 0
 
 
 class TestBufferedAggregator:
@@ -638,6 +650,129 @@ class TestStackedWave:
         assert stacked.updates_aggregated == alone.updates_aggregated
         assert stacked.comm_log.uplink_bytes == alone.comm_log.uplink_bytes
         assert stacked.sim_clock_s == alone.sim_clock_s
+
+
+class TestSharedWaveTheta:
+    """A wave's nodes share one read-only θ, detached once per round: each
+    node has its own dict over the round's tensors, and a write through
+    any of them raises instead of reaching the global model."""
+
+    @pytest.mark.parametrize("kind", ["fedavg", "fedprox", "fedml"])
+    def test_every_node_reads_the_rounds_theta_read_only(self, kind):
+        shards = SyntheticShardFactory(seed=2)
+        model = LogisticRegression(shards.input_dim, shards.num_classes)
+        schedule = dict(t0=1, total_iterations=3, seed=2)
+        if kind == "fedavg":
+            strategy = SgdStrategy(
+                model, FedAvgConfig(learning_rate=0.05, **schedule)
+            )
+        elif kind == "fedprox":
+            strategy = ProxStrategy(
+                model,
+                FedProxConfig(learning_rate=0.05, mu_prox=0.5, **schedule),
+            )
+        else:
+            strategy = MetaStrategy(
+                model,
+                FedMLConfig(alpha=0.05, beta=0.05, k=shards.k, **schedule),
+            )
+        config = FleetConfig(
+            fleet_size=500, sampled_per_round=12, rounds=3, local_steps=1,
+            buffer_size=5, seed=2,
+        )
+        sim = FleetSimulator(strategy, config, shards=shards)
+        seen = []  # per node: (its θ dict, read-only, shared, write raised)
+        block = strategy.local_block_vectorized
+
+        def spy(nodes, steps, rngs):
+            # Recorded, not asserted: the executor charges a failing
+            # block to its nodes.
+            for node in nodes:
+                raised = []
+                for name, tensor in node.params.items():
+                    try:
+                        tensor.data[...] = 0.0
+                    except ValueError:
+                        raised.append(name)
+                seen.append(
+                    (
+                        node.params,
+                        not any(
+                            t.data.flags.writeable
+                            for t in node.params.values()
+                        ),
+                        all(
+                            np.shares_memory(t.data, sim.params[name].data)
+                            for name, t in node.params.items()
+                        ),
+                        sorted(raised) == sorted(node.params),
+                    )
+                )
+            block(nodes, steps, rngs)
+
+        strategy.local_block_vectorized = spy
+        result = sim.run()
+        assert result.server_version > 0
+        assert len(seen) == 3 * 12
+        assert all(read_only and shared and raised
+                   for _, read_only, shared, raised in seen)
+        for round_index in range(3):
+            trees = [tree for tree, *_ in seen[12 * round_index:][:12]]
+            assert len({id(tree) for tree in trees}) == len(trees)
+            for name in trees[0]:
+                assert len({id(tree[name]) for tree in trees}) == 1
+
+
+class PoisonedSgd(SgdStrategy):
+    """FedAvg whose block leaves one value of a chosen parameter of the
+    chosen nodes' updates non-finite, as a diverging local step would."""
+
+    poisoned = {}  # node id -> parameter name
+
+    def local_block_vectorized(self, nodes, steps, rngs):
+        super().local_block_vectorized(nodes, steps, rngs)
+        for node in nodes:
+            name = self.poisoned.get(node.node_id)
+            if name is not None:
+                data = node.params[name].data.copy()
+                data.flat[-1] = np.inf
+                node.params = {**node.params, name: Tensor(data)}
+
+
+class TestWaveFiniteness:
+    """One ``np.isfinite`` pass over a wave's updates finds a trained
+    update that went non-finite, with no fault injected: it is
+    quarantined, and the rest of the wave is aggregated."""
+
+    def test_non_finite_trained_update_is_quarantined(self):
+        seed, fleet, sampled, rounds = 4, 300, 8, 2
+        shards = SyntheticShardFactory(seed=seed)
+        strategy = PoisonedSgd(
+            LogisticRegression(shards.input_dim, shards.num_classes),
+            FedAvgConfig(
+                learning_rate=0.05, t0=1, total_iterations=rounds,
+                seed=seed,
+            ),
+        )
+        sampler = IdSpaceSampler(sampled, seed)
+        waves = [sampler.select_ids(fleet, r) for r in range(rounds)]
+        strategy.poisoned = {waves[0][1]: "W", waves[1][5]: "b"}
+        sink = MemorySink()
+        config = FleetConfig(
+            fleet_size=fleet, sampled_per_round=sampled, rounds=rounds,
+            local_steps=1, seed=seed,
+        )
+        result = FleetSimulator(
+            strategy, config, shards=shards, telemetry=Telemetry(sink=sink)
+        ).run()
+        quarantined = [
+            (r["block"], r["node"])
+            for r in sink.records
+            if r.get("type") == "event" and r.get("kind") == "quarantine"
+        ]
+        assert quarantined == [(0, waves[0][1]), (1, waves[1][5])]
+        assert result.updates_aggregated == rounds * sampled - 2
+        assert all(np.isfinite(t.data).all() for t in result.params.values())
 
 
 class TestFedProxFleet:

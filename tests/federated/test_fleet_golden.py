@@ -1,11 +1,12 @@
 """Fixed-seed regression: the fleet reproduces its golden runs bit for bit.
 
 ``fleet_golden.json`` was captured (by ``capture_fleet_golden.py``) from a
-known-good revision: buffered FedAvg and FedML over 5,000 registered
-nodes under a crash/drop/delay/corrupt plan with a round timeout, plus a
-few shards from ``SyntheticShardFactory.make``.  Every value the fleet
-derives from its seeded streams is compared exactly: a change to how a
-stream is built or drawn shows up here, not as a tolerance drift.
+known-good revision: buffered FedAvg, FedProx and FedML over 5,000
+registered nodes under a crash/drop/delay/corrupt plan with a round
+timeout, plus a few shards from ``SyntheticShardFactory.make``.  Every
+value the fleet derives from its seeded streams is compared exactly: a
+change to how a stream is built or drawn shows up here, not as a
+tolerance drift.
 """
 
 import json

@@ -10,7 +10,9 @@ Three claims the event-driven design stands on:
 3. Buffered aggregation at staleness 0 *is* synchronous FedAvg: when the
    buffer only ever holds fresh entries, the flush passes each update
    through untouched and the reduction is the same weighted mean, bit for
-   bit, on the same sample sequence.
+   bit, on the same sample sequence.  The flush corrects its stale rows
+   stacked, in one expression per parameter; that equals correcting each
+   entry alone, bit for bit.
 """
 
 import heapq
@@ -21,13 +23,18 @@ from hypothesis import strategies as st
 
 from repro.core.fedavg import FedAvgConfig
 from repro.engine.strategies import SgdStrategy
+from repro.autodiff import Tensor
+from repro.federated.aggregation import normalized_weights, weighted_mean
 from repro.federated.fleet import (
+    BufferedAggregator,
+    BufferEntry,
     FleetConfig,
     FleetRegistry,
     FleetSimulator,
     SyntheticShardFactory,
 )
 from repro.nn import LogisticRegression
+from repro.nn.batched import stack_params
 from repro.obs.sink import MemorySink
 from repro.obs.telemetry import Telemetry
 
@@ -152,6 +159,107 @@ def test_staleness_zero_buffered_reduces_to_synchronous(seed, sampled):
     assert trees_equal(sync.params, fresh.params)
     assert trees_equal(sync.params, extreme.params)
     assert sync.history.records == fresh.history.records
+
+
+#: the shapes of the trees the flush properties aggregate (a matrix, a
+#: vector and a 0-d parameter)
+_FLUSH_SHAPES = {"b": (3,), "s": (), "w": (2, 3)}
+
+
+def _random_tree(rng):
+    return {
+        name: Tensor(rng.standard_normal(shape))
+        for name, shape in _FLUSH_SHAPES.items()
+    }
+
+
+def _buffer(seed, stalenesses, version=4):
+    """Entries with distinct shuffled node ids and the given stalenesses,
+    the current θ, and a base θ per version an entry is anchored to."""
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(10 * len(stalenesses))[: len(stalenesses)]
+    entries = [
+        BufferEntry(
+            node_id=int(node_id),
+            weight=float(rng.integers(1, 40)),
+            base_version=version - tau,
+            params=_random_tree(rng),
+        )
+        for node_id, tau in zip(ids, stalenesses)
+    ]
+    base_of = {version - tau: _random_tree(rng) for tau in set(stalenesses)}
+    return entries, _random_tree(rng), base_of
+
+
+def _flush(entries, current, version, base_of, alpha):
+    agg = BufferedAggregator(len(entries), staleness_alpha=alpha)
+    for entry in entries:
+        agg.add(entry)
+    return agg.flush(current, version, base_of)
+
+
+@given(
+    st.integers(0, 2**16),
+    st.lists(st.integers(0, 4), min_size=1, max_size=16),
+    st.sampled_from([0.0, 0.5, 2.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_stacked_flush_equals_per_entry_correction(seed, stalenesses, alpha):
+    """The flush equals ``weighted_mean(stack_params([θ̃_i]))`` over the
+    entries in node order, ``θ̃_i = θ + d(τ_i)·(θ_i − θ_b)`` formed one
+    entry at a time and fresh entries passed through, bit for bit."""
+    version = 4
+    entries, current, base_of = _buffer(seed, stalenesses, version)
+    ordered = sorted(entries, key=lambda e: e.node_id)
+    corrected = []
+    for entry in ordered:
+        tau = version - entry.base_version
+        if tau == 0:
+            corrected.append(entry.params)
+            continue
+        d = (1.0 + tau) ** (-alpha)
+        base = base_of[entry.base_version]
+        corrected.append(
+            {
+                name: Tensor(
+                    current[name].data
+                    + d * (entry.params[name].data - base[name].data)
+                )
+                for name in current
+            }
+        )
+    expected = weighted_mean(
+        stack_params(corrected),
+        normalized_weights([e.weight for e in ordered]),
+    )
+    merged, stats = _flush(entries, current, version, base_of, alpha)
+    assert sorted(merged) == sorted(expected)
+    for name in expected:
+        assert np.array_equal(merged[name].data, expected[name].data)
+    assert [s["node"] for s in stats] == [e.node_id for e in ordered]
+    assert [s["staleness"] for s in stats] == [
+        version - e.base_version for e in ordered
+    ]
+
+
+@given(
+    st.integers(0, 2**16),
+    st.integers(1, 16),
+    st.sampled_from([0.0, 0.5, 2.0]),
+)
+@settings(max_examples=30, deadline=None)
+def test_all_fresh_flush_is_synchronous_fedavg(seed, count, alpha):
+    """With no stale entry the flush is ``weighted_mean`` of the stacked
+    uploads in node order: synchronous FedAvg's aggregation."""
+    entries, current, base_of = _buffer(seed, [0] * count)
+    ordered = sorted(entries, key=lambda e: e.node_id)
+    expected = weighted_mean(
+        stack_params([e.params for e in ordered]),
+        normalized_weights([e.weight for e in ordered]),
+    )
+    merged, _ = _flush(entries, current, 4, {}, alpha)
+    for name in expected:
+        assert np.array_equal(merged[name].data, expected[name].data)
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.federated import CommunicationLog, LinkModel
+from repro.federated.network import TransferRecord
 
 
 class TestLinkModel:
@@ -58,3 +59,49 @@ class TestCommunicationLog:
 
     def test_empty_round_time_is_zero(self):
         assert CommunicationLog().round_time(5) == 0.0
+
+
+def record_sums(log):
+    """The byte totals re-summed from the log's records."""
+    up = sum(r.num_bytes for r in log.records if r.direction == "up")
+    down = sum(r.num_bytes for r in log.records if r.direction == "down")
+    return up, down
+
+
+class TestRunningTotals:
+    """The byte totals are kept as transfers are charged, and equal the
+    records' sums plus whatever a checkpoint restored."""
+
+    def test_totals_equal_record_sums_after_mixed_charges(self):
+        log = CommunicationLog()
+        for i, num_bytes in enumerate([120, 0, 75, 4_096, 33, 512]):
+            if i % 3 == 1:
+                log.charge_download(i, i, num_bytes)
+            else:
+                log.charge_upload(i, i, num_bytes)
+            assert (log.uplink_bytes, log.downlink_bytes) == record_sums(log)
+        assert log.total_bytes == sum(record_sums(log))
+
+    def test_restore_adds_to_the_record_sums(self):
+        log = CommunicationLog()
+        log.charge_upload(1, 0, 100)
+        log.restore_totals(1_000, 2_000)
+        log.charge_download(2, 0, 30)
+        log.restore_totals(5, 7)
+        up, down = record_sums(log)
+        assert log.uplink_bytes == up + 1_005 == 1_105
+        assert log.downlink_bytes == down + 2_007 == 2_037
+        with pytest.raises(ValueError, match="non-negative"):
+            log.restore_totals(-1, 0)
+        assert log.uplink_bytes == 1_105
+
+    def test_log_built_with_records_starts_from_their_sums(self):
+        records = [
+            TransferRecord(0, 0, "up", 300, 0.1),
+            TransferRecord(0, 1, "down", 40, 0.1),
+            TransferRecord(1, 0, "up", 5, 0.1),
+        ]
+        log = CommunicationLog(records=list(records))
+        assert (log.uplink_bytes, log.downlink_bytes) == (305, 40)
+        log.charge_upload(2, 0, 10)
+        assert (log.uplink_bytes, log.downlink_bytes) == record_sums(log)
