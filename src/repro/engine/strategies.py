@@ -1057,11 +1057,12 @@ class AdversarialStrategy(MetaStrategy):
             x_key = f"adv::{node.node_id}::x"
             y_key = f"adv::{node.node_id}::y"
             if x_key in extras and y_key in extras:
-                # Labels round-trip through the float64 wire format; they
-                # are small integers, so the cast back is exact.
+                # Labels round-trip through the float64 wire format, which
+                # holds class ids and real-valued targets exactly; D^adv
+                # copies the clean test labels, so it takes their dtype.
                 node.adversarial = Dataset(
                     x=extras[x_key].data.copy(),
-                    y=extras[y_key].data.astype(np.int64),
+                    y=extras[y_key].data.astype(node.split.test.y.dtype),
                 )
 
     def checkpoint_state(self, nodes: Sequence[EdgeNode]) -> Dict[str, Any]:

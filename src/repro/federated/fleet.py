@@ -833,9 +833,8 @@ class FleetSimulator:
                 )
                 (finite,) = _finite_rows([update])
                 record_fault(tel, "corrupt", info["round"], node_id)
-            self.comm_log.charge_upload(
-                info["round"] + 1, node_id, payload_bytes(update)
-            )
+            # An update, corrupted or not, has θ's names and shapes.
+            self.comm_log.charge_upload(info["round"] + 1, node_id, payload)
             staleness = self.server_version - base_version
             events.emit(
                 "fleet_completion",

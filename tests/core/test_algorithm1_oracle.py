@@ -27,6 +27,10 @@ The engine's θ_T must equal that trajectory within 1e-12 relative for
 ``T0`` in {1, 5, 10}, on both executors.  The kernels take cross-entropy
 only, so this pins the per-node tape path that runs every node they do
 not serve.
+
+The federation's targets are real-valued, so it also carries Robust
+FedML's kill-and-resume leg: its checkpointed ``D^adv`` labels must come
+back unchanged.
 """
 
 import numpy as np
@@ -40,10 +44,13 @@ from repro.core import (
     FedML,
     FedMLConfig,
     ReptileConfig,
+    RobustFedML,
+    RobustFedMLConfig,
 )
 from repro.core.fedprox import FedProx, FedProxConfig
 from repro.data import Dataset, FederatedDataset
-from repro.engine import SerialExecutor, VectorizedExecutor
+from repro.engine import EngineOptions, SerialExecutor, VectorizedExecutor
+from repro.faults import FaultPlan, KillSchedule, RunInterrupted
 from repro.nn import Model
 from repro.nn.losses import mse
 
@@ -197,3 +204,41 @@ def test_theta_follows_the_closed_form(federation, name, t0, executor):
     expected = oracle(nodes, step_map, init["w"].data, t0)
     got = result.params["w"].data
     assert np.max(np.abs(got - expected)) <= REL_TOL * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("executor", [SerialExecutor, VectorizedExecutor])
+def test_robust_fedml_resumes_bit_equal_on_real_valued_labels(
+    federation, executor, tmp_path
+):
+    """Algorithm 2 on the same federation, killed after its two
+    generation rounds and resumed, equals the uninterrupted run bit for
+    bit.  ``D^adv`` copies the nodes' real-valued targets, and the
+    checkpoint must give them back as they were, not cast to integers
+    (2.043 → 2)."""
+    fed, sources, init = federation
+    config = RobustFedMLConfig(
+        alpha=ALPHA, beta=BETA, k=K, t0=2, total_iterations=40,
+        eval_every=40, seed=0, lam=4.0, nu=0.05, ta=5, n0=2, r_max=2,
+    )
+    options = EngineOptions(
+        faults=FaultPlan([KillSchedule(block=5)]),
+        checkpoint_path=str(tmp_path / "run.ckpt"),
+    )
+
+    def fit(engine_options=None, resume=False):
+        runner = RobustFedML(
+            LinearRegression(DIM), config, loss_fn=mse, executor=executor(),
+            engine_options=engine_options,
+        )
+        return runner.fit(fed, sources, init_params=init, resume=resume)
+
+    with pytest.raises(RunInterrupted):
+        fit(options)
+    resumed = fit(options, resume=True)
+    baseline = fit()
+    assert all(
+        node.adversarial.y.dtype == np.float64 for node in resumed.nodes
+    )
+    assert resumed.params["w"].data.tobytes() == (
+        baseline.params["w"].data.tobytes()
+    )
